@@ -164,54 +164,85 @@ def delta_spread(spec: TrackingSpec, omega: float) -> float:
 
 # --- scan + bisection machinery -------------------------------------------
 
-def _closed_loop_spread_db(ratios: np.ndarray, gain_db: float, phase_rad: float) -> float:
-    loop = undb(gain_db) * complex(math.cos(phase_rad), math.sin(phase_rad)) * ratios
-    denom = 1.0 + loop
-    if np.any(denom == 0):
-        raise CriticalPoint("template member landed exactly on -1")
-    mags = np.abs(loop / denom)
-    vals = 20.0 * np.log10(mags)
-    return float(vals.max() - vals.min())
+# Phases are searched in blocks of at most this many phase x template-point
+# cells, which bounds the probe arrays' memory on large templates.
+_BLOCK_CELLS = 8192
 
 
-def _worst_sensitivity(ratios: np.ndarray, gain_db: float, phase_rad: float) -> float:
-    loop = undb(gain_db) * complex(math.cos(phase_rad), math.sin(phase_rad)) * ratios
-    denom = 1.0 + loop
-    if np.any(denom == 0):
-        raise CriticalPoint("template member landed exactly on -1")
-    return float(np.max(np.abs(1.0 / denom)))
+def _spread_db(loop: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    vals = 20.0 * np.log10(np.abs(loop / denom))
+    return vals.max(axis=1) - vals.min(axis=1)
 
 
-def _least_feasible_gain(feasible: Callable[[float], bool], tol_db: float) -> float:
-    """Upward scan then bisection for the smallest gain passing ``feasible``."""
+def _worst_sensitivity(loop: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    return np.max(np.abs(1.0 / denom), axis=1)
 
-    def probe(c: float) -> bool:
-        try:
-            return feasible(c)
-        except CriticalPoint:
-            # nudge off the critical point once; a second hit is a real error
-            return feasible(c + tol_db / 10.0)
 
-    if probe(SCAN_FLOOR_DB):
-        return NO_CONSTRAINT
-    lo = SCAN_FLOOR_DB
-    hi = None
+def _least_feasible_gains(
+    ratios: np.ndarray,
+    phases_deg: Sequence[float],
+    measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    limit: float,
+    tol_db: float,
+) -> np.ndarray:
+    """Least gain with ``measure(loop, 1 + loop) <= limit`` at every phase.
+
+    ``measure`` reduces a (phases, members) array of loop values row by row.
+    Each block of phases runs the upward scan and then the bisection of its
+    first feasible bracket in lockstep.
+    """
+    rotors = np.array(
+        [complex(math.cos(r), math.sin(r)) for r in map(math.radians, phases_deg)],
+        dtype=complex,
+    )
+    out = np.empty(len(rotors))
+    rows = max(1, _BLOCK_CELLS // len(ratios))
+    for start in range(0, len(rotors), rows):
+        block = slice(start, start + rows)
+        out[block] = _search_block(ratios, rotors[block], measure, limit, tol_db)
+    return out
+
+
+def _search_block(ratios, rotors, measure, limit, tol_db) -> np.ndarray:
+    def loops(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
+        gains = np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(rows))
+        return (gains * rotors[rows])[:, None] * ratios
+
+    def probe(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
+        loop = loops(rows, gains_db)
+        denom = 1.0 + loop
+        hit = np.any(denom == 0, axis=1)
+        if np.any(hit):
+            # nudge those rows off the critical point once; a second hit is a real error
+            loop[hit] = loops(rows[hit], gains_db[hit] + tol_db / 10.0)
+            denom = 1.0 + loop
+            if np.any(denom == 0):
+                raise CriticalPoint("template member landed exactly on -1")
+        return measure(loop, denom) <= limit
+
+    every = np.arange(len(rotors))
+    lo = np.full(len(rotors), SCAN_FLOOR_DB)
+    hi = np.full(len(rotors), np.nan)  # NaN until a feasible scan step is found
+    at_floor = probe(every, lo)
+    pending = every[~at_floor]
     c = SCAN_FLOOR_DB + SCAN_STEP_DB
-    while c <= SCAN_CEILING_DB + 1e-12:
-        if probe(c):
-            hi = c
-            break
-        lo = c
+    while pending.size and c <= SCAN_CEILING_DB + 1e-12:
+        ok = probe(pending, np.full(pending.size, c))
+        hi[pending[ok]] = c
+        lo[pending[~ok]] = c
+        pending = pending[~ok]
         c += SCAN_STEP_DB
-    if hi is None:
-        return INFEASIBLE
-    while hi - lo > tol_db:
-        mid = 0.5 * (lo + hi)
-        if probe(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    # rows without a bracket compare NaN > tol_db as False and drop out at once
+    bisecting = every
+    while True:
+        bisecting = bisecting[hi[bisecting] - lo[bisecting] > tol_db]
+        if not bisecting.size:
+            break
+        mid = 0.5 * (lo[bisecting] + hi[bisecting])
+        ok = probe(bisecting, mid)
+        hi[bisecting[ok]] = mid[ok]
+        lo[bisecting[~ok]] = mid[~ok]
+    return np.where(at_floor, NO_CONSTRAINT, np.where(np.isnan(hi), INFEASIBLE, hi))
 
 
 def horowitz_gain(
@@ -223,14 +254,7 @@ def horowitz_gain(
 ) -> float:
     """Least nominal gain keeping the family's closed-loop spread <= delta_db
     when the nominal sits at ``phase_deg``."""
-    ratios = template.ratio_array(use_hull)
-    if len(ratios) <= 1:
-        return NO_CONSTRAINT
-    phase_rad = math.radians(phase_deg)
-    return _least_feasible_gain(
-        lambda c: _closed_loop_spread_db(ratios, c, phase_rad) <= delta_db,
-        tol_db,
-    )
+    return horowitz_bound(template, delta_db, (phase_deg,), tol_db, use_hull).min_gain_db[0]
 
 
 def horowitz_bound(
@@ -240,11 +264,12 @@ def horowitz_bound(
     tol_db: float = DEFAULT_TOL_DB,
     use_hull: bool = True,
 ) -> BoundCurve:
-    entries = [
-        horowitz_gain(template, delta_db, phi, tol_db=tol_db, use_hull=use_hull)
-        for phi in phase_grid
-    ]
-    return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=tuple(entries))
+    ratios = template.ratio_array(use_hull)
+    if len(ratios) <= 1:
+        entries = [NO_CONSTRAINT] * len(phase_grid)
+    else:
+        entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, tol_db)
+    return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
 def disturbance_gain(
@@ -255,12 +280,7 @@ def disturbance_gain(
     use_hull: bool = True,
 ) -> float:
     """Least nominal gain holding |1/(1+L)| <= cap over the whole template."""
-    ratios = template.ratio_array(use_hull)
-    phase_rad = math.radians(phase_deg)
-    return _least_feasible_gain(
-        lambda c: _worst_sensitivity(ratios, c, phase_rad) <= cap,
-        tol_db,
-    )
+    return disturbance_bound(template, cap, (phase_deg,), tol_db, use_hull).min_gain_db[0]
 
 
 def disturbance_bound(
@@ -270,11 +290,9 @@ def disturbance_bound(
     tol_db: float = DEFAULT_TOL_DB,
     use_hull: bool = True,
 ) -> BoundCurve:
-    entries = [
-        disturbance_gain(template, cap, phi, tol_db=tol_db, use_hull=use_hull)
-        for phi in phase_grid
-    ]
-    return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=tuple(entries))
+    ratios = template.ratio_array(use_hull)
+    entries = _least_feasible_gains(ratios, phase_grid, _worst_sensitivity, cap, tol_db)
+    return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
 def performance_bound(curves: Sequence[BoundCurve]) -> BoundCurve:
@@ -331,20 +349,33 @@ class UContour:
             raise ValueError(f"phase {phase_deg} outside the contour span")
         return pair[1] - self.delta_hf_db
 
-    def inside(self, phase_deg: float, gain_db: float, tol_db: float = 0.0) -> bool:
-        """Strict interior test, used by the dense stability sweep.
+    def inside(self, phase_deg, gain_db, tol_db: float = 0.0):
+        """Strict interior test, used by the dense stability sweep;
+        elementwise over arrays of phases and gains.
 
         A positive ``tol_db`` shrinks the region: points within ``tol_db``
         of either edge count as outside.  This keeps points that ride a
         boundary (where the combined design bounds equal the contour top)
-        from being flagged over sub-0.01 dB arithmetic noise.
+        from being flagged over sub-0.01 dB arithmetic noise.  The edges are
+        the two crossings of :func:`m_circle_gains`, the lower one dropped by
+        the high-frequency span, recomputed here with NumPy; the scalar
+        function stays on libm, whose last bits the bound files record.
         """
-        if not self.contains_phase(phase_deg):
-            return False
-        pair = m_circle_gains(self.m_value, phase_deg)
-        if pair is None:
-            return False
-        return pair[1] - self.delta_hf_db + tol_db < gain_db < pair[0] - tol_db
+        m2 = self.m_value * self.m_value
+        c = np.cos(np.radians(phase_deg))
+        disc = m2 * c * c - (m2 - 1.0)
+        crosses = (disc >= 0.0) & (c < 0.0)
+        root = self.m_value * np.sqrt(np.where(crosses, disc, 0.0))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper = 20.0 * np.log10((-m2 * c + root) / (m2 - 1.0))
+            lower = 20.0 * np.log10((-m2 * c - root) / (m2 - 1.0)) - self.delta_hf_db
+        return (
+            (self.phase_min_deg <= phase_deg)
+            & (phase_deg <= self.phase_max_deg)
+            & crosses
+            & (lower + tol_db < gain_db)
+            & (gain_db < upper - tol_db)
+        )
 
 
 def u_contour(m_value: float, delta_hf_db: float, phase_grid: Sequence[float]) -> UContour:
@@ -444,8 +475,8 @@ def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray
     idx_hi = np.clip(idx, 1, len(grid) - 1)
     a = vals[idx_hi - 1]
     b = vals[idx_hi]
-    t = (p - grid[idx_hi - 1]) / (grid[idx_hi] - grid[idx_hi - 1])
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = (p - grid[idx_hi - 1]) / (grid[idx_hi] - grid[idx_hi - 1])
         linear = a + t * (b - a)
     res = np.where(
         (a == INFEASIBLE) | (b == INFEASIBLE),

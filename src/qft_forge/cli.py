@@ -57,13 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the anchor frequency pair (two 1-based positions, comma separated)",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="worker threads for the bound computations (default 1; results are identical)",
-    )
-    parser.add_argument(
         "--oracle",
         action="store_true",
         help="also run the brute-force gain-box cross-check (slow; design/verify/all only)",
@@ -86,8 +79,6 @@ def _apply_overrides(config: DesignConfig, args: argparse.Namespace) -> DesignCo
             raise ConfigError(f"--pair: positions must be integers ({args.pair!r})") from exc
         design = dataclasses.replace(config.design, pair=pair)
         config = dataclasses.replace(config, design=design)
-    if args.jobs < 1:
-        raise ConfigError(f"--jobs: must be at least 1, got {args.jobs}")
     # resolve eagerly so a bad override fails before any work happens
     config.pair_indices()
     return config
@@ -107,9 +98,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_USAGE
 
     try:
-        artifacts = run_command(
-            config, args.command, args.out, jobs=args.jobs, with_oracle=args.oracle
-        )
+        artifacts = run_command(config, args.command, args.out, with_oracle=args.oracle)
     except (NegativeMappedGain, NoFeasiblePoint) as exc:
         print(f"design infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

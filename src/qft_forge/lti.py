@@ -27,6 +27,7 @@ __all__ = [
     "undb",
     "eval_tf",
     "wrap_phase",
+    "wrap_phase_array",
     "to_nichols",
     "closed_loop_gain",
     "sensitivity_gain",
@@ -114,6 +115,13 @@ def wrap_phase(phase_deg: float) -> float:
             r = 0.0
     # fold -0.0 (and exact multiples of 360) onto +0.0
     return r + 0.0
+
+
+def wrap_phase_array(phase_deg: np.ndarray) -> np.ndarray:
+    """Elementwise :func:`wrap_phase`."""
+    r = np.fmod(phase_deg, 360.0)
+    r = np.where(r > 0.0, r - 360.0, r)
+    return np.where(r == -360.0, 0.0, r) + 0.0
 
 
 def to_nichols(response: complex) -> NicholsPoint:

@@ -33,6 +33,7 @@ from .bounds import (
     BoundCurve,
     UContour,
     interpolate_bound,
+    interpolate_bound_array,
 )
 from .errors import (
     EmptyWindow,
@@ -41,7 +42,7 @@ from .errors import (
     ZeroController,
 )
 from .expr import add_expressions, scale_expression
-from .lti import RationalTransferFunction, db, wrap_phase
+from .lti import RationalTransferFunction, db, wrap_phase, wrap_phase_array
 from .plant import UncertainPlant
 
 __all__ = [
@@ -178,41 +179,51 @@ def _constraint_matrix(
     return np.array(rows)
 
 
+def _kernel_grid(b_i, b_j, omega_i: float, omega_j: float) -> np.ndarray:
+    """Unit kernel directions for the constraint matrices with rows
+    [1, -1/w^2, b] at the two frequencies, for third-column entries ``b_i``
+    and ``b_j`` broadcast together; (derivative, integral, proportional) are
+    stacked along the first axis.
+
+    Both rows start with 1, so their cross product spans the kernel.  It is
+    normalised to unit length with the largest-magnitude component positive;
+    components below machine-noise size are snapped to exactly zero, keeping
+    downstream sign tests deterministic when a phase pair degenerates onto a
+    two-gain ray.
+    """
+    a_i = -1.0 / (omega_i * omega_i)
+    a_j = -1.0 / (omega_j * omega_j)
+    d = b_i - b_j
+    v = np.stack([a_i * b_j - b_i * a_j, d, np.full(d.shape, a_j - a_i)])
+    cross = np.sqrt(np.sum(v * v, axis=0))
+    # the singular values s0 >= s1 of a 2x3 matrix satisfy s0 * s1 = |row_i x row_j|
+    # and s0^2 + s1^2 = its squared Frobenius norm
+    frob = 2.0 + a_i * a_i + a_j * a_j + b_i * b_i + b_j * b_j
+    s0 = np.sqrt(0.5 * (frob + np.sqrt(np.maximum(frob * frob - 4.0 * cross * cross, 0.0))))
+    if np.any(cross / s0 < 1e-12 * np.maximum(s0, 1.0)):
+        raise RankDeficient("phase-constraint matrix is rank deficient")
+    v /= cross
+    pivot = np.take_along_axis(v, np.argmax(np.abs(v), axis=0)[None], axis=0)
+    np.negative(v, out=v, where=pivot < 0.0)
+    v[np.abs(v) <= _SIGN_EPS] = 0.0
+    v /= np.sqrt(np.sum(v * v, axis=0))
+    return v
+
+
 def kernel_direction(
     psi_i_deg: float,
     psi_j_deg: float,
     omega_i: float,
     omega_j: float,
 ) -> KernelDirection:
-    """Direction of gain triples realising the two requested phases.
-
-    Computed from the SVD of the constraint matrix; the right singular vector
-    of the smallest singular value spans the kernel.  Normalised to unit
-    length with the largest-magnitude component positive so equal inputs give
-    identical output regardless of SVD sign conventions.  Components below
-    machine-noise size are snapped to exactly zero, keeping downstream sign
-    tests deterministic when a phase pair degenerates onto a two-gain ray.
-    """
+    """Direction of gain triples realising the two requested phases: the
+    one-cell case of :func:`_kernel_grid`."""
     if omega_i == omega_j:
         raise ValueError("kernel needs two distinct frequencies")
     a = _constraint_matrix(psi_i_deg, psi_j_deg, omega_i, omega_j)
-    _, singular, vt = np.linalg.svd(a)
-    if singular[1] < 1e-12 * max(singular[0], 1.0):
-        raise RankDeficient("phase-constraint matrix is rank deficient")
-    v = vt[2]
-    pivot = int(np.argmax(np.abs(v)))
-    if v[pivot] < 0.0:
-        v = -v
-    v = np.where(np.abs(v) <= _SIGN_EPS, 0.0, v)
-    v = v / np.linalg.norm(v)
+    v = _kernel_grid(a[0, 2], a[1, 2], omega_i, omega_j)
     return KernelDirection(
-        v21=float(v[0]),
-        v22=float(v[1]),
-        v23=float(v[2]),
-        psi_i=float(psi_i_deg),
-        psi_j=float(psi_j_deg),
-        omega_i=float(omega_i),
-        omega_j=float(omega_j),
+        *(float(c) for c in v), float(psi_i_deg), float(psi_j_deg), float(omega_i), float(omega_j)
     )
 
 
@@ -247,62 +258,74 @@ class DesignProblem:
         return db(abs(self.nominal_responses[index]))
 
 
-def beta_scaling(direction: KernelDirection, problem: DesignProblem, exact_bound=None):
-    """Smallest dB lift making a gain direction clear every bound.
+def _lift(v: np.ndarray, problem: DesignProblem, exact_bound=None):
+    """Smallest dB lift making each unit gain direction clear every bound.
 
-    For a direction v and multiplier lam the open-loop gain at frequency w_k is
+    ``v`` stacks (v21, v22, v23) along its first axis.  For a direction and
+    multiplier lam the open-loop gain at frequency w_k is
     |G0| + 20 log10(lam) + 10 log10(v23^2 + (v21 w - v22 / w)^2) dB at the
     phase the direction dictates there.  The required lift is the worst bound
-    shortfall over frequencies; returns (beta_db, active_index), or
-    (INFEASIBLE, None) when a bound is infeasible at the induced phase or no
+    shortfall over frequencies.  Returns (lift, active index) arrays; the
+    lift is INFEASIBLE where a bound is infeasible at the induced phase or no
     bound constrains the direction at all.
-
-    ``exact_bound``, when given, replaces grid interpolation: it is called as
-    ``exact_bound(k, phase_deg)`` and must return a dB bound or a sentinel —
-    the hook behind the config switch that re-bisects bounds at the exact
-    candidate phases instead of interpolating between grid phases.
     """
-    beta = None
-    active = None
+    beta = np.full(v.shape[1:], NO_CONSTRAINT)
+    active = np.zeros(v.shape[1:], dtype=int)
+    blocked = np.zeros(v.shape[1:], dtype=bool)
     for k, omega in enumerate(problem.frequencies):
-        nu = direction.v21 * omega - direction.v22 / omega
-        g2 = direction.v23 * direction.v23 + nu * nu
-        phi = wrap_phase(
-            problem.nominal_phase_deg(k) + math.degrees(math.atan2(nu, direction.v23))
-        )
+        nu = v[0] * omega - v[1] / omega
+        g2 = v[2] * v[2] + nu * nu
+        phi = wrap_phase_array(problem.nominal_phase_deg(k) + np.degrees(np.arctan2(nu, v[2])))
         if exact_bound is not None:
             bound = exact_bound(k, phi)
         else:
-            bound = interpolate_bound(problem.bounds[k], phi)
-        if bound == NO_CONSTRAINT:
-            continue
-        if bound == INFEASIBLE or g2 == 0.0:
-            return INFEASIBLE, None
-        term = bound - problem.nominal_gain_db(k) - 10.0 * math.log10(g2)
-        if beta is None or term > beta:
-            beta = term
-            active = k
-    if beta is None:
+            bound = interpolate_bound_array(problem.bounds[k], phi)
+        constrained = bound != NO_CONSTRAINT
+        blocked |= constrained & ((bound == INFEASIBLE) | (g2 == 0.0))
+        with np.errstate(divide="ignore"):
+            term = bound - problem.nominal_gain_db(k) - 10.0 * np.log10(g2)
+        tighter = constrained & (term > beta)
+        beta = np.where(tighter, term, beta)
+        active = np.where(tighter, k, active)
+    return np.where(blocked | (beta == NO_CONSTRAINT), INFEASIBLE, beta), active
+
+
+def beta_scaling(direction: KernelDirection, problem: DesignProblem, exact_bound=None):
+    """(beta_db, active_index) lifting one direction onto its tightest bound,
+    or (INFEASIBLE, None); the one-cell case of :func:`_lift`.
+
+    ``exact_bound``, when given, replaces grid interpolation: it is called as
+    ``exact_bound(k, phases_deg)`` with an array of phases and must return
+    the matching array of dB bounds or sentinels; it is the hook behind the
+    config switch that re-bisects bounds at the exact candidate phases
+    instead of interpolating between grid phases.
+    """
+    beta, active = _lift(direction.as_array()[:, None], problem, exact_bound)
+    if beta[0] == INFEASIBLE:
         return INFEASIBLE, None
-    return beta, active
+    return float(beta[0]), int(active[0])
+
+
+def _scale(v: np.ndarray, beta) -> np.ndarray:
+    """Directions ``v`` lifted by ``beta`` dB into (kd, ki, kp) gains.
+
+    The multiplier's sign follows the direction's nonzero components; a
+    direction with strictly positive and strictly negative components can
+    never be scaled into the non-negative octant, so it gets inf gains, as
+    does an INFEASIBLE lift.  Zero components are neutral, which keeps
+    pure-P/PI/PD rays admissible.
+    """
+    positive = np.any(v > 0.0, axis=0)
+    ok = ~(positive & np.any(v < 0.0, axis=0)) & (beta != INFEASIBLE)
+    lam = np.where(positive, 1.0, -1.0) * 10.0 ** (np.where(ok, beta, 0.0) / 20.0)
+    return np.where(ok, lam * v, np.inf)
 
 
 def candidate_from_kernel(direction: KernelDirection, beta_db: float) -> Optional[PidGains]:
-    """Scale a kernel direction into actual gains; None when signs mix.
-
-    A direction with strictly positive and strictly negative components can
-    never be scaled into the non-negative octant, whatever the multiplier's
-    sign.  Zero components are neutral, which keeps pure-P/PI/PD rays
-    admissible.
-    """
-    v = direction.as_array()
-    has_pos = bool(np.any(v > 0.0))
-    has_neg = bool(np.any(v < 0.0))
-    if has_pos and has_neg:
+    """Scale a kernel direction into actual gains; None when signs mix."""
+    scaled = _scale(direction.as_array(), beta_db)
+    if np.isinf(scaled[0]):
         return None
-    q = 1.0 if has_pos else -1.0
-    lam = q * 10.0 ** (beta_db / 20.0)
-    scaled = lam * v
     return PidGains(kp=float(scaled[2]), ki=float(scaled[1]), kd=float(scaled[0]))
 
 
@@ -370,17 +393,20 @@ class SweepScreen:
             raise ValueError("omegas and nominal_responses must pair up")
         if any(w <= 0.0 for w in self.omegas):
             raise ValueError("screen frequencies must be positive")
+        object.__setattr__(self, "_omegas", np.array(self.omegas, dtype=float))
+        object.__setattr__(self, "_responses", np.array(self.nominal_responses, dtype=complex))
 
     def admits(self, gains: PidGains) -> bool:
-        """True when the candidate's nominal loop stays out of the contour."""
-        for omega, response in zip(self.omegas, self.nominal_responses):
-            loop = response * pid_frequency_response(gains, omega)
-            if loop == 0:
-                continue
-            phase = wrap_phase(math.degrees(cmath.phase(loop)))
-            if self.contour.inside(phase, db(abs(loop)), tol_db=self.tolerance_db):
-                return False
-        return True
+        """True when the candidate's nominal loop stays out of the contour;
+        zero loops (no phase) are skipped."""
+        controller = np.empty(len(self._omegas), dtype=complex)
+        controller.real = gains.kp
+        controller.imag = gains.kd * self._omegas - gains.ki / self._omegas
+        loop = self._responses * controller
+        loop = loop[loop != 0]
+        phase = wrap_phase_array(np.degrees(np.arctan2(loop.imag, loop.real)))
+        gain = 20.0 * np.log10(np.abs(loop))
+        return not np.any(self.contour.inside(phase, gain, tol_db=self.tolerance_db))
 
 
 @dataclass(frozen=True)
@@ -407,6 +433,82 @@ def _all_unconstrained(problem: DesignProblem) -> bool:
     )
 
 
+def _no_design(grid: np.ndarray, windows, reason: str, vetoed: int = 0) -> DesignResult:
+    return DesignResult(
+        feasible=False,
+        gains=None,
+        chosen_phases=(),
+        active_frequency=None,
+        beta_db=None,
+        direction=None,
+        kd_grid=grid,
+        window_phases_i=windows[0],
+        window_phases_j=windows[1],
+        margin_report=(),
+        reason=reason,
+        screen_rejections=vetoed,
+    )
+
+
+def _screened_design(
+    problem: DesignProblem,
+    v: np.ndarray,
+    objective: int,
+    psi: Tuple[np.ndarray, np.ndarray],
+    anchors: Tuple[float, float],
+    windows,
+    screen: Optional[SweepScreen],
+    exact_bound,
+    empty_reason: str,
+) -> DesignResult:
+    """Rank a 2-D candidate grid and return the first candidate the screen
+    admits.
+
+    ``v`` holds the grid's unit directions stacked along its first axis;
+    row ``objective`` of the scaled (kd, ki, kp) is the ranked gain, and
+    ``psi`` gives each cell's two controller phases at the ``anchors``.
+    Candidates are visited in ascending (objective, cell index) order and
+    only the visited ones become :class:`PidGains`.  Sign-mixed cells are
+    not lifted at all.
+    """
+    beta = np.full(v.shape[1:], INFEASIBLE)
+    active = np.zeros(v.shape[1:], dtype=int)
+    scalable = ~(np.any(v > 0.0, axis=0) & np.any(v < 0.0, axis=0))
+    beta[scalable], active[scalable] = _lift(v[:, scalable], problem, exact_bound)
+    gains = _scale(v, beta)
+    grid = gains[objective]
+    finite = np.flatnonzero(np.isfinite(grid))
+    vetoed = 0
+    for flat in finite[np.argsort(grid.ravel()[finite], kind="stable")]:
+        i, j = np.unravel_index(flat, grid.shape)
+        kd, ki, kp = (float(g) for g in gains[:, i, j])
+        candidate = PidGains(kp=kp, ki=ki, kd=kd)
+        if screen is not None and not screen.admits(candidate):
+            vetoed += 1
+            continue
+        direction = KernelDirection(
+            *(float(c) for c in v[:, i, j]), float(psi[0][i, j]), float(psi[1][i, j]), *anchors
+        )
+        return DesignResult(
+            feasible=True,
+            gains=candidate,
+            chosen_phases=tuple(w[c] for w, c in zip(windows, (i, j)) if w),
+            active_frequency=problem.frequencies[active[i, j]],
+            beta_db=float(beta[i, j]),
+            direction=direction,
+            kd_grid=grid,
+            window_phases_i=windows[0],
+            window_phases_j=windows[1],
+            margin_report=loop_margins(problem, candidate),
+            screen_rejections=vetoed,
+        )
+    if finite.size:
+        empty_reason = (
+            "every feasible candidate crosses the stability contour between design frequencies"
+        )
+    return _no_design(grid, windows, empty_reason, vetoed)
+
+
 def design_pid(
     problem: DesignProblem,
     screen: Optional[SweepScreen] = None,
@@ -431,87 +533,26 @@ def design_pid(
     omega_j = problem.frequencies[l_idx]
     phase_i = problem.nominal_phase_deg(k_idx)
     phase_j = problem.nominal_phase_deg(l_idx)
-    window_i = phase_window(phase_i, problem.phase_grid)
-    window_j = phase_window(phase_j, problem.phase_grid)
-
-    kd_grid = np.full((len(window_i), len(window_j)), np.inf)
+    windows = (phase_window(phase_i, problem.phase_grid), phase_window(phase_j, problem.phase_grid))
     if _all_unconstrained(problem):
-        return DesignResult(
-            feasible=False,
-            gains=None,
-            chosen_phases=(),
-            active_frequency=None,
-            beta_db=None,
-            direction=None,
-            kd_grid=kd_grid,
-            window_phases_i=window_i,
-            window_phases_j=window_j,
-            margin_report=(),
-            reason="no binding constraint",
-        )
+        grid = np.full((len(windows[0]), len(windows[1])), np.inf)
+        return _no_design(grid, windows, "no binding constraint")
 
-    candidates = []  # (kd, i, j, gains, beta, active, direction)
-    for i, phi_i in enumerate(window_i):
-        psi_i = phi_i - phase_i
-        for j, phi_j in enumerate(window_j):
-            psi_j = phi_j - phase_j
-            direction = kernel_direction(psi_i, psi_j, omega_i, omega_j)
-            v = direction.as_array()
-            if np.any(v > 0.0) and np.any(v < 0.0):
-                continue
-            beta, active = beta_scaling(direction, problem, exact_bound=exact_bound)
-            if beta == INFEASIBLE:
-                continue
-            gains = candidate_from_kernel(direction, beta)
-            if gains is None:
-                continue
-            kd_grid[i, j] = gains.kd
-            candidates.append((gains.kd, i, j, gains, beta, active, direction))
-
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
-    vetoed = 0
-    chosen = None
-    for cand in candidates:
-        if screen is not None and not screen.admits(cand[3]):
-            vetoed += 1
-            continue
-        chosen = cand
-        break
-
-    if chosen is None:
-        reason = (
-            "every phase pair is sign-mixed or blocked by an infeasible bound"
-            if not candidates
-            else "every feasible candidate crosses the stability contour between design frequencies"
-        )
-        return DesignResult(
-            feasible=False,
-            gains=None,
-            chosen_phases=(),
-            active_frequency=None,
-            beta_db=None,
-            direction=None,
-            kd_grid=kd_grid,
-            window_phases_i=window_i,
-            window_phases_j=window_j,
-            margin_report=(),
-            reason=reason,
-            screen_rejections=vetoed,
-        )
-
-    _, i_star, j_star, gains, beta, active, direction = chosen
-    return DesignResult(
-        feasible=True,
-        gains=gains,
-        chosen_phases=(window_i[i_star], window_j[j_star]),
-        active_frequency=problem.frequencies[active] if active is not None else None,
-        beta_db=beta,
-        direction=direction,
-        kd_grid=kd_grid,
-        window_phases_i=window_i,
-        window_phases_j=window_j,
-        margin_report=loop_margins(problem, gains),
-        screen_rejections=vetoed,
+    psi_i = [p - phase_i for p in windows[0]]
+    psi_j = [p - phase_j for p in windows[1]]
+    # third constraint-matrix column, -tan(psi) / w, as in _constraint_matrix
+    b_i = np.array([-math.tan(math.radians(p)) / omega_i for p in psi_i])
+    b_j = np.array([-math.tan(math.radians(p)) / omega_j for p in psi_j])
+    return _screened_design(
+        problem,
+        _kernel_grid(b_i[:, None], b_j[None, :], omega_i, omega_j),
+        0,
+        np.broadcast_arrays(np.array(psi_i)[:, None], np.array(psi_j)[None, :]),
+        (float(omega_i), float(omega_j)),
+        windows,
+        screen,
+        exact_bound,
+        "every phase pair is sign-mixed or blocked by an infeasible bound",
     )
 
 
@@ -544,95 +585,24 @@ def design_pi_pd(
         window = tuple(p for p in window if 0.0 <= p - phase_a < 90.0)
     if not window:
         raise EmptyWindow(f"no grid phase in the {kind.upper()} half-window")
-
-    objective_grid = np.full((1, len(window)), np.inf)
+    windows = ((), window)
     if _all_unconstrained(problem):
-        return DesignResult(
-            feasible=False,
-            gains=None,
-            chosen_phases=(),
-            active_frequency=None,
-            beta_db=None,
-            direction=None,
-            kd_grid=objective_grid,
-            window_phases_i=(),
-            window_phases_j=window,
-            margin_report=(),
-            reason="no binding constraint",
-        )
+        return _no_design(np.full((1, len(window)), np.inf), windows, "no binding constraint")
 
-    candidates = []  # (objective, j, gains, beta, active, direction)
-    for j, phi in enumerate(window):
-        psi = phi - phase_a
-        t = math.tan(math.radians(psi))
-        if kind == "pi":
-            raw = np.array([0.0, -omega_a * t, 1.0])
-        else:
-            raw = np.array([t / omega_a, 0.0, 1.0])
-        raw = raw / np.linalg.norm(raw)
-        direction = KernelDirection(
-            v21=float(raw[0]),
-            v22=float(raw[1]),
-            v23=float(raw[2]),
-            psi_i=float(psi),
-            psi_j=float(psi),
-            omega_i=float(omega_a),
-            omega_j=float(omega_a),
-        )
-        beta, active = beta_scaling(direction, problem, exact_bound=exact_bound)
-        if beta == INFEASIBLE:
-            continue
-        gains = candidate_from_kernel(direction, beta)
-        if gains is None:
-            continue
-        objective = gains.kp if kind == "pi" else gains.kd
-        objective_grid[0, j] = objective
-        candidates.append((objective, j, gains, beta, active, direction))
-
-    candidates.sort(key=lambda c: (c[0], c[1]))
-    vetoed = 0
-    chosen = None
-    for cand in candidates:
-        if screen is not None and not screen.admits(cand[2]):
-            vetoed += 1
-            continue
-        chosen = cand
-        break
-
-    if chosen is None:
-        reason = (
-            f"no feasible {kind.upper()} phase in the half-window"
-            if not candidates
-            else "every feasible candidate crosses the stability contour between design frequencies"
-        )
-        return DesignResult(
-            feasible=False,
-            gains=None,
-            chosen_phases=(),
-            active_frequency=None,
-            beta_db=None,
-            direction=None,
-            kd_grid=objective_grid,
-            window_phases_i=(),
-            window_phases_j=window,
-            margin_report=(),
-            reason=reason,
-            screen_rejections=vetoed,
-        )
-
-    _, j_star, gains, beta, active, direction = chosen
-    return DesignResult(
-        feasible=True,
-        gains=gains,
-        chosen_phases=(window[j_star],),
-        active_frequency=problem.frequencies[active] if active is not None else None,
-        beta_db=beta,
-        direction=direction,
-        kd_grid=objective_grid,
-        window_phases_i=(),
-        window_phases_j=window,
-        margin_report=loop_margins(problem, gains),
-        screen_rejections=vetoed,
+    psi = [p - phase_a for p in window]
+    t = np.array([[math.tan(math.radians(p)) for p in psi]])
+    zero, one = np.zeros_like(t), np.ones_like(t)
+    raw = np.stack([zero, -omega_a * t, one] if kind == "pi" else [t / omega_a, zero, one])
+    return _screened_design(
+        problem,
+        raw / np.sqrt(np.sum(raw * raw, axis=0)),
+        2 if kind == "pi" else 0,
+        (np.array([psi]),) * 2,
+        (float(omega_a), float(omega_a)),
+        windows,
+        screen,
+        exact_bound,
+        f"no feasible {kind.upper()} phase in the half-window",
     )
 
 

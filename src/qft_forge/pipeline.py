@@ -15,9 +15,8 @@ import cmath
 import csv
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,9 +28,7 @@ from .bounds import (
     combine_with_ucontour,
     delta_spread,
     disturbance_bound,
-    disturbance_gain,
     horowitz_bound,
-    horowitz_gain,
     make_phase_grid,
     performance_bound,
     u_contour,
@@ -121,17 +118,30 @@ def compute_templates(config: DesignConfig) -> Dict[float, Template]:
     return {omega: generate_template(plant, omega) for omega in config.frequencies}
 
 
+def _performance_curve(
+    config: DesignConfig, templates: Dict[float, Template], omega: float, grid: Sequence[float]
+) -> BoundCurve:
+    """Tracking-spread bound at one frequency, merged with its sensitivity-cap
+    bound when the configuration caps this frequency."""
+    template = templates[omega]
+    use_hull = config.design.use_hull
+    curve = horowitz_bound(template, delta_spread(config.tracking, omega), grid, use_hull=use_hull)
+    caps = config.disturbance.caps if config.disturbance is not None else {}
+    if omega in caps:
+        extra = disturbance_bound(template, caps[omega], grid, use_hull=use_hull)
+        curve = performance_bound([curve, extra])
+    return curve
+
+
 def compute_bounds(
     config: DesignConfig,
     templates: Dict[float, Template],
-    jobs: int = 1,
 ) -> Tuple[Tuple[BoundCurve, ...], UContour, float]:
     """Combined per-frequency design bounds plus the stability contour.
 
     Per frequency: the tracking-spread bound, optionally merged with a
     sensitivity-cap bound, then folded with the contour top over its phase
-    range.  ``jobs`` > 1 computes frequencies concurrently; results are
-    collected in frequency order, so the output is identical either way.
+    range.
     """
     grid = make_phase_grid(config.phase_grid_count)
     if config.delta_hf_override is not None:
@@ -139,23 +149,10 @@ def compute_bounds(
     else:
         delta_hf = templates[config.frequencies[-1]].gain_span_db()
     contour = u_contour(config.m_value, delta_hf, grid)
-    use_hull = config.design.use_hull
-    caps = config.disturbance.caps if config.disturbance is not None else {}
-
-    def curve_for(omega: float) -> BoundCurve:
-        template = templates[omega]
-        spread = delta_spread(config.tracking, omega)
-        curve = horowitz_bound(template, spread, grid, use_hull=use_hull)
-        if omega in caps:
-            extra = disturbance_bound(template, caps[omega], grid, use_hull=use_hull)
-            curve = performance_bound([curve, extra])
-        return combine_with_ucontour(curve, contour)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            curves = tuple(pool.map(curve_for, config.frequencies))
-    else:
-        curves = tuple(curve_for(omega) for omega in config.frequencies)
+    curves = tuple(
+        combine_with_ucontour(_performance_curve(config, templates, omega, grid), contour)
+        for omega in config.frequencies
+    )
     return curves, contour, delta_hf
 
 
@@ -180,30 +177,22 @@ def _exact_bound_fn(
     config: DesignConfig,
     templates: Dict[float, Template],
     contour: UContour,
-) -> Callable[[int, float], float]:
+) -> Callable[[int, np.ndarray], np.ndarray]:
     """Bisection-exact bound lookup, bypassing grid interpolation.
 
     Answers the same question as interpolating the combined curves — the
     least admissible nominal gain at this frequency and phase — but runs the
-    bisections directly at the queried phase.
+    bisections directly at the queried phases (each distinct phase once).
     """
-    use_hull = config.design.use_hull
-    caps = config.disturbance.caps if config.disturbance is not None else {}
 
-    def lookup(index: int, phase_deg: float) -> float:
-        omega = config.frequencies[index]
-        template = templates[omega]
-        value = horowitz_gain(
-            template, delta_spread(config.tracking, omega), phase_deg, use_hull=use_hull
-        )
-        if omega in caps:
-            value = max(
-                value,
-                disturbance_gain(template, caps[omega], phase_deg, use_hull=use_hull),
-            )
-        if contour.contains_phase(phase_deg):
-            value = max(value, contour.upper_at(phase_deg))
-        return value
+    def lookup(index: int, phases_deg: np.ndarray) -> np.ndarray:
+        phases, inverse = np.unique(phases_deg, return_inverse=True)
+        curve = _performance_curve(config, templates, config.frequencies[index], phases)
+        top = [
+            contour.upper_at(phi) if contour.contains_phase(phi) else NO_CONSTRAINT
+            for phi in curve.phase_grid
+        ]
+        return np.maximum(curve.min_gain_db, top)[inverse.reshape(np.shape(phases_deg))]
 
     return lookup
 
@@ -309,7 +298,7 @@ def _write_text(path: str, text: str):
         handle.write(text)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Sequence[Sequence[str]]):
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
@@ -346,24 +335,22 @@ def write_bounds_csv(path: str, curves: Sequence[BoundCurve]):
 
 
 def write_kd_grid_csv(path: str, result: DesignResult):
-    rows: List[List[str]] = []
+    # rows are streamed, not collected: holding the servo grid's 32 400 rows
+    # as lists of strings set the run's peak memory
+    def cell(value: float) -> str:
+        return "INFEASIBLE" if math.isinf(value) else _num(value)
+
+    grid = result.kd_grid
     if result.window_phases_i:
         header = ["phase_i_deg", "phase_j_deg", "kd"]
-        for i, phase_i in enumerate(result.window_phases_i):
-            for j, phase_j in enumerate(result.window_phases_j):
-                value = result.kd_grid[i, j]
-                rows.append(
-                    [
-                        _num(phase_i),
-                        _num(phase_j),
-                        "INFEASIBLE" if math.isinf(value) else _num(value),
-                    ]
-                )
+        rows = (
+            [_num(phase_i), _num(phase_j), cell(grid[i, j])]
+            for i, phase_i in enumerate(result.window_phases_i)
+            for j, phase_j in enumerate(result.window_phases_j)
+        )
     else:
         header = ["phase_deg", "objective"]
-        for j, phase in enumerate(result.window_phases_j):
-            value = result.kd_grid[0, j]
-            rows.append([_num(phase), "INFEASIBLE" if math.isinf(value) else _num(value)])
+        rows = ([_num(phase), cell(grid[0, j])] for j, phase in enumerate(result.window_phases_j))
     _write_csv(path, header, rows)
 
 
@@ -584,7 +571,6 @@ def run_command(
     config: DesignConfig,
     command: str,
     out_dir: str,
-    jobs: int = 1,
     with_oracle: bool = False,
 ) -> RunArtifacts:
     """Execute one CLI command: the requested stage plus its prerequisites.
@@ -611,7 +597,7 @@ def run_command(
     emit("templates.csv", lambda p: write_templates_csv(p, config, artifacts.templates))
 
     if depth >= 1:
-        curves, contour, delta_hf = compute_bounds(config, artifacts.templates, jobs=jobs)
+        curves, contour, delta_hf = compute_bounds(config, artifacts.templates)
         artifacts.bound_curves = curves
         artifacts.contour = contour
         artifacts.delta_hf_db = delta_hf

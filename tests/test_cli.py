@@ -84,18 +84,6 @@ class TestUsageErrors:
         ]
         assert main(argv) == EXIT_USAGE
 
-    def test_zero_jobs(self, capsys, reduced_json, tmp_path):
-        argv = [
-            "bounds",
-            "--config",
-            reduced_json,
-            "--out",
-            str(tmp_path),
-            "--jobs",
-            "0",
-        ]
-        assert main(argv) == EXIT_USAGE
-
     def test_parser_prog_name(self):
         assert build_parser().prog == "qft-forge"
 
@@ -155,15 +143,6 @@ class TestSuccessfulRuns:
         assert main(argv) == EXIT_OK
         rows = (tmp_path / "bounds.csv").read_text().splitlines()
         assert len(rows) - 1 == 3 * 36
-
-    def test_jobs_flag_is_result_invariant(self, capsys, reduced_json, tmp_path):
-        serial = tmp_path / "serial"
-        threaded = tmp_path / "threaded"
-        assert main(["bounds", "--config", reduced_json, "--out", str(serial)]) == EXIT_OK
-        argv = ["bounds", "--config", reduced_json, "--out", str(threaded), "--jobs", "2"]
-        assert main(argv) == EXIT_OK
-        capsys.readouterr()
-        assert (serial / "bounds.csv").read_bytes() == (threaded / "bounds.csv").read_bytes()
 
     def test_oracle_flag(self, capsys, reduced_json, tmp_path):
         raw = json.loads(open(reduced_json).read())

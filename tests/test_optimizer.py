@@ -259,16 +259,17 @@ class TestBetaScaling:
         )
         seen = []
 
-        def exact(k, phase_deg):
-            seen.append((k, phase_deg))
-            return 14.0 if k == 0 else NO_CONSTRAINT
+        def exact(k, phases_deg):
+            seen.append((k, phases_deg))
+            return np.full(phases_deg.shape, 14.0 if k == 0 else NO_CONSTRAINT)
 
         beta, active = beta_scaling(self.direction_p(), problem, exact_bound=exact)
         assert beta == pytest.approx(14.0, abs=1e-12)
         assert active == 0
         assert [k for k, _ in seen] == [0, 1]
-        for _, phase in seen:
-            assert phase == pytest.approx(-90.0, abs=1e-9)
+        for _, phases in seen:
+            assert phases.shape == (1,)
+            assert phases[0] == pytest.approx(-90.0, abs=1e-9)
 
     def test_scaled_candidate_meets_bounds_exactly(self):
         # direction (1, 2, 1)/sqrt(6) induces phases -135 (w=1) and -45 (w=2)

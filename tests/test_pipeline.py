@@ -62,13 +62,6 @@ class TestEffectivePlant:
 
 
 class TestComputeBounds:
-    def test_jobs_do_not_change_results(self, reduced_config):
-        templates = compute_templates(reduced_config)
-        serial = compute_bounds(reduced_config, templates, jobs=1)
-        threaded = compute_bounds(reduced_config, templates, jobs=2)
-        assert serial[0] == threaded[0]
-        assert serial[2] == threaded[2]
-
     def test_delta_override_wins(self, reduced_config):
         cfg = dataclasses.replace(reduced_config, delta_hf_override=12.0)
         _, contour, delta = compute_bounds(cfg, compute_templates(cfg))
@@ -170,11 +163,6 @@ class TestRunCommand:
         again = tmp_path / "again"
         run_command(reduced_config, "all", str(again))
         assert read_dir(again) == read_dir(reduced_all_dir)
-
-    def test_jobs_are_byte_identical(self, reduced_config, tmp_path, reduced_all_dir):
-        threaded = tmp_path / "threaded"
-        run_command(reduced_config, "all", str(threaded), jobs=2)
-        assert read_dir(threaded) == read_dir(reduced_all_dir)
 
 
 class TestArtifactContents:
