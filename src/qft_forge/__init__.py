@@ -49,14 +49,11 @@ from .config import (
 from .errors import QftError
 from .expr import CoefficientExpression, parse_coefficient_expr
 from .lti import (
-    MCircleSection,
-    NicholsPoint,
     RationalTransferFunction,
     db,
     eval_tf,
     m_circle_gains,
     m_circle_phase_range,
-    pole_zero_excess,
     to_nichols,
     undb,
     wrap_phase,
@@ -78,8 +75,6 @@ from .optimizer import (
     loop_margins,
     phase_window,
     pid_frequency_response,
-    pid_gain_phase,
-    pid_transfer_function,
 )
 from .pipeline import COMMANDS, RunArtifacts, run_command
 from .plant import (
@@ -89,8 +84,8 @@ from .plant import (
     UncertainPlant,
     convex_hull_nichols,
     evaluate_plant,
+    evaluate_plant_array,
     generate_template,
-    nominal_point,
 )
 from .svgchart import emit_nichols_svg
 from .verify import (
@@ -114,8 +109,6 @@ __all__ = [
     "QftError",
     # lti
     "RationalTransferFunction",
-    "NicholsPoint",
-    "MCircleSection",
     "db",
     "undb",
     "eval_tf",
@@ -123,7 +116,6 @@ __all__ = [
     "to_nichols",
     "m_circle_gains",
     "m_circle_phase_range",
-    "pole_zero_excess",
     # expr
     "CoefficientExpression",
     "parse_coefficient_expr",
@@ -134,8 +126,8 @@ __all__ = [
     "TemplatePoint",
     "generate_template",
     "evaluate_plant",
+    "evaluate_plant_array",
     "convex_hull_nichols",
-    "nominal_point",
     # bounds
     "NO_CONSTRAINT",
     "INFEASIBLE",
@@ -156,8 +148,6 @@ __all__ = [
     # optimizer
     "PidGains",
     "pid_frequency_response",
-    "pid_gain_phase",
-    "pid_transfer_function",
     "KernelDirection",
     "kernel_direction",
     "DesignProblem",

@@ -16,7 +16,6 @@ stacking bound families directly.
 
 from __future__ import annotations
 
-import bisect as _bisect
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Sequence, Tuple
@@ -30,11 +29,11 @@ from .errors import (
     GridMismatch,
 )
 from .lti import (
-    MCircleSection,
     RationalTransferFunction,
     db,
     eval_tf,
     m_circle_gains,
+    m_circle_phase_range,
     undb,
 )
 from .plant import Template
@@ -127,6 +126,9 @@ class BoundCurve:
         for v in self.min_gain_db:
             if math.isnan(v):
                 raise ValueError("bound entries must be real or a sentinel infinity")
+        # array copies for interpolate_bound_array, built once per curve
+        object.__setattr__(self, "_grid", np.array(grid))
+        object.__setattr__(self, "_values", np.array(self.min_gain_db))
 
 
 def make_phase_grid(count: int) -> Tuple[float, ...]:
@@ -343,12 +345,6 @@ class UContour:
             raise ValueError(f"phase {phase_deg} outside the contour span")
         return pair[0]
 
-    def lower_at(self, phase_deg: float) -> float:
-        pair = m_circle_gains(self.m_value, phase_deg)
-        if pair is None:
-            raise ValueError(f"phase {phase_deg} outside the contour span")
-        return pair[1] - self.delta_hf_db
-
     def inside(self, phase_deg, gain_db, tol_db: float = 0.0):
         """Strict interior test, used by the dense stability sweep;
         elementwise over arrays of phases and gains.
@@ -380,12 +376,12 @@ class UContour:
 
 def u_contour(m_value: float, delta_hf_db: float, phase_grid: Sequence[float]) -> UContour:
     """Sample the stability contour on the grid phases it covers."""
-    section = MCircleSection.for_m(m_value)
+    phase_min, phase_max = m_circle_phase_range(m_value)
     phases: List[float] = []
     upper: List[float] = []
     lower: List[float] = []
     for phi in phase_grid:
-        if not section.contains(phi):
+        if not phase_min <= phi <= phase_max:
             continue
         pair = m_circle_gains(m_value, phi)
         if pair is None:
@@ -399,8 +395,8 @@ def u_contour(m_value: float, delta_hf_db: float, phase_grid: Sequence[float]) -
         phases=tuple(phases),
         upper_db=tuple(upper),
         lower_db=tuple(lower),
-        phase_min_deg=section.phase_min_deg,
-        phase_max_deg=section.phase_max_deg,
+        phase_min_deg=phase_min,
+        phase_max_deg=phase_max,
     )
 
 
@@ -434,59 +430,35 @@ def combine_with_ucontour(curve: BoundCurve, u: UContour) -> BoundCurve:
 # --- interpolation ---------------------------------------------------------
 
 def interpolate_bound(curve: BoundCurve, phase_deg: float) -> float:
-    """Bound value at an arbitrary phase.
+    """Bound value at one phase: the one-point case of
+    :func:`interpolate_bound_array`."""
+    return float(interpolate_bound_array(curve, np.array([phase_deg]))[0])
+
+
+def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray:
+    """Bound values at arbitrary phases.
 
     Linear between finite nodes; INFEASIBLE wins over any neighbour; a
     NO_CONSTRAINT neighbour defers to the finite one (conservative); queries
     beyond the grid ends are unconstrained.
     """
-    grid = curve.phase_grid
-    vals = curve.min_gain_db
-    if phase_deg < grid[0] or phase_deg > grid[-1]:
-        return NO_CONSTRAINT
-    idx = _bisect.bisect_left(grid, phase_deg)
-    if idx < len(grid) and grid[idx] == phase_deg:
-        return vals[idx]
-    a, b = vals[idx - 1], vals[idx]
-    if a == INFEASIBLE or b == INFEASIBLE:
-        return INFEASIBLE
-    if a == NO_CONSTRAINT and b == NO_CONSTRAINT:
-        return NO_CONSTRAINT
-    if a == NO_CONSTRAINT:
-        return b
-    if b == NO_CONSTRAINT:
-        return a
-    t = (phase_deg - grid[idx - 1]) / (grid[idx] - grid[idx - 1])
-    return a + t * (b - a)
-
-
-def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray:
-    """Vectorised twin of :func:`interpolate_bound` for bulk feasibility tests."""
-    grid = np.asarray(curve.phase_grid)
-    vals = np.asarray(curve.min_gain_db)
+    grid = curve._grid
+    vals = curve._values
     phases = np.asarray(phases, dtype=float)
     out = np.full(phases.shape, NO_CONSTRAINT)
     inside = (phases >= grid[0]) & (phases <= grid[-1])
     if not np.any(inside):
         return out
     p = phases[inside]
-    idx = np.searchsorted(grid, p, side="left")
-    exact = (idx < len(grid)) & (grid[np.minimum(idx, len(grid) - 1)] == p)
-    idx_hi = np.clip(idx, 1, len(grid) - 1)
-    a = vals[idx_hi - 1]
-    b = vals[idx_hi]
+    idx = np.searchsorted(grid, p, side="left")  # a node index, as p <= grid[-1]
+    hi = np.minimum(np.maximum(idx, 1), len(grid) - 1)
+    a = vals[hi - 1]
+    b = vals[hi]
     with np.errstate(invalid="ignore", divide="ignore"):
-        t = (p - grid[idx_hi - 1]) / (grid[idx_hi] - grid[idx_hi - 1])
-        linear = a + t * (b - a)
-    res = np.where(
-        (a == INFEASIBLE) | (b == INFEASIBLE),
-        INFEASIBLE,
-        np.where(
-            (a == NO_CONSTRAINT) & (b == NO_CONSTRAINT),
-            NO_CONSTRAINT,
-            np.where(a == NO_CONSTRAINT, b, np.where(b == NO_CONSTRAINT, a, linear)),
-        ),
-    )
-    res = np.where(exact, vals[np.minimum(idx, len(grid) - 1)], res)
+        t = (p - grid[hi - 1]) / (grid[hi] - grid[hi - 1])
+        res = np.where(a == NO_CONSTRAINT, b, np.where(b == NO_CONSTRAINT, a, a + t * (b - a)))
+    res[(a == INFEASIBLE) | (b == INFEASIBLE)] = INFEASIBLE
+    exact = grid[idx] == p
+    res[exact] = vals[idx[exact]]
     out[inside] = res
     return out

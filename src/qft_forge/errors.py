@@ -82,16 +82,8 @@ class RankDeficient(QftError):
     """Phase-constraint matrix lost rank; its kernel is not one-dimensional."""
 
 
-class ZeroController(QftError):
-    """Gain/phase of the zero controller is undefined."""
-
-
 class NegativeMappedGain(QftError):
     """Inverse filtered-derivative map produced a negative physical gain."""
-
-
-class DesignInfeasible(QftError):
-    """No candidate in the search grid satisfies every bound."""
 
 
 class NoFeasiblePoint(QftError):

@@ -20,7 +20,6 @@ from .errors import ExpressionSyntaxError, UnknownParameter
 __all__ = [
     "CoefficientExpression",
     "parse_coefficient_expr",
-    "constant_expression",
     "scale_expression",
     "add_expressions",
 ]
@@ -240,10 +239,6 @@ def parse_coefficient_expr(text: str, declared_params) -> CoefficientExpression:
 
 
 # --- synthetic expressions (used when rewriting a plant in place) ----------
-
-def constant_expression(value: float) -> CoefficientExpression:
-    return CoefficientExpression(source=repr(float(value)), root=Num(float(value)))
-
 
 def scale_expression(expr: CoefficientExpression, factor: float) -> CoefficientExpression:
     return CoefficientExpression(

@@ -13,27 +13,24 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import CriticalPoint, InvalidM, PoleOnAxis, ZeroMagnitude
+from .errors import InvalidM, PoleOnAxis, ZeroMagnitude
 
 __all__ = [
     "RationalTransferFunction",
-    "NicholsPoint",
-    "MCircleSection",
     "db",
     "undb",
     "eval_tf",
+    "principal_phase",
     "wrap_phase",
     "wrap_phase_array",
     "to_nichols",
-    "closed_loop_gain",
-    "sensitivity_gain",
+    "to_nichols_array",
     "m_circle_gains",
     "m_circle_phase_range",
-    "pole_zero_excess",
 ]
 
 
@@ -66,27 +63,6 @@ class RationalTransferFunction:
 
     def __call__(self, s: complex) -> complex:
         return eval_tf(self, s)
-
-    def multiply(self, other: "RationalTransferFunction") -> "RationalTransferFunction":
-        """Cascade product; numerators and denominators convolve."""
-        return RationalTransferFunction(
-            np.convolve(self.num, other.num),
-            np.convolve(self.den, other.den),
-        )
-
-
-@dataclass(frozen=True)
-class NicholsPoint:
-    """A point on the Nichols plane: phase in (-360, 0] deg, finite gain in dB."""
-
-    phase_deg: float
-    gain_db: float
-
-    def __post_init__(self):
-        if not (-360.0 < self.phase_deg <= 0.0):
-            raise ValueError(f"phase {self.phase_deg} outside (-360, 0]")
-        if not math.isfinite(self.gain_db):
-            raise ValueError("gain must be finite")
 
 
 def eval_tf(tf: RationalTransferFunction, s: complex) -> complex:
@@ -124,29 +100,34 @@ def wrap_phase_array(phase_deg: np.ndarray) -> np.ndarray:
     return np.where(r == -360.0, 0.0, r) + 0.0
 
 
-def to_nichols(response: complex) -> NicholsPoint:
-    """Complex frequency response -> (phase deg, gain dB) Nichols coordinates."""
+def principal_phase(response: complex) -> float:
+    """Phase of a complex number in degrees on the principal branch (-180, 180]."""
+    return math.degrees(cmath.phase(response))
+
+
+def to_nichols(response: complex) -> Tuple[float, float]:
+    """Complex frequency response -> (phase deg, gain dB) Nichols coordinates.
+
+    Scalar libm arithmetic; the design problem and every margin report use
+    this one.  ZeroMagnitude for a zero response, which has no phase.
+    """
     magnitude = abs(response)
     if magnitude == 0.0:
         raise ZeroMagnitude("phase undefined for a zero response")
-    phase = wrap_phase(math.degrees(cmath.phase(response)))
-    return NicholsPoint(phase_deg=phase, gain_db=db(magnitude))
+    return wrap_phase(principal_phase(response)), db(magnitude)
 
 
-def closed_loop_gain(loop: complex) -> float:
-    """|L / (1 + L)| (linear) for a unity-feedback loop transmission L."""
-    denom = 1.0 + loop
-    if denom == 0:
-        raise CriticalPoint("loop transmission sits exactly on -1")
-    return abs(loop / denom)
+def to_nichols_array(response) -> Tuple[np.ndarray, np.ndarray]:
+    """Elementwise Nichols coordinates (phase deg, gain dB) in NumPy arithmetic.
 
-
-def sensitivity_gain(loop: complex) -> float:
-    """|1 / (1 + L)| (linear)."""
-    denom = 1.0 + loop
-    if denom == 0:
-        raise CriticalPoint("loop transmission sits exactly on -1")
-    return abs(1.0 / denom)
+    The dense sweeps, the chart curves and the gain-box oracle use this one;
+    it may differ from :func:`to_nichols` in the last bit.  A zero response
+    maps to -inf dB (at phase 0 or -180, from the signs of its zeros).
+    """
+    response = np.asarray(response, dtype=complex)
+    phase = wrap_phase_array(np.degrees(np.arctan2(response.imag, response.real)))
+    with np.errstate(divide="ignore"):
+        return phase, 20.0 * np.log10(np.abs(response))
 
 
 def _m_circle_cos_limit(m_value: float) -> float:
@@ -185,53 +166,3 @@ def m_circle_phase_range(m_value: float) -> tuple:
         raise InvalidM(f"m_value must exceed 1, got {m_value}")
     half_width = math.degrees(math.acos(_m_circle_cos_limit(m_value)))
     return -180.0 - half_width, -180.0 + half_width
-
-
-@dataclass(frozen=True)
-class MCircleSection:
-    """Constant closed-loop magnitude locus restricted to its Nichols span."""
-
-    m_value: float
-    phase_min_deg: float
-    phase_max_deg: float
-
-    @classmethod
-    def for_m(cls, m_value: float) -> "MCircleSection":
-        lo, hi = m_circle_phase_range(m_value)
-        return cls(m_value=m_value, phase_min_deg=lo, phase_max_deg=hi)
-
-    def contains(self, phase_deg: float) -> bool:
-        return self.phase_min_deg <= phase_deg <= self.phase_max_deg
-
-    def gains(self, phase_deg: float):
-        """(upper_db, lower_db) at the given phase, None outside the span."""
-        if not self.contains(phase_deg):
-            return None
-        pair = m_circle_gains(self.m_value, phase_deg)
-        if pair is None:
-            # endpoint rounding: clamp onto the tangent point
-            pair = m_circle_gains(self.m_value, max(min(phase_deg, self.phase_max_deg - 1e-12), self.phase_min_deg + 1e-12))
-        return pair
-
-
-def _degree(coeffs: Sequence[float]) -> int:
-    """Degree after stripping leading zeros; -1 for the zero polynomial."""
-    for i, c in enumerate(coeffs):
-        if c != 0.0:
-            return len(coeffs) - 1 - i
-    return -1
-
-
-def pole_zero_excess(tf: RationalTransferFunction) -> tuple:
-    """(relative degree, |leading numerator / leading denominator| ratio).
-
-    The excess controls the slope the response settles to at high frequency;
-    the leading ratio fixes its asymptotic level.  Additive over products.
-    """
-    num_deg = _degree(tf.num)
-    den_deg = _degree(tf.den)
-    if num_deg < 0:
-        raise ValueError("zero numerator has no defined excess")
-    num_lead = tf.num[len(tf.num) - 1 - num_deg]
-    den_lead = tf.den[len(tf.den) - 1 - den_deg]
-    return den_deg - num_deg, abs(num_lead / den_lead)

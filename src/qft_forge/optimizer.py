@@ -20,7 +20,6 @@ rejected outright.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -35,14 +34,9 @@ from .bounds import (
     interpolate_bound,
     interpolate_bound_array,
 )
-from .errors import (
-    EmptyWindow,
-    NegativeMappedGain,
-    RankDeficient,
-    ZeroController,
-)
+from .errors import EmptyWindow, NegativeMappedGain, RankDeficient
 from .expr import add_expressions, scale_expression
-from .lti import RationalTransferFunction, db, wrap_phase, wrap_phase_array
+from .lti import to_nichols, to_nichols_array, wrap_phase, wrap_phase_array
 from .plant import UncertainPlant
 
 __all__ = [
@@ -53,8 +47,6 @@ __all__ = [
     "DesignResult",
     "GainMap",
     "pid_frequency_response",
-    "pid_gain_phase",
-    "pid_transfer_function",
     "phase_window",
     "kernel_direction",
     "beta_scaling",
@@ -99,27 +91,6 @@ def pid_frequency_response(gains: PidGains, omega: float) -> complex:
     if omega <= 0.0:
         raise ValueError("omega must be positive")
     return complex(gains.kp, gains.kd * omega - gains.ki / omega)
-
-
-def pid_gain_phase(gains: PidGains, omega: float) -> Tuple[float, float]:
-    """(linear gain, phase deg) of the controller at one frequency.
-
-    Phase lands in (-90, 90) for kp > 0 and hits exactly +/-90 for a pure
-    integral/derivative pair.
-    """
-    if gains.kp == 0.0 and gains.ki == 0.0 and gains.kd == 0.0:
-        raise ZeroController("zero controller has no gain/phase")
-    response = pid_frequency_response(gains, omega)
-    magnitude = abs(response)
-    if magnitude == 0.0:
-        raise ZeroController(f"controller response vanishes at omega={omega}")
-    phase = math.degrees(math.atan2(response.imag, response.real))
-    return magnitude, phase
-
-
-def pid_transfer_function(gains: PidGains) -> RationalTransferFunction:
-    """(kd s^2 + kp s + ki) / s."""
-    return RationalTransferFunction([gains.kd, gains.kp, gains.ki], [1.0, 0.0])
 
 
 def phase_window(nominal_phase_deg: float, phase_grid: Sequence[float]) -> Tuple[float, ...]:
@@ -252,10 +223,10 @@ class DesignProblem:
             raise ValueError("pair indices must differ")
 
     def nominal_phase_deg(self, index: int) -> float:
-        return wrap_phase(math.degrees(cmath.phase(self.nominal_responses[index])))
+        return to_nichols(self.nominal_responses[index])[0]
 
     def nominal_gain_db(self, index: int) -> float:
-        return db(abs(self.nominal_responses[index]))
+        return to_nichols(self.nominal_responses[index])[1]
 
 
 def _lift(v: np.ndarray, problem: DesignProblem, exact_bound=None):
@@ -349,8 +320,7 @@ def loop_margins(problem: DesignProblem, gains: PidGains) -> Tuple[MarginEntry, 
     entries = []
     for k, omega in enumerate(problem.frequencies):
         loop = problem.nominal_responses[k] * pid_frequency_response(gains, omega)
-        phase = wrap_phase(math.degrees(cmath.phase(loop)))
-        gain = db(abs(loop))
+        phase, gain = to_nichols(loop)
         bound = interpolate_bound(problem.bounds[k], phase)
         entries.append(
             MarginEntry(
@@ -364,7 +334,7 @@ def loop_margins(problem: DesignProblem, gains: PidGains) -> Tuple[MarginEntry, 
     return tuple(entries)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepScreen:
     """Whole-curve stability veto applied between candidate and answer.
 
@@ -376,37 +346,40 @@ class SweepScreen:
     around the high-frequency cap).  The screen evaluates each candidate's
     nominal loop on a dense frequency grid and vetoes any that enters the
     contour interior by more than the shared tolerance; the search then
-    settles on the smallest-kd candidate that survives.
+    settles on the smallest-kd candidate that survives.  Verification's
+    dense sweep is the same computation.
 
     ``omegas`` and ``nominal_responses`` are the dense grid and the plant's
     nominal response on it — precomputed by the caller, which is the party
-    holding the plant.
+    holding the plant; both are kept as arrays.
     """
 
     contour: UContour
-    omegas: Tuple[float, ...]
-    nominal_responses: Tuple[complex, ...]
+    omegas: np.ndarray
+    nominal_responses: np.ndarray
     tolerance_db: float = INTERPOLATION_TOLERANCE_DB
 
     def __post_init__(self):
-        if len(self.omegas) != len(self.nominal_responses):
+        object.__setattr__(self, "omegas", np.array(self.omegas, dtype=float))
+        object.__setattr__(self, "nominal_responses", np.array(self.nominal_responses, dtype=complex))
+        if self.omegas.shape != self.nominal_responses.shape:
             raise ValueError("omegas and nominal_responses must pair up")
-        if any(w <= 0.0 for w in self.omegas):
+        if np.any(self.omegas <= 0.0):
             raise ValueError("screen frequencies must be positive")
-        object.__setattr__(self, "_omegas", np.array(self.omegas, dtype=float))
-        object.__setattr__(self, "_responses", np.array(self.nominal_responses, dtype=complex))
+
+    def sweep(self, gains: PidGains) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The candidate's nominal loop on the grid: Nichols phase and gain
+        per frequency, and whether it lies inside the contour by more than
+        the tolerance.  A zero loop sits at -inf dB, outside the contour."""
+        controller = np.empty(len(self.omegas), dtype=complex)
+        controller.real = gains.kp
+        controller.imag = gains.kd * self.omegas - gains.ki / self.omegas
+        phase, gain = to_nichols_array(self.nominal_responses * controller)
+        return phase, gain, self.contour.inside(phase, gain, tol_db=self.tolerance_db)
 
     def admits(self, gains: PidGains) -> bool:
-        """True when the candidate's nominal loop stays out of the contour;
-        zero loops (no phase) are skipped."""
-        controller = np.empty(len(self._omegas), dtype=complex)
-        controller.real = gains.kp
-        controller.imag = gains.kd * self._omegas - gains.ki / self._omegas
-        loop = self._responses * controller
-        loop = loop[loop != 0]
-        phase = wrap_phase_array(np.degrees(np.arctan2(loop.imag, loop.real)))
-        gain = 20.0 * np.log10(np.abs(loop))
-        return not np.any(self.contour.inside(phase, gain, tol_db=self.tolerance_db))
+        """True when the candidate's nominal loop stays out of the contour."""
+        return not np.any(self.sweep(gains)[2])
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,6 @@ configuration reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
-import cmath
 import csv
 import math
 import os
@@ -34,7 +33,7 @@ from .bounds import (
     u_contour,
 )
 from .config import DesignConfig
-from .lti import db, wrap_phase
+from .lti import to_nichols, to_nichols_array, wrap_phase
 from .optimizer import (
     DesignProblem,
     DesignResult,
@@ -46,7 +45,7 @@ from .optimizer import (
     filtered_derivative_transform,
     pid_frequency_response,
 )
-from .plant import Template, UncertainPlant, evaluate_plant, generate_template
+from .plant import Template, UncertainPlant, evaluate_plant_array, generate_template
 from .svgchart import emit_nichols_svg
 from .verify import (
     GainAxis,
@@ -61,6 +60,7 @@ from .verify import (
 __all__ = [
     "COMMANDS",
     "RunArtifacts",
+    "nominal_sweep",
     "compute_templates",
     "compute_bounds",
     "build_problem",
@@ -81,6 +81,9 @@ DEFAULT_ORACLE_BOX = OracleBox(
 )
 
 _DENSE_SWEEP_POINTS = 500
+
+# (omegas, nominal responses) on the dense grid; see nominal_sweep
+Sweep = Tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -110,6 +113,25 @@ def effective_plant(config: DesignConfig) -> Tuple[UncertainPlant, Optional[Gain
     if config.design.tau is None:
         return config.plant, None
     return filtered_derivative_transform(config.plant, config.design.tau)
+
+
+def nominal_sweep(config: DesignConfig) -> Sweep:
+    """The effective plant's nominal response on the run's dense grid, as
+    ``(omegas, responses)``.
+
+    The grid holds every design frequency.  A run evaluates this once and
+    hands it to the design problem, the stability screen, verification and
+    the chart; the stage functions below compute it themselves when called
+    without it.
+    """
+    plant, _ = effective_plant(config)
+    omegas = default_dense_grid(config.frequencies, _DENSE_SWEEP_POINTS)
+    return omegas, evaluate_plant_array(plant, plant.nominal, 1j * omegas)
+
+
+def _at_design_frequencies(config: DesignConfig, sweep: Sweep) -> List[complex]:
+    omegas, responses = sweep
+    return responses[np.searchsorted(omegas, config.frequencies)].tolist()
 
 
 def compute_templates(config: DesignConfig) -> Dict[float, Template]:
@@ -159,14 +181,11 @@ def compute_bounds(
 def build_problem(
     config: DesignConfig,
     curves: Sequence[BoundCurve],
+    sweep: Optional[Sweep] = None,
 ) -> DesignProblem:
-    plant, _ = effective_plant(config)
-    responses = tuple(
-        evaluate_plant(plant, plant.nominal, 1j * omega) for omega in config.frequencies
-    )
     return DesignProblem(
         frequencies=config.frequencies,
-        nominal_responses=responses,
+        nominal_responses=tuple(_at_design_frequencies(config, sweep or nominal_sweep(config))),
         bounds=tuple(curves),
         phase_grid=make_phase_grid(config.phase_grid_count),
         pair_indices=config.pair_indices(),
@@ -197,27 +216,12 @@ def _exact_bound_fn(
     return lookup
 
 
-def _stability_screen(
-    config: DesignConfig,
-    contour: UContour,
-    plant: UncertainPlant,
-) -> SweepScreen:
-    grid = default_dense_grid(config.frequencies, _DENSE_SWEEP_POINTS)
-    responses = tuple(
-        evaluate_plant(plant, plant.nominal, 1j * float(omega)) for omega in grid
-    )
-    return SweepScreen(
-        contour=contour,
-        omegas=tuple(float(w) for w in grid),
-        nominal_responses=responses,
-    )
-
-
 def compute_design(
     config: DesignConfig,
     problem: DesignProblem,
     contour: UContour,
     templates: Dict[float, Template],
+    sweep: Optional[Sweep] = None,
 ) -> Tuple[DesignResult, Optional[PidGains]]:
     """Run the configured controller search, with the whole-curve screen on.
 
@@ -228,8 +232,8 @@ def compute_design(
     result and, when a derivative filter is configured, the mapped-back
     physical gains (None otherwise, or when infeasible).
     """
-    plant, gain_map = effective_plant(config)
-    screen = _stability_screen(config, contour, plant)
+    _, gain_map = effective_plant(config)
+    screen = SweepScreen(contour, *(sweep or nominal_sweep(config)))
     exact = (
         _exact_bound_fn(config, templates, contour)
         if config.design.exact_bound_recompute
@@ -254,19 +258,21 @@ def compute_verification(
     gains: PidGains,
     curves: Sequence[BoundCurve],
     contour: UContour,
+    sweep: Optional[Sweep] = None,
 ) -> VerificationReport:
     """Full post-design check; includes the tracking envelope only when the
     configuration carries a prefilter."""
     plant, _ = effective_plant(config)
-    dense = default_dense_grid(config.frequencies, _DENSE_SWEEP_POINTS)
+    omegas, responses = sweep or nominal_sweep(config)
     return verify_design(
         plant,
         gains,
         curves,
         contour,
-        dense,
+        omegas,
         prefilter=config.prefilter,
         tracking=config.tracking if config.prefilter is not None else None,
+        dense_responses=responses,
     )
 
 
@@ -481,18 +487,17 @@ def render_verify_report(report: VerificationReport) -> str:
 def _nichols_layers(
     config: DesignConfig,
     artifacts: RunArtifacts,
+    sweep: Sweep,
 ) -> Dict[str, object]:
-    plant, _ = effective_plant(config)
     layers: Dict[str, object] = {}
+    at_design = dict(zip(config.frequencies, _at_design_frequencies(config, sweep)))
 
     template_layers = []
     for omega in config.frequencies:
         template = artifacts.templates.get(omega)
         if template is None:
             continue
-        nominal = evaluate_plant(plant, plant.nominal, 1j * omega)
-        base_phase = wrap_phase(math.degrees(cmath.phase(nominal)))
-        base_gain = db(abs(nominal))
+        base_phase, base_gain = to_nichols(at_design[omega])
         points = [
             (wrap_phase(base_phase + p.phase_deg), base_gain + p.gain_db)
             for p in template.points
@@ -525,41 +530,21 @@ def _nichols_layers(
     else:
         layers["u_contour"] = []
 
-    dense = default_dense_grid(config.frequencies, _DENSE_SWEEP_POINTS)
-    plant_points = []
-    for omega in dense:
-        response = evaluate_plant(plant, plant.nominal, 1j * float(omega))
-        if response == 0:
-            continue
-        plant_points.append(
-            (wrap_phase(math.degrees(cmath.phase(response))), db(abs(response)))
-        )
-    layers["plant_curve"] = plant_points
+    # zero responses come out at -inf dB, which the chart drops
+    phase, gain = to_nichols_array(sweep[1])
+    layers["plant_curve"] = list(zip(phase.tolist(), gain.tolist()))
 
     loop_points: List[Tuple[float, float]] = []
     markers: List[Tuple[float, float, str]] = []
     if artifacts.design is not None and artifacts.design.gains is not None:
         gains = artifacts.design.gains
-        for omega in dense:
-            response = evaluate_plant(plant, plant.nominal, 1j * float(omega))
-            loop = response * pid_frequency_response(gains, float(omega))
-            if loop == 0:
-                continue
-            loop_points.append(
-                (wrap_phase(math.degrees(cmath.phase(loop))), db(abs(loop)))
-            )
+        phase, gain, _ = SweepScreen(artifacts.contour, *sweep).sweep(gains)
+        loop_points = list(zip(phase.tolist(), gain.tolist()))
         for omega in config.frequencies:
-            response = evaluate_plant(plant, plant.nominal, 1j * omega)
-            loop = response * pid_frequency_response(gains, omega)
+            loop = at_design[omega] * pid_frequency_response(gains, omega)
             if loop == 0:
                 continue
-            markers.append(
-                (
-                    wrap_phase(math.degrees(cmath.phase(loop))),
-                    db(abs(loop)),
-                    f"{omega:g}",
-                )
-            )
+            markers.append((*to_nichols(loop), f"{omega:g}"))
     layers["loop_curve"] = loop_points
     layers["loop_markers"] = markers
     return layers
@@ -603,10 +588,11 @@ def run_command(
         artifacts.delta_hf_db = delta_hf
         emit("bounds.csv", lambda p: write_bounds_csv(p, curves))
 
+    sweep = nominal_sweep(config)
     if depth >= 2:
-        artifacts.problem = build_problem(config, artifacts.bound_curves)
+        artifacts.problem = build_problem(config, artifacts.bound_curves, sweep)
         result, physical = compute_design(
-            config, artifacts.problem, artifacts.contour, artifacts.templates
+            config, artifacts.problem, artifacts.contour, artifacts.templates, sweep
         )
         artifacts.design = result
         artifacts.physical_gains = physical
@@ -625,13 +611,13 @@ def run_command(
 
     if depth >= 3 and artifacts.design is not None and artifacts.design.feasible:
         report = compute_verification(
-            config, artifacts.design.gains, artifacts.bound_curves, artifacts.contour
+            config, artifacts.design.gains, artifacts.bound_curves, artifacts.contour, sweep
         )
         artifacts.verification = report
         emit("envelope.csv", lambda p: write_envelope_csv(p, report))
         emit("verify_report.txt", lambda p: _write_text(p, render_verify_report(report)))
 
-    layers = _nichols_layers(config, artifacts)
+    layers = _nichols_layers(config, artifacts, sweep)
     emit(
         "nichols.svg",
         lambda p: _write_text(

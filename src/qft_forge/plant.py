@@ -11,17 +11,15 @@ rejected.
 
 from __future__ import annotations
 
-import cmath
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .errors import OutOfBox, TemplateTooWide, ZeroMagnitude
 from .expr import CoefficientExpression
-from .lti import NicholsPoint, PoleOnAxis, db, to_nichols, wrap_phase
+from .lti import PoleOnAxis, db, principal_phase
 
 __all__ = [
     "ParameterSpec",
@@ -29,9 +27,9 @@ __all__ = [
     "TemplatePoint",
     "Template",
     "evaluate_plant",
+    "evaluate_plant_array",
     "generate_template",
     "convex_hull_nichols",
-    "nominal_point",
 ]
 
 
@@ -95,18 +93,48 @@ class UncertainPlant:
         den = [c.evaluate(point) for c in self.den]
         return num, den
 
+    def members(self, grid_override: Optional[int] = None) -> List[Tuple[float, ...]]:
+        """Sampled parameter points in grid order (first parameter slowest),
+        with the nominal point appended when the grid misses it."""
+        axes = [spec.grid(grid_override) for spec in self.params]
+        combos = [tuple(float(v) for v in combo) for combo in itertools.product(*axes)]
+        nominal = tuple(float(self.nominal[spec.name]) for spec in self.params)
+        if nominal not in combos:
+            combos.append(nominal)
+        return combos
 
-def evaluate_plant(plant: UncertainPlant, point: Dict[str, float], s: complex) -> complex:
-    """Frequency response of one family member.  OutOfBox for stray points."""
+
+def _polynomials_at(plant: UncertainPlant, point: Dict[str, float], s):
+    """Numerator and denominator of one family member at ``s`` (a point or
+    an array), the coefficients evaluated once.  OutOfBox for stray points,
+    PoleOnAxis where the denominator vanishes."""
     for spec in plant.params:
         if spec.name not in point:
             raise OutOfBox(f"parameter '{spec.name}' missing from evaluation point")
     plant._check_in_box(point)
     num, den = plant.coefficients_at(point)
-    den_val = complex(np.polyval(den, s))
-    if den_val == 0:
-        raise PoleOnAxis(f"plant denominator vanishes at s = {s} for {point}")
-    return complex(np.polyval(num, s)) / den_val
+    den_val = np.polyval(den, s)
+    if (den_val == 0).any():
+        raise PoleOnAxis(f"plant denominator vanishes on s = {s} for {point}")
+    return np.polyval(num, s), den_val
+
+
+def evaluate_plant_array(plant: UncertainPlant, point: Dict[str, float], s) -> np.ndarray:
+    """Frequency response of one family member at every point of ``s``.
+
+    Both polynomials run over the whole array; the quotient is CPython's
+    complex division, one element at a time, whose last bits NumPy's
+    vectorised division does not reproduce.
+    """
+    num_val, den_val = _polynomials_at(plant, point, np.asarray(s, dtype=complex))
+    return np.array([n / d for n, d in zip(num_val.tolist(), den_val.tolist())], dtype=complex)
+
+
+def evaluate_plant(plant: UncertainPlant, point: Dict[str, float], s: complex) -> complex:
+    """Frequency response of one family member at one point: the one-point
+    case of :func:`evaluate_plant_array`, with the same arithmetic."""
+    num_val, den_val = _polynomials_at(plant, point, s)
+    return complex(num_val) / complex(den_val)
 
 
 @dataclass(frozen=True)
@@ -170,11 +198,6 @@ def convex_hull_nichols(points: Sequence[Tuple[float, float]]) -> List[Tuple[flo
     return hull
 
 
-def nominal_point(plant: UncertainPlant, omega: float) -> NicholsPoint:
-    """Nominal response at j*omega in absolute Nichols coordinates."""
-    return to_nichols(evaluate_plant(plant, plant.nominal, 1j * omega))
-
-
 def generate_template(
     plant: UncertainPlant,
     omega: float,
@@ -188,14 +211,8 @@ def generate_template(
     """
     nominal_response = evaluate_plant(plant, plant.nominal, 1j * omega)
     names = tuple(spec.name for spec in plant.params)
-    axes = [spec.grid(grid_override) for spec in plant.params]
-    combos = [tuple(float(v) for v in combo) for combo in itertools.product(*axes)]
-    nominal_combo = tuple(float(plant.nominal[name]) for name in names)
-    if nominal_combo not in combos:
-        combos.append(nominal_combo)
-
     points: List[TemplatePoint] = []
-    for combo in combos:
+    for combo in plant.members(grid_override):
         env = dict(zip(names, combo))
         response = evaluate_plant(plant, env, 1j * omega)
         ratio = response / nominal_response
@@ -206,7 +223,7 @@ def generate_template(
             TemplatePoint(
                 params=combo,
                 ratio=ratio,
-                phase_deg=math.degrees(cmath.phase(ratio)),
+                phase_deg=principal_phase(ratio),
                 gain_db=db(magnitude),
             )
         )

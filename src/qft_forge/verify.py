@@ -8,8 +8,6 @@ rows, which the CLI turns into a non-zero exit code.
 
 from __future__ import annotations
 
-import cmath
-import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -26,14 +24,15 @@ from .bounds import (
     interpolate_bound_array,
 )
 from .errors import CriticalPoint, NoFeasiblePoint
-from .lti import RationalTransferFunction, db, eval_tf, wrap_phase
+from .lti import RationalTransferFunction, db, eval_tf, to_nichols, to_nichols_array
 from .optimizer import (
     INTERPOLATION_TOLERANCE_DB,
     DesignProblem,
     PidGains,
+    SweepScreen,
     pid_frequency_response,
 )
-from .plant import UncertainPlant, evaluate_plant
+from .plant import UncertainPlant, evaluate_plant_array
 
 __all__ = [
     "SLACK_TOLERANCE_DB",
@@ -141,36 +140,34 @@ def closed_loop_envelope(
     loop exactly on -1 raises CriticalPoint — that sample is marginally
     unstable and no finite envelope describes it.
     """
-    axes = [spec.grid(samples_per_parameter) for spec in plant.params]
     names = [spec.name for spec in plant.params]
-    combos = [dict(zip(names, combo)) for combo in itertools.product(*axes)]
-    if not any(
-        all(env[n] == plant.nominal[n] for n in names) for env in combos
-    ):
-        combos.append(dict(plant.nominal))
-    rows: List[EnvelopeRow] = []
-    for omega in omegas:
-        s = 1j * float(omega)
-        k_resp = pid_frequency_response(gains, float(omega))
-        f_mag = abs(eval_tf(prefilter, s))
-        mags: List[float] = []
-        for env in combos:
-            loop = evaluate_plant(plant, env, s) * k_resp
+    omegas = [float(omega) for omega in omegas]
+    controller = [pid_frequency_response(gains, omega) for omega in omegas]
+    f_mags = [abs(eval_tf(prefilter, 1j * omega)) for omega in omegas]
+    members = plant.members(samples_per_parameter)
+    s = 1j * np.array(omegas)
+    mags = np.empty((len(omegas), len(members)))  # one contiguous row per frequency
+    for m, combo in enumerate(members):
+        env = dict(zip(names, combo))
+        for k, response in enumerate(evaluate_plant_array(plant, env, s).tolist()):
+            loop = response * controller[k]
             denom = 1.0 + loop
             if denom == 0.0:
                 raise CriticalPoint(
-                    f"family member {env} drives the loop onto -1 at omega={omega}"
+                    f"family member {env} drives the loop onto -1 at omega={omegas[k]}"
                 )
-            mags.append(f_mag * abs(loop / denom))
-        with np.errstate(divide="ignore"):
-            mags_db = 20.0 * np.log10(np.asarray(mags))
-        lo_model = db(abs(eval_tf(tracking.lower, s)))
-        hi_model = db(abs(eval_tf(tracking.upper, s)))
+            mags[k, m] = f_mags[k] * abs(loop / denom)
+    with np.errstate(divide="ignore"):
+        mags_db = 20.0 * np.log10(mags)
+    rows: List[EnvelopeRow] = []
+    for omega, row_db in zip(omegas, mags_db):
+        lo_model = db(abs(eval_tf(tracking.lower, 1j * omega)))
+        hi_model = db(abs(eval_tf(tracking.upper, 1j * omega)))
         rows.append(
             EnvelopeRow(
-                omega=float(omega),
-                min_db=float(mags_db.min()),
-                max_db=float(mags_db.max()),
+                omega=omega,
+                min_db=float(row_db.min()),
+                max_db=float(row_db.max()),
                 lower_db=min(lo_model, hi_model),
                 upper_db=max(lo_model, hi_model),
             )
@@ -187,6 +184,7 @@ def verify_design(
     prefilter: Optional[RationalTransferFunction] = None,
     tracking: Optional[TrackingSpec] = None,
     envelope_samples: Optional[int] = None,
+    dense_responses: Optional[np.ndarray] = None,
 ) -> VerificationReport:
     """Re-examine a finished design against everything it promised.
 
@@ -196,11 +194,24 @@ def verify_design(
     tracking models are supplied — the family envelope is checked against the
     reference corridor at the design frequencies.  The sweep always covers
     the design frequencies, whether or not the caller's grid included them.
+
+    ``dense_responses``, when given, is the nominal plant's response on
+    ``dense_grid``, which must then be sorted and already hold every design
+    frequency; otherwise the plant is evaluated here.  The sweep itself is a
+    :class:`SweepScreen` computation, so it agrees with the design screen.
     """
+    design_freqs = [c.omega for c in bound_curves]
+    omegas = np.unique(np.concatenate([np.asarray(dense_grid, dtype=float), design_freqs]))
+    if dense_responses is None:
+        dense_responses = evaluate_plant_array(plant, plant.nominal, 1j * omegas)
+    elif not np.array_equal(omegas, dense_grid):
+        raise ValueError("dense_grid must be sorted and cover the design frequencies")
+    at_design = dense_responses[np.searchsorted(omegas, design_freqs)].tolist()
+
     margins: List[VerifyMargin] = []
-    for curve in bound_curves:
+    for curve, response in zip(bound_curves, at_design):
         omega = curve.omega
-        loop = evaluate_plant(plant, plant.nominal, 1j * omega) * pid_frequency_response(gains, omega)
+        loop = response * pid_frequency_response(gains, omega)
         if loop == 0:
             # Zero loop gain has no phase to look a bound up at; it clears a
             # curve only when that curve constrains nothing at all.
@@ -216,8 +227,7 @@ def verify_design(
                 )
             )
             continue
-        phase = wrap_phase(math.degrees(cmath.phase(loop)))
-        gain = db(abs(loop))
+        phase, gain = to_nichols(loop)
         bound = interpolate_bound(curve, phase)
         if bound == NO_CONSTRAINT:
             source = "none"
@@ -236,25 +246,13 @@ def verify_design(
             )
         )
 
-    design_freqs = [c.omega for c in bound_curves]
-    sweep_omegas = np.unique(
-        np.concatenate([np.asarray(dense_grid, dtype=float), np.asarray(design_freqs)])
+    screen = SweepScreen(u, omegas, dense_responses, SLACK_TOLERANCE_DB)
+    sweep = tuple(
+        SweepPoint(omega=omega, phase_deg=phase, gain_db=gain, inside_ucontour=inside)
+        for omega, phase, gain, inside in zip(
+            omegas.tolist(), *(a.tolist() for a in screen.sweep(gains))
+        )
     )
-    sweep: List[SweepPoint] = []
-    for omega in sweep_omegas:
-        loop = evaluate_plant(plant, plant.nominal, 1j * float(omega)) * pid_frequency_response(
-            gains, float(omega)
-        )
-        phase = wrap_phase(math.degrees(cmath.phase(loop)))
-        gain = db(abs(loop)) if loop != 0 else float("-inf")
-        sweep.append(
-            SweepPoint(
-                omega=float(omega),
-                phase_deg=phase,
-                gain_db=gain,
-                inside_ucontour=u.inside(phase, gain, tol_db=SLACK_TOLERANCE_DB),
-            )
-        )
 
     envelope: Tuple[EnvelopeRow, ...] = ()
     if prefilter is not None and tracking is not None:
@@ -288,7 +286,7 @@ def verify_design(
 
     return VerificationReport(
         per_frequency_margins=tuple(margins),
-        dense_sweep=tuple(sweep),
+        dense_sweep=sweep,
         envelope=envelope,
         passed=not reasons,
         reasons=tuple(reasons),
@@ -352,10 +350,7 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
         for k, omega in enumerate(problem.frequencies):
             ctrl = kp_vals[None, :] + 1j * (kd * omega - ki_vals[:, None] / omega)
             loop = responses[k] * ctrl
-            with np.errstate(divide="ignore"):
-                gain_db = 20.0 * np.log10(np.abs(loop))
-            phase = np.degrees(np.angle(loop))
-            phase = np.where(phase > 0.0, phase - 360.0, phase)
+            phase, gain_db = to_nichols_array(loop)
             bound = interpolate_bound_array(problem.bounds[k], phase)
             # A zero controller response has no phase, so no bound can be
             # looked up for it; treat it as failing this frequency outright

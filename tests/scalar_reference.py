@@ -1,14 +1,16 @@
 """Scalar reference implementations the array code is checked against.
 
-These are the package's earlier one-phase-at-a-time bound search and
-one-point-at-a-time stability screen: a Python loop per phase (or per
-frequency) calling plain scalar arithmetic.  Tests compare the vectorised
-implementations with them bit for bit (bounds) or decision for decision
-(screen).
+These are the package's earlier one-phase-at-a-time bound search and bound
+interpolation, one-point-at-a-time stability screen, and
+one-frequency-at-a-time plant evaluation and closed-loop envelope: a Python
+loop per phase (or per frequency) calling plain scalar arithmetic.  Tests
+compare the vectorised implementations with them bit for bit (bounds,
+interpolation, plant, envelope) or decision for decision (screen).
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from typing import Callable, Sequence
@@ -122,3 +124,47 @@ def _inside(contour, phase_deg: float, gain_db: float, tol_db: float) -> bool:
     if pair is None:
         return False
     return pair[1] - contour.delta_hf_db + tol_db < gain_db < pair[0] - tol_db
+
+
+def plant_response(num: Sequence[float], den: Sequence[float], s: complex) -> complex:
+    """num(s) / den(s) by NumPy's polyval at one point and CPython division."""
+    return complex(np.polyval(num, s)) / complex(np.polyval(den, s))
+
+
+def interpolate_bound(curve, phase_deg: float) -> float:
+    """Bisect-and-interpolate lookup of one phase on a bound curve."""
+    grid = curve.phase_grid
+    vals = curve.min_gain_db
+    if phase_deg < grid[0] or phase_deg > grid[-1]:
+        return NO_CONSTRAINT
+    idx = bisect.bisect_left(grid, phase_deg)
+    if idx < len(grid) and grid[idx] == phase_deg:
+        return vals[idx]
+    a, b = vals[idx - 1], vals[idx]
+    if a == INFEASIBLE or b == INFEASIBLE:
+        return INFEASIBLE
+    if a == NO_CONSTRAINT:
+        return b
+    if b == NO_CONSTRAINT:
+        return a
+    t = (phase_deg - grid[idx - 1]) / (grid[idx] - grid[idx - 1])
+    return a + t * (b - a)
+
+
+def envelope_extremes(plant, gains, prefilter, omegas, samples=None):
+    """(min_db, max_db) of |F L / (1 + L)| per frequency, one member at a
+    time at one frequency at a time."""
+    names = [spec.name for spec in plant.params]
+    rows = []
+    for omega in omegas:
+        s = 1j * omega
+        controller = pid_frequency_response(gains, omega)
+        f_mag = abs(complex(np.polyval(prefilter.num, s)) / complex(np.polyval(prefilter.den, s)))
+        mags = []
+        for combo in plant.members(samples):
+            num, den = plant.coefficients_at(dict(zip(names, combo)))
+            loop = plant_response(num, den, s) * controller
+            mags.append(f_mag * abs(loop / (1.0 + loop)))
+        mags_db = 20.0 * np.log10(np.asarray(mags))
+        rows.append((float(mags_db.min()), float(mags_db.max())))
+    return rows

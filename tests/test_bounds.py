@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qft_forge.bounds import (
     DEFAULT_TOL_DB,
@@ -35,6 +37,8 @@ from qft_forge.errors import (
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import RationalTransferFunction, db, eval_tf, m_circle_gains, undb
 from qft_forge.plant import ParameterSpec, UncertainPlant, generate_template
+
+import scalar_reference as ref
 
 LOWER_MODEL = RationalTransferFunction([0.6585, 19.755], [1.0, 4.0, 19.753961])
 UPPER_MODEL = RationalTransferFunction([8400.0], [1.0, 87.0, 1272.0, 5860.0, 8400.0])
@@ -346,11 +350,11 @@ class TestUContour:
         contour = u_contour(1.2, 20.0, self.GRID)
         hi, lo = m_circle_gains(1.2, -180.0)
         assert contour.upper_at(-180.0) == pytest.approx(hi, abs=1e-12)
-        assert contour.lower_at(-180.0) == pytest.approx(lo - 20.0, abs=1e-12)
+        # the lower edge is the sampled locus dropped by the span
+        bottom = u_contour(1.2, 20.0, (-180.0,)).lower_db
+        assert bottom == (pytest.approx(lo - 20.0, abs=1e-12),)
         with pytest.raises(ValueError):
             contour.upper_at(-100.0)
-        with pytest.raises(ValueError):
-            contour.lower_at(-100.0)
 
     def test_inside(self):
         contour = u_contour(1.2, 20.0, self.GRID)
@@ -362,8 +366,8 @@ class TestUContour:
         assert not contour.inside(-100.0, 0.0)
 
     def test_zero_delta(self):
-        contour = u_contour(1.2, 0.0, self.GRID)
-        assert contour.lower_at(-180.0) == pytest.approx(db(6.0 / 11.0), abs=1e-12)
+        contour = u_contour(1.2, 0.0, (-180.0,))
+        assert contour.lower_db[0] == pytest.approx(db(6.0 / 11.0), abs=1e-12)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -492,6 +496,28 @@ class TestInterpolateBound:
                     assert got == want
                 else:
                     assert got == pytest.approx(want, abs=1e-12)
+
+    @given(
+        nodes=st.lists(
+            st.tuples(
+                st.integers(min_value=-719, max_value=-1),
+                st.sampled_from([NO_CONSTRAINT, INFEASIBLE, -12.5, 0.0, 3.25, 40.0]),
+            ),
+            min_size=1,
+            max_size=8,
+            unique_by=lambda node: node[0],
+        ),
+        queries=st.lists(st.floats(min_value=-361.0, max_value=1.0), max_size=10),
+    )
+    @settings(max_examples=200)
+    def test_matches_bisect_reference(self, nodes, queries):
+        nodes = sorted(nodes)
+        grid = [0.5 * k for k, _ in nodes]
+        curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=[v for _, v in nodes])
+        phases = queries + grid
+        want = [repr(ref.interpolate_bound(curve, p)) for p in phases]
+        assert [repr(v) for v in interpolate_bound_array(curve, np.array(phases)).tolist()] == want
+        assert [repr(interpolate_bound(curve, p)) for p in phases] == want
 
     def test_array_all_outside(self):
         out = interpolate_bound_array(self.CURVE, np.array([-350.0, -250.0, -10.0]))

@@ -10,6 +10,7 @@ reference.  The ``exact_bound_recompute`` switch is run end to end.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -21,15 +22,45 @@ from qft_forge.lti import db, wrap_phase
 from qft_forge.optimizer import (
     INTERPOLATION_TOLERANCE_DB,
     PidGains,
+    SweepScreen,
     beta_scaling,
     candidate_from_kernel,
     design_pid,
     kernel_direction,
     pid_frequency_response,
 )
-from qft_forge.pipeline import _stability_screen, compute_design
+from qft_forge.config import parse_config_dict
+from qft_forge.pipeline import (
+    build_problem,
+    compute_bounds,
+    compute_design,
+    compute_templates,
+    nominal_sweep,
+)
+from qft_forge.verify import verify_design
+
+from conftest import SERVO_CONFIG_PATH
 
 import scalar_reference as ref
+
+
+def screen_walk_config():
+    """A three-parameter plant whose dense screen vetoes every candidate."""
+    raw = json.loads(SERVO_CONFIG_PATH.read_text())
+    raw["plant"] = {
+        "numerator": ["k*a*b"],
+        "denominator": ["1", "a+b", "a*b", "0"],
+        "parameters": [
+            {"name": "a", "min": 1.0, "max": 10.0, "grid": 6},
+            {"name": "k", "min": 1.0, "max": 10.0, "grid": 6},
+            {"name": "b", "min": 100.0, "max": 400.0, "grid": 4},
+        ],
+        "nominal": {"a": 1.0, "k": 1.0, "b": 100.0},
+    }
+    raw["frequencies"] = [0.5, 1.0, 2.0, 3.0, 5.0, 7.0, 10.0, 15.0, 20.0, 30.0, 45.0, 60.0]
+    raw["phase_grid_count"] = 180
+    raw["design"]["pair"] = [2, 8]
+    return parse_config_dict(raw)
 
 
 def one_cell_kd(problem, phi_i, phi_j):
@@ -100,7 +131,7 @@ class TestArrayScreen:
         return [np.unravel_index(flat, grid.shape) for flat in order[:limit]]
 
     def test_same_decisions_as_point_by_point_reference(self, servo_config, servo_stack):
-        screen = _stability_screen(servo_config, servo_stack.contour, servo_config.plant)
+        screen = SweepScreen(servo_stack.contour, *nominal_sweep(servo_config))
         result = design_pid(servo_stack.problem)
         problem = servo_stack.problem
         k, l = problem.pair_indices
@@ -120,6 +151,38 @@ class TestArrayScreen:
         decisions = [screen.admits(g) for g in candidates]
         assert decisions == [ref.screen_admits(screen, g) for g in candidates]
         assert True in decisions and False in decisions
+
+    @pytest.mark.parametrize("workload", ["servo", "screen-walk"])
+    def test_screen_agrees_with_verify_sweep(self, workload, servo_config):
+        config = servo_config if workload == "servo" else screen_walk_config()
+        curves, contour, _ = compute_bounds(config, compute_templates(config))
+        sweep = nominal_sweep(config)
+        problem = build_problem(config, curves, sweep)
+        screen = SweepScreen(contour, *sweep)
+        decisions = []
+        for gains in self.candidates(problem, 50):
+            report = verify_design(
+                config.plant, gains, curves, contour, sweep[0], dense_responses=sweep[1]
+            )
+            decisions.append(screen.admits(gains))
+            assert decisions[-1] == (not report.sweep_violations)
+        assert len(decisions) == 50
+        # servo admits its 15th candidate; screen-walk vetoes every one
+        assert (True in decisions) == (workload == "servo")
+
+    def candidates(self, problem, limit):
+        """The first ``limit`` candidates of the unscreened grid in kd order."""
+        result = design_pid(problem)
+        k, l = problem.pair_indices
+        for i, j in self.visit_order(result, limit):
+            direction = kernel_direction(
+                result.window_phases_i[i] - problem.nominal_phase_deg(k),
+                result.window_phases_j[j] - problem.nominal_phase_deg(l),
+                problem.frequencies[k],
+                problem.frequencies[l],
+            )
+            beta, _ = beta_scaling(direction, problem)
+            yield candidate_from_kernel(direction, beta)
 
     def test_servo_vetoes_are_counted(self, servo_design):
         # the 14 cheapest candidates cross the contour between design frequencies

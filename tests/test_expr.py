@@ -9,7 +9,6 @@ import pytest
 from qft_forge.errors import ExpressionSyntaxError, UnknownParameter
 from qft_forge.expr import (
     add_expressions,
-    constant_expression,
     parse_coefficient_expr,
     scale_expression,
 )
@@ -111,11 +110,6 @@ class TestErrors:
 
 
 class TestSyntheticExpressions:
-    def test_constant(self):
-        expr = constant_expression(2.5)
-        assert expr.evaluate({}) == 2.5
-        assert expr.source == "2.5"
-
     def test_scale(self):
         base = parse_coefficient_expr("a+1", PARAMS)
         scaled = scale_expression(base, 3.0)
@@ -126,13 +120,13 @@ class TestSyntheticExpressions:
 
     def test_add(self):
         a = parse_coefficient_expr("a", PARAMS)
-        b = constant_expression(4.0)
+        b = parse_coefficient_expr("4", PARAMS)
         total = add_expressions(a, b)
         assert total.evaluate({"a": 1.5}) == pytest.approx(5.5)
         reparsed = parse_coefficient_expr(total.source, PARAMS)
         assert reparsed.evaluate({"a": 1.5}) == pytest.approx(5.5)
 
     def test_nested_composition(self):
-        expr = scale_expression(add_expressions(constant_expression(1.0),
-                                                constant_expression(2.0)), -2.0)
+        one, two = (parse_coefficient_expr(t, PARAMS) for t in ("1", "2"))
+        expr = scale_expression(add_expressions(one, two), -2.0)
         assert expr.evaluate({}) == pytest.approx(-6.0)

@@ -18,13 +18,9 @@ from qft_forge.bounds import (
     make_phase_grid,
     u_contour,
 )
-from qft_forge.errors import (
-    EmptyWindow,
-    NegativeMappedGain,
-    ZeroController,
-)
+from qft_forge.errors import EmptyWindow, NegativeMappedGain, ZeroMagnitude
 from qft_forge.expr import parse_coefficient_expr
-from qft_forge.lti import db, eval_tf, undb, wrap_phase
+from qft_forge.lti import RationalTransferFunction, db, eval_tf, to_nichols, undb, wrap_phase
 from qft_forge.optimizer import (
     INTERPOLATION_TOLERANCE_DB,
     DesignProblem,
@@ -41,8 +37,6 @@ from qft_forge.optimizer import (
     loop_margins,
     phase_window,
     pid_frequency_response,
-    pid_gain_phase,
-    pid_transfer_function,
 )
 from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant
 
@@ -98,47 +92,49 @@ class TestPidResponse:
         assert PidGains(kp=1.0, ki=2.0, kd=3.0).as_tuple() == (1.0, 2.0, 3.0)
 
 
+def gain_phase(gains, omega):
+    """(linear gain, principal phase deg) of the controller at one frequency."""
+    response = pid_frequency_response(gains, omega)
+    return abs(response), math.degrees(cmath.phase(response))
+
+
 class TestPidGainPhase:
     def test_pure_proportional(self):
-        gain, phase = pid_gain_phase(PidGains(kp=1.0, ki=0.0, kd=0.0), 5.0)
+        gain, phase = gain_phase(PidGains(kp=1.0, ki=0.0, kd=0.0), 5.0)
         assert gain == 1.0
         assert phase == 0.0
 
     def test_reference_gains_linear_magnitude(self):
-        gain, phase = pid_gain_phase(REFERENCE_GAINS, 1.0)
+        gain, phase = gain_phase(REFERENCE_GAINS, 1.0)
         assert gain == pytest.approx(12.61031720457499, abs=1e-9)
         assert phase == pytest.approx(-2.3178496, abs=1e-6)
         assert gain == pytest.approx(abs(12.6 - 0.51j), abs=1e-12)
 
     def test_pure_derivative_is_plus_90(self):
-        gain, phase = pid_gain_phase(PidGains(kp=0.0, ki=0.0, kd=3.0), 1.0)
+        gain, phase = gain_phase(PidGains(kp=0.0, ki=0.0, kd=3.0), 1.0)
         assert gain == 3.0
         assert phase == 90.0
 
     def test_pure_integral_is_minus_90(self):
-        gain, phase = pid_gain_phase(PidGains(kp=0.0, ki=2.0, kd=0.0), 1.0)
+        gain, phase = gain_phase(PidGains(kp=0.0, ki=2.0, kd=0.0), 1.0)
         assert gain == 2.0
         assert phase == -90.0
 
     def test_zero_controller(self):
-        with pytest.raises(ZeroController):
-            pid_gain_phase(PidGains(kp=0.0, ki=0.0, kd=0.0), 1.0)
+        with pytest.raises(ZeroMagnitude):
+            to_nichols(pid_frequency_response(PidGains(kp=0.0, ki=0.0, kd=0.0), 1.0))
 
     def test_vanishing_response(self):
         # ki = kd at omega = 1 cancels the imaginary part with kp = 0
-        with pytest.raises(ZeroController):
-            pid_gain_phase(PidGains(kp=0.0, ki=1.0, kd=1.0), 1.0)
+        with pytest.raises(ZeroMagnitude):
+            to_nichols(pid_frequency_response(PidGains(kp=0.0, ki=1.0, kd=1.0), 1.0))
 
 
 class TestPidTransferFunction:
-    def test_polynomials(self):
-        tf = pid_transfer_function(PidGains(kp=2.0, ki=3.0, kd=0.5))
-        assert tf.num == (0.5, 2.0, 3.0)
-        assert tf.den == (1.0, 0.0)
-
     def test_matches_frequency_response(self):
         gains = PidGains(kp=2.0, ki=3.0, kd=0.5)
-        tf = pid_transfer_function(gains)
+        # (kd s^2 + kp s + ki) / s
+        tf = RationalTransferFunction([gains.kd, gains.kp, gains.ki], [1.0, 0.0])
         for omega in (0.5, 2.0):
             assert eval_tf(tf, 1j * omega) == pytest.approx(
                 pid_frequency_response(gains, omega), rel=1e-12
@@ -376,6 +372,15 @@ class TestSweepScreen:
     def test_empty_grid_admits_everything(self):
         screen = self.make_screen([])
         assert screen.admits(PidGains(kp=1.0, ki=0.0, kd=0.0))
+
+    def test_sweep_reports_every_point(self):
+        # a zero loop (no phase) sits at -inf dB, outside the contour
+        screen = self.make_screen([-1.0 + 0j, 0j, -1j], omegas=(1.0, 2.0, 3.0))
+        assert isinstance(screen.omegas, np.ndarray)
+        phase, gain, inside = screen.sweep(PidGains(kp=1.0, ki=0.0, kd=0.0))
+        assert phase.tolist() == [-180.0, 0.0, -90.0]
+        assert gain.tolist() == [0.0, -math.inf, 0.0]
+        assert inside.tolist() == [True, False, False]
 
     def test_boundary_tolerance(self):
         # a point riding the contour top must not be vetoed

@@ -11,6 +11,7 @@ import pytest
 
 from qft_forge.bounds import DisturbanceSpec
 from qft_forge.lti import db
+from qft_forge import pipeline, plant, verify
 from qft_forge.pipeline import (
     COMMANDS,
     compute_bounds,
@@ -18,6 +19,7 @@ from qft_forge.pipeline import (
     compute_templates,
     compute_verification,
     effective_plant,
+    nominal_sweep,
     run_command,
 )
 from qft_forge.verify import GainAxis, OracleBox
@@ -309,3 +311,30 @@ class TestSpecialRuns:
         text = (tmp_path / "design_report.txt").read_text()
         assert "feasible           : no" in text
         assert "reason             : " in text
+
+
+class TestNominalSweep:
+    def test_servo_all_evaluates_the_dense_grid_once(self, servo_config, tmp_path, monkeypatch):
+        dense = len(nominal_sweep(servo_config)[0])
+        real = plant.evaluate_plant_array
+        calls = []
+
+        def counting(plant_, point, s):
+            calls.append((dict(point), np.size(s)))
+            return real(plant_, point, s)
+
+        for module in (pipeline, verify):
+            monkeypatch.setattr(module, "evaluate_plant_array", counting)
+        run_command(servo_config, "all", str(tmp_path))
+        assert calls.count((servo_config.plant.nominal, dense)) == 1
+        # every other call is one envelope member over the design frequencies
+        assert {size for _, size in calls} == {len(servo_config.frequencies), dense}
+        assert len(calls) == 1 + len(servo_config.plant.members())
+
+    def test_design_frequencies_read_from_the_sweep(self, servo_config, servo_stack):
+        nominal = servo_config.plant.nominal
+        expected = [
+            plant.evaluate_plant(servo_config.plant, nominal, 1j * omega)
+            for omega in servo_config.frequencies
+        ]
+        assert servo_stack.problem.nominal_responses == tuple(expected)

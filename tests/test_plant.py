@@ -6,20 +6,25 @@ import cmath
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qft_forge.errors import OutOfBox, PoleOnAxis, TemplateTooWide
 from qft_forge.expr import parse_coefficient_expr
-from qft_forge.lti import db
+from qft_forge.lti import db, to_nichols
 from qft_forge.plant import (
     ParameterSpec,
     Template,
     UncertainPlant,
     convex_hull_nichols,
     evaluate_plant,
+    evaluate_plant_array,
     generate_template,
-    nominal_point,
 )
+
+import scalar_reference as ref
 
 
 def make_plant(num, den, params, nominal):
@@ -144,6 +149,76 @@ class TestEvaluatePlant:
     def test_pole_on_axis(self):
         with pytest.raises(PoleOnAxis):
             evaluate_plant(servo_plant(), {"a": 1.0, "k": 1.0}, 0j)
+
+
+COEFFICIENT = st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False)
+
+
+def bits(z: complex):
+    return (z.real.hex(), z.imag.hex())
+
+
+class TestEvaluatePlantArray:
+    @given(
+        num=st.lists(COEFFICIENT, min_size=1, max_size=4),
+        den=st.lists(COEFFICIENT, min_size=1, max_size=5).filter(lambda c: c[0] != 0.0),
+        omegas=st.lists(
+            st.floats(min_value=1e-3, max_value=1e4, allow_subnormal=False), min_size=1, max_size=12
+        ),
+    )
+    @settings(max_examples=300)
+    def test_bit_equal_to_scalar_path(self, num, den, omegas):
+        # every coefficient is its own degenerate parameter, so the point carries them
+        names = [f"n{i}" for i in range(len(num))] + [f"d{i}" for i in range(len(den))]
+        values = dict(zip(names, num + den))
+        plant = make_plant(
+            names[: len(num)],
+            names[len(num) :],
+            [ParameterSpec(n, v, v) for n, v in values.items()],
+            values,
+        )
+        s = 1j * np.array(omegas)
+        try:
+            want = [ref.plant_response(num, den, 1j * w) for w in omegas]
+        except ZeroDivisionError:
+            with pytest.raises(PoleOnAxis):
+                evaluate_plant_array(plant, values, s)
+            return
+        got = evaluate_plant_array(plant, values, s).tolist()
+        assert [bits(z) for z in got] == [bits(z) for z in want]
+        assert [bits(evaluate_plant(plant, values, 1j * w)) for w in omegas] == [
+            bits(z) for z in want
+        ]
+
+    def test_pole_on_axis_anywhere_in_the_array(self):
+        with pytest.raises(PoleOnAxis):
+            evaluate_plant_array(servo_plant(), {"a": 1.0, "k": 1.0}, [1j, 0j])
+
+
+class TestMembers:
+    def test_grid_order_with_nominal_appended(self):
+        plant = make_plant(
+            ["k*a"],
+            ["1", "a", "0"],
+            [ParameterSpec("a", 1.0, 3.0, 2), ParameterSpec("k", 1.0, 2.0, 2)],
+            {"a": 2.0, "k": 1.0},
+        )
+        assert plant.members() == [
+            (1.0, 1.0), (1.0, 2.0), (3.0, 1.0), (3.0, 2.0), (2.0, 1.0)
+        ]
+
+    def test_nominal_on_grid_is_not_repeated(self):
+        members = servo_plant(grid=3).members()
+        assert len(members) == 9
+        assert members.count((1.0, 1.0)) == 1
+
+    def test_template_rows_follow_members(self):
+        plant = servo_plant(grid=4)
+        template = generate_template(plant, 2.0)
+        assert [p.params for p in template.points] == plant.members()
+        assert len(generate_template(plant, 2.0, grid_override=2).points) == len(
+            plant.members(2)
+        )
 
 
 class TestConvexHull:
@@ -306,21 +381,21 @@ class TestGenerateTemplate:
 
 class TestNominalPoint:
     def test_low_frequency(self):
-        point = nominal_point(servo_plant(), 0.5)
-        assert point.gain_db == pytest.approx(db(1.0 / (0.5 * math.sqrt(1.25))), abs=1e-9)
-        assert point.phase_deg == pytest.approx(
+        phase, gain = to_nichols(evaluate_plant(servo_plant(), servo_plant().nominal, 0.5j))
+        assert gain == pytest.approx(db(1.0 / (0.5 * math.sqrt(1.25))), abs=1e-9)
+        assert phase == pytest.approx(
             -math.degrees(math.atan2(0.5, -0.25)), abs=1e-9
         )
-        assert point.phase_deg == pytest.approx(-116.56505117707799, abs=1e-6)
+        assert phase == pytest.approx(-116.56505117707799, abs=1e-6)
 
     def test_mid_frequency(self):
-        point = nominal_point(servo_plant(), 3.0)
-        assert point.gain_db == pytest.approx(db(1.0 / (3.0 * math.sqrt(10.0))), abs=1e-9)
-        assert point.phase_deg == pytest.approx(
+        phase, gain = to_nichols(evaluate_plant(servo_plant(), servo_plant().nominal, 3.0j))
+        assert gain == pytest.approx(db(1.0 / (3.0 * math.sqrt(10.0))), abs=1e-9)
+        assert phase == pytest.approx(
             -math.degrees(math.atan2(3.0, -9.0)), abs=1e-9
         )
 
     def test_high_frequency_asymptote(self):
-        point = nominal_point(servo_plant(), 1000.0)
-        assert point.gain_db == pytest.approx(db(1e-6), abs=0.01)
-        assert -180.0 < point.phase_deg < -179.9
+        phase, gain = to_nichols(evaluate_plant(servo_plant(), servo_plant().nominal, 1000.0j))
+        assert gain == pytest.approx(db(1e-6), abs=0.01)
+        assert -180.0 < phase < -179.9

@@ -19,7 +19,7 @@ from qft_forge.errors import CriticalPoint, NoFeasiblePoint
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import RationalTransferFunction, db, eval_tf
 from qft_forge.optimizer import DesignProblem, PidGains, loop_margins
-from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant
+from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant, evaluate_plant_array
 from qft_forge.verify import (
     SLACK_TOLERANCE_DB,
     EnvelopeRow,
@@ -33,6 +33,8 @@ from qft_forge.verify import (
 )
 
 from conftest import REFERENCE_GAINS
+
+import scalar_reference as ref
 
 HALF_REFERENCE_GAINS = PidGains(kp=6.3, ki=2.23, kd=1.975)
 
@@ -176,6 +178,26 @@ class TestVerifyMargins:
             assert margin.gain_db == -math.inf
             assert margin.slack_db == -math.inf
 
+    def test_precomputed_responses_give_the_same_report(self, servo_config, servo_stack):
+        plant = servo_config.plant
+        grid = default_dense_grid(servo_config.frequencies)
+        args = (plant, REFERENCE_GAINS, servo_stack.curves, servo_stack.contour, grid)
+        responses = evaluate_plant_array(plant, plant.nominal, 1j * grid)
+        assert verify_design(*args, dense_responses=responses) == verify_design(*args)
+
+    def test_precomputed_responses_need_the_design_frequencies(self, servo_config, servo_stack):
+        plant = servo_config.plant
+        grid = np.array([0.3, 4.7])
+        with pytest.raises(ValueError):
+            verify_design(
+                plant,
+                REFERENCE_GAINS,
+                servo_stack.curves,
+                servo_stack.contour,
+                grid,
+                dense_responses=evaluate_plant_array(plant, plant.nominal, 1j * grid),
+            )
+
     def test_sweep_always_covers_design_frequencies(self, servo_config, servo_stack):
         report = verify_design(
             servo_config.plant,
@@ -262,6 +284,23 @@ class TestClosedLoopEnvelope:
                 self.tracking(servo_config),
                 omegas=[1.0],
             )
+
+    def test_matches_per_frequency_reference(self, servo_config):
+        omegas = list(servo_config.frequencies)
+        rows = closed_loop_envelope(
+            servo_config.plant,
+            REFERENCE_GAINS,
+            default_prefilter(),
+            self.tracking(servo_config),
+            omegas,
+            samples_per_parameter=4,
+        )
+        want = ref.envelope_extremes(
+            servo_config.plant, REFERENCE_GAINS, default_prefilter(), omegas, samples=4
+        )
+        assert [(repr(r.min_db), repr(r.max_db)) for r in rows] == [
+            (repr(lo), repr(hi)) for lo, hi in want
+        ]
 
     def test_corridor_is_sorted_model_pair(self, servo_config):
         tracking = self.tracking(servo_config)
