@@ -131,19 +131,18 @@ class TestWrapPhase:
 
 
 class TestNicholsPoint:
-    @pytest.mark.parametrize(
-        "response",
-        [1.0 + 0j, complex(1.0, -0.0), -1.0 + 0j, complex(-1.0, -0.0), 1j, -1j, 1e-300, 1e300],
-    )
-    def test_bounds(self, response):
+    RESPONSES = [1.0 + 0j, complex(1.0, -0.0), -1.0 + 0j, complex(-1.0, -0.0), 1j, -1j, 1e-300, 1e300]
+
+    def test_bounds(self):
         # every converted point has a phase in (-360, 0], never -0.0, and a finite gain
-        phase, gain = to_nichols(response)
-        assert -360.0 < phase <= 0.0
-        assert math.copysign(1.0, phase) == (1.0 if phase == 0.0 else -1.0)
-        assert math.isfinite(gain)
-        phases, gains = to_nichols_array(np.array([response], dtype=complex))
-        assert -360.0 < phases[0] <= 0.0
-        assert math.isfinite(gains[0])
+        for response in self.RESPONSES:
+            phase, gain = to_nichols(response)
+            assert -360.0 < phase <= 0.0, response
+            assert math.copysign(1.0, phase) == (1.0 if phase == 0.0 else -1.0), response
+            assert math.isfinite(gain), response
+            phases, gains = to_nichols_array(np.array([response], dtype=complex))
+            assert -360.0 < phases[0] <= 0.0, response
+            assert math.isfinite(gains[0]), response
 
 
 class TestToNichols:
