@@ -10,7 +10,6 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
@@ -101,8 +100,13 @@ def wrap_phase_array(phase_deg: np.ndarray) -> np.ndarray:
 
 
 def principal_phase(response: complex) -> float:
-    """Phase of a complex number in degrees on the principal branch (-180, 180]."""
-    return math.degrees(cmath.phase(response))
+    """Phase of a complex number in degrees on the principal branch (-180, 180].
+
+    ``math.atan2`` rather than ``cmath.phase``: the two agree bit for bit,
+    but ``cmath.phase`` raises OverflowError when libm flags an underflow,
+    as it does for a subnormal imaginary part.
+    """
+    return math.degrees(math.atan2(response.imag, response.real))
 
 
 def to_nichols(response: complex) -> Tuple[float, float]:

@@ -14,6 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import bounds
 from .bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
@@ -304,7 +305,8 @@ class GainAxis:
     step: float
 
     def __post_init__(self):
-        if self.lo < 0.0 or self.hi < self.lo or self.step <= 0.0:
+        finite = all(map(math.isfinite, (self.lo, self.hi, self.step)))
+        if not finite or self.lo < 0.0 or self.hi < self.lo or self.step <= 0.0:
             raise ValueError(f"bad gain axis ({self.lo}, {self.hi}, {self.step})")
 
     def values(self) -> np.ndarray:
@@ -332,43 +334,62 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
 
     Feasibility is the same test the optimizer answers to: at every design
     frequency the open-loop gain must clear the interpolated bound at the
-    loop's own phase.  kd slices are visited in ascending order and each
-    slice is scanned as a (ki, kp) mesh; the first feasible hit is the
-    lexicographic (kd, ki, kp) minimum, so later slices cannot win and are
-    skipped.  Shares only the bound interpolation with the optimizer — no
+    loop's own phase.  kd slices are visited in ascending order, and each
+    slice in blocks of ascending ki rows of at most ``bounds._BLOCK_CELLS``
+    cells (one row when a kp row alone is longer).  In a block the first
+    frequency is tested on the whole (ki, kp) mesh and every later one only
+    on the cells that passed so far; the frequency that emptied the previous
+    block is tested first, since neighbouring blocks tend to fail at the
+    same one.  Feasibility is an AND over frequencies, so that order changes
+    only the work, not the answer.  The first survivor of the first block
+    that keeps any is the lexicographic (kd, ki, kp) minimum, so the rest of
+    its slice and all later slices are skipped.  ``evaluations`` counts every
+    triple of each visited slice, skipped blocks included.  Shares only the
+    Nichols conversion and the bound interpolation with the optimizer — no
     kernels, no scaling step.
     """
     kp_vals = box.kp.values()
     ki_vals = box.ki.values()
     kd_vals = box.kd.values()
     responses = np.asarray(problem.nominal_responses)
-    mesh_size = len(ki_vals) * len(kp_vals)
+    n_kp = len(kp_vals)
+    rows = max(1, bounds._BLOCK_CELLS // n_kp)
+    order = list(range(len(problem.frequencies)))
 
     examined = 0
     for kd in kd_vals:
-        feasible = np.ones((len(ki_vals), len(kp_vals)), dtype=bool)
-        for k, omega in enumerate(problem.frequencies):
-            ctrl = kp_vals[None, :] + 1j * (kd * omega - ki_vals[:, None] / omega)
-            loop = responses[k] * ctrl
-            phase, gain_db = to_nichols_array(loop)
-            bound = interpolate_bound_array(problem.bounds[k], phase)
-            # A zero controller response has no phase, so no bound can be
-            # looked up for it; treat it as failing this frequency outright
-            # (otherwise the all-zero triple passes vacuously).
-            feasible &= (gain_db >= bound) & (np.abs(ctrl) > 0.0)
-            if not feasible.any():
-                break
-        examined += mesh_size
-        if feasible.any():
-            flat = int(np.argmax(feasible.reshape(-1)))
-            i_ki, i_kp = divmod(flat, len(kp_vals))
-            gains = PidGains(kp=float(kp_vals[i_kp]), ki=float(ki_vals[i_ki]), kd=float(kd))
-            return OracleResult(
-                best_gains=gains,
-                best_kd=float(kd),
-                evaluations=examined,
-                box=box,
-            )
+        examined += len(ki_vals) * n_kp
+        for start in range(0, len(ki_vals), rows):
+            ki_block = ki_vals[start : start + rows]
+            survivors = None  # flat (ki, kp) indices into the block, ascending
+            for k in order:
+                omega = problem.frequencies[k]
+                if survivors is None:
+                    ctrl = kp_vals[None, :] + 1j * (kd * omega - ki_block[:, None] / omega)
+                    ctrl = ctrl.reshape(-1)
+                else:
+                    ki_cells = ki_block[survivors // n_kp]
+                    ctrl = kp_vals[survivors % n_kp] + 1j * (kd * omega - ki_cells / omega)
+                phase, gain_db = to_nichols_array(responses[k] * ctrl)
+                bound = interpolate_bound_array(problem.bounds[k], phase)
+                # A zero controller response has no phase, so no bound can be
+                # looked up for it; treat it as failing this frequency outright
+                # (otherwise the all-zero triple passes vacuously).
+                passed = np.flatnonzero((gain_db >= bound) & (np.abs(ctrl) > 0.0))
+                survivors = passed if survivors is None else survivors[passed]
+                if not survivors.size:
+                    order.remove(k)
+                    order.insert(0, k)
+                    break
+            else:
+                i_ki, i_kp = divmod(int(survivors[0]), n_kp)
+                gains = PidGains(kp=float(kp_vals[i_kp]), ki=float(ki_block[i_ki]), kd=float(kd))
+                return OracleResult(
+                    best_gains=gains,
+                    best_kd=float(kd),
+                    evaluations=examined,
+                    box=box,
+                )
     raise NoFeasiblePoint(
         f"no feasible gain triple in the {len(kd_vals)}x{len(ki_vals)}x{len(kp_vals)} box"
     )

@@ -5,7 +5,10 @@ interpolation, one-point-at-a-time stability screen, and
 one-frequency-at-a-time plant evaluation and closed-loop envelope: a Python
 loop per phase (or per frequency) calling plain scalar arithmetic.  Tests
 compare the vectorised implementations with them bit for bit (bounds,
-interpolation, plant, envelope) or decision for decision (screen).
+interpolation, plant, envelope) or decision for decision (screen).  The
+gain-box oracle's earlier full-mesh search is kept here too: every kd slice
+tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
+the blocked search must return the same result.
 """
 
 from __future__ import annotations
@@ -24,10 +27,12 @@ from qft_forge.bounds import (
     SCAN_CEILING_DB,
     SCAN_FLOOR_DB,
     SCAN_STEP_DB,
+    interpolate_bound_array,
 )
-from qft_forge.errors import CriticalPoint
-from qft_forge.lti import db, m_circle_gains, undb, wrap_phase
-from qft_forge.optimizer import pid_frequency_response
+from qft_forge.errors import CriticalPoint, NoFeasiblePoint
+from qft_forge.lti import db, m_circle_gains, to_nichols_array, undb, wrap_phase
+from qft_forge.optimizer import PidGains, pid_frequency_response
+from qft_forge.verify import OracleResult
 
 
 def _closed_loop_spread_db(ratios: np.ndarray, gain_db: float, phase_rad: float) -> float:
@@ -168,3 +173,41 @@ def envelope_extremes(plant, gains, prefilter, omegas, samples=None):
         mags_db = 20.0 * np.log10(np.asarray(mags))
         rows.append((float(mags_db.min()), float(mags_db.max())))
     return rows
+
+
+def brute_force_design(problem, box):
+    """Full-mesh gain-box search: every frequency on every cell of a kd slice."""
+    kp_vals = box.kp.values()
+    ki_vals = box.ki.values()
+    kd_vals = box.kd.values()
+    responses = np.asarray(problem.nominal_responses)
+    mesh_size = len(ki_vals) * len(kp_vals)
+
+    examined = 0
+    for kd in kd_vals:
+        feasible = np.ones((len(ki_vals), len(kp_vals)), dtype=bool)
+        for k, omega in enumerate(problem.frequencies):
+            ctrl = kp_vals[None, :] + 1j * (kd * omega - ki_vals[:, None] / omega)
+            loop = responses[k] * ctrl
+            phase, gain_db = to_nichols_array(loop)
+            bound = interpolate_bound_array(problem.bounds[k], phase)
+            # A zero controller response has no phase, so no bound can be
+            # looked up for it; treat it as failing this frequency outright
+            # (otherwise the all-zero triple passes vacuously).
+            feasible &= (gain_db >= bound) & (np.abs(ctrl) > 0.0)
+            if not feasible.any():
+                break
+        examined += mesh_size
+        if feasible.any():
+            flat = int(np.argmax(feasible.reshape(-1)))
+            i_ki, i_kp = divmod(flat, len(kp_vals))
+            gains = PidGains(kp=float(kp_vals[i_kp]), ki=float(ki_vals[i_ki]), kd=float(kd))
+            return OracleResult(
+                best_gains=gains,
+                best_kd=float(kd),
+                evaluations=examined,
+                box=box,
+            )
+    raise NoFeasiblePoint(
+        f"no feasible gain triple in the {len(kd_vals)}x{len(ki_vals)}x{len(kp_vals)} box"
+    )

@@ -87,6 +87,18 @@ class TestUsageErrors:
     def test_parser_prog_name(self):
         assert build_parser().prog == "qft-forge"
 
+    @pytest.mark.parametrize("axis", ["[NaN, 1, 0.5]", "[0, Infinity, 0.5]", "[0, 1, Infinity]"])
+    def test_non_finite_oracle_axis(self, capsys, reduced_json, tmp_path, axis):
+        # JSON as Python writes and reads it accepts NaN and Infinity
+        raw = json.loads(open(reduced_json).read())
+        raw["oracle"] = {"kp": "AXIS", "ki": [0, 5, 0.5], "kd": [0, 5, 0.5]}
+        cfg = tmp_path / "bad_box.json"
+        cfg.write_text(json.dumps(raw).replace('"AXIS"', axis))
+        argv = ["all", "--config", str(cfg), "--out", str(tmp_path / "out"), "--oracle"]
+        assert main(argv) == EXIT_USAGE
+        assert "config error: config.oracle.kp:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestSuccessfulRuns:
     def test_reduced_all_passes(self, capsys, reduced_json, tmp_path):

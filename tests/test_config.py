@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import math
 import json
 
 import pytest
@@ -287,6 +288,9 @@ class TestValidationErrors:
             ([0, 10], r"expected \[lo, hi, step\]"),
             ([5, 1, 1], "config.oracle.kp"),
             ([-1, 1, 1], "config.oracle.kp"),
+            ([math.nan, 1, 0.5], "config.oracle.kp"),
+            ([0, math.inf, 0.5], "config.oracle.kp"),
+            ([0, 1, math.inf], "config.oracle.kp"),
         ],
     )
     def test_bad_oracle_axis(self, servo_dict, axis, message):

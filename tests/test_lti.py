@@ -18,6 +18,7 @@ from qft_forge.lti import (
     eval_tf,
     m_circle_gains,
     m_circle_phase_range,
+    principal_phase,
     to_nichols,
     to_nichols_array,
     undb,
@@ -162,8 +163,39 @@ class TestToNichols:
             to_nichols(0j)
 
 
-# subnormal parts are left out: cmath.phase overflows on some of them
-PARTS = st.floats(min_value=-1e6, max_value=1e6, allow_subnormal=False)
+NORMAL_PARTS = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=False)
+
+
+class TestPrincipalPhase:
+    @given(st.builds(complex, NORMAL_PARTS, NORMAL_PARTS))
+    @settings(max_examples=500)
+    def test_bit_equal_to_cmath_phase(self, z):
+        # templates.csv and every margin were written with cmath.phase
+        got = principal_phase(z)
+        try:
+            want = math.degrees(cmath.phase(z))
+        except OverflowError:
+            # the angle underflows: z lies on the real axis to double precision
+            assert min(abs(got), 180.0 - abs(got)) < 1e-300
+            return
+        assert got.hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "z, want",
+        [
+            (complex(2.0, 5e-324), 0.0),
+            (complex(-2.0, -5e-324), -180.0),
+            (complex(5e-324, 0.0), 0.0),
+            (complex(0.0, 5e-324), 90.0),
+        ],
+    )
+    def test_subnormal_parts(self, z, want):
+        # cmath.phase raises OverflowError on the first one
+        assert principal_phase(z) == want
+        assert to_nichols(z)[0] == wrap_phase(want)
+
+
+PARTS = st.floats(min_value=-1e6, max_value=1e6)
 
 
 class TestToNicholsArray:
