@@ -83,9 +83,8 @@ from .plant import (
     TemplatePoint,
     UncertainPlant,
     convex_hull_nichols,
-    evaluate_plant,
     evaluate_plant_array,
-    generate_template,
+    generate_templates,
 )
 from .svgchart import emit_nichols_svg
 from .verify import (
@@ -124,8 +123,7 @@ __all__ = [
     "UncertainPlant",
     "Template",
     "TemplatePoint",
-    "generate_template",
-    "evaluate_plant",
+    "generate_templates",
     "evaluate_plant_array",
     "convex_hull_nichols",
     # bounds

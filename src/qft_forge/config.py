@@ -11,6 +11,7 @@ field by its JSON path so a config typo is a one-line fix.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -100,9 +101,14 @@ def _expect(obj: Mapping, key: str, path: str) -> Any:
 
 
 def _as_number(value: Any, path: str) -> float:
+    """A finite JSON number; Python's JSON reader also accepts NaN and
+    Infinity, which no field of a run configuration can take."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-    return float(value)
+    number = float(value)
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: must be finite, got {number}")
+    return number
 
 
 def _as_positive_int(value: Any, path: str) -> int:
@@ -197,7 +203,7 @@ def _parse_axis(obj: Any, path: str) -> GainAxis:
     triple = _as_list(obj, path)
     if len(triple) != 3:
         raise ConfigError(f"{path}: expected [lo, hi, step]")
-    lo, hi, step = (_as_number(v, f"{path}[{i}]") for i, v in enumerate(triple))
+    lo, hi, step = (_as_number(v, path) for v in triple)
     try:
         return GainAxis(lo, hi, step)
     except ValueError as exc:

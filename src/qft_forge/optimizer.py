@@ -311,24 +311,33 @@ class MarginEntry:
     slack_db: float
 
 
-def loop_margins(problem: DesignProblem, gains: PidGains) -> Tuple[MarginEntry, ...]:
-    """Per-frequency slack of the designed loop over its bounds.
+def loop_margins(
+    curves: Sequence[BoundCurve], responses: Sequence[complex], gains: PidGains
+) -> Tuple[MarginEntry, ...]:
+    """Per-frequency slack over each curve of the plant ``responses`` (one per
+    curve, at its frequency) times the controller.
 
     Slack is +inf where no bound applies and -inf against an infeasible
-    entry, falling straight out of the sentinel arithmetic.
+    entry.  A zero loop has no phase to look a bound up at: it sits at phase
+    0 and -inf dB, and clears a curve only when that curve constrains nothing.
     """
     entries = []
-    for k, omega in enumerate(problem.frequencies):
-        loop = problem.nominal_responses[k] * pid_frequency_response(gains, omega)
-        phase, gain = to_nichols(loop)
-        bound = interpolate_bound(problem.bounds[k], phase)
+    for curve, response in zip(curves, responses):
+        loop = response * pid_frequency_response(gains, curve.omega)
+        if loop == 0:
+            phase, gain = 0.0, -math.inf
+            vacuous = all(v == NO_CONSTRAINT for v in curve.min_gain_db)
+            bound = NO_CONSTRAINT if vacuous else INFEASIBLE
+        else:
+            phase, gain = to_nichols(loop)
+            bound = interpolate_bound(curve, phase)
         entries.append(
             MarginEntry(
-                omega=omega,
+                omega=curve.omega,
                 phase_deg=phase,
                 gain_db=gain,
                 bound_db=bound,
-                slack_db=gain - bound,
+                slack_db=gain - bound if bound != NO_CONSTRAINT else math.inf,
             )
         )
     return tuple(entries)
@@ -472,7 +481,7 @@ def _screened_design(
             kd_grid=grid,
             window_phases_i=windows[0],
             window_phases_j=windows[1],
-            margin_report=loop_margins(problem, candidate),
+            margin_report=loop_margins(problem.bounds, problem.nominal_responses, candidate),
             screen_rejections=vetoed,
         )
     if finite.size:

@@ -45,7 +45,7 @@ from .optimizer import (
     filtered_derivative_transform,
     pid_frequency_response,
 )
-from .plant import Template, UncertainPlant, evaluate_plant_array, generate_template
+from .plant import Template, UncertainPlant, evaluate_plant_array, generate_templates
 from .svgchart import emit_nichols_svg
 from .verify import (
     GainAxis,
@@ -121,8 +121,7 @@ def nominal_sweep(config: DesignConfig) -> Sweep:
 
     The grid holds every design frequency.  A run evaluates this once and
     hands it to the design problem, the stability screen, verification and
-    the chart; the stage functions below compute it themselves when called
-    without it.
+    the chart.
     """
     plant, _ = effective_plant(config)
     omegas = default_dense_grid(config.frequencies, _DENSE_SWEEP_POINTS)
@@ -137,7 +136,7 @@ def _at_design_frequencies(config: DesignConfig, sweep: Sweep) -> List[complex]:
 def compute_templates(config: DesignConfig) -> Dict[float, Template]:
     """Uncertainty templates at every design frequency, ascending order."""
     plant, _ = effective_plant(config)
-    return {omega: generate_template(plant, omega) for omega in config.frequencies}
+    return generate_templates(plant, config.frequencies)
 
 
 def _performance_curve(
@@ -181,11 +180,11 @@ def compute_bounds(
 def build_problem(
     config: DesignConfig,
     curves: Sequence[BoundCurve],
-    sweep: Optional[Sweep] = None,
+    sweep: Sweep,
 ) -> DesignProblem:
     return DesignProblem(
         frequencies=config.frequencies,
-        nominal_responses=tuple(_at_design_frequencies(config, sweep or nominal_sweep(config))),
+        nominal_responses=tuple(_at_design_frequencies(config, sweep)),
         bounds=tuple(curves),
         phase_grid=make_phase_grid(config.phase_grid_count),
         pair_indices=config.pair_indices(),
@@ -201,17 +200,15 @@ def _exact_bound_fn(
 
     Answers the same question as interpolating the combined curves — the
     least admissible nominal gain at this frequency and phase — but runs the
-    bisections directly at the queried phases (each distinct phase once).
+    bisections directly at the queried phases (each distinct phase once) and
+    folds in the contour top as :func:`compute_bounds` does.
     """
 
     def lookup(index: int, phases_deg: np.ndarray) -> np.ndarray:
         phases, inverse = np.unique(phases_deg, return_inverse=True)
         curve = _performance_curve(config, templates, config.frequencies[index], phases)
-        top = [
-            contour.upper_at(phi) if contour.contains_phase(phi) else NO_CONSTRAINT
-            for phi in curve.phase_grid
-        ]
-        return np.maximum(curve.min_gain_db, top)[inverse.reshape(np.shape(phases_deg))]
+        combined = combine_with_ucontour(curve, contour).min_gain_db
+        return np.array(combined)[inverse.reshape(np.shape(phases_deg))]
 
     return lookup
 
@@ -221,7 +218,7 @@ def compute_design(
     problem: DesignProblem,
     contour: UContour,
     templates: Dict[float, Template],
-    sweep: Optional[Sweep] = None,
+    sweep: Sweep,
 ) -> Tuple[DesignResult, Optional[PidGains]]:
     """Run the configured controller search, with the whole-curve screen on.
 
@@ -233,7 +230,7 @@ def compute_design(
     physical gains (None otherwise, or when infeasible).
     """
     _, gain_map = effective_plant(config)
-    screen = SweepScreen(contour, *(sweep or nominal_sweep(config)))
+    screen = SweepScreen(contour, *sweep)
     exact = (
         _exact_bound_fn(config, templates, contour)
         if config.design.exact_bound_recompute
@@ -258,12 +255,12 @@ def compute_verification(
     gains: PidGains,
     curves: Sequence[BoundCurve],
     contour: UContour,
-    sweep: Optional[Sweep] = None,
+    sweep: Sweep,
 ) -> VerificationReport:
     """Full post-design check; includes the tracking envelope only when the
     configuration carries a prefilter."""
     plant, _ = effective_plant(config)
-    omegas, responses = sweep or nominal_sweep(config)
+    omegas, responses = sweep
     return verify_design(
         plant,
         gains,
@@ -341,22 +338,24 @@ def write_bounds_csv(path: str, curves: Sequence[BoundCurve]):
 
 
 def write_kd_grid_csv(path: str, result: DesignResult):
-    # rows are streamed, not collected: holding the servo grid's 32 400 rows
-    # as lists of strings set the run's peak memory
+    # rows are streamed, not collected, and the grid becomes Python floats one
+    # row at a time: holding the servo grid's 32 400 rows as lists of strings
+    # set the run's peak memory, and a whole-grid tolist() raised it too
     def cell(value: float) -> str:
         return "INFEASIBLE" if math.isinf(value) else _num(value)
 
-    grid = result.kd_grid
+    phases_j = [_num(phase) for phase in result.window_phases_j]
     if result.window_phases_i:
         header = ["phase_i_deg", "phase_j_deg", "kd"]
         rows = (
-            [_num(phase_i), _num(phase_j), cell(grid[i, j])]
-            for i, phase_i in enumerate(result.window_phases_i)
-            for j, phase_j in enumerate(result.window_phases_j)
+            [phase_i, phase_j, cell(value)]
+            for phase_i, values in zip(map(_num, result.window_phases_i), result.kd_grid)
+            for phase_j, value in zip(phases_j, values.tolist())
         )
     else:
         header = ["phase_deg", "objective"]
-        rows = ([_num(phase), cell(grid[0, j])] for j, phase in enumerate(result.window_phases_j))
+        values = result.kd_grid[0].tolist()
+        rows = ([phase, cell(value)] for phase, value in zip(phases_j, values))
     _write_csv(path, header, rows)
 
 

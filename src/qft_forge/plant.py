@@ -26,9 +26,8 @@ __all__ = [
     "UncertainPlant",
     "TemplatePoint",
     "Template",
-    "evaluate_plant",
     "evaluate_plant_array",
-    "generate_template",
+    "generate_templates",
     "convex_hull_nichols",
 ]
 
@@ -93,48 +92,40 @@ class UncertainPlant:
         den = [c.evaluate(point) for c in self.den]
         return num, den
 
-    def members(self, grid_override: Optional[int] = None) -> List[Tuple[float, ...]]:
+    def nominal_member(self) -> Tuple[float, ...]:
+        """The nominal parameter point in :meth:`members` form."""
+        return tuple(float(self.nominal[spec.name]) for spec in self.params)
+
+    def members(self) -> List[Tuple[float, ...]]:
         """Sampled parameter points in grid order (first parameter slowest),
         with the nominal point appended when the grid misses it."""
-        axes = [spec.grid(grid_override) for spec in self.params]
+        axes = [spec.grid() for spec in self.params]
         combos = [tuple(float(v) for v in combo) for combo in itertools.product(*axes)]
-        nominal = tuple(float(self.nominal[spec.name]) for spec in self.params)
+        nominal = self.nominal_member()
         if nominal not in combos:
             combos.append(nominal)
         return combos
 
 
-def _polynomials_at(plant: UncertainPlant, point: Dict[str, float], s):
-    """Numerator and denominator of one family member at ``s`` (a point or
-    an array), the coefficients evaluated once.  OutOfBox for stray points,
-    PoleOnAxis where the denominator vanishes."""
+def evaluate_plant_array(plant: UncertainPlant, point: Dict[str, float], s) -> np.ndarray:
+    """Frequency response of one family member at every point of ``s``.
+
+    The coefficients are evaluated once and both polynomials run over the
+    whole array; the quotient is CPython's complex division, one element at a
+    time, whose last bits NumPy's vectorised division does not reproduce.
+    OutOfBox for stray points, PoleOnAxis where the denominator vanishes.
+    """
     for spec in plant.params:
         if spec.name not in point:
             raise OutOfBox(f"parameter '{spec.name}' missing from evaluation point")
     plant._check_in_box(point)
     num, den = plant.coefficients_at(point)
+    s = np.asarray(s, dtype=complex)
     den_val = np.polyval(den, s)
     if (den_val == 0).any():
         raise PoleOnAxis(f"plant denominator vanishes on s = {s} for {point}")
-    return np.polyval(num, s), den_val
-
-
-def evaluate_plant_array(plant: UncertainPlant, point: Dict[str, float], s) -> np.ndarray:
-    """Frequency response of one family member at every point of ``s``.
-
-    Both polynomials run over the whole array; the quotient is CPython's
-    complex division, one element at a time, whose last bits NumPy's
-    vectorised division does not reproduce.
-    """
-    num_val, den_val = _polynomials_at(plant, point, np.asarray(s, dtype=complex))
+    num_val = np.polyval(num, s)
     return np.array([n / d for n, d in zip(num_val.tolist(), den_val.tolist())], dtype=complex)
-
-
-def evaluate_plant(plant: UncertainPlant, point: Dict[str, float], s: complex) -> complex:
-    """Frequency response of one family member at one point: the one-point
-    case of :func:`evaluate_plant_array`, with the same arithmetic."""
-    num_val, den_val = _polynomials_at(plant, point, s)
-    return complex(num_val) / complex(den_val)
 
 
 @dataclass(frozen=True)
@@ -198,54 +189,58 @@ def convex_hull_nichols(points: Sequence[Tuple[float, float]]) -> List[Tuple[flo
     return hull
 
 
-def generate_template(
-    plant: UncertainPlant,
-    omega: float,
-    grid_override: Optional[int] = None,
-) -> Template:
-    """Sample the family over its parameter grid at one frequency.
+def generate_templates(plant: UncertainPlant, omegas: Sequence[float]) -> Dict[float, Template]:
+    """Sample the family over its parameter grid at every design frequency.
 
-    The nominal member is always included (appended when the grid misses it),
-    ratios are formed against it, and the convex hull is taken in relative
-    Nichols coordinates.
+    Each member is evaluated once over all of ``omegas``.  The nominal member
+    is always included (appended when the grid misses it), ratios are formed
+    against its response, and the convex hull is taken in relative Nichols
+    coordinates.  Templates are keyed by frequency, in the order given.
     """
-    nominal_response = evaluate_plant(plant, plant.nominal, 1j * omega)
+    omegas = [float(omega) for omega in omegas]
     names = tuple(spec.name for spec in plant.params)
-    points: List[TemplatePoint] = []
-    for combo in plant.members(grid_override):
-        env = dict(zip(names, combo))
-        response = evaluate_plant(plant, env, 1j * omega)
-        ratio = response / nominal_response
-        magnitude = abs(ratio)
-        if magnitude == 0.0:
-            raise ZeroMagnitude(f"family member at {env} has zero response at omega={omega}")
-        points.append(
-            TemplatePoint(
-                params=combo,
-                ratio=ratio,
-                phase_deg=principal_phase(ratio),
-                gain_db=db(magnitude),
+    members = plant.members()
+    s = 1j * np.array(omegas)
+    responses = [
+        evaluate_plant_array(plant, dict(zip(names, combo)), s).tolist() for combo in members
+    ]
+    nominal_responses = responses[members.index(plant.nominal_member())]
+    templates: Dict[float, Template] = {}
+    for k, omega in enumerate(omegas):
+        points: List[TemplatePoint] = []
+        for combo, row in zip(members, responses):
+            ratio = row[k] / nominal_responses[k]
+            magnitude = abs(ratio)
+            if magnitude == 0.0:
+                env = dict(zip(names, combo))
+                raise ZeroMagnitude(f"family member at {env} has zero response at omega={omega}")
+            points.append(
+                TemplatePoint(
+                    params=combo,
+                    ratio=ratio,
+                    phase_deg=principal_phase(ratio),
+                    gain_db=db(magnitude),
+                )
             )
-        )
+        phases = [p.phase_deg for p in points]
+        span = max(phases) - min(phases)
+        if span > 180.0 + 1e-9:
+            raise TemplateTooWide(
+                f"template at omega={omega} spans {span:.2f} deg of phase (> 180)"
+            )
 
-    phases = [p.phase_deg for p in points]
-    span = max(phases) - min(phases)
-    if span > 180.0 + 1e-9:
-        raise TemplateTooWide(
-            f"template at omega={omega} spans {span:.2f} deg of phase (> 180)"
+        coords = [(p.phase_deg, p.gain_db) for p in points]
+        hull = convex_hull_nichols(coords)
+        # map hull vertices back onto sample indices (first match wins)
+        index_of = {}
+        for i, c in enumerate(coords):
+            index_of.setdefault(c, i)
+        hull_indices = tuple(index_of[v] for v in hull)
+        templates[omega] = Template(
+            omega=omega,
+            param_names=names,
+            points=tuple(points),
+            hull=tuple(hull),
+            hull_indices=hull_indices,
         )
-
-    coords = [(p.phase_deg, p.gain_db) for p in points]
-    hull = convex_hull_nichols(coords)
-    # map hull vertices back onto sample indices (first match wins)
-    index_of = {}
-    for i, c in enumerate(coords):
-        index_of.setdefault(c, i)
-    hull_indices = tuple(index_of[v] for v in hull)
-    return Template(
-        omega=float(omega),
-        param_names=names,
-        points=tuple(points),
-        hull=tuple(hull),
-        hull_indices=hull_indices,
-    )
+    return templates

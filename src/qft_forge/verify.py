@@ -16,21 +16,21 @@ import numpy as np
 
 from . import bounds
 from .bounds import (
-    INFEASIBLE,
     NO_CONSTRAINT,
     BoundCurve,
     TrackingSpec,
     UContour,
-    interpolate_bound,
     interpolate_bound_array,
 )
 from .errors import CriticalPoint, NoFeasiblePoint
-from .lti import RationalTransferFunction, db, eval_tf, to_nichols, to_nichols_array
+from .lti import RationalTransferFunction, db, eval_tf, to_nichols_array
 from .optimizer import (
     INTERPOLATION_TOLERANCE_DB,
     DesignProblem,
+    MarginEntry,
     PidGains,
     SweepScreen,
+    loop_margins,
     pid_frequency_response,
 )
 from .plant import UncertainPlant, evaluate_plant_array
@@ -76,12 +76,9 @@ def default_dense_grid(frequencies: Sequence[float], points: int = 500) -> np.nd
 
 
 @dataclass(frozen=True)
-class VerifyMargin:
-    omega: float
-    phase_deg: float
-    gain_db: float
-    bound_db: float
-    slack_db: float
+class VerifyMargin(MarginEntry):
+    """A :func:`loop_margins` entry plus the constraint that sets its bound."""
+
     source: str  # 'performance' | 'ucontour' | 'none'
 
 
@@ -131,7 +128,6 @@ def closed_loop_envelope(
     prefilter: RationalTransferFunction,
     tracking: TrackingSpec,
     omegas: Sequence[float],
-    samples_per_parameter: Optional[int] = None,
 ) -> Tuple[EnvelopeRow, ...]:
     """Extremes of |F L / (1 + L)| over the sampled plant family, next to the
     reference-model corridor (orientation-normalised per frequency).
@@ -145,7 +141,7 @@ def closed_loop_envelope(
     omegas = [float(omega) for omega in omegas]
     controller = [pid_frequency_response(gains, omega) for omega in omegas]
     f_mags = [abs(eval_tf(prefilter, 1j * omega)) for omega in omegas]
-    members = plant.members(samples_per_parameter)
+    members = plant.members()
     s = 1j * np.array(omegas)
     mags = np.empty((len(omegas), len(members)))  # one contiguous row per frequency
     for m, combo in enumerate(members):
@@ -184,13 +180,13 @@ def verify_design(
     dense_grid: Sequence[float],
     prefilter: Optional[RationalTransferFunction] = None,
     tracking: Optional[TrackingSpec] = None,
-    envelope_samples: Optional[int] = None,
     dense_responses: Optional[np.ndarray] = None,
 ) -> VerificationReport:
     """Re-examine a finished design against everything it promised.
 
-    Margins are recomputed from scratch (plant response times controller
-    response against the interpolated bound), the nominal loop is swept
+    Margins are recomputed from scratch by :func:`loop_margins` (plant
+    response times controller response against the interpolated bound), each
+    tagged with the constraint that sets its bound; the nominal loop is swept
     densely through the stability contour, and — when a prefilter and the
     tracking models are supplied — the family envelope is checked against the
     reference corridor at the design frequencies.  The sweep always covers
@@ -210,42 +206,19 @@ def verify_design(
     at_design = dense_responses[np.searchsorted(omegas, design_freqs)].tolist()
 
     margins: List[VerifyMargin] = []
-    for curve, response in zip(bound_curves, at_design):
-        omega = curve.omega
-        loop = response * pid_frequency_response(gains, omega)
-        if loop == 0:
-            # Zero loop gain has no phase to look a bound up at; it clears a
-            # curve only when that curve constrains nothing at all.
-            vacuous = all(v == NO_CONSTRAINT for v in curve.min_gain_db)
-            margins.append(
-                VerifyMargin(
-                    omega=omega,
-                    phase_deg=0.0,
-                    gain_db=float("-inf"),
-                    bound_db=NO_CONSTRAINT if vacuous else INFEASIBLE,
-                    slack_db=float("inf") if vacuous else float("-inf"),
-                    source="none",
-                )
-            )
-            continue
-        phase, gain = to_nichols(loop)
-        bound = interpolate_bound(curve, phase)
-        if bound == NO_CONSTRAINT:
+    for m in loop_margins(bound_curves, at_design, gains):
+        # a zero loop (-inf dB) has no phase, so no constraint is active there
+        if m.bound_db == NO_CONSTRAINT or m.gain_db == -math.inf:
             source = "none"
-        elif u.contains_phase(phase) and math.isfinite(bound) and abs(bound - u.upper_at(phase)) <= 1e-9:
+        elif (
+            u.contains_phase(m.phase_deg)
+            and math.isfinite(m.bound_db)
+            and abs(m.bound_db - u.upper_at(m.phase_deg)) <= 1e-9
+        ):
             source = "ucontour"
         else:
             source = "performance"
-        margins.append(
-            VerifyMargin(
-                omega=omega,
-                phase_deg=phase,
-                gain_db=gain,
-                bound_db=bound,
-                slack_db=gain - bound if bound != NO_CONSTRAINT else float("inf"),
-                source=source,
-            )
-        )
+        margins.append(VerifyMargin(**vars(m), source=source))
 
     screen = SweepScreen(u, omegas, dense_responses, SLACK_TOLERANCE_DB)
     sweep = tuple(
@@ -257,14 +230,7 @@ def verify_design(
 
     envelope: Tuple[EnvelopeRow, ...] = ()
     if prefilter is not None and tracking is not None:
-        envelope = closed_loop_envelope(
-            plant,
-            gains,
-            prefilter,
-            tracking,
-            design_freqs,
-            samples_per_parameter=envelope_samples,
-        )
+        envelope = closed_loop_envelope(plant, gains, prefilter, tracking, design_freqs)
 
     reasons: List[str] = []
     for m in margins:

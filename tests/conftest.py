@@ -21,6 +21,7 @@ from qft_forge.pipeline import (
     compute_bounds,
     compute_design,
     compute_templates,
+    nominal_sweep,
 )
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -41,12 +42,14 @@ def servo_stack(servo_config):
     """Templates, combined bounds, stability contour and design problem."""
     templates = compute_templates(servo_config)
     curves, contour, delta_hf = compute_bounds(servo_config, templates)
-    problem = build_problem(servo_config, curves)
+    sweep = nominal_sweep(servo_config)
+    problem = build_problem(servo_config, curves, sweep)
     return SimpleNamespace(
         templates=templates,
         curves=curves,
         contour=contour,
         delta_hf=delta_hf,
+        sweep=sweep,
         problem=problem,
     )
 
@@ -55,7 +58,11 @@ def servo_stack(servo_config):
 def servo_design(servo_config, servo_stack):
     """Screened PID search result on the full servo problem."""
     result, _physical = compute_design(
-        servo_config, servo_stack.problem, servo_stack.contour, servo_stack.templates
+        servo_config,
+        servo_stack.problem,
+        servo_stack.contour,
+        servo_stack.templates,
+        servo_stack.sweep,
     )
     return result
 
@@ -76,12 +83,14 @@ def reduced_config(servo_config) -> DesignConfig:
 def reduced_stack(reduced_config):
     templates = compute_templates(reduced_config)
     curves, contour, delta_hf = compute_bounds(reduced_config, templates)
-    problem = build_problem(reduced_config, curves)
+    sweep = nominal_sweep(reduced_config)
+    problem = build_problem(reduced_config, curves, sweep)
     return SimpleNamespace(
         templates=templates,
         curves=curves,
         contour=contour,
         delta_hf=delta_hf,
+        sweep=sweep,
         problem=problem,
     )
 

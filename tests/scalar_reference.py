@@ -2,10 +2,11 @@
 
 These are the package's earlier one-phase-at-a-time bound search and bound
 interpolation, one-point-at-a-time stability screen, and
-one-frequency-at-a-time plant evaluation and closed-loop envelope: a Python
-loop per phase (or per frequency) calling plain scalar arithmetic.  Tests
-compare the vectorised implementations with them bit for bit (bounds,
-interpolation, plant, envelope) or decision for decision (screen).  The
+one-frequency-at-a-time plant evaluation, templates and closed-loop
+envelope: a Python loop per phase (or per frequency) calling plain scalar
+arithmetic.  Tests compare the vectorised implementations with them bit for
+bit (bounds, interpolation, plant, templates, envelope) or decision for
+decision (screen).  The
 gain-box oracle's earlier full-mesh search is kept here too: every kd slice
 tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
 the blocked search must return the same result.
@@ -29,9 +30,16 @@ from qft_forge.bounds import (
     SCAN_STEP_DB,
     interpolate_bound_array,
 )
-from qft_forge.errors import CriticalPoint, NoFeasiblePoint
-from qft_forge.lti import db, m_circle_gains, to_nichols_array, undb, wrap_phase
+from qft_forge.errors import (
+    CriticalPoint,
+    NoFeasiblePoint,
+    PoleOnAxis,
+    TemplateTooWide,
+    ZeroMagnitude,
+)
+from qft_forge.lti import db, m_circle_gains, principal_phase, to_nichols_array, undb, wrap_phase
 from qft_forge.optimizer import PidGains, pid_frequency_response
+from qft_forge.plant import Template, TemplatePoint, convex_hull_nichols
 from qft_forge.verify import OracleResult
 
 
@@ -136,6 +144,57 @@ def plant_response(num: Sequence[float], den: Sequence[float], s: complex) -> co
     return complex(np.polyval(num, s)) / complex(np.polyval(den, s))
 
 
+def member_response(plant, point, s: complex) -> complex:
+    """One family member at one point: box check, coefficients, then
+    :func:`plant_response`; PoleOnAxis where the denominator vanishes."""
+    plant._check_in_box(point)
+    num, den = plant.coefficients_at(point)
+    if complex(np.polyval(den, s)) == 0:
+        raise PoleOnAxis(f"plant denominator vanishes at s = {s} for {point}")
+    return plant_response(num, den, s)
+
+
+def generate_template(plant, omega: float) -> Template:
+    """The family's template at one frequency, one member at a time."""
+    nominal_response = member_response(plant, plant.nominal, 1j * omega)
+    names = tuple(spec.name for spec in plant.params)
+    points = []
+    for combo in plant.members():
+        env = dict(zip(names, combo))
+        ratio = member_response(plant, env, 1j * omega) / nominal_response
+        magnitude = abs(ratio)
+        if magnitude == 0.0:
+            raise ZeroMagnitude(f"family member at {env} has zero response at omega={omega}")
+        points.append(
+            TemplatePoint(
+                params=combo,
+                ratio=ratio,
+                phase_deg=principal_phase(ratio),
+                gain_db=db(magnitude),
+            )
+        )
+
+    phases = [p.phase_deg for p in points]
+    span = max(phases) - min(phases)
+    if span > 180.0 + 1e-9:
+        raise TemplateTooWide(
+            f"template at omega={omega} spans {span:.2f} deg of phase (> 180)"
+        )
+
+    coords = [(p.phase_deg, p.gain_db) for p in points]
+    hull = convex_hull_nichols(coords)
+    index_of = {}
+    for i, c in enumerate(coords):
+        index_of.setdefault(c, i)
+    return Template(
+        omega=float(omega),
+        param_names=names,
+        points=tuple(points),
+        hull=tuple(hull),
+        hull_indices=tuple(index_of[v] for v in hull),
+    )
+
+
 def interpolate_bound(curve, phase_deg: float) -> float:
     """Bisect-and-interpolate lookup of one phase on a bound curve."""
     grid = curve.phase_grid
@@ -156,7 +215,7 @@ def interpolate_bound(curve, phase_deg: float) -> float:
     return a + t * (b - a)
 
 
-def envelope_extremes(plant, gains, prefilter, omegas, samples=None):
+def envelope_extremes(plant, gains, prefilter, omegas):
     """(min_db, max_db) of |F L / (1 + L)| per frequency, one member at a
     time at one frequency at a time."""
     names = [spec.name for spec in plant.params]
@@ -166,7 +225,7 @@ def envelope_extremes(plant, gains, prefilter, omegas, samples=None):
         controller = pid_frequency_response(gains, omega)
         f_mag = abs(complex(np.polyval(prefilter.num, s)) / complex(np.polyval(prefilter.den, s)))
         mags = []
-        for combo in plant.members(samples):
+        for combo in plant.members():
             num, den = plant.coefficients_at(dict(zip(names, combo)))
             loop = plant_response(num, den, s) * controller
             mags.append(f_mag * abs(loop / (1.0 + loop)))

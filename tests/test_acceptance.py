@@ -30,8 +30,9 @@ from qft_forge.pipeline import (
     compute_bounds,
     compute_design,
     compute_templates,
+    nominal_sweep,
 )
-from qft_forge.plant import ParameterSpec, UncertainPlant, generate_template
+from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 from qft_forge.verify import (
     GainAxis,
     OracleBox,
@@ -62,8 +63,9 @@ def timed_servo():
     start = time.perf_counter()
     templates = compute_templates(config)
     curves, contour, delta_hf = compute_bounds(config, templates)
-    problem = build_problem(config, curves)
-    result, _ = compute_design(config, problem, contour, templates)
+    sweep = nominal_sweep(config)
+    problem = build_problem(config, curves, sweep)
+    result, _ = compute_design(config, problem, contour, templates, sweep)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
         config=config,
@@ -277,7 +279,8 @@ class TestC6BisectionSoundness:
                 ),
                 nominal={"a": a_lo, "k": k_lo},
             )
-            template = generate_template(plant, float(10.0 ** rng.uniform(-1, 1)))
+            omega = float(10.0 ** rng.uniform(-1, 1))
+            template = generate_templates(plant, [omega])[omega]
             delta = float(rng.uniform(0.5, 6.0))
             phase = float(rng.uniform(-340.0, -20.0))
             bound = horowitz_gain(template, delta, phase, use_hull=False)
@@ -311,7 +314,6 @@ class TestC7ClosedLoopEnvelope:
             default_prefilter(),
             timed_servo.config.tracking,
             omegas=timed_servo.config.frequencies,
-            samples_per_parameter=10,
         )
 
     @pytest.mark.xfail(

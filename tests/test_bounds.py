@@ -36,7 +36,7 @@ from qft_forge.errors import (
 )
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import RationalTransferFunction, db, eval_tf, m_circle_gains, undb
-from qft_forge.plant import ParameterSpec, UncertainPlant, generate_template
+from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 
 import scalar_reference as ref
 
@@ -58,7 +58,7 @@ def gain_only_template(values, nominal):
         params=(ParameterSpec("g", lo, hi, count),),
         nominal={"g": nominal},
     )
-    return generate_template(plant, 1.0)
+    return generate_templates(plant, [1.0])[1.0]
 
 
 def single_member_template():
@@ -68,7 +68,7 @@ def single_member_template():
         params=(),
         nominal={},
     )
-    return generate_template(plant, 1.0)
+    return generate_templates(plant, [1.0])[1.0]
 
 
 # --- independent oracles ----------------------------------------------------

@@ -100,6 +100,32 @@ class TestUsageErrors:
         assert not (tmp_path / "out").exists()
 
 
+    @pytest.mark.parametrize(
+        "place, text, message",
+        [
+            ("frequency", "NaN", "config.frequencies[0]: must be finite"),
+            ("frequency", "Infinity", "config.frequencies[0]: must be finite"),
+            ("max", "Infinity", "config.plant.parameters[0].max: must be finite"),
+            ("m", "Infinity", "config.stability.m: must be finite"),
+        ],
+    )
+    def test_non_finite_number(self, capsys, reduced_json, tmp_path, place, text, message):
+        raw = json.loads(open(reduced_json).read())
+        if place == "frequency":
+            raw["frequencies"][0] = "VALUE"
+        elif place == "max":
+            raw["plant"]["parameters"][0]["max"] = "VALUE"
+        else:
+            raw["stability"]["m"] = "VALUE"
+        cfg = tmp_path / "non_finite.json"
+        cfg.write_text(json.dumps(raw).replace('"VALUE"', text))
+        for command in ("templates", "all"):
+            argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+            assert main(argv) == EXIT_USAGE
+            assert f"config error: {message}" in capsys.readouterr().err
+            assert not (tmp_path / "out").exists()
+
+
 class TestSuccessfulRuns:
     def test_reduced_all_passes(self, capsys, reduced_json, tmp_path):
         assert main(["all", "--config", reduced_json, "--out", str(tmp_path)]) == EXIT_OK

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import math
 import json
+import re
 
 import pytest
 
@@ -15,7 +16,7 @@ from qft_forge.config import (
     parse_config_dict,
 )
 from qft_forge.errors import ConfigError, InvalidM
-from qft_forge.plant import evaluate_plant
+from qft_forge.plant import evaluate_plant_array
 
 from conftest import SERVO_CONFIG_PATH
 
@@ -53,7 +54,7 @@ class TestServoConfig:
         assert tuple(p.name for p in plant.params) == ("a", "k")
         assert all(p.grid_points == 10 for p in plant.params)
         assert plant.nominal == {"a": 1.0, "k": 1.0}
-        assert evaluate_plant(plant, {"a": 2.0, "k": 5.0}, 1j) == pytest.approx(
+        assert evaluate_plant_array(plant, {"a": 2.0, "k": 5.0}, [1j])[0] == pytest.approx(
             10.0 / (-1.0 + 2.0j), abs=1e-12
         )
 
@@ -280,6 +281,43 @@ class TestValidationErrors:
         d = copy.deepcopy(servo_dict)
         d["prefilter"] = {"num": [1.0], "den": [0.0, 1.0]}
         with pytest.raises(ConfigError, match="config.prefilter"):
+            parse_config_dict(d)
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("frequencies", 0), math.nan),
+            (("frequencies", 7), math.inf),
+            (("plant", "parameters", 0, "max"), math.inf),
+            (("plant", "parameters", 1, "min"), -math.inf),
+            (("plant", "nominal", "a"), math.nan),
+            (("stability", "m"), math.inf),
+            (("stability", "delta_hf_db"), math.nan),
+            (("design", "tau"), math.inf),
+            (("tracking", "lower", "num", 0), math.nan),
+            (("tracking", "upper", "den", 1), math.inf),
+            (("prefilter", "den", 2), -math.inf),
+        ],
+    )
+    def test_non_finite_number(self, servo_dict, path, value):
+        d = copy.deepcopy(servo_dict)
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        where = "config" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path)
+        with pytest.raises(ConfigError, match=re.escape(f"{where}: must be finite")):
+            parse_config_dict(d)
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [({"omega": math.inf, "cap": 0.5}, "omega"), ({"omega": 3.0, "cap": math.nan}, "cap")],
+    )
+    def test_non_finite_disturbance(self, servo_dict, entry, field):
+        d = copy.deepcopy(servo_dict)
+        d["disturbance"] = [entry]
+        message = rf"config\.disturbance\[0\]\.{field}: must be finite"
+        with pytest.raises(ConfigError, match=message):
             parse_config_dict(d)
 
     @pytest.mark.parametrize(

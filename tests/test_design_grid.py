@@ -31,6 +31,7 @@ from qft_forge.optimizer import (
 )
 from qft_forge.config import parse_config_dict
 from qft_forge.pipeline import (
+    _exact_bound_fn,
     build_problem,
     compute_bounds,
     compute_design,
@@ -190,13 +191,26 @@ class TestArrayScreen:
 
 
 class TestExactBoundRecompute:
+    @pytest.mark.parametrize("stack", ["reduced", "servo"])
+    def test_exact_lookup_at_grid_phases_equals_combined_curves(self, stack, request):
+        config = request.getfixturevalue(f"{stack}_config")
+        built = request.getfixturevalue(f"{stack}_stack")
+        lookup = _exact_bound_fn(config, built.templates, built.contour)
+        for k, curve in enumerate(built.curves):
+            got = lookup(k, np.array(curve.phase_grid))
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in curve.min_gain_db]
+
     def test_reduced_run_meets_rebisected_bounds(self, reduced_config, reduced_stack):
         config = dataclasses.replace(
             reduced_config,
             design=dataclasses.replace(reduced_config.design, exact_bound_recompute=True),
         )
         result, _ = compute_design(
-            config, reduced_stack.problem, reduced_stack.contour, reduced_stack.templates
+            config,
+            reduced_stack.problem,
+            reduced_stack.contour,
+            reduced_stack.templates,
+            reduced_stack.sweep,
         )
         assert result.feasible
         contour = reduced_stack.contour

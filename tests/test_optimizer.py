@@ -38,7 +38,7 @@ from qft_forge.optimizer import (
     phase_window,
     pid_frequency_response,
 )
-from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant
+from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant_array
 
 from conftest import REFERENCE_GAINS
 
@@ -324,7 +324,9 @@ class TestLoopMargins:
             node_curve(1.0, self.GRID, {-90.0: 20.0}),
             node_curve(2.0, self.GRID, {}),
         )
-        margins = loop_margins(problem, PidGains(kp=1.0, ki=0.0, kd=0.0))
+        margins = loop_margins(
+            problem.bounds, problem.nominal_responses, PidGains(kp=1.0, ki=0.0, kd=0.0)
+        )
         assert margins[0].phase_deg == pytest.approx(-90.0)
         assert margins[0].gain_db == pytest.approx(0.0, abs=1e-12)
         assert margins[0].bound_db == 20.0
@@ -332,12 +334,26 @@ class TestLoopMargins:
         assert margins[1].bound_db == NO_CONSTRAINT
         assert margins[1].slack_db == math.inf
 
+    def test_zero_loop_clears_only_a_vacuous_curve(self):
+        problem = two_freq_problem(
+            node_curve(1.0, self.GRID, {-90.0: 20.0}),
+            node_curve(2.0, self.GRID, {}),
+        )
+        margins = loop_margins(
+            problem.bounds, problem.nominal_responses, PidGains(kp=0.0, ki=0.0, kd=0.0)
+        )
+        assert [(m.phase_deg, m.gain_db) for m in margins] == [(0.0, -math.inf)] * 2
+        assert (margins[0].bound_db, margins[0].slack_db) == (INFEASIBLE, -math.inf)
+        assert (margins[1].bound_db, margins[1].slack_db) == (NO_CONSTRAINT, math.inf)
+
     def test_infeasible_bound_slack(self):
         problem = two_freq_problem(
             node_curve(1.0, self.GRID, {-90.0: INFEASIBLE}),
             node_curve(2.0, self.GRID, {}),
         )
-        margins = loop_margins(problem, PidGains(kp=1.0, ki=0.0, kd=0.0))
+        margins = loop_margins(
+            problem.bounds, problem.nominal_responses, PidGains(kp=1.0, ki=0.0, kd=0.0)
+        )
         assert margins[0].bound_db == INFEASIBLE
         assert margins[0].slack_db == -math.inf
 
@@ -687,9 +703,9 @@ class TestFilteredDerivativeTransform:
         for point in ({"a": 1.0, "k": 1.0}, {"a": 10.0, "k": 4.0}):
             for omega in (0.5, 10.0, 60.0):
                 s = 1j * omega
-                original = evaluate_plant(plant, point, s)
+                original = evaluate_plant_array(plant, point, [s])[0]
                 expected = original / (1.0 + 0.001 * s)
-                got = evaluate_plant(modified, point, s)
+                got = evaluate_plant_array(modified, point, [s])[0]
                 assert got == pytest.approx(expected, rel=1e-12)
 
     def test_denominator_degree_raised(self):
@@ -701,8 +717,8 @@ class TestFilteredDerivativeTransform:
         plant = self.servo()
         modified, _ = filtered_derivative_transform(plant, 0.001)
         for omega in (0.5, 60.0):
-            original = evaluate_plant(plant, plant.nominal, 1j * omega)
-            got = evaluate_plant(modified, plant.nominal, 1j * omega)
+            original = evaluate_plant_array(plant, plant.nominal, [1j * omega])[0]
+            got = evaluate_plant_array(modified, plant.nominal, [1j * omega])[0]
             assert abs(db(abs(got)) - db(abs(original))) < 0.1
 
     def test_non_positive_tau_rejected(self):

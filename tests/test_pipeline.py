@@ -107,7 +107,11 @@ class TestServoDesign:
 
     def test_verification(self, servo_config, servo_stack, servo_design):
         report = compute_verification(
-            servo_config, servo_design.gains, servo_stack.curves, servo_stack.contour
+            servo_config,
+            servo_design.gains,
+            servo_stack.curves,
+            servo_stack.contour,
+            servo_stack.sweep,
         )
         assert not report.sweep_violations
         assert all(m.source == "performance" for m in report.per_frequency_margins)
@@ -275,7 +279,9 @@ class TestSpecialRuns:
         assert oracle_kd <= design_kd + 0.1 + 1e-9
         from qft_forge.optimizer import loop_margins
 
-        margins = loop_margins(artifacts.problem, artifacts.oracle.best_gains)
+        problem = artifacts.problem
+        best = artifacts.oracle.best_gains
+        margins = loop_margins(problem.bounds, problem.nominal_responses, best)
         assert all(m.slack_db >= -1e-9 for m in margins)
 
     def test_tau_reports_physical_gains(self, reduced_config, tmp_path):
@@ -333,8 +339,25 @@ class TestNominalSweep:
 
     def test_design_frequencies_read_from_the_sweep(self, servo_config, servo_stack):
         nominal = servo_config.plant.nominal
-        expected = [
-            plant.evaluate_plant(servo_config.plant, nominal, 1j * omega)
-            for omega in servo_config.frequencies
-        ]
-        assert servo_stack.problem.nominal_responses == tuple(expected)
+        expected = plant.evaluate_plant_array(
+            servo_config.plant, nominal, 1j * np.array(servo_config.frequencies)
+        )
+        assert servo_stack.problem.nominal_responses == tuple(expected.tolist())
+
+
+class TestComputeTemplates:
+    def test_servo_evaluates_each_member_once(self, servo_config, monkeypatch):
+        real = plant.evaluate_plant_array
+        calls = []
+
+        def counting(plant_, point, s):
+            calls.append((tuple(point.values()), np.size(s)))
+            return real(plant_, point, s)
+
+        monkeypatch.setattr(plant, "evaluate_plant_array", counting)
+        templates = compute_templates(servo_config)
+        members = servo_config.plant.members()
+        assert len(members) == 100
+        assert sorted(point for point, _ in calls) == sorted(members)
+        assert {size for _, size in calls} == {len(servo_config.frequencies)} == {8}
+        assert [len(t.points) for t in templates.values()] == [100] * 8

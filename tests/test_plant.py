@@ -5,13 +5,14 @@ from __future__ import annotations
 import cmath
 import math
 import random
+from typing import List
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qft_forge.errors import OutOfBox, PoleOnAxis, TemplateTooWide
+from qft_forge.errors import OutOfBox, PoleOnAxis, TemplateTooWide, ZeroMagnitude
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import db, to_nichols
 from qft_forge.plant import (
@@ -19,9 +20,8 @@ from qft_forge.plant import (
     Template,
     UncertainPlant,
     convex_hull_nichols,
-    evaluate_plant,
     evaluate_plant_array,
-    generate_template,
+    generate_templates,
 )
 
 import scalar_reference as ref
@@ -45,6 +45,15 @@ def servo_plant(grid=10):
         [ParameterSpec("a", 1.0, 10.0, grid), ParameterSpec("k", 1.0, 10.0, grid)],
         {"a": 1.0, "k": 1.0},
     )
+
+
+def response_at(plant, point, s):
+    """One member's response at one point of the s-plane."""
+    return complex(evaluate_plant_array(plant, point, [s])[0])
+
+
+def template_at(plant, omega):
+    return generate_templates(plant, [omega])[omega]
 
 
 def servo_response(a, k, omega):
@@ -129,26 +138,26 @@ class TestEvaluatePlant:
     def test_matches_direct_arithmetic(self):
         plant = servo_plant()
         for a, k, omega in [(1.0, 1.0, 0.5), (10.0, 10.0, 1.0), (4.0, 7.0, 3.0)]:
-            got = evaluate_plant(plant, {"a": a, "k": k}, 1j * omega)
+            got = response_at(plant, {"a": a, "k": k}, 1j * omega)
             assert got == pytest.approx(servo_response(a, k, omega), rel=1e-12)
 
     def test_upper_corner_at_j1(self):
-        value = evaluate_plant(servo_plant(), {"a": 10.0, "k": 10.0}, 1j)
+        value = response_at(servo_plant(), {"a": 10.0, "k": 10.0}, 1j)
         assert db(abs(value)) == pytest.approx(db(100.0 / math.sqrt(101.0)), abs=1e-12)
         phase = math.degrees(cmath.phase(value))
         assert phase == pytest.approx(-math.degrees(math.atan2(10.0, -1.0)), abs=1e-9)
 
     def test_missing_parameter(self):
         with pytest.raises(OutOfBox):
-            evaluate_plant(servo_plant(), {"a": 1.0}, 1j)
+            response_at(servo_plant(), {"a": 1.0}, 1j)
 
     def test_out_of_box_value(self):
         with pytest.raises(OutOfBox):
-            evaluate_plant(servo_plant(), {"a": 0.5, "k": 1.0}, 1j)
+            response_at(servo_plant(), {"a": 0.5, "k": 1.0}, 1j)
 
     def test_pole_on_axis(self):
         with pytest.raises(PoleOnAxis):
-            evaluate_plant(servo_plant(), {"a": 1.0, "k": 1.0}, 0j)
+            response_at(servo_plant(), {"a": 1.0, "k": 1.0}, 0j)
 
 
 COEFFICIENT = st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False)
@@ -186,9 +195,6 @@ class TestEvaluatePlantArray:
             return
         got = evaluate_plant_array(plant, values, s).tolist()
         assert [bits(z) for z in got] == [bits(z) for z in want]
-        assert [bits(evaluate_plant(plant, values, 1j * w)) for w in omegas] == [
-            bits(z) for z in want
-        ]
 
     def test_pole_on_axis_anywhere_in_the_array(self):
         with pytest.raises(PoleOnAxis):
@@ -213,12 +219,10 @@ class TestMembers:
         assert members.count((1.0, 1.0)) == 1
 
     def test_template_rows_follow_members(self):
-        plant = servo_plant(grid=4)
-        template = generate_template(plant, 2.0)
-        assert [p.params for p in template.points] == plant.members()
-        assert len(generate_template(plant, 2.0, grid_override=2).points) == len(
-            plant.members(2)
-        )
+        for grid in (4, 2):
+            plant = servo_plant(grid=grid)
+            for template in generate_templates(plant, [2.0, 5.0]).values():
+                assert [p.params for p in template.points] == plant.members()
 
 
 class TestConvexHull:
@@ -268,8 +272,7 @@ class TestConvexHull:
 
 class TestGenerateTemplate:
     def test_coarse_template_matches_direct_ratios(self):
-        plant = servo_plant()
-        template = generate_template(plant, 1.0, grid_override=2)
+        template = template_at(servo_plant(grid=2), 1.0)
         assert len(template.points) == 4
         nominal = servo_response(1.0, 1.0, 1.0)
         for point in template.points:
@@ -282,7 +285,7 @@ class TestGenerateTemplate:
             )
 
     def test_nominal_member_is_exactly_unity(self):
-        template = generate_template(servo_plant(), 2.0)
+        template = template_at(servo_plant(), 2.0)
         nominal_points = [p for p in template.points if p.params == (1.0, 1.0)]
         assert len(nominal_points) == 1
         point = nominal_points[0]
@@ -291,7 +294,7 @@ class TestGenerateTemplate:
         assert point.gain_db == 0.0
 
     def test_full_grid_size(self):
-        template = generate_template(servo_plant(), 1.0)
+        template = template_at(servo_plant(), 1.0)
         assert len(template.points) == 100  # nominal is already a grid node
 
     def test_nominal_appended_when_grid_misses_it(self):
@@ -301,12 +304,12 @@ class TestGenerateTemplate:
             [ParameterSpec("a", 1.0, 10.0, 2), ParameterSpec("k", 1.0, 10.0, 2)],
             {"a": 5.5, "k": 5.5},
         )
-        template = generate_template(plant, 1.0)
+        template = template_at(plant, 1.0)
         assert len(template.points) == 5
         assert template.points[-1].params == (5.5, 5.5)
 
     def test_param_names(self):
-        template = generate_template(servo_plant(), 1.0)
+        template = template_at(servo_plant(), 1.0)
         assert template.param_names == ("a", "k")
 
     def test_high_frequency_gain_span(self):
@@ -314,36 +317,35 @@ class TestGenerateTemplate:
         # 20*log10(100 * sqrt(3601/3700)) dB, extremes at the box corners.
         expected = db(100.0 * math.sqrt(3601.0 / 3700.0))
         assert expected == pytest.approx(39.8822139730429, abs=1e-9)
-        template = generate_template(servo_plant(), 60.0)
+        template = template_at(servo_plant(), 60.0)
         assert template.gain_span_db() == pytest.approx(expected, abs=1e-9)
-        finer = generate_template(servo_plant(), 60.0, grid_override=20)
+        finer = template_at(servo_plant(grid=20), 60.0)
         assert finer.gain_span_db() == pytest.approx(expected, abs=1e-9)
 
     def test_span_equals_pointwise_extremes(self):
-        template = generate_template(servo_plant(), 10.0)
+        template = template_at(servo_plant(), 10.0)
         gains = [p.gain_db for p in template.points]
         assert template.gain_span_db() == pytest.approx(max(gains) - min(gains), abs=1e-12)
 
     def test_hull_soundness(self):
-        template = generate_template(servo_plant(), 1.0)
+        template = template_at(servo_plant(), 1.0)
         for point in template.points:
             assert inside_hull(template.hull, (point.phase_deg, point.gain_db))
 
     def test_hull_indices_map_back_to_points(self):
-        template = generate_template(servo_plant(), 5.0)
+        template = template_at(servo_plant(), 5.0)
         for vertex, index in zip(template.hull, template.hull_indices):
             point = template.points[index]
             assert (point.phase_deg, point.gain_db) == vertex
 
     def test_ratio_array_hull_vs_all(self):
-        template = generate_template(servo_plant(), 5.0)
+        template = template_at(servo_plant(), 5.0)
         assert len(template.ratio_array(use_hull=True)) == len(template.hull_indices)
         assert len(template.ratio_array(use_hull=False)) == len(template.points)
 
     def test_grid_refinement_containment(self):
-        plant = servo_plant()
-        coarse = generate_template(plant, 5.0, grid_override=5)
-        fine = generate_template(plant, 5.0, grid_override=9)
+        coarse = template_at(servo_plant(grid=5), 5.0)
+        fine = template_at(servo_plant(grid=9), 5.0)
         # the 9-point axes contain the 5-point axes, so the finer hull
         # must cover every coarse vertex
         for vertex in coarse.hull:
@@ -356,13 +358,13 @@ class TestGenerateTemplate:
             [ParameterSpec("a", 1.0, 1.0, 10), ParameterSpec("k", 1.0, 1.0, 10)],
             {"a": 1.0, "k": 1.0},
         )
-        template = generate_template(plant, 1.0)
+        template = template_at(plant, 1.0)
         assert len(template.points) == 1
         assert template.gain_span_db() == 0.0
 
     def test_parameter_free_plant(self):
         plant = make_plant(["2"], ["1", "1"], [], {})
-        template = generate_template(plant, 1.0)
+        template = template_at(plant, 1.0)
         assert len(template.points) == 1
         assert template.points[0].ratio == 1.0 + 0.0j
 
@@ -376,12 +378,118 @@ class TestGenerateTemplate:
             {"a": 1.0, "b": 5.0},
         )
         with pytest.raises(TemplateTooWide):
-            generate_template(plant, 2.0)
+            template_at(plant, 2.0)
+
+
+@st.composite
+def families(draw):
+    """A small random plant over up to two parameters and a few frequencies,
+    its nominal point drawn on the parameter grid or anywhere in the box."""
+    names = ("a", "b")[: draw(st.integers(0, 2))]
+    params, nominal = [], {}
+    for name in names:
+        lo = draw(st.floats(min_value=0.1, max_value=10.0))
+        spec = ParameterSpec(name, lo, lo + draw(st.floats(0.0, 5.0)), draw(st.integers(1, 4)))
+        params.append(spec)
+        grid = spec.grid()
+        if draw(st.booleans()):
+            nominal[name] = float(grid[draw(st.integers(0, len(grid) - 1))])
+        else:
+            share = draw(st.floats(0.0, 1.0))
+            nominal[name] = min(spec.maximum, lo + share * (spec.maximum - lo))
+
+    def coefficients(min_size, max_size) -> List[str]:
+        count = draw(st.integers(min_size, max_size))
+        return [
+            " + ".join(
+                [str(draw(st.integers(-3, 3)))]
+                + [f"{draw(st.integers(-3, 3))}*{name}" for name in names if draw(st.booleans())]
+            )
+            for _ in range(count)
+        ]
+
+    plant = make_plant(coefficients(1, 2), coefficients(1, 3), params, nominal)
+    omegas = draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=4, unique=True))
+    return plant, omegas
+
+
+def template_bits(template: Template):
+    """Every float of a template as its exact hex form."""
+    return (
+        template.omega.hex(),
+        template.param_names,
+        [
+            (p.params, bits(p.ratio), p.phase_deg.hex(), p.gain_db.hex())
+            for p in template.points
+        ],
+        [(x.hex(), y.hex()) for x, y in template.hull],
+        template.hull_indices,
+    )
+
+
+def has_pole(plant, omegas) -> bool:
+    names = [spec.name for spec in plant.params]
+    return any(
+        complex(np.polyval(plant.coefficients_at(dict(zip(names, combo)))[1], 1j * w)) == 0
+        for combo in plant.members()
+        for w in omegas
+    )
+
+
+ZERO_MEMBER_FAMILY = make_plant(["a"], ["1", "1"], [ParameterSpec("a", 0.0, 1.0, 2)], {"a": 1.0})
+WIDE_FAMILY = make_plant(
+    ["1"],
+    ["1", "a", "b"],
+    [ParameterSpec("a", -1.0, 1.0, 4), ParameterSpec("b", 3.0, 5.0, 4)],
+    {"a": 1.0, "b": 5.0},
+)
+OFF_GRID_FAMILY = make_plant(
+    ["k*a"],
+    ["1", "a", "0"],
+    [ParameterSpec("a", 1.0, 10.0, 3), ParameterSpec("k", 1.0, 10.0, 2)],
+    {"a": 4.0, "k": 7.5},
+)
+
+
+class TestOnePassTemplates:
+    @given(family=families())
+    @example(family=(make_plant(["2"], ["1", "1"], [], {}), [1.0, 3.0]))
+    @example(family=(OFF_GRID_FAMILY, [0.5, 2.0, 60.0]))
+    @example(family=(servo_plant(grid=3), [1.0, 10.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_bit_equal_to_per_frequency_reference(self, family):
+        plant, omegas = family
+        if has_pole(plant, omegas):
+            with pytest.raises(PoleOnAxis):
+                generate_templates(plant, omegas)
+            return
+        try:
+            want = {w: ref.generate_template(plant, w) for w in omegas}
+        except (ZeroMagnitude, TemplateTooWide, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as got:
+                generate_templates(plant, omegas)
+            assert str(got.value) == str(exc)
+            return
+        got = generate_templates(plant, omegas)
+        assert list(got) == list(want)
+        assert [template_bits(t) for t in got.values()] == [
+            template_bits(t) for t in want.values()
+        ]
+
+    @pytest.mark.parametrize(
+        "plant, error", [(ZERO_MEMBER_FAMILY, ZeroMagnitude), (WIDE_FAMILY, TemplateTooWide)]
+    )
+    def test_errors_match_reference(self, plant, error):
+        with pytest.raises(error) as want:
+            [ref.generate_template(plant, w) for w in (0.1, 2.0)]
+        with pytest.raises(error) as got:
+            generate_templates(plant, (0.1, 2.0))
+        assert str(got.value) == str(want.value)
 
 
 class TestNominalPoint:
     def test_low_frequency(self):
-        phase, gain = to_nichols(evaluate_plant(servo_plant(), servo_plant().nominal, 0.5j))
+        phase, gain = to_nichols(response_at(servo_plant(), servo_plant().nominal, 0.5j))
         assert gain == pytest.approx(db(1.0 / (0.5 * math.sqrt(1.25))), abs=1e-9)
         assert phase == pytest.approx(
             -math.degrees(math.atan2(0.5, -0.25)), abs=1e-9
@@ -389,13 +497,13 @@ class TestNominalPoint:
         assert phase == pytest.approx(-116.56505117707799, abs=1e-6)
 
     def test_mid_frequency(self):
-        phase, gain = to_nichols(evaluate_plant(servo_plant(), servo_plant().nominal, 3.0j))
+        phase, gain = to_nichols(response_at(servo_plant(), servo_plant().nominal, 3.0j))
         assert gain == pytest.approx(db(1.0 / (3.0 * math.sqrt(10.0))), abs=1e-9)
         assert phase == pytest.approx(
             -math.degrees(math.atan2(3.0, -9.0)), abs=1e-9
         )
 
     def test_high_frequency_asymptote(self):
-        phase, gain = to_nichols(evaluate_plant(servo_plant(), servo_plant().nominal, 1000.0j))
+        phase, gain = to_nichols(response_at(servo_plant(), servo_plant().nominal, 1000.0j))
         assert gain == pytest.approx(db(1e-6), abs=0.01)
         assert -180.0 < phase < -179.9

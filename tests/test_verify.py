@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from qft_forge.errors import CriticalPoint, NoFeasiblePoint
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import RationalTransferFunction, db, eval_tf
 from qft_forge.optimizer import DesignProblem, PidGains, loop_margins
-from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant, evaluate_plant_array
+from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant_array
 from qft_forge.verify import (
     SLACK_TOLERANCE_DB,
     EnvelopeRow,
@@ -46,6 +47,12 @@ def constant_plant(value="-1"):
         params=(),
         nominal={},
     )
+
+
+def with_grid(plant, points):
+    """The same family sampled on ``points`` values per parameter."""
+    params = tuple(dataclasses.replace(spec, grid_points=points) for spec in plant.params)
+    return dataclasses.replace(plant, params=params)
 
 
 def node_curve(omega, grid, node_values):
@@ -106,7 +113,8 @@ class TestVerifyMargins:
             servo_stack.contour,
             dense_grid=np.array([0.3, 4.7]),
         )
-        optim = loop_margins(servo_stack.problem, REFERENCE_GAINS)
+        problem = servo_stack.problem
+        optim = loop_margins(problem.bounds, problem.nominal_responses, REFERENCE_GAINS)
         assert len(report.per_frequency_margins) == len(optim)
         for got, want in zip(report.per_frequency_margins, optim):
             assert got.omega == want.omega
@@ -243,18 +251,17 @@ class TestClosedLoopEnvelope:
         plant = servo_config.plant
         gains = REFERENCE_GAINS
         rows = closed_loop_envelope(
-            plant,
+            with_grid(plant, 3),
             gains,
             default_prefilter(),
             self.tracking(servo_config),
             omegas=[1.0, 3.0],
-            samples_per_parameter=3,
         )
         from qft_forge.optimizer import pid_frequency_response
 
         for row in rows:
             s = 1j * row.omega
-            loop = evaluate_plant(plant, plant.nominal, s) * pid_frequency_response(
+            loop = evaluate_plant_array(plant, plant.nominal, [s])[0] * pid_frequency_response(
                 gains, row.omega
             )
             nominal_db = db(abs(eval_tf(default_prefilter(), s))) + db(
@@ -287,17 +294,15 @@ class TestClosedLoopEnvelope:
 
     def test_matches_per_frequency_reference(self, servo_config):
         omegas = list(servo_config.frequencies)
+        plant = with_grid(servo_config.plant, 4)
         rows = closed_loop_envelope(
-            servo_config.plant,
+            plant,
             REFERENCE_GAINS,
             default_prefilter(),
             self.tracking(servo_config),
             omegas,
-            samples_per_parameter=4,
         )
-        want = ref.envelope_extremes(
-            servo_config.plant, REFERENCE_GAINS, default_prefilter(), omegas, samples=4
-        )
+        want = ref.envelope_extremes(plant, REFERENCE_GAINS, default_prefilter(), omegas)
         assert [(repr(r.min_db), repr(r.max_db)) for r in rows] == [
             (repr(lo), repr(hi)) for lo, hi in want
         ]
@@ -330,14 +335,13 @@ class TestEnvelopeRow:
 class TestVerifyEnvelopeIntegration:
     def test_zero_prefilter_fails_with_envelope_reason(self, servo_config, servo_stack):
         report = verify_design(
-            servo_config.plant,
+            with_grid(servo_config.plant, 2),
             REFERENCE_GAINS,
             servo_stack.curves,
             servo_stack.contour,
             dense_grid=np.array([1.0]),
             prefilter=RationalTransferFunction([0.0], [1.0]),
             tracking=servo_config.tracking,
-            envelope_samples=2,
         )
         assert len(report.envelope) == len(servo_config.frequencies)
         assert report.envelope_violations
@@ -469,6 +473,7 @@ class TestBruteForce:
             kd=GainAxis(0.0, 16.0, 0.2),
         )
         result = brute_force_design(servo_stack.problem, box)
-        margins = loop_margins(servo_stack.problem, result.best_gains)
+        problem = servo_stack.problem
+        margins = loop_margins(problem.bounds, problem.nominal_responses, result.best_gains)
         for entry in margins:
             assert entry.slack_db >= -1e-9
