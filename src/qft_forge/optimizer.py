@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import bounds
 from .bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
@@ -355,8 +357,9 @@ class SweepScreen:
     around the high-frequency cap).  The screen evaluates each candidate's
     nominal loop on a dense frequency grid and vetoes any that enters the
     contour interior by more than the shared tolerance; the search then
-    settles on the smallest-kd candidate that survives.  Verification's
-    dense sweep is the same computation.
+    settles on the smallest-kd candidate that survives
+    (:meth:`first_admitted`, which sweeps the ranked candidates a block of
+    rows at a time).  Verification's dense sweep is the same computation.
 
     ``omegas`` and ``nominal_responses`` are the dense grid and the plant's
     nominal response on it — precomputed by the caller, which is the party
@@ -376,19 +379,44 @@ class SweepScreen:
         if np.any(self.omegas <= 0.0):
             raise ValueError("screen frequencies must be positive")
 
-    def sweep(self, gains: PidGains) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def sweep(self, gains) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The candidate's nominal loop on the grid: Nichols phase and gain
         per frequency, and whether it lies inside the contour by more than
-        the tolerance.  A zero loop sits at -inf dB, outside the contour."""
-        controller = np.empty(len(self.omegas), dtype=complex)
-        controller.real = gains.kp
-        controller.imag = gains.kd * self.omegas - gains.ki / self.omegas
+        the tolerance.  A zero loop sits at -inf dB, outside the contour.
+
+        ``gains`` is anything with ``kp``, ``ki`` and ``kd``: scalars give
+        one row over the grid, equal-length 1-D arrays one row per
+        candidate, with the same elementwise arithmetic in every row.
+        """
+        kp, ki, kd = (np.asarray(g, dtype=float)[..., None] for g in (gains.kp, gains.ki, gains.kd))
+        controller = np.empty(np.broadcast_shapes(kp.shape, self.omegas.shape), dtype=complex)
+        controller.real = kp
+        controller.imag = kd * self.omegas - ki / self.omegas
         phase, gain = to_nichols_array(self.nominal_responses * controller)
         return phase, gain, self.contour.inside(phase, gain, tol_db=self.tolerance_db)
 
     def admits(self, gains: PidGains) -> bool:
         """True when the candidate's nominal loop stays out of the contour."""
         return not np.any(self.sweep(gains)[2])
+
+    def first_admitted(self, kd: np.ndarray, ki: np.ndarray, kp: np.ndarray) -> Optional[int]:
+        """Index of the first candidate (gain columns in visiting order) whose
+        nominal loop stays out of the contour, or None when every one enters.
+
+        Candidates are swept in blocks of 1, 2, 4, ... rows, capped at
+        ``bounds._BLOCK_CELLS`` cells, so a winner near the front costs no
+        more rows than visiting candidates one at a time.
+        """
+        cap = max(1, bounds._BLOCK_CELLS // max(1, len(self.omegas)))
+        start, rows = 0, 1
+        while start < len(kd):
+            block = slice(start, start + rows)
+            columns = SimpleNamespace(kp=kp[block], ki=ki[block], kd=kd[block])
+            entered = np.any(self.sweep(columns)[2], axis=1)
+            if not entered.all():
+                return start + int(np.argmin(entered))
+            start, rows = block.stop, min(2 * rows, cap)
+        return None
 
 
 @dataclass(frozen=True)
@@ -449,9 +477,10 @@ def _screened_design(
     ``v`` holds the grid's unit directions stacked along its first axis;
     row ``objective`` of the scaled (kd, ki, kp) is the ranked gain, and
     ``psi`` gives each cell's two controller phases at the ``anchors``.
-    Candidates are visited in ascending (objective, cell index) order and
-    only the visited ones become :class:`PidGains`.  Sign-mixed cells are
-    not lifted at all.
+    Candidates are ranked in ascending (objective, cell index) order and
+    handed to the screen as gain columns; the number it passes over is
+    ``screen_rejections``, and only the winner becomes a :class:`PidGains`.
+    Sign-mixed cells are not lifted at all.
     """
     beta = np.full(v.shape[1:], INFEASIBLE)
     active = np.zeros(v.shape[1:], dtype=int)
@@ -460,35 +489,37 @@ def _screened_design(
     gains = _scale(v, beta)
     grid = gains[objective]
     finite = np.flatnonzero(np.isfinite(grid))
-    vetoed = 0
-    for flat in finite[np.argsort(grid.ravel()[finite], kind="stable")]:
-        i, j = np.unravel_index(flat, grid.shape)
-        kd, ki, kp = (float(g) for g in gains[:, i, j])
-        candidate = PidGains(kp=kp, ki=ki, kd=kd)
-        if screen is not None and not screen.admits(candidate):
-            vetoed += 1
-            continue
-        direction = KernelDirection(
-            *(float(c) for c in v[:, i, j]), float(psi[0][i, j]), float(psi[1][i, j]), *anchors
-        )
-        return DesignResult(
-            feasible=True,
-            gains=candidate,
-            chosen_phases=tuple(w[c] for w, c in zip(windows, (i, j)) if w),
-            active_frequency=problem.frequencies[active[i, j]],
-            beta_db=float(beta[i, j]),
-            direction=direction,
-            kd_grid=grid,
-            window_phases_i=windows[0],
-            window_phases_j=windows[1],
-            margin_report=loop_margins(problem.bounds, problem.nominal_responses, candidate),
-            screen_rejections=vetoed,
-        )
-    if finite.size:
-        empty_reason = (
-            "every feasible candidate crosses the stability contour between design frequencies"
-        )
-    return _no_design(grid, windows, empty_reason, vetoed)
+    order = finite[np.argsort(grid.ravel()[finite], kind="stable")]
+    rows, cols = np.unravel_index(order, grid.shape)
+    kd, ki, kp = gains[:, rows, cols]
+    if screen is not None:
+        winner = screen.first_admitted(kd, ki, kp)
+    else:
+        winner = 0 if finite.size else None
+    if winner is None:
+        if finite.size:
+            empty_reason = (
+                "every feasible candidate crosses the stability contour between design frequencies"
+            )
+        return _no_design(grid, windows, empty_reason, finite.size)
+    i, j = rows[winner], cols[winner]
+    candidate = PidGains(kp=float(kp[winner]), ki=float(ki[winner]), kd=float(kd[winner]))
+    direction = KernelDirection(
+        *(float(c) for c in v[:, i, j]), float(psi[0][i, j]), float(psi[1][i, j]), *anchors
+    )
+    return DesignResult(
+        feasible=True,
+        gains=candidate,
+        chosen_phases=tuple(w[c] for w, c in zip(windows, (i, j)) if w),
+        active_frequency=problem.frequencies[active[i, j]],
+        beta_db=float(beta[i, j]),
+        direction=direction,
+        kd_grid=grid,
+        window_phases_i=windows[0],
+        window_phases_j=windows[1],
+        margin_report=loop_margins(problem.bounds, problem.nominal_responses, candidate),
+        screen_rejections=winner,
+    )
 
 
 def design_pid(
@@ -503,12 +534,13 @@ def design_pid(
     lexicographically first cell.  An all-inf grid comes back infeasible
     instead of raising so the caller can report and exit cleanly.
 
-    With a ``screen``, candidates are visited in ascending (kd, i, j) order
-    and the first one whose dense nominal sweep stays out of the stability
-    contour wins; the grid itself is unchanged (it documents the raw
-    search), and the number of vetoed lower-kd candidates is reported in
-    ``screen_rejections``.  ``exact_bound`` is forwarded to the scaling step
-    (see :func:`beta_scaling`).
+    With a ``screen``, the candidates go to its ``first_admitted`` as
+    (kd, ki, kp) columns in ascending (kd, i, j) order, and the first one
+    whose dense nominal sweep stays out of the stability contour wins; the
+    grid itself is unchanged (it documents the raw search), and the number
+    of vetoed lower-kd candidates is reported in ``screen_rejections``.
+    ``exact_bound`` is forwarded to the scaling step (see
+    :func:`beta_scaling`).
     """
     k_idx, l_idx = problem.pair_indices
     omega_i = problem.frequencies[k_idx]
@@ -553,7 +585,8 @@ def design_pi_pd(
     zero — while PD minimises kd.  The 1-D candidate grid is returned in
     ``kd_grid`` with one row, holding the objective values.  Ties resolve to
     the smallest phase index.  A ``screen`` works as in :func:`design_pid`:
-    ascending-objective candidates are vetoed until one's dense sweep clears
+    its ``first_admitted`` gets the (kd, ki, kp) columns in ascending
+    objective order and picks the first candidate whose dense sweep clears
     the stability contour.
     """
     if kind not in ("pi", "pd"):

@@ -207,6 +207,10 @@ def generate_templates(plant: UncertainPlant, omegas: Sequence[float]) -> Dict[f
     nominal_responses = responses[members.index(plant.nominal_member())]
     templates: Dict[float, Template] = {}
     for k, omega in enumerate(omegas):
+        if nominal_responses[k] == 0:
+            raise ZeroMagnitude(
+                f"nominal plant at {plant.nominal} has zero response at omega={omega}"
+            )
         points: List[TemplatePoint] = []
         for combo, row in zip(members, responses):
             ratio = row[k] / nominal_responses[k]

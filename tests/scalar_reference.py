@@ -1,12 +1,12 @@
 """Scalar reference implementations the array code is checked against.
 
 These are the package's earlier one-phase-at-a-time bound search and bound
-interpolation, one-point-at-a-time stability screen, and
-one-frequency-at-a-time plant evaluation, templates and closed-loop
-envelope: a Python loop per phase (or per frequency) calling plain scalar
-arithmetic.  Tests compare the vectorised implementations with them bit for
-bit (bounds, interpolation, plant, templates, envelope) or decision for
-decision (screen).  The
+interpolation, one-point-at-a-time stability screen, one-candidate-at-a-time
+screen walk, and one-frequency-at-a-time plant evaluation, templates and
+closed-loop envelope: a Python loop per phase (or per frequency, or per
+candidate) calling plain scalar arithmetic.  Tests compare the vectorised
+implementations with them bit for bit (bounds, interpolation, plant,
+templates, envelope, screen sweep) or decision for decision (screen).  The
 gain-box oracle's earlier full-mesh search is kept here too: every kd slice
 tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
 the blocked search must return the same result.
@@ -127,6 +127,24 @@ def screen_admits(screen, gains) -> bool:
         if _inside(screen.contour, phase, db(abs(loop)), screen.tolerance_db):
             return False
     return True
+
+
+def screen_sweep(screen, gains):
+    """The earlier one-candidate ``SweepScreen.sweep``: one row over the grid."""
+    controller = np.empty(len(screen.omegas), dtype=complex)
+    controller.real = gains.kp
+    controller.imag = gains.kd * screen.omegas - gains.ki / screen.omegas
+    phase, gain = to_nichols_array(screen.nominal_responses * controller)
+    return phase, gain, screen.contour.inside(phase, gain, tol_db=screen.tolerance_db)
+
+
+def first_admitted(screen, kd, ki, kp):
+    """The earlier screen walk: one sweep per candidate, in the given order,
+    until one stays out of the contour; None when every one enters."""
+    for index, gains in enumerate(zip(kp.tolist(), ki.tolist(), kd.tolist())):
+        if not np.any(screen_sweep(screen, PidGains(*gains))[2]):
+            return index
+    return None
 
 
 def _inside(contour, phase_deg: float, gain_db: float, tol_db: float) -> bool:

@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -17,7 +20,7 @@ from qft_forge.cli import (
 )
 from qft_forge.config import config_to_dict
 
-from conftest import SERVO_CONFIG_PATH
+from conftest import REPO_ROOT, SERVO_CONFIG_PATH
 
 
 @pytest.fixture(scope="module")
@@ -125,6 +128,18 @@ class TestUsageErrors:
             assert f"config error: {message}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
 
+    def test_zero_nominal_response(self, capsys, tmp_path):
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["plant"]["numerator"] = ["k*a - 1"]  # zero at the nominal a = k = 1
+        cfg = tmp_path / "zero_nominal.json"
+        cfg.write_text(json.dumps(raw))
+        for command in ("templates", "all"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+            message = "nominal plant at {'a': 1.0, 'k': 1.0} has zero response at omega=0.5"
+            assert f"error: {message}" in capsys.readouterr().err
+            assert list(out.iterdir()) == []
+
 
 class TestSuccessfulRuns:
     def test_reduced_all_passes(self, capsys, reduced_json, tmp_path):
@@ -217,3 +232,23 @@ class TestFailureExitCodes:
         assert "verification: FAIL" in captured.out
         assert "reference corridor" in captured.err
         assert (tmp_path / "verify_report.txt").read_text().count("verdict : FAIL") == 1
+
+
+def loaded_numpy_ma(code: str) -> list:
+    """The ``numpy.ma`` modules a fresh interpreter holds after running ``code``."""
+    probe = (
+        f"import json, sys\n{code}\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma'])))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_servo_run_loads_no_numpy_ma_beyond_numpy_itself(tmp_path):
+    # NumPy 1.x imports numpy.ma with numpy; 2.x only on first use, e.g. by np.unique
+    argv = ["all", "--config", str(SERVO_CONFIG_PATH), "--out", str(tmp_path)]
+    run = f"from qft_forge import cli\ncli.main({argv!r})"
+    assert loaded_numpy_ma(run) == loaded_numpy_ma("import numpy")

@@ -4,7 +4,9 @@
 scalar one-cell path (``kernel_direction`` -> ``beta_scaling`` ->
 ``candidate_from_kernel``).  ``SweepScreen.admits`` evaluates the dense loop
 as one array and must make the same decision as the point-by-point
-reference.  The ``exact_bound_recompute`` switch is run end to end.
+reference; ``SweepScreen.first_admitted`` sweeps blocks of candidates and
+must pick the candidate the one-at-a-time walk picks.  The
+``exact_bound_recompute`` switch is run end to end.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import qft_forge.bounds as bounds
 from qft_forge.bounds import INFEASIBLE, delta_spread, disturbance_gain, horowitz_gain
 from qft_forge.errors import RankDeficient
 from qft_forge.lti import db, wrap_phase
@@ -188,6 +194,114 @@ class TestArrayScreen:
     def test_servo_vetoes_are_counted(self, servo_design):
         # the 14 cheapest candidates cross the contour between design frequencies
         assert servo_design.screen_rejections == 14
+
+
+def ranked_columns(problem):
+    """The (kd, ki, kp) columns the screened search hands its screen."""
+    seen = []
+    design_pid(problem, screen=SimpleNamespace(first_admitted=lambda *cols: seen.append(cols)))
+    return seen[0]
+
+
+def count_sweep_rows(patch):
+    """Patch ``SweepScreen.sweep`` to count the candidate rows it evaluates."""
+    rows = []
+    sweep = SweepScreen.sweep
+
+    def counted(self, gains):
+        result = sweep(self, gains)
+        rows.append(result[2].shape[0] if result[2].ndim == 2 else 1)
+        return result
+
+    patch.setattr(SweepScreen, "sweep", counted)
+    return rows
+
+
+def bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+@pytest.fixture(scope="module")
+def servo_pool(servo_stack):
+    """The servo screen and its first 60 ranked candidates (14 vetoed, then mixed)."""
+    screen = SweepScreen(servo_stack.contour, *servo_stack.sweep)
+    kd, ki, kp = (c[:60] for c in ranked_columns(servo_stack.problem))
+    return screen, [(float(a), float(b), float(c)) for a, b, c in zip(kd, ki, kp)]
+
+
+gain = st.floats(0.0, 30.0) | st.just(0.0)
+
+
+class TestBatchedScreen:
+    """``first_admitted`` against the one-candidate-at-a-time walk."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        data=st.data(),
+        stride=st.sampled_from([1, 7, 60]),
+        block=st.sampled_from([1, 7, 64, bounds._BLOCK_CELLS]),
+    )
+    def test_first_admitted_matches_reference_walk(self, servo_pool, data, stride, block):
+        full, pool = servo_pool
+        screen = SweepScreen(full.contour, full.omegas[::stride], full.nominal_responses[::stride])
+        candidates = data.draw(
+            st.lists(
+                st.sampled_from(pool) | st.tuples(gain, gain, gain) | st.just((0.0, 0.0, 0.0)),
+                max_size=40,
+            )
+        )
+        kd, ki, kp = np.array(candidates, dtype=float).reshape(-1, 3).T.copy()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_BLOCK_CELLS", block)
+            assert screen.first_admitted(kd, ki, kp) == ref.first_admitted(screen, kd, ki, kp)
+        batched = screen.sweep(SimpleNamespace(kp=kp, ki=ki, kd=kd))
+        for row, gains in enumerate(zip(kp.tolist(), ki.tolist(), kd.tolist())):
+            one = screen.sweep(PidGains(*gains))
+            want = ref.screen_sweep(screen, PidGains(*gains))
+            for got_part, one_part, want_part in zip(batched, one, want):
+                assert bits(got_part[row]) == bits(one_part) == bits(want_part)
+
+    def test_servo_sweeps_exactly_fifteen_candidates(self, servo_stack, servo_design):
+        screen = SweepScreen(servo_stack.contour, *servo_stack.sweep)
+        with pytest.MonkeyPatch.context() as patch:
+            rows = count_sweep_rows(patch)
+            result = design_pid(servo_stack.problem, screen=screen)
+        # blocks of 1, 2, 4 and 8 rows; the winner is the 15th candidate
+        assert rows == [1, 2, 4, 8]
+        assert result.screen_rejections == 14
+        assert result.gains == servo_design.gains
+
+    def test_screen_walk_vetoes_every_candidate(self):
+        config = screen_walk_config()
+        curves, contour, _ = compute_bounds(config, compute_templates(config))
+        sweep = nominal_sweep(config)
+        problem = build_problem(config, curves, sweep)
+        screen = SweepScreen(contour, *sweep)
+        assert len(screen.omegas) == 512  # 16-row blocks at the default cap
+        with pytest.MonkeyPatch.context() as patch:
+            rows = count_sweep_rows(patch)
+            result = design_pid(problem, screen=screen)
+        assert not result.feasible
+        assert "stability contour" in result.reason
+        assert result.screen_rejections == sum(rows) == 2483
+        assert max(rows) == bounds._BLOCK_CELLS // 512
+
+    def test_winner_inside_a_block(self, servo_pool):
+        screen, pool = servo_pool
+        vetoed = [c for c in pool if not screen.admits(PidGains(*c[::-1]))]
+        admitted = [c for c in pool if screen.admits(PidGains(*c[::-1]))]
+        # blocks [0], [1, 2], [3..6]: the winner is the second row of the third
+        order = vetoed[:4] + admitted[:3] + vetoed[4:6]
+        kd, ki, kp = (np.array(c) for c in zip(*order))
+        with pytest.MonkeyPatch.context() as patch:
+            rows = count_sweep_rows(patch)
+            assert screen.first_admitted(kd, ki, kp) == 4
+        assert rows == [1, 2, 4]
+        assert ref.first_admitted(screen, kd, ki, kp) == 4
+
+    def test_no_candidates(self, servo_pool):
+        screen, _ = servo_pool
+        assert screen.first_admitted(np.empty(0), np.empty(0), np.empty(0)) is None
 
 
 class TestExactBoundRecompute:

@@ -471,13 +471,13 @@ class TestDesignPidReduced:
         assert result.gains.kd <= reduced_design.gains.kd + 0.05
 
     def test_trivial_screen_changes_nothing(self, reduced_stack, reduced_design):
-        passthrough = SimpleNamespace(admits=lambda gains: True)
+        passthrough = SimpleNamespace(first_admitted=lambda kd, ki, kp: 0)
         result = design_pid(reduced_stack.problem, screen=passthrough)
         assert result.gains == reduced_design.gains
         assert result.screen_rejections == 0
 
     def test_veto_all_screen(self, reduced_stack, reduced_design):
-        veto = SimpleNamespace(admits=lambda gains: False)
+        veto = SimpleNamespace(first_admitted=lambda kd, ki, kp: None)
         result = design_pid(reduced_stack.problem, screen=veto)
         assert not result.feasible
         assert result.gains is None
@@ -636,7 +636,7 @@ class TestDesignPiPd:
         assert result.gains.kp == pytest.approx(undb(6.0), abs=1e-9)
 
     def test_screen_veto_counts(self, reduced_stack):
-        veto = SimpleNamespace(admits=lambda gains: False)
+        veto = SimpleNamespace(first_admitted=lambda kd, ki, kp: None)
         result = design_pi_pd(reduced_stack.problem, "pd", screen=veto)
         assert not result.feasible
         assert result.screen_rejections > 0

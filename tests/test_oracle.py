@@ -149,7 +149,7 @@ class TestMatchesFullMeshReference:
     def test_several_survivors_in_the_winning_block(self, block):
         # |kp - j ki| >= 12 on the 10 x 10 kd = 0 mesh passes (ki, kp) =
         # (8, 9), (9, 8) and (9, 9), and all three clear 8 at omega = 4;
-        # with 64-cell blocks they share the second block, and the least is (8, 9)
+        # with the default block size the mesh is one block, and the least is (8, 9)
         curves = (flat_curve(1.0, db(12.0)), flat_curve(4.0, db(8.0)))
         problem = problem_of((1.0, 4.0), (1.0 + 0j, 1.0 + 0j), curves)
         box = OracleBox(

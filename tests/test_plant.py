@@ -443,6 +443,12 @@ WIDE_FAMILY = make_plant(
     [ParameterSpec("a", -1.0, 1.0, 4), ParameterSpec("b", 3.0, 5.0, 4)],
     {"a": 1.0, "b": 5.0},
 )
+ZERO_NOMINAL_FAMILY = make_plant(
+    ["k*a - 1"],
+    ["1", "a", "0"],
+    [ParameterSpec("a", 1.0, 10.0, 3), ParameterSpec("k", 1.0, 10.0, 3)],
+    {"a": 1.0, "k": 1.0},
+)
 OFF_GRID_FAMILY = make_plant(
     ["k*a"],
     ["1", "a", "0"],
@@ -456,6 +462,7 @@ class TestOnePassTemplates:
     @example(family=(make_plant(["2"], ["1", "1"], [], {}), [1.0, 3.0]))
     @example(family=(OFF_GRID_FAMILY, [0.5, 2.0, 60.0]))
     @example(family=(servo_plant(grid=3), [1.0, 10.0]))
+    @example(family=(ZERO_NOMINAL_FAMILY, [0.5, 2.0]))
     @settings(max_examples=200, deadline=None)
     def test_bit_equal_to_per_frequency_reference(self, family):
         plant, omegas = family
@@ -465,10 +472,19 @@ class TestOnePassTemplates:
             return
         try:
             want = {w: ref.generate_template(plant, w) for w in omegas}
-        except (ZeroMagnitude, TemplateTooWide, ZeroDivisionError) as exc:
+        except (ZeroMagnitude, TemplateTooWide) as exc:
             with pytest.raises(type(exc)) as got:
                 generate_templates(plant, omegas)
             assert str(got.value) == str(exc)
+            return
+        except ZeroDivisionError:
+            # the reference divides by a zero nominal response; name it instead
+            first = next(w for w in omegas if response_at(plant, plant.nominal, 1j * w) == 0)
+            with pytest.raises(ZeroMagnitude) as got:
+                generate_templates(plant, omegas)
+            assert str(got.value) == (
+                f"nominal plant at {plant.nominal} has zero response at omega={first}"
+            )
             return
         got = generate_templates(plant, omegas)
         assert list(got) == list(want)
@@ -485,6 +501,13 @@ class TestOnePassTemplates:
         with pytest.raises(error) as got:
             generate_templates(plant, (0.1, 2.0))
         assert str(got.value) == str(want.value)
+
+    def test_pole_on_axis_reported_before_zero_nominal(self):
+        # zero nominal response at omega=0.1; the member a=4 has a pole at s=2j
+        spec = ParameterSpec("a", 1.0, 4.0, 2)
+        plant = make_plant(["a - 1"], ["1", "0", "a"], [spec], {"a": 1.0})
+        with pytest.raises(PoleOnAxis):
+            generate_templates(plant, (0.1, 2.0))
 
 
 class TestNominalPoint:

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from qft_forge.bounds import (
     INFEASIBLE,
@@ -26,6 +28,7 @@ from qft_forge.verify import (
     EnvelopeRow,
     GainAxis,
     OracleBox,
+    _sorted_unique,
     brute_force_design,
     closed_loop_envelope,
     default_dense_grid,
@@ -101,6 +104,16 @@ class TestDefaultDenseGrid:
         grid = default_dense_grid(self.FREQS, points=100)
         assert np.all(np.diff(grid) > 0)
         assert 100 <= len(grid) <= 100 + len(self.FREQS)
+
+    @given(
+        st.lists(
+            st.sampled_from([0.5, 1.0, 2.0, 60.0]) | st.floats(1e-3, 1e3) | st.just(-0.0),
+            max_size=30,
+        )
+    )
+    def test_dedup_equals_np_unique(self, values):
+        values = np.array(values, dtype=float)
+        assert _sorted_unique(values).tobytes() == np.unique(values).tobytes()
 
 
 class TestVerifyMargins:
