@@ -51,14 +51,11 @@ __all__ = [
     "UContour",
     "make_phase_grid",
     "delta_spread",
-    "horowitz_gain",
     "horowitz_bound",
-    "disturbance_gain",
     "disturbance_bound",
     "performance_bound",
     "u_contour",
     "combine_with_ucontour",
-    "interpolate_bound",
     "interpolate_bound_array",
 ]
 
@@ -247,18 +244,6 @@ def _search_block(ratios, rotors, measure, limit, tol_db) -> np.ndarray:
     return np.where(at_floor, NO_CONSTRAINT, np.where(np.isnan(hi), INFEASIBLE, hi))
 
 
-def horowitz_gain(
-    template: Template,
-    delta_db: float,
-    phase_deg: float,
-    tol_db: float = DEFAULT_TOL_DB,
-    use_hull: bool = True,
-) -> float:
-    """Least nominal gain keeping the family's closed-loop spread <= delta_db
-    when the nominal sits at ``phase_deg``."""
-    return horowitz_bound(template, delta_db, (phase_deg,), tol_db, use_hull).min_gain_db[0]
-
-
 def horowitz_bound(
     template: Template,
     delta_db: float,
@@ -266,23 +251,14 @@ def horowitz_bound(
     tol_db: float = DEFAULT_TOL_DB,
     use_hull: bool = True,
 ) -> BoundCurve:
+    """Least nominal gain keeping the family's closed-loop spread <= delta_db,
+    at each phase of ``phase_grid``."""
     ratios = template.ratio_array(use_hull)
     if len(ratios) <= 1:
         entries = [NO_CONSTRAINT] * len(phase_grid)
     else:
         entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, tol_db)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
-
-
-def disturbance_gain(
-    template: Template,
-    cap: float,
-    phase_deg: float,
-    tol_db: float = DEFAULT_TOL_DB,
-    use_hull: bool = True,
-) -> float:
-    """Least nominal gain holding |1/(1+L)| <= cap over the whole template."""
-    return disturbance_bound(template, cap, (phase_deg,), tol_db, use_hull).min_gain_db[0]
 
 
 def disturbance_bound(
@@ -292,6 +268,8 @@ def disturbance_bound(
     tol_db: float = DEFAULT_TOL_DB,
     use_hull: bool = True,
 ) -> BoundCurve:
+    """Least nominal gain holding |1/(1+L)| <= cap over the whole template,
+    at each phase of ``phase_grid``."""
     ratios = template.ratio_array(use_hull)
     entries = _least_feasible_gains(ratios, phase_grid, _worst_sensitivity, cap, tol_db)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
@@ -428,12 +406,6 @@ def combine_with_ucontour(curve: BoundCurve, u: UContour) -> BoundCurve:
 
 
 # --- interpolation ---------------------------------------------------------
-
-def interpolate_bound(curve: BoundCurve, phase_deg: float) -> float:
-    """Bound value at one phase: the one-point case of
-    :func:`interpolate_bound_array`."""
-    return float(interpolate_bound_array(curve, np.array([phase_deg]))[0])
-
 
 def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray:
     """Bound values at arbitrary phases.

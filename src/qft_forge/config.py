@@ -1,11 +1,12 @@
-"""Run-configuration loading, validation, and round-trip serialization.
+"""Run-configuration loading and validation.
 
 A run is described by a single JSON file: the uncertain plant (coefficient
 expressions over declared parameters), the design frequencies, the two
 tracking models, optional per-frequency sensitivity caps, the stability
 margin, the phase-grid density, design options, an optional prefilter, and
 an optional brute-force oracle box.  Validation failures name the offending
-field by its JSON path so a config typo is a one-line fix.
+field by its JSON path so a config typo is a one-line fix; a key the schema
+does not know is such a failure, not silently ignored.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ __all__ = [
     "DesignConfig",
     "load_config",
     "parse_config_dict",
-    "config_to_dict",
 ]
 
 _KINDS = ("pid", "pi", "pd")
+_ROOT_FIELDS = (
+    "plant", "frequencies", "tracking", "disturbance", "stability",
+    "phase_grid_count", "design", "prefilter", "oracle",
+)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,6 @@ class DesignOptions:
     tau: Optional[float] = None
     pair: Optional[Tuple[int, int]] = None
     use_hull: bool = True
-    exact_bound_recompute: bool = False
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -125,14 +128,18 @@ def _as_list(value: Any, path: str) -> List[Any]:
     return value
 
 
-def _as_object(value: Any, path: str) -> Mapping[str, Any]:
+def _as_object(value: Any, path: str, fields: Sequence[str]) -> Mapping[str, Any]:
+    """A JSON object whose keys are all among ``fields``."""
     if not isinstance(value, dict):
         raise ConfigError(f"{path}: expected an object, got {type(value).__name__}")
+    for key in value:
+        if key not in fields:
+            raise ConfigError(f"{path}.{key}: unknown field, expected one of {', '.join(fields)}")
     return value
 
 
 def _parse_tf(obj: Any, path: str) -> RationalTransferFunction:
-    mapping = _as_object(obj, path)
+    mapping = _as_object(obj, path, ("num", "den"))
     num = [_as_number(c, f"{path}.num[{i}]") for i, c in enumerate(_as_list(_expect(mapping, "num", path), f"{path}.num"))]
     den = [_as_number(c, f"{path}.den[{i}]") for i, c in enumerate(_as_list(_expect(mapping, "den", path), f"{path}.den"))]
     try:
@@ -142,12 +149,12 @@ def _parse_tf(obj: Any, path: str) -> RationalTransferFunction:
 
 
 def _parse_plant(obj: Any, path: str) -> UncertainPlant:
-    mapping = _as_object(obj, path)
+    mapping = _as_object(obj, path, ("numerator", "denominator", "parameters", "nominal"))
     raw_params = _as_list(_expect(mapping, "parameters", path), f"{path}.parameters")
     params: List[ParameterSpec] = []
     for i, entry in enumerate(raw_params):
         p_path = f"{path}.parameters[{i}]"
-        entry = _as_object(entry, p_path)
+        entry = _as_object(entry, p_path, ("name", "min", "max", "grid"))
         name = _expect(entry, "name", p_path)
         if not isinstance(name, str) or not name:
             raise ConfigError(f"{p_path}.name: expected a non-empty string")
@@ -181,7 +188,7 @@ def _parse_plant(obj: Any, path: str) -> UncertainPlant:
                 raise ConfigError(f"{c_path}: {exc}") from exc
         return tuple(out)
 
-    nominal_obj = _as_object(_expect(mapping, "nominal", path), f"{path}.nominal")
+    nominal_obj = _as_object(_expect(mapping, "nominal", path), f"{path}.nominal", names)
     nominal = {
         key: _as_number(value, f"{path}.nominal.{key}") for key, value in nominal_obj.items()
     }
@@ -212,7 +219,7 @@ def _parse_axis(obj: Any, path: str) -> GainAxis:
 
 def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
     """Validate a parsed JSON object into a DesignConfig."""
-    root = _as_object(raw, "config")
+    root = _as_object(raw, "config", _ROOT_FIELDS)
 
     plant = _parse_plant(_expect(root, "plant", "config"), "config.plant")
 
@@ -231,7 +238,9 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
             )
         frequencies.append(omega)
 
-    tracking_obj = _as_object(_expect(root, "tracking", "config"), "config.tracking")
+    tracking_obj = _as_object(
+        _expect(root, "tracking", "config"), "config.tracking", ("lower", "upper")
+    )
     try:
         tracking = TrackingSpec(
             lower=_parse_tf(_expect(tracking_obj, "lower", "config.tracking"), "config.tracking.lower"),
@@ -248,7 +257,7 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
         caps: Dict[float, float] = {}
         for i, entry in enumerate(entries):
             d_path = f"config.disturbance[{i}]"
-            entry = _as_object(entry, d_path)
+            entry = _as_object(entry, d_path, ("omega", "cap"))
             omega = _as_number(_expect(entry, "omega", d_path), f"{d_path}.omega")
             cap = _as_number(_expect(entry, "cap", d_path), f"{d_path}.cap")
             if omega not in frequencies:
@@ -258,7 +267,9 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
             caps[omega] = cap
         disturbance = DisturbanceSpec(caps=caps)
 
-    stability = _as_object(_expect(root, "stability", "config"), "config.stability")
+    stability = _as_object(
+        _expect(root, "stability", "config"), "config.stability", ("m", "delta_hf_db")
+    )
     m_value = _as_number(_expect(stability, "m", "config.stability"), "config.stability.m")
     if not m_value > 1.0:
         raise InvalidM(f"config.stability.m: must exceed 1, got {m_value:g}")
@@ -278,7 +289,7 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
 
     design = DesignOptions()
     if root.get("design") is not None:
-        d = _as_object(root["design"], "config.design")
+        d = _as_object(root["design"], "config.design", ("kind", "tau", "pair", "use_hull"))
         pair = None
         if d.get("pair") is not None:
             pair_list = _as_list(d["pair"], "config.design.pair")
@@ -295,17 +306,9 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
         if not isinstance(kind, str):
             raise ConfigError("config.design.kind: expected a string")
         use_hull = d.get("use_hull", True)
-        exact = d.get("exact_bound_recompute", False)
-        for flag_name, flag in (("use_hull", use_hull), ("exact_bound_recompute", exact)):
-            if not isinstance(flag, bool):
-                raise ConfigError(f"config.design.{flag_name}: expected true/false")
-        design = DesignOptions(
-            kind=kind.lower(),
-            tau=tau,
-            pair=pair,
-            use_hull=use_hull,
-            exact_bound_recompute=exact,
-        )
+        if not isinstance(use_hull, bool):
+            raise ConfigError("config.design.use_hull: expected true/false")
+        design = DesignOptions(kind=kind.lower(), tau=tau, pair=pair, use_hull=use_hull)
     # Resolve the pair eagerly so bad overrides fail at load time.
     design.pair_indices(len(frequencies))
 
@@ -315,7 +318,7 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
 
     oracle = None
     if root.get("oracle") is not None:
-        o = _as_object(root["oracle"], "config.oracle")
+        o = _as_object(root["oracle"], "config.oracle", ("kp", "ki", "kd"))
         oracle = OracleBox(
             kp=_parse_axis(_expect(o, "kp", "config.oracle"), "config.oracle.kp"),
             ki=_parse_axis(_expect(o, "ki", "config.oracle"), "config.oracle.ki"),
@@ -346,60 +349,3 @@ def load_config(path: str) -> DesignConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config_dict(raw)
-
-
-def config_to_dict(config: DesignConfig) -> Dict[str, Any]:
-    """Serialize back into the JSON structure load_config accepts.
-
-    parse_config_dict(config_to_dict(c)) reproduces an equivalent config,
-    which is what the round-trip check in the test suite asserts.
-    """
-    out: Dict[str, Any] = {
-        "plant": {
-            "numerator": [c.source for c in config.plant.num],
-            "denominator": [c.source for c in config.plant.den],
-            "parameters": [
-                {"name": p.name, "min": p.minimum, "max": p.maximum, "grid": p.grid_points}
-                for p in config.plant.params
-            ],
-            "nominal": dict(sorted(config.plant.nominal.items())),
-        },
-        "frequencies": list(config.frequencies),
-        "tracking": {
-            "lower": {"num": list(config.tracking.lower.num), "den": list(config.tracking.lower.den)},
-            "upper": {"num": list(config.tracking.upper.num), "den": list(config.tracking.upper.den)},
-        },
-        "stability": {"m": config.m_value},
-        "phase_grid_count": config.phase_grid_count,
-        "design": {
-            "kind": config.design.kind,
-            "use_hull": config.design.use_hull,
-            "exact_bound_recompute": config.design.exact_bound_recompute,
-        },
-    }
-    if config.delta_hf_override is not None:
-        out["stability"]["delta_hf_db"] = config.delta_hf_override
-    if config.design.tau is not None:
-        out["design"]["tau"] = config.design.tau
-    if config.design.pair is not None:
-        out["design"]["pair"] = list(config.design.pair)
-    if config.disturbance is not None:
-        out["disturbance"] = [
-            {"omega": omega, "cap": cap}
-            for omega, cap in sorted(config.disturbance.caps.items())
-        ]
-    if config.prefilter is not None:
-        out["prefilter"] = {
-            "num": list(config.prefilter.num),
-            "den": list(config.prefilter.den),
-        }
-    if config.oracle is not None:
-        out["oracle"] = {
-            name: [axis.lo, axis.hi, axis.step]
-            for name, axis in (
-                ("kp", config.oracle.kp),
-                ("ki", config.oracle.ki),
-                ("kd", config.oracle.kd),
-            )
-        }
-    return out

@@ -33,7 +33,6 @@ from .bounds import (
     NO_CONSTRAINT,
     BoundCurve,
     UContour,
-    interpolate_bound,
     interpolate_bound_array,
 )
 from .errors import EmptyWindow, NegativeMappedGain, RankDeficient
@@ -52,7 +51,6 @@ __all__ = [
     "phase_window",
     "kernel_direction",
     "beta_scaling",
-    "candidate_from_kernel",
     "loop_margins",
     "design_pid",
     "design_pi_pd",
@@ -231,7 +229,7 @@ class DesignProblem:
         return to_nichols(self.nominal_responses[index])[1]
 
 
-def _lift(v: np.ndarray, problem: DesignProblem, exact_bound=None):
+def _lift(v: np.ndarray, problem: DesignProblem):
     """Smallest dB lift making each unit gain direction clear every bound.
 
     ``v`` stacks (v21, v22, v23) along its first axis.  For a direction and
@@ -249,10 +247,7 @@ def _lift(v: np.ndarray, problem: DesignProblem, exact_bound=None):
         nu = v[0] * omega - v[1] / omega
         g2 = v[2] * v[2] + nu * nu
         phi = wrap_phase_array(problem.nominal_phase_deg(k) + np.degrees(np.arctan2(nu, v[2])))
-        if exact_bound is not None:
-            bound = exact_bound(k, phi)
-        else:
-            bound = interpolate_bound_array(problem.bounds[k], phi)
+        bound = interpolate_bound_array(problem.bounds[k], phi)
         constrained = bound != NO_CONSTRAINT
         blocked |= constrained & ((bound == INFEASIBLE) | (g2 == 0.0))
         with np.errstate(divide="ignore"):
@@ -263,17 +258,10 @@ def _lift(v: np.ndarray, problem: DesignProblem, exact_bound=None):
     return np.where(blocked | (beta == NO_CONSTRAINT), INFEASIBLE, beta), active
 
 
-def beta_scaling(direction: KernelDirection, problem: DesignProblem, exact_bound=None):
+def beta_scaling(direction: KernelDirection, problem: DesignProblem):
     """(beta_db, active_index) lifting one direction onto its tightest bound,
-    or (INFEASIBLE, None); the one-cell case of :func:`_lift`.
-
-    ``exact_bound``, when given, replaces grid interpolation: it is called as
-    ``exact_bound(k, phases_deg)`` with an array of phases and must return
-    the matching array of dB bounds or sentinels; it is the hook behind the
-    config switch that re-bisects bounds at the exact candidate phases
-    instead of interpolating between grid phases.
-    """
-    beta, active = _lift(direction.as_array()[:, None], problem, exact_bound)
+    or (INFEASIBLE, None); the one-cell case of :func:`_lift`."""
+    beta, active = _lift(direction.as_array()[:, None], problem)
     if beta[0] == INFEASIBLE:
         return INFEASIBLE, None
     return float(beta[0]), int(active[0])
@@ -292,14 +280,6 @@ def _scale(v: np.ndarray, beta) -> np.ndarray:
     ok = ~(positive & np.any(v < 0.0, axis=0)) & (beta != INFEASIBLE)
     lam = np.where(positive, 1.0, -1.0) * 10.0 ** (np.where(ok, beta, 0.0) / 20.0)
     return np.where(ok, lam * v, np.inf)
-
-
-def candidate_from_kernel(direction: KernelDirection, beta_db: float) -> Optional[PidGains]:
-    """Scale a kernel direction into actual gains; None when signs mix."""
-    scaled = _scale(direction.as_array(), beta_db)
-    if np.isinf(scaled[0]):
-        return None
-    return PidGains(kp=float(scaled[2]), ki=float(scaled[1]), kd=float(scaled[0]))
 
 
 @dataclass(frozen=True)
@@ -332,7 +312,7 @@ def loop_margins(
             bound = NO_CONSTRAINT if vacuous else INFEASIBLE
         else:
             phase, gain = to_nichols(loop)
-            bound = interpolate_bound(curve, phase)
+            bound = float(interpolate_bound_array(curve, np.array([phase]))[0])
         entries.append(
             MarginEntry(
                 omega=curve.omega,
@@ -428,7 +408,6 @@ class DesignResult:
     chosen_phases: Tuple[float, ...]
     active_frequency: Optional[float]
     beta_db: Optional[float]
-    direction: Optional[KernelDirection]
     kd_grid: np.ndarray
     window_phases_i: Tuple[float, ...]
     window_phases_j: Tuple[float, ...]
@@ -450,7 +429,6 @@ def _no_design(grid: np.ndarray, windows, reason: str, vetoed: int = 0) -> Desig
         chosen_phases=(),
         active_frequency=None,
         beta_db=None,
-        direction=None,
         kd_grid=grid,
         window_phases_i=windows[0],
         window_phases_j=windows[1],
@@ -464,19 +442,15 @@ def _screened_design(
     problem: DesignProblem,
     v: np.ndarray,
     objective: int,
-    psi: Tuple[np.ndarray, np.ndarray],
-    anchors: Tuple[float, float],
     windows,
     screen: Optional[SweepScreen],
-    exact_bound,
     empty_reason: str,
 ) -> DesignResult:
     """Rank a 2-D candidate grid and return the first candidate the screen
     admits.
 
     ``v`` holds the grid's unit directions stacked along its first axis;
-    row ``objective`` of the scaled (kd, ki, kp) is the ranked gain, and
-    ``psi`` gives each cell's two controller phases at the ``anchors``.
+    row ``objective`` of the scaled (kd, ki, kp) is the ranked gain.
     Candidates are ranked in ascending (objective, cell index) order and
     handed to the screen as gain columns; the number it passes over is
     ``screen_rejections``, and only the winner becomes a :class:`PidGains`.
@@ -485,7 +459,7 @@ def _screened_design(
     beta = np.full(v.shape[1:], INFEASIBLE)
     active = np.zeros(v.shape[1:], dtype=int)
     scalable = ~(np.any(v > 0.0, axis=0) & np.any(v < 0.0, axis=0))
-    beta[scalable], active[scalable] = _lift(v[:, scalable], problem, exact_bound)
+    beta[scalable], active[scalable] = _lift(v[:, scalable], problem)
     gains = _scale(v, beta)
     grid = gains[objective]
     finite = np.flatnonzero(np.isfinite(grid))
@@ -504,16 +478,12 @@ def _screened_design(
         return _no_design(grid, windows, empty_reason, finite.size)
     i, j = rows[winner], cols[winner]
     candidate = PidGains(kp=float(kp[winner]), ki=float(ki[winner]), kd=float(kd[winner]))
-    direction = KernelDirection(
-        *(float(c) for c in v[:, i, j]), float(psi[0][i, j]), float(psi[1][i, j]), *anchors
-    )
     return DesignResult(
         feasible=True,
         gains=candidate,
         chosen_phases=tuple(w[c] for w, c in zip(windows, (i, j)) if w),
         active_frequency=problem.frequencies[active[i, j]],
         beta_db=float(beta[i, j]),
-        direction=direction,
         kd_grid=grid,
         window_phases_i=windows[0],
         window_phases_j=windows[1],
@@ -525,7 +495,6 @@ def _screened_design(
 def design_pid(
     problem: DesignProblem,
     screen: Optional[SweepScreen] = None,
-    exact_bound=None,
 ) -> DesignResult:
     """Grid search over phase pairs for the least derivative gain.
 
@@ -539,8 +508,6 @@ def design_pid(
     whose dense nominal sweep stays out of the stability contour wins; the
     grid itself is unchanged (it documents the raw search), and the number
     of vetoed lower-kd candidates is reported in ``screen_rejections``.
-    ``exact_bound`` is forwarded to the scaling step (see
-    :func:`beta_scaling`).
     """
     k_idx, l_idx = problem.pair_indices
     omega_i = problem.frequencies[k_idx]
@@ -552,20 +519,15 @@ def design_pid(
         grid = np.full((len(windows[0]), len(windows[1])), np.inf)
         return _no_design(grid, windows, "no binding constraint")
 
-    psi_i = [p - phase_i for p in windows[0]]
-    psi_j = [p - phase_j for p in windows[1]]
     # third constraint-matrix column, -tan(psi) / w, as in _constraint_matrix
-    b_i = np.array([-math.tan(math.radians(p)) / omega_i for p in psi_i])
-    b_j = np.array([-math.tan(math.radians(p)) / omega_j for p in psi_j])
+    b_i = np.array([-math.tan(math.radians(p - phase_i)) / omega_i for p in windows[0]])
+    b_j = np.array([-math.tan(math.radians(p - phase_j)) / omega_j for p in windows[1]])
     return _screened_design(
         problem,
         _kernel_grid(b_i[:, None], b_j[None, :], omega_i, omega_j),
         0,
-        np.broadcast_arrays(np.array(psi_i)[:, None], np.array(psi_j)[None, :]),
-        (float(omega_i), float(omega_j)),
         windows,
         screen,
-        exact_bound,
         "every phase pair is sign-mixed or blocked by an infeasible bound",
     )
 
@@ -575,7 +537,6 @@ def design_pi_pd(
     kind: str,
     anchor_frequency_index: int = 0,
     screen: Optional[SweepScreen] = None,
-    exact_bound=None,
 ) -> DesignResult:
     """One-parameter specialisations: PI (kd = 0) or PD (ki = 0).
 
@@ -604,19 +565,15 @@ def design_pi_pd(
     if _all_unconstrained(problem):
         return _no_design(np.full((1, len(window)), np.inf), windows, "no binding constraint")
 
-    psi = [p - phase_a for p in window]
-    t = np.array([[math.tan(math.radians(p)) for p in psi]])
+    t = np.array([[math.tan(math.radians(p - phase_a)) for p in window]])
     zero, one = np.zeros_like(t), np.ones_like(t)
     raw = np.stack([zero, -omega_a * t, one] if kind == "pi" else [t / omega_a, zero, one])
     return _screened_design(
         problem,
         raw / np.sqrt(np.sum(raw * raw, axis=0)),
         2 if kind == "pi" else 0,
-        (np.array([psi]),) * 2,
-        (float(omega_a), float(omega_a)),
         windows,
         screen,
-        exact_bound,
         f"no feasible {kind.upper()} phase in the half-window",
     )
 

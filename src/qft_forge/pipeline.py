@@ -191,33 +191,10 @@ def build_problem(
     )
 
 
-def _exact_bound_fn(
-    config: DesignConfig,
-    templates: Dict[float, Template],
-    contour: UContour,
-) -> Callable[[int, np.ndarray], np.ndarray]:
-    """Bisection-exact bound lookup, bypassing grid interpolation.
-
-    Answers the same question as interpolating the combined curves — the
-    least admissible nominal gain at this frequency and phase — but runs the
-    bisections directly at the queried phases (each distinct phase once) and
-    folds in the contour top as :func:`compute_bounds` does.
-    """
-
-    def lookup(index: int, phases_deg: np.ndarray) -> np.ndarray:
-        phases, inverse = np.unique(phases_deg, return_inverse=True)
-        curve = _performance_curve(config, templates, config.frequencies[index], phases)
-        combined = combine_with_ucontour(curve, contour).min_gain_db
-        return np.array(combined)[inverse.reshape(np.shape(phases_deg))]
-
-    return lookup
-
-
 def compute_design(
     config: DesignConfig,
     problem: DesignProblem,
     contour: UContour,
-    templates: Dict[float, Template],
     sweep: Sweep,
 ) -> Tuple[DesignResult, Optional[PidGains]]:
     """Run the configured controller search, with the whole-curve screen on.
@@ -231,19 +208,12 @@ def compute_design(
     """
     _, gain_map = effective_plant(config)
     screen = SweepScreen(contour, *sweep)
-    exact = (
-        _exact_bound_fn(config, templates, contour)
-        if config.design.exact_bound_recompute
-        else None
-    )
     kind = config.design.kind
     if kind == "pid":
-        result = design_pid(problem, screen=screen, exact_bound=exact)
+        result = design_pid(problem, screen=screen)
     else:
         anchor = config.pair_indices()[0]
-        result = design_pi_pd(
-            problem, kind, anchor_frequency_index=anchor, screen=screen, exact_bound=exact
-        )
+        result = design_pi_pd(problem, kind, anchor_frequency_index=anchor, screen=screen)
     physical = None
     if result.feasible and gain_map is not None:
         physical = gain_map.inverse(result.gains)
@@ -590,9 +560,7 @@ def run_command(
     sweep = nominal_sweep(config)
     if depth >= 2:
         artifacts.problem = build_problem(config, artifacts.bound_curves, sweep)
-        result, physical = compute_design(
-            config, artifacts.problem, artifacts.contour, artifacts.templates, sweep
-        )
+        result, physical = compute_design(config, artifacts.problem, artifacts.contour, sweep)
         artifacts.design = result
         artifacts.physical_gains = physical
         if with_oracle:

@@ -354,7 +354,7 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
                 # A zero controller response has no phase, so no bound can be
                 # looked up for it; treat it as failing this frequency outright
                 # (otherwise the all-zero triple passes vacuously).
-                passed = np.flatnonzero((gain_db >= bound) & (np.abs(ctrl) > 0.0))
+                passed = np.flatnonzero((gain_db >= bound) & (ctrl != 0))
                 survivors = passed if survivors is None else survivors[passed]
                 if not survivors.size:
                     order.remove(k)

@@ -58,11 +58,7 @@ def servo_stack(servo_config):
 def servo_design(servo_config, servo_stack):
     """Screened PID search result on the full servo problem."""
     result, _physical = compute_design(
-        servo_config,
-        servo_stack.problem,
-        servo_stack.contour,
-        servo_stack.templates,
-        servo_stack.sweep,
+        servo_config, servo_stack.problem, servo_stack.contour, servo_stack.sweep
     )
     return result
 

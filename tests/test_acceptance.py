@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qft_forge.bounds import horowitz_gain
+from qft_forge.bounds import horowitz_bound
 from qft_forge.cli import EXIT_VERIFY_FAILED, main
 from qft_forge.config import load_config
 from qft_forge.expr import parse_coefficient_expr
@@ -65,7 +65,7 @@ def timed_servo():
     curves, contour, delta_hf = compute_bounds(config, templates)
     sweep = nominal_sweep(config)
     problem = build_problem(config, curves, sweep)
-    result, _ = compute_design(config, problem, contour, templates, sweep)
+    result, _ = compute_design(config, problem, contour, sweep)
     elapsed = time.perf_counter() - start
     return SimpleNamespace(
         config=config,
@@ -283,7 +283,7 @@ class TestC6BisectionSoundness:
             template = generate_templates(plant, [omega])[omega]
             delta = float(rng.uniform(0.5, 6.0))
             phase = float(rng.uniform(-340.0, -20.0))
-            bound = horowitz_gain(template, delta, phase, use_hull=False)
+            bound = horowitz_bound(template, delta, (phase,), use_hull=False).min_gain_db[0]
             if not math.isfinite(bound):
                 continue
             finite_cases += 1

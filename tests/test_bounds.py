@@ -20,10 +20,8 @@ from qft_forge.bounds import (
     UContour,
     combine_with_ucontour,
     delta_spread,
-    disturbance_gain,
+    disturbance_bound,
     horowitz_bound,
-    horowitz_gain,
-    interpolate_bound,
     interpolate_bound_array,
     make_phase_grid,
     performance_bound,
@@ -155,12 +153,13 @@ class TestDeltaSpread:
 
 class TestHorowitzGain:
     def test_single_member_is_unconstrained(self):
-        assert horowitz_gain(single_member_template(), 1.0, -120.0) == NO_CONSTRAINT
+        curve = horowitz_bound(single_member_template(), 1.0, (-120.0,))
+        assert curve.min_gain_db == (NO_CONSTRAINT,)
 
     def test_two_member_threshold_matches_fine_scan(self):
         template = gain_only_template([0.1, 1.0], nominal=1.0)
         ratios = [p.ratio for p in template.points]
-        bound = horowitz_gain(template, 6.0, -90.0)
+        (bound,) = horowitz_bound(template, 6.0, (-90.0,)).min_gain_db
         oracle = first_feasible_scan(lambda c: spread_at(ratios, c, -90.0) <= 6.0)
         assert math.isfinite(bound)
         assert bound == pytest.approx(oracle, abs=0.02)
@@ -168,20 +167,20 @@ class TestHorowitzGain:
     def test_allowance_above_family_span_is_unconstrained(self):
         # the family spans 20 dB; a 21 dB allowance is satisfied at the floor
         template = gain_only_template([0.1, 1.0], nominal=1.0)
-        assert horowitz_gain(template, 21.0, -90.0) == NO_CONSTRAINT
+        assert horowitz_bound(template, 21.0, (-90.0,)).min_gain_db == (NO_CONSTRAINT,)
 
     def test_bound_is_tight(self):
         template = gain_only_template([0.1, 1.0], nominal=1.0)
         ratios = [p.ratio for p in template.points]
-        for phase in (-60.0, -90.0, -140.0):
-            bound = horowitz_gain(template, 6.0, phase)
+        curve = horowitz_bound(template, 6.0, (-140.0, -90.0, -60.0))
+        for phase, bound in zip(curve.phase_grid, curve.min_gain_db):
             assert spread_at(ratios, bound + 0.02, phase) <= 6.0
             assert spread_at(ratios, bound - 0.5, phase) > 6.0
 
     def test_finer_tolerance_agrees(self):
         template = gain_only_template([0.1, 1.0], nominal=1.0)
-        coarse = horowitz_gain(template, 6.0, -90.0)
-        fine = horowitz_gain(template, 6.0, -90.0, tol_db=0.001)
+        (coarse,) = horowitz_bound(template, 6.0, (-90.0,)).min_gain_db
+        (fine,) = horowitz_bound(template, 6.0, (-90.0,), tol_db=0.001).min_gain_db
         assert abs(coarse - fine) <= DEFAULT_TOL_DB + 0.001
 
 
@@ -201,8 +200,8 @@ class TestHorowitzBoundServo:
     def test_entries_match_independent_scan(self, template05, servo_config):
         spread = delta_spread(servo_config.tracking, 0.5)
         ratios = list(template05.ratio_array(use_hull=True))
-        for phase in (-250.0, -180.0, -120.0, -90.0, -40.0):
-            bound = horowitz_gain(template05, spread, phase)
+        curve = horowitz_bound(template05, spread, (-250.0, -180.0, -120.0, -90.0, -40.0))
+        for phase, bound in zip(curve.phase_grid, curve.min_gain_db):
             oracle = first_feasible_scan(
                 lambda c: spread_at(ratios, c, phase) <= spread, step=0.01
             )
@@ -214,38 +213,38 @@ class TestHorowitzBoundServo:
     def test_hull_matches_full_point_set(self, template05, servo_config):
         # the hull drops only interior members, which never set the spread
         spread = delta_spread(servo_config.tracking, 0.5)
-        for phase in (-200.0, -120.0, -70.0):
-            hull_bound = horowitz_gain(template05, spread, phase, use_hull=True)
-            full_bound = horowitz_gain(template05, spread, phase, use_hull=False)
-            assert hull_bound == pytest.approx(full_bound, abs=0.05)
+        phases = (-200.0, -120.0, -70.0)
+        hull = horowitz_bound(template05, spread, phases, use_hull=True).min_gain_db
+        full = horowitz_bound(template05, spread, phases, use_hull=False).min_gain_db
+        assert hull == pytest.approx(full, abs=0.05)
 
 
 class TestDisturbanceGain:
     def test_cap_three_to_one_at_minus_180(self):
         # |1/(1 - r)| <= 0.5 forces r >= 3: bound at 20*log10(3)
         template = single_member_template()
-        bound = disturbance_gain(template, 0.5, -180.0)
+        (bound,) = disturbance_bound(template, 0.5, (-180.0,)).min_gain_db
         assert bound == pytest.approx(db(3.0), abs=0.02)
 
     def test_cap_at_phase_zero(self):
         # |1/(1 + r)| <= 0.5 forces r >= 1: bound at 0 dB
         template = single_member_template()
-        bound = disturbance_gain(template, 0.5, 0.0 - 1e-9)
+        (bound,) = disturbance_bound(template, 0.5, (0.0 - 1e-9,)).min_gain_db
         assert bound == pytest.approx(0.0, abs=0.02)
 
     def test_loose_cap_is_unconstrained(self):
         template = single_member_template()
-        assert disturbance_gain(template, 2.0, -180.0) == NO_CONSTRAINT
+        assert disturbance_bound(template, 2.0, (-180.0,)).min_gain_db == (NO_CONSTRAINT,)
 
     def test_impossible_cap_is_infeasible(self):
         template = single_member_template()
-        assert disturbance_gain(template, 1e-6, -180.0) == INFEASIBLE
+        assert disturbance_bound(template, 1e-6, (-180.0,)).min_gain_db == (INFEASIBLE,)
 
     def test_bound_is_tight_for_uncertain_family(self):
         template = gain_only_template([0.5, 1.0], nominal=1.0)
         ratios = [p.ratio for p in template.points]
-        for phase in (-180.0, -120.0):
-            bound = disturbance_gain(template, 0.4, phase)
+        curve = disturbance_bound(template, 0.4, (-180.0, -120.0))
+        for phase, bound in zip(curve.phase_grid, curve.min_gain_db):
             assert worst_sensitivity_at(ratios, bound + 0.02, phase) <= 0.4
             assert worst_sensitivity_at(ratios, bound - 0.5, phase) > 0.4
 
@@ -429,6 +428,11 @@ class TestCombineWithUContour:
                         assert value >= pair[0] - 1e-9
 
 
+def at(curve, phase):
+    """The interpolated bound at one phase, as a Python float."""
+    return float(interpolate_bound_array(curve, np.array([phase]))[0])
+
+
 class TestInterpolateBound:
     CURVE = BoundCurve(
         omega=1.0,
@@ -437,20 +441,20 @@ class TestInterpolateBound:
     )
 
     def test_exact_nodes_return_stored_values(self):
-        assert interpolate_bound(self.CURVE, -200.0) == 10.0
-        assert interpolate_bound(self.CURVE, -100.0) == 20.0
-        assert interpolate_bound(self.CURVE, -50.0) == NO_CONSTRAINT
+        assert at(self.CURVE, -200.0) == 10.0
+        assert at(self.CURVE, -100.0) == 20.0
+        assert at(self.CURVE, -50.0) == NO_CONSTRAINT
 
     def test_linear_between_finite_nodes(self):
-        assert interpolate_bound(self.CURVE, -150.0) == pytest.approx(15.0, abs=1e-12)
-        assert interpolate_bound(self.CURVE, -125.0) == pytest.approx(17.5, abs=1e-12)
+        assert at(self.CURVE, -150.0) == pytest.approx(15.0, abs=1e-12)
+        assert at(self.CURVE, -125.0) == pytest.approx(17.5, abs=1e-12)
 
     def test_no_constraint_neighbour_defers_to_finite(self):
-        assert interpolate_bound(self.CURVE, -75.0) == 20.0
+        assert at(self.CURVE, -75.0) == 20.0
 
     def test_outside_grid_unconstrained(self):
-        assert interpolate_bound(self.CURVE, -300.0) == NO_CONSTRAINT
-        assert interpolate_bound(self.CURVE, -10.0) == NO_CONSTRAINT
+        assert at(self.CURVE, -300.0) == NO_CONSTRAINT
+        assert at(self.CURVE, -10.0) == NO_CONSTRAINT
 
     def test_infeasible_dominates_segment(self):
         curve = BoundCurve(
@@ -458,9 +462,9 @@ class TestInterpolateBound:
             phase_grid=(-200.0, -100.0, -50.0),
             min_gain_db=(10.0, INFEASIBLE, 5.0),
         )
-        assert interpolate_bound(curve, -150.0) == INFEASIBLE
-        assert interpolate_bound(curve, -75.0) == INFEASIBLE
-        assert interpolate_bound(curve, -200.0) == 10.0
+        assert at(curve, -150.0) == INFEASIBLE
+        assert at(curve, -75.0) == INFEASIBLE
+        assert at(curve, -200.0) == 10.0
 
     def test_double_no_constraint_segment(self):
         curve = BoundCurve(
@@ -468,8 +472,8 @@ class TestInterpolateBound:
             phase_grid=(-200.0, -100.0, -50.0),
             min_gain_db=(NO_CONSTRAINT, NO_CONSTRAINT, 5.0),
         )
-        assert interpolate_bound(curve, -150.0) == NO_CONSTRAINT
-        assert interpolate_bound(curve, -75.0) == 5.0
+        assert at(curve, -150.0) == NO_CONSTRAINT
+        assert at(curve, -75.0) == 5.0
 
     def test_array_twin_matches_scalar(self):
         curves = [
@@ -490,7 +494,7 @@ class TestInterpolateBound:
         )
         for curve in curves:
             vector = interpolate_bound_array(curve, phases)
-            scalar = [interpolate_bound(curve, p) for p in phases]
+            scalar = [at(curve, p) for p in phases]
             for got, want in zip(vector, scalar):
                 if math.isinf(want):
                     assert got == want
@@ -517,7 +521,7 @@ class TestInterpolateBound:
         phases = queries + grid
         want = [repr(ref.interpolate_bound(curve, p)) for p in phases]
         assert [repr(v) for v in interpolate_bound_array(curve, np.array(phases)).tolist()] == want
-        assert [repr(interpolate_bound(curve, p)) for p in phases] == want
+        assert [repr(at(curve, p)) for p in phases] == want
 
     def test_array_all_outside(self):
         out = interpolate_bound_array(self.CURVE, np.array([-350.0, -250.0, -10.0]))

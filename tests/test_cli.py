@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import subprocess
@@ -18,21 +17,33 @@ from qft_forge.cli import (
     build_parser,
     main,
 )
-from qft_forge.config import config_to_dict
+from qft_forge.config import parse_config_dict
 
 from conftest import REPO_ROOT, SERVO_CONFIG_PATH
+
+
+def reduced_raw():
+    """``configs/servo.json`` cut down as the ``reduced_config`` fixture is."""
+    raw = json.loads(SERVO_CONFIG_PATH.read_text())
+    raw["frequencies"] = [1.0, 3.0, 10.0]
+    raw["phase_grid_count"] = 24
+    del raw["design"]["pair"]
+    del raw["prefilter"]
+    return raw
 
 
 @pytest.fixture(scope="module")
 def reduced_json(tmp_path_factory, reduced_config):
     path = tmp_path_factory.mktemp("cfg") / "reduced.json"
-    path.write_text(json.dumps(config_to_dict(reduced_config)))
+    raw = reduced_raw()
+    assert parse_config_dict(raw) == reduced_config
+    path.write_text(json.dumps(raw))
     return str(path)
 
 
 @pytest.fixture(scope="module")
-def blocked_json(tmp_path_factory, reduced_config):
-    raw = config_to_dict(reduced_config)
+def blocked_json(tmp_path_factory):
+    raw = reduced_raw()
     raw["disturbance"] = [{"omega": 3.0, "cap": 1e-6}]
     path = tmp_path_factory.mktemp("cfg") / "blocked.json"
     path.write_text(json.dumps(raw))

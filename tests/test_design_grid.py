@@ -1,17 +1,15 @@
-"""The array phase-pair grid, stability screen and exact-bound path.
+"""The array phase-pair grid and the stability screen.
 
 ``design_pid`` scores every phase pair at once; each cell must agree with the
-scalar one-cell path (``kernel_direction`` -> ``beta_scaling`` ->
-``candidate_from_kernel``).  ``SweepScreen.admits`` evaluates the dense loop
+one-cell path (``kernel_direction`` -> ``beta_scaling``, then the lift
+applied to the direction).  ``SweepScreen.admits`` evaluates the dense loop
 as one array and must make the same decision as the point-by-point
 reference; ``SweepScreen.first_admitted`` sweeps blocks of candidates and
-must pick the candidate the one-at-a-time walk picks.  The
-``exact_bound_recompute`` switch is run end to end.
+must pick the candidate the one-at-a-time walk picks.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -22,25 +20,19 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qft_forge.bounds as bounds
-from qft_forge.bounds import INFEASIBLE, delta_spread, disturbance_gain, horowitz_gain
+from qft_forge.bounds import INFEASIBLE
 from qft_forge.errors import RankDeficient
-from qft_forge.lti import db, wrap_phase
 from qft_forge.optimizer import (
-    INTERPOLATION_TOLERANCE_DB,
     PidGains,
     SweepScreen,
     beta_scaling,
-    candidate_from_kernel,
     design_pid,
     kernel_direction,
-    pid_frequency_response,
 )
 from qft_forge.config import parse_config_dict
 from qft_forge.pipeline import (
-    _exact_bound_fn,
     build_problem,
     compute_bounds,
-    compute_design,
     compute_templates,
     nominal_sweep,
 )
@@ -70,22 +62,35 @@ def screen_walk_config():
     return parse_config_dict(raw)
 
 
-def one_cell_kd(problem, phi_i, phi_j):
-    """kd of one phase pair through the scalar path; inf when rejected."""
+def one_cell_direction(problem, phi_i, phi_j):
+    """Kernel direction of one phase pair of the design's anchor frequencies."""
     k, l = problem.pair_indices
-    direction = kernel_direction(
+    return kernel_direction(
         phi_i - problem.nominal_phase_deg(k),
         phi_j - problem.nominal_phase_deg(l),
         problem.frequencies[k],
         problem.frequencies[l],
     )
+
+
+def one_cell_gains(problem, phi_i, phi_j):
+    """Gains of one phase pair through the scalar path: the unit direction
+    lifted by its scaling, with the sign that makes the gains non-negative;
+    None when rejected."""
+    direction = one_cell_direction(problem, phi_i, phi_j)
     v = direction.as_array()
     if np.any(v > 0.0) and np.any(v < 0.0):
-        return math.inf
+        return None
     beta, _ = beta_scaling(direction, problem)
     if beta == INFEASIBLE:
-        return math.inf
-    gains = candidate_from_kernel(direction, beta)
+        return None
+    kd, ki, kp = np.abs(v) * 10.0 ** (beta / 20.0)
+    return PidGains(kp=kp, ki=ki, kd=kd)
+
+
+def one_cell_kd(problem, phi_i, phi_j):
+    """kd of one phase pair through the scalar path; inf when rejected."""
+    gains = one_cell_gains(problem, phi_i, phi_j)
     return math.inf if gains is None else gains.kd
 
 
@@ -112,18 +117,12 @@ class TestKernelGrid:
 
     def test_winner_is_the_one_cell_candidate(self, servo_stack, servo_design):
         problem = servo_stack.problem
-        k, l = problem.pair_indices
-        phi_i, phi_j = servo_design.chosen_phases
-        direction = kernel_direction(
-            phi_i - problem.nominal_phase_deg(k),
-            phi_j - problem.nominal_phase_deg(l),
-            problem.frequencies[k],
-            problem.frequencies[l],
-        )
-        assert direction == servo_design.direction
+        direction = one_cell_direction(problem, *servo_design.chosen_phases)
         beta, active = beta_scaling(direction, problem)
         assert beta == servo_design.beta_db
         assert problem.frequencies[active] == servo_design.active_frequency
+        gains = one_cell_gains(problem, *servo_design.chosen_phases)
+        assert gains.as_tuple() == pytest.approx(servo_design.gains.as_tuple(), rel=1e-12)
 
     def test_near_equal_frequencies_are_rank_deficient(self):
         with pytest.raises(RankDeficient):
@@ -139,19 +138,7 @@ class TestArrayScreen:
 
     def test_same_decisions_as_point_by_point_reference(self, servo_config, servo_stack):
         screen = SweepScreen(servo_stack.contour, *nominal_sweep(servo_config))
-        result = design_pid(servo_stack.problem)
-        problem = servo_stack.problem
-        k, l = problem.pair_indices
-        candidates = []
-        for i, j in self.visit_order(result, 60):
-            direction = kernel_direction(
-                result.window_phases_i[i] - problem.nominal_phase_deg(k),
-                result.window_phases_j[j] - problem.nominal_phase_deg(l),
-                problem.frequencies[k],
-                problem.frequencies[l],
-            )
-            beta, _ = beta_scaling(direction, problem)
-            candidates.append(candidate_from_kernel(direction, beta))
+        candidates = list(self.candidates(servo_stack.problem, 60))
         rng = np.random.default_rng(3)
         candidates += [PidGains(*rng.uniform(0.0, 30.0, 3)) for _ in range(60)]
         candidates.append(PidGains(kp=0.0, ki=0.0, kd=0.0))
@@ -180,16 +167,8 @@ class TestArrayScreen:
     def candidates(self, problem, limit):
         """The first ``limit`` candidates of the unscreened grid in kd order."""
         result = design_pid(problem)
-        k, l = problem.pair_indices
         for i, j in self.visit_order(result, limit):
-            direction = kernel_direction(
-                result.window_phases_i[i] - problem.nominal_phase_deg(k),
-                result.window_phases_j[j] - problem.nominal_phase_deg(l),
-                problem.frequencies[k],
-                problem.frequencies[l],
-            )
-            beta, _ = beta_scaling(direction, problem)
-            yield candidate_from_kernel(direction, beta)
+            yield one_cell_gains(problem, result.window_phases_i[i], result.window_phases_j[j])
 
     def test_servo_vetoes_are_counted(self, servo_design):
         # the 14 cheapest candidates cross the contour between design frequencies
@@ -302,45 +281,3 @@ class TestBatchedScreen:
     def test_no_candidates(self, servo_pool):
         screen, _ = servo_pool
         assert screen.first_admitted(np.empty(0), np.empty(0), np.empty(0)) is None
-
-
-class TestExactBoundRecompute:
-    @pytest.mark.parametrize("stack", ["reduced", "servo"])
-    def test_exact_lookup_at_grid_phases_equals_combined_curves(self, stack, request):
-        config = request.getfixturevalue(f"{stack}_config")
-        built = request.getfixturevalue(f"{stack}_stack")
-        lookup = _exact_bound_fn(config, built.templates, built.contour)
-        for k, curve in enumerate(built.curves):
-            got = lookup(k, np.array(curve.phase_grid))
-            assert [v.hex() for v in got.tolist()] == [v.hex() for v in curve.min_gain_db]
-
-    def test_reduced_run_meets_rebisected_bounds(self, reduced_config, reduced_stack):
-        config = dataclasses.replace(
-            reduced_config,
-            design=dataclasses.replace(reduced_config.design, exact_bound_recompute=True),
-        )
-        result, _ = compute_design(
-            config,
-            reduced_stack.problem,
-            reduced_stack.contour,
-            reduced_stack.templates,
-            reduced_stack.sweep,
-        )
-        assert result.feasible
-        contour = reduced_stack.contour
-        caps = config.disturbance.caps if config.disturbance is not None else {}
-        checked = 0
-        for k, omega in enumerate(config.frequencies):
-            loop = reduced_stack.problem.nominal_responses[k] * pid_frequency_response(
-                result.gains, omega
-            )
-            phase = wrap_phase(math.degrees(math.atan2(loop.imag, loop.real)))
-            template = reduced_stack.templates[omega]
-            bound = horowitz_gain(template, delta_spread(config.tracking, omega), phase)
-            if omega in caps:
-                bound = max(bound, disturbance_gain(template, caps[omega], phase))
-            if contour.contains_phase(phase):
-                bound = max(bound, contour.upper_at(phase))
-            assert db(abs(loop)) - bound >= -INTERPOLATION_TOLERANCE_DB
-            checked += math.isfinite(bound)
-        assert checked >= 1

@@ -14,7 +14,7 @@ from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
     BoundCurve,
-    interpolate_bound,
+    interpolate_bound_array,
     make_phase_grid,
     u_contour,
 )
@@ -28,8 +28,8 @@ from qft_forge.optimizer import (
     KernelDirection,
     PidGains,
     SweepScreen,
+    _scale,
     beta_scaling,
-    candidate_from_kernel,
     design_pi_pd,
     design_pid,
     filtered_derivative_transform,
@@ -248,25 +248,6 @@ class TestBetaScaling:
         )
         assert beta_scaling(self.direction_p(), problem) == (INFEASIBLE, None)
 
-    def test_exact_bound_override(self):
-        problem = two_freq_problem(
-            node_curve(1.0, self.GRID, {-90.0: 20.0}),
-            node_curve(2.0, self.GRID, {}),
-        )
-        seen = []
-
-        def exact(k, phases_deg):
-            seen.append((k, phases_deg))
-            return np.full(phases_deg.shape, 14.0 if k == 0 else NO_CONSTRAINT)
-
-        beta, active = beta_scaling(self.direction_p(), problem, exact_bound=exact)
-        assert beta == pytest.approx(14.0, abs=1e-12)
-        assert active == 0
-        assert [k for k, _ in seen] == [0, 1]
-        for _, phases in seen:
-            assert phases.shape == (1,)
-            assert phases[0] == pytest.approx(-90.0, abs=1e-9)
-
     def test_scaled_candidate_meets_bounds_exactly(self):
         # direction (1, 2, 1)/sqrt(6) induces phases -135 (w=1) and -45 (w=2)
         direction = kernel_direction(-45.0, 45.0, 1.0, 2.0)
@@ -276,11 +257,12 @@ class TestBetaScaling:
         )
         beta, active = beta_scaling(direction, problem)
         assert active == 0
-        gains = candidate_from_kernel(direction, beta)
+        kd, ki, kp = _scale(direction.as_array(), beta)
+        gains = PidGains(kp=kp, ki=ki, kd=kd)
         for k, omega in enumerate(problem.frequencies):
             loop = problem.nominal_responses[k] * pid_frequency_response(gains, omega)
             phase = wrap_phase(math.degrees(cmath.phase(loop)))
-            bound = interpolate_bound(problem.bounds[k], phase)
+            bound = interpolate_bound_array(problem.bounds[k], np.array([phase]))[0]
             slack = db(abs(loop)) - bound
             assert slack >= -1e-9
             if k == active:
@@ -288,9 +270,12 @@ class TestBetaScaling:
 
 
 class TestCandidateFromKernel:
+    """``_scale``: a kernel direction lifted into (kd, ki, kp) gains."""
+
     def test_scaling_by_20_db(self):
         direction = kernel_direction(-45.0, 45.0, 1.0, 2.0)  # (1,2,1)/sqrt(6)
-        gains = candidate_from_kernel(direction, 20.0)
+        kd, ki, kp = _scale(direction.as_array(), 20.0)
+        gains = PidGains(kp=kp, ki=ki, kd=kd)
         assert gains.kd == pytest.approx(10.0 / math.sqrt(6.0), abs=1e-9)
         assert gains.kd == pytest.approx(4.08248290463863, abs=1e-9)
         assert gains.ki == pytest.approx(20.0 / math.sqrt(6.0), abs=1e-9)
@@ -298,22 +283,21 @@ class TestCandidateFromKernel:
 
     def test_sign_mixed_rejected(self):
         direction = kernel_direction(45.0, 45.0, 1.0, 2.0)  # (1,-2,3)/sqrt(14)
-        assert candidate_from_kernel(direction, 0.0) is None
+        assert np.isinf(_scale(direction.as_array(), 0.0)).all()
 
     def test_zero_beta_pure_proportional(self):
         direction = kernel_direction(0.0, 0.0, 1.0, 2.0)
-        gains = candidate_from_kernel(direction, 0.0)
-        assert gains == PidGains(kp=1.0, ki=0.0, kd=0.0)
+        assert _scale(direction.as_array(), 0.0).tolist() == [0.0, 0.0, 1.0]
 
     def test_all_negative_direction_flips_sign(self):
         r = 1.0 / math.sqrt(2.0)
         direction = KernelDirection(
             v21=-r, v22=-r, v23=0.0, psi_i=0.0, psi_j=0.0, omega_i=1.0, omega_j=2.0
         )
-        gains = candidate_from_kernel(direction, 0.0)
-        assert gains.kp == 0.0
-        assert gains.ki == pytest.approx(r)
-        assert gains.kd == pytest.approx(r)
+        kd, ki, kp = _scale(direction.as_array(), 0.0)
+        assert kp == 0.0
+        assert ki == pytest.approx(r)
+        assert kd == pytest.approx(r)
 
 
 class TestLoopMargins:

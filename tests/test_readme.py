@@ -1,16 +1,20 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the names it documents
+are what ``qft_forge`` exports."""
 
 from __future__ import annotations
 
 import re
 import shutil
 
+import qft_forge
+
 from conftest import REPO_ROOT, SERVO_CONFIG_PATH
+
+README = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_library_example_runs(tmp_path, monkeypatch, capsys):
-    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    blocks = re.findall(r"```python\n(.*?)```", README, flags=re.S)
     assert len(blocks) == 1
     (tmp_path / "configs").mkdir()
     shutil.copy(SERVO_CONFIG_PATH, tmp_path / "configs" / "servo.json")
@@ -20,3 +24,24 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     assert printed[1].startswith("PidGains(kp=")
     assert printed[2] == "False"  # the shipped design fails its envelope check
     assert (tmp_path / "out" / "design_report.txt").exists()
+
+
+def entry_point_names():
+    """Backquoted names of the "Lower-level entry points" paragraph, which
+    ends with the bound sentinels."""
+    paragraph = re.search(r"Lower-level entry points:(.*?)\n\n", README, flags=re.S).group(1)
+    return set(re.findall(r"`([A-Za-z_]\w*)`", paragraph))
+
+
+def test_documented_entry_points_import():
+    names = entry_point_names()
+    assert {"horowitz_bound", "NO_CONSTRAINT", "INFEASIBLE"} <= names
+    assert [name for name in sorted(names) if not hasattr(qft_forge, name)] == []
+
+
+def test_exports_only_documented_names():
+    example = set(re.findall(r"\bqf\.(\w+)\(", README))
+    documented = entry_point_names() | example | {"QftError", "__version__"}
+    assert example == {"load_config", "generate_templates", "run_command"}
+    assert sorted(set(qft_forge.__all__) - documented) == []
+    assert sorted(documented - set(qft_forge.__all__)) == []
