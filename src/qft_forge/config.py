@@ -262,6 +262,8 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
             cap = _as_number(_expect(entry, "cap", d_path), f"{d_path}.cap")
             if omega not in frequencies:
                 raise ConfigError(f"{d_path}.omega: {omega:g} is not a design frequency")
+            if omega in caps:
+                raise ConfigError(f"{d_path}.omega: duplicate disturbance frequency {omega:g}")
             if not cap > 0.0:
                 raise ConfigError(f"{d_path}.cap: must be positive, got {cap:g}")
             caps[omega] = cap

@@ -52,6 +52,10 @@ class UnknownParameter(QftError):
         self.position = position
 
 
+class UndefinedCoefficient(QftError, ValueError):
+    """Coefficient expression has no finite real value at a parameter point."""
+
+
 class OutOfBox(QftError):
     """Parameter point lies outside the declared uncertainty box."""
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
-from .errors import ExpressionSyntaxError, UnknownParameter
+from .errors import ExpressionSyntaxError, UndefinedCoefficient, UnknownParameter
 
 __all__ = [
     "CoefficientExpression",
@@ -82,9 +82,12 @@ class CoefficientExpression:
     root: Node
 
     def evaluate(self, env: Mapping) -> float:
-        value = self.root.evaluate(env)
+        try:
+            value = float(self.root.evaluate(env))  # a complex power: TypeError
+        except (ZeroDivisionError, OverflowError, TypeError):
+            value = math.nan
         if not math.isfinite(value):
-            raise ValueError(f"coefficient '{self.source}' is not finite at {dict(env)}")
+            raise UndefinedCoefficient(f"coefficient '{self.source}' is undefined at {dict(env)}")
         return value
 
     def names(self) -> set:

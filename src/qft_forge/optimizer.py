@@ -349,7 +349,6 @@ class SweepScreen:
     contour: UContour
     omegas: np.ndarray
     nominal_responses: np.ndarray
-    tolerance_db: float = INTERPOLATION_TOLERANCE_DB
 
     def __post_init__(self):
         object.__setattr__(self, "omegas", np.array(self.omegas, dtype=float))
@@ -373,7 +372,7 @@ class SweepScreen:
         controller.real = kp
         controller.imag = kd * self.omegas - ki / self.omegas
         phase, gain = to_nichols_array(self.nominal_responses * controller)
-        return phase, gain, self.contour.inside(phase, gain, tol_db=self.tolerance_db)
+        return phase, gain, self.contour.inside(phase, gain, tol_db=INTERPOLATION_TOLERANCE_DB)
 
     def admits(self, gains: PidGains) -> bool:
         """True when the candidate's nominal loop stays out of the contour."""
@@ -603,13 +602,12 @@ class GainMap:
         return PidGains(kp=kp, ki=ki, kd=kd)
 
 
-def filtered_derivative_transform(plant: UncertainPlant, tau: float):
+def filtered_derivative_transform(plant: UncertainPlant, tau: float) -> UncertainPlant:
     """Absorb a derivative filter 1/(1 + tau s) into the plant.
 
-    Returns the augmented plant (denominator multiplied by 1 + tau s) and the
-    gain bijection between the two controller forms, so the standard search
-    runs unchanged on the augmented problem and its result maps back to an
-    implementable filtered PID.
+    Returns the augmented plant (denominator multiplied by 1 + tau s), so the
+    standard search runs unchanged on the augmented problem; ``GainMap(tau)``
+    maps its result back to an implementable filtered PID.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
@@ -619,10 +617,9 @@ def filtered_derivative_transform(plant: UncertainPlant, tau: float):
     for k in range(1, len(old)):
         new_den.append(add_expressions(scale_expression(old[k], tau), old[k - 1]))
     new_den.append(old[-1])
-    modified = UncertainPlant(
+    return UncertainPlant(
         num=plant.num,
         den=tuple(new_den),
         params=plant.params,
         nominal=dict(plant.nominal),
     )
-    return modified, GainMap(tau=float(tau))

@@ -80,8 +80,6 @@ DEFAULT_ORACLE_BOX = OracleBox(
     kd=GainAxis(0.0, 50.0, 0.05),
 )
 
-_DENSE_SWEEP_POINTS = 500
-
 # (omegas, nominal responses) on the dense grid; see nominal_sweep
 Sweep = Tuple[np.ndarray, np.ndarray]
 
@@ -103,15 +101,15 @@ class RunArtifacts:
     oracle: Optional[OracleResult] = None
 
 
-def effective_plant(config: DesignConfig) -> Tuple[UncertainPlant, Optional[GainMap]]:
+def effective_plant(config: DesignConfig) -> UncertainPlant:
     """The plant the design actually runs against.
 
     With a derivative-filter time constant configured, the filter is folded
-    into the plant denominator and the returned gain map converts the
-    search's regrouped gains back to the physical filtered-PID gains.
+    into the plant denominator.  Only :func:`compute_templates` and
+    :func:`nominal_sweep` evaluate it; later stages read their results.
     """
     if config.design.tau is None:
-        return config.plant, None
+        return config.plant
     return filtered_derivative_transform(config.plant, config.design.tau)
 
 
@@ -123,8 +121,8 @@ def nominal_sweep(config: DesignConfig) -> Sweep:
     hands it to the design problem, the stability screen, verification and
     the chart.
     """
-    plant, _ = effective_plant(config)
-    omegas = default_dense_grid(config.frequencies, _DENSE_SWEEP_POINTS)
+    plant = effective_plant(config)
+    omegas = default_dense_grid(config.frequencies)
     return omegas, evaluate_plant_array(plant, plant.nominal, 1j * omegas)
 
 
@@ -135,8 +133,7 @@ def _at_design_frequencies(config: DesignConfig, sweep: Sweep) -> List[complex]:
 
 def compute_templates(config: DesignConfig) -> Dict[float, Template]:
     """Uncertainty templates at every design frequency, ascending order."""
-    plant, _ = effective_plant(config)
-    return generate_templates(plant, config.frequencies)
+    return generate_templates(effective_plant(config), config.frequencies)
 
 
 def _performance_curve(
@@ -206,7 +203,6 @@ def compute_design(
     result and, when a derivative filter is configured, the mapped-back
     physical gains (None otherwise, or when infeasible).
     """
-    _, gain_map = effective_plant(config)
     screen = SweepScreen(contour, *sweep)
     kind = config.design.kind
     if kind == "pid":
@@ -215,31 +211,30 @@ def compute_design(
         anchor = config.pair_indices()[0]
         result = design_pi_pd(problem, kind, anchor_frequency_index=anchor, screen=screen)
     physical = None
-    if result.feasible and gain_map is not None:
-        physical = gain_map.inverse(result.gains)
+    if result.feasible and config.design.tau is not None:
+        physical = GainMap(config.design.tau).inverse(result.gains)
     return result, physical
 
 
 def compute_verification(
     config: DesignConfig,
+    templates: Dict[float, Template],
     gains: PidGains,
     curves: Sequence[BoundCurve],
     contour: UContour,
     sweep: Sweep,
 ) -> VerificationReport:
-    """Full post-design check; includes the tracking envelope only when the
-    configuration carries a prefilter."""
-    plant, _ = effective_plant(config)
-    omegas, responses = sweep
+    """Full post-design check on the run's templates and nominal sweep; the
+    tracking envelope only when the configuration carries a prefilter."""
     return verify_design(
-        plant,
+        config.plant,
+        templates,
         gains,
         curves,
         contour,
-        omegas,
+        sweep,
         prefilter=config.prefilter,
         tracking=config.tracking if config.prefilter is not None else None,
-        dense_responses=responses,
     )
 
 
@@ -329,13 +324,11 @@ def write_kd_grid_csv(path: str, result: DesignResult):
     _write_csv(path, header, rows)
 
 
-def write_envelope_csv(path: str, report: Optional[VerificationReport]):
-    rows = []
-    if report is not None:
-        rows = [
-            [_num(r.omega), _num(r.min_db), _num(r.max_db), _num(r.lower_db), _num(r.upper_db)]
-            for r in report.envelope
-        ]
+def write_envelope_csv(path: str, report: VerificationReport):
+    rows = (
+        [_num(r.omega), _num(r.min_db), _num(r.max_db), _num(r.lower_db), _num(r.upper_db)]
+        for r in report.envelope
+    )
     _write_csv(path, ["omega", "min_db", "max_db", "lower_db", "upper_db"], rows)
 
 
@@ -578,7 +571,12 @@ def run_command(
 
     if depth >= 3 and artifacts.design is not None and artifacts.design.feasible:
         report = compute_verification(
-            config, artifacts.design.gains, artifacts.bound_curves, artifacts.contour, sweep
+            config,
+            artifacts.templates,
+            artifacts.design.gains,
+            artifacts.bound_curves,
+            artifacts.contour,
+            sweep,
         )
         artifacts.verification = report
         emit("envelope.csv", lambda p: write_envelope_csv(p, report))

@@ -130,9 +130,10 @@ def evaluate_plant_array(plant: UncertainPlant, point: Dict[str, float], s) -> n
 
 @dataclass(frozen=True)
 class TemplatePoint:
-    """One sampled family member at a fixed frequency, as a ratio to nominal."""
+    """One sampled family member at a fixed frequency, and its ratio to nominal."""
 
     params: Tuple[float, ...]
+    response: complex  # the member's frequency response; ratio = response / nominal
     ratio: complex
     phase_deg: float  # relative to nominal, principal branch (-180, 180]
     gain_db: float
@@ -143,7 +144,6 @@ class Template:
     """All sampled responses of the family at one frequency."""
 
     omega: float
-    param_names: Tuple[str, ...]
     points: Tuple[TemplatePoint, ...]
     hull: Tuple[Tuple[float, float], ...]  # CCW (phase_deg, gain_db) vertices
     hull_indices: Tuple[int, ...]
@@ -195,7 +195,8 @@ def generate_templates(plant: UncertainPlant, omegas: Sequence[float]) -> Dict[f
     Each member is evaluated once over all of ``omegas``.  The nominal member
     is always included (appended when the grid misses it), ratios are formed
     against its response, and the convex hull is taken in relative Nichols
-    coordinates.  Templates are keyed by frequency, in the order given.
+    coordinates.  Points keep each member's response for later stages.
+    Templates are keyed by frequency, in the order given.
     """
     omegas = [float(omega) for omega in omegas]
     names = tuple(spec.name for spec in plant.params)
@@ -221,6 +222,7 @@ def generate_templates(plant: UncertainPlant, omegas: Sequence[float]) -> Dict[f
             points.append(
                 TemplatePoint(
                     params=combo,
+                    response=row[k],
                     ratio=ratio,
                     phase_deg=principal_phase(ratio),
                     gain_db=db(magnitude),
@@ -242,7 +244,6 @@ def generate_templates(plant: UncertainPlant, omegas: Sequence[float]) -> Dict[f
         hull_indices = tuple(index_of[v] for v in hull)
         templates[omega] = Template(
             omega=omega,
-            param_names=names,
             points=tuple(points),
             hull=tuple(hull),
             hull_indices=hull_indices,

@@ -3,14 +3,15 @@ and an exhaustive gain-box search used to cross-examine the optimizer.
 
 Everything here reports; nothing raises on a failed check.  A design that
 misses a bound produces a report with ``passed = False`` and the offending
-rows, which the CLI turns into a non-zero exit code.
+rows, which the CLI turns into a non-zero exit code.  The plant is never
+evaluated here: the run's templates and dense sweep carry its responses.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -33,10 +34,9 @@ from .optimizer import (
     loop_margins,
     pid_frequency_response,
 )
-from .plant import UncertainPlant, evaluate_plant_array
+from .plant import Template, UncertainPlant
 
 __all__ = [
-    "SLACK_TOLERANCE_DB",
     "VerifyMargin",
     "SweepPoint",
     "EnvelopeRow",
@@ -51,10 +51,6 @@ __all__ = [
     "brute_force_design",
 ]
 
-# One tolerance for the whole reporting chain, shared with the optimizer's
-# margin invariants so design and verification agree on what "violated" means.
-SLACK_TOLERANCE_DB = INTERPOLATION_TOLERANCE_DB
-
 
 def default_prefilter(cutoff_a: float = 3.5, cutoff_b: float = 7.5) -> RationalTransferFunction:
     """Unity-dc two-pole prefilter used to centre the tracking band."""
@@ -65,9 +61,9 @@ def default_prefilter(cutoff_a: float = 3.5, cutoff_b: float = 7.5) -> RationalT
 def default_dense_grid(frequencies: Sequence[float], points: int = 500) -> np.ndarray:
     """Log-spaced sweep a decade past both ends of the design frequencies.
 
-    The design frequencies themselves are merged into the grid, so callers
-    can hand the result straight to :func:`verify_design`, whose sweep is
-    expected to cover every design point.
+    The design frequencies themselves are merged into the grid, so a sweep
+    on it meets :func:`verify_design`'s demand that the sweep hold every
+    design point.
     """
     lo = min(frequencies) / 10.0
     hi = max(frequencies) * 10.0
@@ -136,29 +132,27 @@ def closed_loop_envelope(
     gains: PidGains,
     prefilter: RationalTransferFunction,
     tracking: TrackingSpec,
-    omegas: Sequence[float],
+    templates: Sequence[Template],
 ) -> Tuple[EnvelopeRow, ...]:
-    """Extremes of |F L / (1 + L)| over the sampled plant family, next to the
-    reference-model corridor (orientation-normalised per frequency).
+    """Extremes of |F L / (1 + L)| over the sampled plant family, one row per
+    template, next to the reference-model corridor (orientation-normalised).
 
-    The nominal parameter point is always part of the sample, so the nominal
-    closed loop is bracketed by every row.  A family member that lands the
-    loop exactly on -1 raises CriticalPoint — that sample is marginally
-    unstable and no finite envelope describes it.
+    L is read from the templates' member responses; ``plant`` only names the
+    parameters.  The nominal member is in every template, so the nominal
+    closed loop is bracketed by every row.  A member that lands the loop
+    exactly on -1 raises CriticalPoint — no finite envelope describes it.
     """
-    names = [spec.name for spec in plant.params]
-    omegas = [float(omega) for omega in omegas]
+    omegas = [template.omega for template in templates]
     controller = [pid_frequency_response(gains, omega) for omega in omegas]
     f_mags = [abs(eval_tf(prefilter, 1j * omega)) for omega in omegas]
-    members = plant.members()
-    s = 1j * np.array(omegas)
+    members = list(zip(*(template.points for template in templates)))  # points per member
     mags = np.empty((len(omegas), len(members)))  # one contiguous row per frequency
-    for m, combo in enumerate(members):
-        env = dict(zip(names, combo))
-        for k, response in enumerate(evaluate_plant_array(plant, env, s).tolist()):
-            loop = response * controller[k]
+    for m, member in enumerate(members):
+        for k, point in enumerate(member):
+            loop = point.response * controller[k]
             denom = 1.0 + loop
             if denom == 0.0:
+                env = {spec.name: v for spec, v in zip(plant.params, point.params)}
                 raise CriticalPoint(
                     f"family member {env} drives the loop onto -1 at omega={omegas[k]}"
                 )
@@ -183,13 +177,13 @@ def closed_loop_envelope(
 
 def verify_design(
     plant: UncertainPlant,
+    templates: Dict[float, Template],
     gains: PidGains,
     bound_curves: Sequence[BoundCurve],
     u: UContour,
-    dense_grid: Sequence[float],
+    sweep: Tuple[np.ndarray, np.ndarray],
     prefilter: Optional[RationalTransferFunction] = None,
     tracking: Optional[TrackingSpec] = None,
-    dense_responses: Optional[np.ndarray] = None,
 ) -> VerificationReport:
     """Re-examine a finished design against everything it promised.
 
@@ -197,21 +191,18 @@ def verify_design(
     response times controller response against the interpolated bound), each
     tagged with the constraint that sets its bound; the nominal loop is swept
     densely through the stability contour, and — when a prefilter and the
-    tracking models are supplied — the family envelope is checked against the
-    reference corridor at the design frequencies.  The sweep always covers
-    the design frequencies, whether or not the caller's grid included them.
+    tracking models are supplied — the family envelope, read from
+    ``templates`` (keyed by frequency), is checked against the corridor.
 
-    ``dense_responses``, when given, is the nominal plant's response on
-    ``dense_grid``, which must then be sorted and already hold every design
-    frequency; otherwise the plant is evaluated here.  The sweep itself is a
-    :class:`SweepScreen` computation, so it agrees with the design screen.
+    ``sweep`` is the run's ``(omegas, responses)``: the nominal response on
+    a sorted grid holding every design frequency (ValueError otherwise).
+    The dense sweep is a :class:`SweepScreen` computation, so it agrees with
+    the design screen.
     """
     design_freqs = [c.omega for c in bound_curves]
-    omegas = _sorted_unique(np.concatenate([np.asarray(dense_grid, dtype=float), design_freqs]))
-    if dense_responses is None:
-        dense_responses = evaluate_plant_array(plant, plant.nominal, 1j * omegas)
-    elif not np.array_equal(omegas, dense_grid):
-        raise ValueError("dense_grid must be sorted and cover the design frequencies")
+    omegas, dense_responses = sweep
+    if np.any(np.diff(omegas) <= 0) or not set(design_freqs) <= set(omegas.tolist()):
+        raise ValueError("the sweep must be sorted and cover the design frequencies")
     at_design = dense_responses[np.searchsorted(omegas, design_freqs)].tolist()
 
     margins: List[VerifyMargin] = []
@@ -229,8 +220,8 @@ def verify_design(
             source = "performance"
         margins.append(VerifyMargin(**vars(m), source=source))
 
-    screen = SweepScreen(u, omegas, dense_responses, SLACK_TOLERANCE_DB)
-    sweep = tuple(
+    screen = SweepScreen(u, omegas, dense_responses)
+    sweep_points = tuple(
         SweepPoint(omega=omega, phase_deg=phase, gain_db=gain, inside_ucontour=inside)
         for omega, phase, gain, inside in zip(
             omegas.tolist(), *(a.tolist() for a in screen.sweep(gains))
@@ -239,17 +230,19 @@ def verify_design(
 
     envelope: Tuple[EnvelopeRow, ...] = ()
     if prefilter is not None and tracking is not None:
-        envelope = closed_loop_envelope(plant, gains, prefilter, tracking, design_freqs)
+        family = [templates[omega] for omega in design_freqs]
+        envelope = closed_loop_envelope(plant, gains, prefilter, tracking, family)
 
     reasons: List[str] = []
     for m in margins:
-        if m.slack_db < -SLACK_TOLERANCE_DB:
+        if m.slack_db < -INTERPOLATION_TOLERANCE_DB:
             reasons.append(
-                f"margin at omega={m.omega:g}: slack {m.slack_db:.3f} dB below -{SLACK_TOLERANCE_DB} dB"
+                f"margin at omega={m.omega:g}: slack {m.slack_db:.3f} dB below "
+                f"-{INTERPOLATION_TOLERANCE_DB} dB"
             )
-    n_inside = sum(1 for p in sweep if p.inside_ucontour)
+    n_inside = sum(1 for p in sweep_points if p.inside_ucontour)
     if n_inside:
-        worst = next(p for p in sweep if p.inside_ucontour)
+        worst = next(p for p in sweep_points if p.inside_ucontour)
         reasons.append(
             f"loop enters the stability contour at {n_inside} swept frequencies "
             f"(first at omega={worst.omega:.4g})"
@@ -262,7 +255,7 @@ def verify_design(
 
     return VerificationReport(
         per_frequency_margins=tuple(margins),
-        dense_sweep=sweep,
+        dense_sweep=sweep_points,
         envelope=envelope,
         passed=not reasons,
         reasons=tuple(reasons),

@@ -7,6 +7,8 @@ closed-loop envelope: a Python loop per phase (or per frequency, or per
 candidate) calling plain scalar arithmetic.  Tests compare the vectorised
 implementations with them bit for bit (bounds, interpolation, plant,
 templates, envelope, screen sweep) or decision for decision (screen).  The
+earlier envelope that evaluates every family member again is kept too, as
+the reference for the envelope that reads the templates' responses.  The
 gain-box oracle's earlier full-mesh search is kept here too: every kd slice
 tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
 the blocked search must return the same result.
@@ -37,10 +39,18 @@ from qft_forge.errors import (
     TemplateTooWide,
     ZeroMagnitude,
 )
-from qft_forge.lti import db, m_circle_gains, principal_phase, to_nichols_array, undb, wrap_phase
-from qft_forge.optimizer import PidGains, pid_frequency_response
-from qft_forge.plant import Template, TemplatePoint, convex_hull_nichols
-from qft_forge.verify import OracleResult
+from qft_forge.lti import (
+    db,
+    eval_tf,
+    m_circle_gains,
+    principal_phase,
+    to_nichols_array,
+    undb,
+    wrap_phase,
+)
+from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, PidGains, pid_frequency_response
+from qft_forge.plant import Template, TemplatePoint, convex_hull_nichols, evaluate_plant_array
+from qft_forge.verify import EnvelopeRow, OracleResult
 
 
 def _closed_loop_spread_db(ratios: np.ndarray, gain_db: float, phase_rad: float) -> float:
@@ -124,7 +134,7 @@ def screen_admits(screen, gains) -> bool:
         if loop == 0:
             continue
         phase = wrap_phase(math.degrees(cmath.phase(loop)))
-        if _inside(screen.contour, phase, db(abs(loop)), screen.tolerance_db):
+        if _inside(screen.contour, phase, db(abs(loop)), INTERPOLATION_TOLERANCE_DB):
             return False
     return True
 
@@ -135,7 +145,7 @@ def screen_sweep(screen, gains):
     controller.real = gains.kp
     controller.imag = gains.kd * screen.omegas - gains.ki / screen.omegas
     phase, gain = to_nichols_array(screen.nominal_responses * controller)
-    return phase, gain, screen.contour.inside(phase, gain, tol_db=screen.tolerance_db)
+    return phase, gain, screen.contour.inside(phase, gain, tol_db=INTERPOLATION_TOLERANCE_DB)
 
 
 def first_admitted(screen, kd, ki, kp):
@@ -179,13 +189,15 @@ def generate_template(plant, omega: float) -> Template:
     points = []
     for combo in plant.members():
         env = dict(zip(names, combo))
-        ratio = member_response(plant, env, 1j * omega) / nominal_response
+        response = member_response(plant, env, 1j * omega)
+        ratio = response / nominal_response
         magnitude = abs(ratio)
         if magnitude == 0.0:
             raise ZeroMagnitude(f"family member at {env} has zero response at omega={omega}")
         points.append(
             TemplatePoint(
                 params=combo,
+                response=response,
                 ratio=ratio,
                 phase_deg=principal_phase(ratio),
                 gain_db=db(magnitude),
@@ -206,7 +218,6 @@ def generate_template(plant, omega: float) -> Template:
         index_of.setdefault(c, i)
     return Template(
         omega=float(omega),
-        param_names=names,
         points=tuple(points),
         hull=tuple(hull),
         hull_indices=tuple(index_of[v] for v in hull),
@@ -250,6 +261,44 @@ def envelope_extremes(plant, gains, prefilter, omegas):
         mags_db = 20.0 * np.log10(np.asarray(mags))
         rows.append((float(mags_db.min()), float(mags_db.max())))
     return rows
+
+
+def closed_loop_envelope(plant, gains, prefilter, tracking, omegas):
+    """The earlier envelope: every family member evaluated again over all of
+    ``omegas``, then |F L / (1 + L)| in CPython arithmetic per element."""
+    names = [spec.name for spec in plant.params]
+    omegas = [float(omega) for omega in omegas]
+    controller = [pid_frequency_response(gains, omega) for omega in omegas]
+    f_mags = [abs(eval_tf(prefilter, 1j * omega)) for omega in omegas]
+    members = plant.members()
+    s = 1j * np.array(omegas)
+    mags = np.empty((len(omegas), len(members)))
+    for m, combo in enumerate(members):
+        env = dict(zip(names, combo))
+        for k, response in enumerate(evaluate_plant_array(plant, env, s).tolist()):
+            loop = response * controller[k]
+            denom = 1.0 + loop
+            if denom == 0.0:
+                raise CriticalPoint(
+                    f"family member {env} drives the loop onto -1 at omega={omegas[k]}"
+                )
+            mags[k, m] = f_mags[k] * abs(loop / denom)
+    with np.errstate(divide="ignore"):
+        mags_db = 20.0 * np.log10(mags)
+    rows = []
+    for omega, row_db in zip(omegas, mags_db):
+        lo_model = db(abs(eval_tf(tracking.lower, 1j * omega)))
+        hi_model = db(abs(eval_tf(tracking.upper, 1j * omega)))
+        rows.append(
+            EnvelopeRow(
+                omega=omega,
+                min_db=float(row_db.min()),
+                max_db=float(row_db.max()),
+                lower_db=min(lo_model, hi_model),
+                upper_db=max(lo_model, hi_model),
+            )
+        )
+    return tuple(rows)
 
 
 def brute_force_design(problem, box):

@@ -32,7 +32,12 @@ from qft_forge.pipeline import (
     compute_templates,
     nominal_sweep,
 )
-from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
+from qft_forge.plant import (
+    ParameterSpec,
+    UncertainPlant,
+    evaluate_plant_array,
+    generate_templates,
+)
 from qft_forge.verify import (
     GainAxis,
     OracleBox,
@@ -121,12 +126,17 @@ class TestC1ReferenceDesign:
 
 class TestC2MarginTightness:
     def test_c2_design_passes_with_tight_margins(self, timed_servo, capsys):
+        plant = timed_servo.config.plant
+        grid = np.unique(
+            np.concatenate([np.logspace(-2, 3, 500), timed_servo.config.frequencies])
+        )
         report = verify_design(
-            timed_servo.config.plant,
+            plant,
+            timed_servo.templates,
             timed_servo.result.gains,
             timed_servo.curves,
             timed_servo.contour,
-            np.unique(np.concatenate([np.logspace(-2, 3, 500), [0.5, 60.0]])),
+            (grid, evaluate_plant_array(plant, plant.nominal, 1j * grid)),
         )
         slacks = [m.slack_db for m in report.per_frequency_margins]
         verdict = (
@@ -313,7 +323,7 @@ class TestC7ClosedLoopEnvelope:
             timed_servo.result.gains,
             default_prefilter(),
             timed_servo.config.tracking,
-            omegas=timed_servo.config.frequencies,
+            list(timed_servo.templates.values()),
         )
 
     @pytest.mark.xfail(

@@ -34,13 +34,14 @@ def template_of(ratios) -> Template:
     points = tuple(
         TemplatePoint(
             params=(),
+            response=complex(r),
             ratio=complex(r),
             phase_deg=math.degrees(math.atan2(complex(r).imag, complex(r).real)),
             gain_db=db(abs(r)),
         )
         for r in ratios
     )
-    return Template(omega=1.0, param_names=(), points=points, hull=(), hull_indices=())
+    return Template(omega=1.0, points=points, hull=(), hull_indices=())
 
 
 members = st.builds(

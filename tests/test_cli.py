@@ -151,6 +151,29 @@ class TestUsageErrors:
             assert f"error: {message}" in capsys.readouterr().err
             assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "key, coefficients, source, point",
+        [
+            ("numerator", ["k/(a-1)"], "k/(a-1)", "{'a': 1.0, 'k': 1.0}"),
+            ("numerator", ["k*(a-1)^-1"], "k*(a-1)^-1", "{'a': 1.0, 'k': 1.0}"),
+            ("denominator", ["1", "(a-3)^0.5", "0"], "(a-3)^0.5", "{'a': 1.0, 'k': 1.0}"),
+            ("numerator", ["k*a*10^400"], "k*a*10^400", "{'a': 1.0, 'k': 1.0}"),
+            ("numerator", ["1e308*a*k"], "1e308*a*k", "{'a': 1.0, 'k': 2.0}"),
+        ],
+        ids=["division-by-zero", "zero-to-negative-power", "complex-power", "overflow", "inf"],
+    )
+    def test_undefined_coefficient(self, capsys, tmp_path, key, coefficients, source, point):
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["plant"][key] = coefficients
+        cfg = tmp_path / "undefined.json"
+        cfg.write_text(json.dumps(raw))
+        for command in ("templates", "all"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+            message = f"error: coefficient '{source}' is undefined at {point}\n"
+            assert capsys.readouterr().err == message
+            assert list(out.iterdir()) == []
+
 
 class TestSuccessfulRuns:
     def test_reduced_all_passes(self, capsys, reduced_json, tmp_path):

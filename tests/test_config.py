@@ -326,6 +326,13 @@ class TestValidationErrors:
         with pytest.raises(ConfigError, match=re.escape(f"{where}: unknown field")):
             parse_config_dict(d)
 
+    def test_duplicate_disturbance_frequency(self, servo_dict):
+        d = copy.deepcopy(servo_dict)
+        d["disturbance"] = [{"omega": 1.0, "cap": 0.5}, {"omega": 1.0, "cap": 0.9}]
+        message = r"config\.disturbance\[1\]\.omega: duplicate disturbance frequency 1"
+        with pytest.raises(ConfigError, match=message):
+            parse_config_dict(d)
+
     @pytest.mark.parametrize(
         "entry, field",
         [({"omega": math.inf, "cap": 0.5}, "omega"), ({"omega": 3.0, "cap": math.nan}, "cap")],

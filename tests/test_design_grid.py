@@ -149,15 +149,14 @@ class TestArrayScreen:
     @pytest.mark.parametrize("workload", ["servo", "screen-walk"])
     def test_screen_agrees_with_verify_sweep(self, workload, servo_config):
         config = servo_config if workload == "servo" else screen_walk_config()
-        curves, contour, _ = compute_bounds(config, compute_templates(config))
+        templates = compute_templates(config)
+        curves, contour, _ = compute_bounds(config, templates)
         sweep = nominal_sweep(config)
         problem = build_problem(config, curves, sweep)
         screen = SweepScreen(contour, *sweep)
         decisions = []
         for gains in self.candidates(problem, 50):
-            report = verify_design(
-                config.plant, gains, curves, contour, sweep[0], dense_responses=sweep[1]
-            )
+            report = verify_design(config.plant, templates, gains, curves, contour, sweep)
             decisions.append(screen.admits(gains))
             assert decisions[-1] == (not report.sweep_violations)
         assert len(decisions) == 50

@@ -11,9 +11,11 @@ import pytest
 
 from qft_forge.bounds import DisturbanceSpec
 from qft_forge.lti import db
+from qft_forge.optimizer import GainMap, PidGains
 from qft_forge import pipeline, plant, verify
 from qft_forge.pipeline import (
     COMMANDS,
+    DEFAULT_ORACLE_BOX,
     compute_bounds,
     compute_design,
     compute_templates,
@@ -22,7 +24,7 @@ from qft_forge.pipeline import (
     nominal_sweep,
     run_command,
 )
-from qft_forge.verify import GainAxis, OracleBox
+from qft_forge.verify import GainAxis, OracleBox, OracleResult
 
 ALL_ARTIFACTS = (
     "templates.csv",
@@ -48,19 +50,15 @@ def reduced_all_dir(tmp_path_factory, reduced_config):
 
 class TestEffectivePlant:
     def test_without_tau_is_passthrough(self, servo_config):
-        plant, gain_map = effective_plant(servo_config)
-        assert plant is servo_config.plant
-        assert gain_map is None
+        assert effective_plant(servo_config) is servo_config.plant
 
     def test_with_tau_adds_filter_pole(self, reduced_config):
         cfg = dataclasses.replace(
             reduced_config,
             design=dataclasses.replace(reduced_config.design, tau=0.001),
         )
-        plant, gain_map = effective_plant(cfg)
+        plant = effective_plant(cfg)
         assert len(plant.den) == len(reduced_config.plant.den) + 1
-        assert gain_map is not None
-        assert gain_map.tau == 0.001
 
 
 class TestComputeBounds:
@@ -108,6 +106,7 @@ class TestServoDesign:
     def test_verification(self, servo_config, servo_stack, servo_design):
         report = compute_verification(
             servo_config,
+            servo_stack.templates,
             servo_design.gains,
             servo_stack.curves,
             servo_stack.contour,
@@ -262,6 +261,24 @@ class TestSpecialRuns:
         assert "evaluations      : " in text
         assert "box              : kp=[0.0,10.0] step 0.5" in text
 
+    def test_oracle_without_a_box_searches_the_default_box(
+        self, reduced_config, tmp_path, monkeypatch
+    ):
+        boxes = []
+
+        def oracle(problem, box):
+            boxes.append(box)
+            return OracleResult(
+                best_gains=PidGains(kp=1.0, ki=0.0, kd=0.0), best_kd=0.0, evaluations=0, box=box
+            )
+
+        monkeypatch.setattr(pipeline, "brute_force_design", oracle)
+        assert reduced_config.oracle is None
+        run_command(reduced_config, "design", str(tmp_path), with_oracle=True)
+        assert boxes == [DEFAULT_ORACLE_BOX]
+        text = (tmp_path / "design_report.txt").read_text()
+        assert "box              : kp=[0.0,50.0] step 0.05" in text
+
     def test_oracle_close_to_design(self, reduced_config, tmp_path):
         cfg = dataclasses.replace(
             reduced_config,
@@ -291,8 +308,7 @@ class TestSpecialRuns:
         )
         artifacts = run_command(cfg, "design", str(tmp_path))
         assert artifacts.physical_gains is not None
-        plant, gain_map = effective_plant(cfg)
-        mapped = gain_map.forward(artifacts.physical_gains)
+        mapped = GainMap(0.001).forward(artifacts.physical_gains)
         assert mapped.kp == pytest.approx(artifacts.design.gains.kp, rel=1e-12)
         assert mapped.ki == pytest.approx(artifacts.design.gains.ki, rel=1e-12)
         assert mapped.kd == pytest.approx(artifacts.design.gains.kd, rel=1e-12)
@@ -321,6 +337,8 @@ class TestSpecialRuns:
 
 class TestNominalSweep:
     def test_servo_all_evaluates_the_dense_grid_once(self, servo_config, tmp_path, monkeypatch):
+        """A whole ``all`` run evaluates the plant once per template member and
+        once over the dense grid; verification reads both results."""
         dense = len(nominal_sweep(servo_config)[0])
         real = plant.evaluate_plant_array
         calls = []
@@ -329,13 +347,14 @@ class TestNominalSweep:
             calls.append((dict(point), np.size(s)))
             return real(plant_, point, s)
 
-        for module in (pipeline, verify):
-            monkeypatch.setattr(module, "evaluate_plant_array", counting)
-        run_command(servo_config, "all", str(tmp_path))
+        for module in (plant, pipeline, verify):
+            monkeypatch.setattr(module, "evaluate_plant_array", counting, raising=False)
+        artifacts = run_command(servo_config, "all", str(tmp_path))
+        assert artifacts.verification is not None and artifacts.verification.envelope
         assert calls.count((servo_config.plant.nominal, dense)) == 1
-        # every other call is one envelope member over the design frequencies
+        # every other call is one template member over the design frequencies
         assert {size for _, size in calls} == {len(servo_config.frequencies), dense}
-        assert len(calls) == 1 + len(servo_config.plant.members())
+        assert len(calls) == 1 + len(servo_config.plant.members()) == 101
 
     def test_design_frequencies_read_from_the_sweep(self, servo_config, servo_stack):
         nominal = servo_config.plant.nominal

@@ -308,10 +308,6 @@ class TestGenerateTemplate:
         assert len(template.points) == 5
         assert template.points[-1].params == (5.5, 5.5)
 
-    def test_param_names(self):
-        template = template_at(servo_plant(), 1.0)
-        assert template.param_names == ("a", "k")
-
     def test_high_frequency_gain_span(self):
         # At omega = 60 the family's span is set by the k*a numerator:
         # 20*log10(100 * sqrt(3601/3700)) dB, extremes at the box corners.
@@ -417,9 +413,8 @@ def template_bits(template: Template):
     """Every float of a template as its exact hex form."""
     return (
         template.omega.hex(),
-        template.param_names,
         [
-            (p.params, bits(p.ratio), p.phase_deg.hex(), p.gain_db.hex())
+            (p.params, bits(p.response), bits(p.ratio), p.phase_deg.hex(), p.gain_db.hex())
             for p in template.points
         ],
         [(x.hex(), y.hex()) for x, y in template.hull],

@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qft_forge.bounds import (
@@ -18,13 +18,24 @@ from qft_forge.bounds import (
     make_phase_grid,
     u_contour,
 )
-from qft_forge.errors import CriticalPoint, NoFeasiblePoint
+from qft_forge.errors import (
+    CriticalPoint,
+    NoFeasiblePoint,
+    PoleOnAxis,
+    TemplateTooWide,
+    ZeroMagnitude,
+)
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import RationalTransferFunction, db, eval_tf
-from qft_forge.optimizer import DesignProblem, PidGains, loop_margins
-from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant_array
+from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, DesignProblem, PidGains, loop_margins
+from qft_forge.pipeline import compute_templates, effective_plant
+from qft_forge.plant import (
+    ParameterSpec,
+    UncertainPlant,
+    evaluate_plant_array,
+    generate_templates,
+)
 from qft_forge.verify import (
-    SLACK_TOLERANCE_DB,
     EnvelopeRow,
     GainAxis,
     OracleBox,
@@ -116,16 +127,29 @@ class TestDefaultDenseGrid:
         assert _sorted_unique(values).tobytes() == np.unique(values).tobytes()
 
 
+def templates_at(plant, omegas):
+    """The family's templates at ``omegas``, in order, as the envelope reads them."""
+    return list(generate_templates(plant, omegas).values())
+
+
+def row_bits(row: EnvelopeRow):
+    return tuple(float(v).hex() for v in dataclasses.astuple(row))
+
+
 class TestVerifyMargins:
-    def test_margins_agree_with_optimizer(self, servo_config, servo_stack):
-        plant = servo_config.plant
-        report = verify_design(
-            plant,
-            REFERENCE_GAINS,
+    def verify(self, servo_config, servo_stack, gains, sweep=None, **kwargs):
+        return verify_design(
+            servo_config.plant,
+            servo_stack.templates,
+            gains,
             servo_stack.curves,
             servo_stack.contour,
-            dense_grid=np.array([0.3, 4.7]),
+            servo_stack.sweep if sweep is None else sweep,
+            **kwargs,
         )
+
+    def test_margins_agree_with_optimizer(self, servo_config, servo_stack):
+        report = self.verify(servo_config, servo_stack, REFERENCE_GAINS)
         problem = servo_stack.problem
         optim = loop_margins(problem.bounds, problem.nominal_responses, REFERENCE_GAINS)
         assert len(report.per_frequency_margins) == len(optim)
@@ -140,25 +164,13 @@ class TestVerifyMargins:
                 assert got.bound_db == want.bound_db
 
     def test_reference_gains_hold_every_margin(self, servo_config, servo_stack):
-        report = verify_design(
-            servo_config.plant,
-            REFERENCE_GAINS,
-            servo_stack.curves,
-            servo_stack.contour,
-            dense_grid=np.array([1.0]),
-        )
+        report = self.verify(servo_config, servo_stack, REFERENCE_GAINS)
         slacks = [m.slack_db for m in report.per_frequency_margins]
-        assert min(slacks) >= -SLACK_TOLERANCE_DB
+        assert min(slacks) >= -INTERPOLATION_TOLERANCE_DB
         assert min(slacks) <= 0.1  # at least one bound is nearly active
 
     def test_reference_gains_fail_dense_sweep(self, servo_config, servo_stack):
-        report = verify_design(
-            servo_config.plant,
-            REFERENCE_GAINS,
-            servo_stack.curves,
-            servo_stack.contour,
-            default_dense_grid(servo_config.frequencies),
-        )
+        report = self.verify(servo_config, servo_stack, REFERENCE_GAINS)
         assert not report.passed
         violations = report.sweep_violations
         assert len(violations) == 17
@@ -170,65 +182,42 @@ class TestVerifyMargins:
         assert any("stability contour" in r for r in report.reasons)
 
     def test_half_gains_break_performance_margins(self, servo_config, servo_stack):
-        report = verify_design(
-            servo_config.plant,
-            HALF_REFERENCE_GAINS,
-            servo_stack.curves,
-            servo_stack.contour,
-            dense_grid=np.array([1.0]),
-        )
+        report = self.verify(servo_config, servo_stack, HALF_REFERENCE_GAINS)
         assert not report.passed
         negative = [
-            m for m in report.per_frequency_margins if m.slack_db < -SLACK_TOLERANCE_DB
+            m
+            for m in report.per_frequency_margins
+            if m.slack_db < -INTERPOLATION_TOLERANCE_DB
         ]
         assert len(negative) == 5
         assert all(m.source == "performance" for m in negative)
         assert min(m.slack_db for m in negative) == pytest.approx(-6.02, abs=0.1)
 
     def test_zero_gains_are_vacuous_failures(self, servo_config, servo_stack):
-        report = verify_design(
-            servo_config.plant,
-            PidGains(kp=0.0, ki=0.0, kd=0.0),
-            servo_stack.curves,
-            servo_stack.contour,
-            dense_grid=np.array([1.0]),
-        )
+        report = self.verify(servo_config, servo_stack, PidGains(kp=0.0, ki=0.0, kd=0.0))
         assert not report.passed
         for margin in report.per_frequency_margins:
             assert margin.source == "none"
             assert margin.gain_db == -math.inf
             assert margin.slack_db == -math.inf
 
-    def test_precomputed_responses_give_the_same_report(self, servo_config, servo_stack):
-        plant = servo_config.plant
-        grid = default_dense_grid(servo_config.frequencies)
-        args = (plant, REFERENCE_GAINS, servo_stack.curves, servo_stack.contour, grid)
-        responses = evaluate_plant_array(plant, plant.nominal, 1j * grid)
-        assert verify_design(*args, dense_responses=responses) == verify_design(*args)
-
     def test_precomputed_responses_need_the_design_frequencies(self, servo_config, servo_stack):
         plant = servo_config.plant
-        grid = np.array([0.3, 4.7])
-        with pytest.raises(ValueError):
-            verify_design(
-                plant,
-                REFERENCE_GAINS,
-                servo_stack.curves,
-                servo_stack.contour,
-                grid,
-                dense_responses=evaluate_plant_array(plant, plant.nominal, 1j * grid),
-            )
+        for grid in (
+            [0.3, 4.7],  # misses every design frequency
+            [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0],  # misses 60
+            [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 60.0, 30.0],  # unsorted
+        ):
+            grid = np.array(grid)
+            sweep = (grid, evaluate_plant_array(plant, plant.nominal, 1j * grid))
+            with pytest.raises(ValueError):
+                self.verify(servo_config, servo_stack, REFERENCE_GAINS, sweep=sweep)
 
     def test_sweep_always_covers_design_frequencies(self, servo_config, servo_stack):
-        report = verify_design(
-            servo_config.plant,
-            REFERENCE_GAINS,
-            servo_stack.curves,
-            servo_stack.contour,
-            dense_grid=np.array([0.3]),
-        )
-        swept = {p.omega for p in report.dense_sweep}
-        assert set(servo_config.frequencies) <= swept
+        report = self.verify(servo_config, servo_stack, REFERENCE_GAINS)
+        swept = [p.omega for p in report.dense_sweep]
+        assert swept == servo_stack.sweep[0].tolist()
+        assert set(servo_config.frequencies) <= set(swept)
 
 
 class TestClosedLoopEnvelope:
@@ -254,7 +243,7 @@ class TestClosedLoopEnvelope:
             PidGains(kp=100.0, ki=0.0, kd=0.0),
             self.unity_prefilter(),
             self.tracking(servo_config),
-            omegas=[0.5],
+            templates_at(plant, [0.5]),
         )
         assert len(rows) == 1
         assert rows[0].min_db == rows[0].max_db
@@ -268,7 +257,7 @@ class TestClosedLoopEnvelope:
             gains,
             default_prefilter(),
             self.tracking(servo_config),
-            omegas=[1.0, 3.0],
+            templates_at(with_grid(plant, 3), [1.0, 3.0]),
         )
         from qft_forge.optimizer import pid_frequency_response
 
@@ -284,25 +273,27 @@ class TestClosedLoopEnvelope:
             assert row.lower_db <= row.upper_db
 
     def test_zero_prefilter_gives_minus_inf(self, servo_config):
+        plant = constant_plant("1")
         rows = closed_loop_envelope(
-            constant_plant("1"),
+            plant,
             PidGains(kp=1.0, ki=0.0, kd=0.0),
             RationalTransferFunction([0.0], [1.0]),
             self.tracking(servo_config),
-            omegas=[1.0],
+            templates_at(plant, [1.0]),
         )
         assert rows[0].min_db == -math.inf
         assert rows[0].max_db == -math.inf
         assert not rows[0].inside()
 
     def test_critical_point(self, servo_config):
+        plant = constant_plant("-1")
         with pytest.raises(CriticalPoint):
             closed_loop_envelope(
-                constant_plant("-1"),
+                plant,
                 PidGains(kp=1.0, ki=0.0, kd=0.0),
                 self.unity_prefilter(),
                 self.tracking(servo_config),
-                omegas=[1.0],
+                templates_at(plant, [1.0]),
             )
 
     def test_matches_per_frequency_reference(self, servo_config):
@@ -313,7 +304,7 @@ class TestClosedLoopEnvelope:
             REFERENCE_GAINS,
             default_prefilter(),
             self.tracking(servo_config),
-            omegas,
+            templates_at(plant, omegas),
         )
         want = ref.envelope_extremes(plant, REFERENCE_GAINS, default_prefilter(), omegas)
         assert [(repr(r.min_db), repr(r.max_db)) for r in rows] == [
@@ -322,17 +313,124 @@ class TestClosedLoopEnvelope:
 
     def test_corridor_is_sorted_model_pair(self, servo_config):
         tracking = self.tracking(servo_config)
+        plant = constant_plant("1")
         rows = closed_loop_envelope(
-            constant_plant("1"),
+            plant,
             PidGains(kp=1.0, ki=0.0, kd=0.0),
             self.unity_prefilter(),
             tracking,
-            omegas=[2.0],
+            templates_at(plant, [2.0]),
         )
         lo = db(abs(eval_tf(tracking.lower, 2j)))
         hi = db(abs(eval_tf(tracking.upper, 2j)))
         assert rows[0].lower_db == pytest.approx(min(lo, hi), abs=1e-12)
         assert rows[0].upper_db == pytest.approx(max(lo, hi), abs=1e-12)
+
+
+@st.composite
+def small_families(draw):
+    """A plant over up to two parameters with positive coefficients, a few
+    frequencies, and a PID triple."""
+    names = ("a", "b")[: draw(st.integers(0, 2))]
+    params = []
+    for name in names:
+        lo = draw(st.floats(0.1, 10.0))
+        hi = lo + draw(st.floats(0.0, 5.0))
+        params.append(ParameterSpec(name, lo, hi, draw(st.integers(1, 3))))
+
+    def coefficients(count):
+        return [
+            " + ".join(
+                [str(draw(st.integers(1, 3)))]
+                + [f"{draw(st.integers(1, 3))}*{name}" for name in names if draw(st.booleans())]
+            )
+            for _ in range(count)
+        ]
+
+    plant = UncertainPlant(
+        num=tuple(parse_coefficient_expr(t, names) for t in coefficients(draw(st.integers(1, 2)))),
+        den=tuple(parse_coefficient_expr(t, names) for t in coefficients(draw(st.integers(1, 3)))),
+        params=tuple(params),
+        nominal={spec.name: spec.minimum for spec in params},
+    )
+    omegas = draw(st.lists(st.floats(0.05, 50.0), min_size=1, max_size=4, unique=True))
+    gains = PidGains(*(draw(st.floats(0.0, 20.0)) for _ in range(3)))
+    return plant, omegas, gains
+
+
+class TestEnvelopeReadsTemplates:
+    """The envelope over the templates' member responses equals the earlier
+    envelope that evaluated every member again, bit for bit."""
+
+    def assert_matches_reference(self, plant, templates, gains, prefilter, tracking):
+        omegas = [t.omega for t in templates]
+        try:
+            want = ref.closed_loop_envelope(plant, gains, prefilter, tracking, omegas)
+        except CriticalPoint as exc:
+            with pytest.raises(CriticalPoint) as got:
+                closed_loop_envelope(plant, gains, prefilter, tracking, templates)
+            assert str(got.value) == str(exc)
+            return
+        got = closed_loop_envelope(plant, gains, prefilter, tracking, templates)
+        assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
+
+    def test_servo(self, servo_config, servo_stack):
+        templates = list(servo_stack.templates.values())
+        for gains in (REFERENCE_GAINS, HALF_REFERENCE_GAINS, PidGains(0.0, 0.0, 0.0)):
+            self.assert_matches_reference(
+                servo_config.plant, templates, gains, default_prefilter(), servo_config.tracking
+            )
+
+    def test_derivative_filter_config(self, servo_config):
+        config = dataclasses.replace(
+            servo_config, design=dataclasses.replace(servo_config.design, tau=0.001)
+        )
+        # the pipeline's templates carry the filtered plant's responses, and
+        # the envelope used to evaluate that same filtered plant
+        templates = list(compute_templates(config).values())
+        rows = closed_loop_envelope(
+            config.plant, REFERENCE_GAINS, config.prefilter, config.tracking, templates
+        )
+        want = ref.closed_loop_envelope(
+            effective_plant(config),
+            REFERENCE_GAINS,
+            config.prefilter,
+            config.tracking,
+            config.frequencies,
+        )
+        assert [row_bits(r) for r in rows] == [row_bits(r) for r in want]
+        plain = closed_loop_envelope(
+            config.plant,
+            REFERENCE_GAINS,
+            config.prefilter,
+            config.tracking,
+            templates_at(config.plant, config.frequencies),
+        )
+        assert [row_bits(r) for r in rows] != [row_bits(r) for r in plain]
+
+    def test_critical_point(self, servo_config):
+        plant = constant_plant("-1")
+        gains = PidGains(kp=1.0, ki=0.0, kd=0.0)
+        with pytest.raises(CriticalPoint):
+            ref.closed_loop_envelope(
+                plant, gains, default_prefilter(), servo_config.tracking, [1.0, 2.0]
+            )
+        templates = templates_at(plant, [1.0, 2.0])
+        self.assert_matches_reference(
+            plant, templates, gains, default_prefilter(), servo_config.tracking
+        )
+
+    @given(family=small_families())
+    @settings(max_examples=100, deadline=None)
+    def test_small_plants(self, servo_config, family):
+        plant, omegas, gains = family
+        try:
+            templates = templates_at(plant, omegas)
+        except (PoleOnAxis, TemplateTooWide, ZeroMagnitude):
+            return  # no templates, so no envelope
+        self.assert_matches_reference(
+            plant, templates, gains, default_prefilter(), servo_config.tracking
+        )
 
 
 class TestEnvelopeRow:
@@ -347,12 +445,14 @@ class TestEnvelopeRow:
 
 class TestVerifyEnvelopeIntegration:
     def test_zero_prefilter_fails_with_envelope_reason(self, servo_config, servo_stack):
+        plant = with_grid(servo_config.plant, 2)
         report = verify_design(
-            with_grid(servo_config.plant, 2),
+            plant,
+            generate_templates(plant, servo_config.frequencies),
             REFERENCE_GAINS,
             servo_stack.curves,
             servo_stack.contour,
-            dense_grid=np.array([1.0]),
+            servo_stack.sweep,
             prefilter=RationalTransferFunction([0.0], [1.0]),
             tracking=servo_config.tracking,
         )
@@ -363,10 +463,11 @@ class TestVerifyEnvelopeIntegration:
     def test_no_prefilter_no_envelope(self, servo_config, servo_stack):
         report = verify_design(
             servo_config.plant,
+            servo_stack.templates,
             REFERENCE_GAINS,
             servo_stack.curves,
             servo_stack.contour,
-            dense_grid=np.array([1.0]),
+            servo_stack.sweep,
         )
         assert report.envelope == ()
 
