@@ -106,7 +106,16 @@ class DisturbanceSpec:
 
 @dataclass(frozen=True)
 class BoundCurve:
-    """Least admissible nominal gain versus phase, for one frequency."""
+    """Least admissible nominal gain versus phase, for one frequency.
+
+    Also builds the table :func:`interpolate_bound_array` reads: per slot
+    ``searchsorted(grid, p, side="right")``, 0 to n, its start, width, base,
+    step and the node value at its start.  Slot i in 1..n-1, [g[i-1], g[i]),
+    has base v[i-1] and step v[i] - v[i-1], or with a sentinel end: base
+    INFEASIBLE if either end is, else the other end if one is NO_CONSTRAINT,
+    and step -0.0, which keeps any base (-0.0 too).  Slots 0 and n lie
+    beyond the grid and hold NaN, bar their start and the last node.
+    """
 
     omega: float
     phase_grid: Tuple[float, ...]
@@ -116,16 +125,28 @@ class BoundCurve:
         grid = tuple(float(p) for p in self.phase_grid)
         object.__setattr__(self, "phase_grid", grid)
         object.__setattr__(self, "min_gain_db", tuple(float(v) for v in self.min_gain_db))
+        if not all(map(math.isfinite, grid + (self.omega,))):
+            raise ValueError("omega and the phase grid must be finite")
         if len(grid) != len(self.min_gain_db):
             raise ValueError("phase grid and entries differ in length")
         if any(b <= a for a, b in zip(grid, grid[1:])):
             raise ValueError("phase grid must be strictly increasing")
-        for v in self.min_gain_db:
-            if math.isnan(v):
-                raise ValueError("bound entries must be real or a sentinel infinity")
-        # array copies for interpolate_bound_array, built once per curve
-        object.__setattr__(self, "_grid", np.array(grid))
-        object.__setattr__(self, "_values", np.array(self.min_gain_db))
+        if any(map(math.isnan, self.min_gain_db)):
+            raise ValueError("bound entries must be real or a sentinel infinity")
+        g, v = np.array(grid), np.array(self.min_gain_db)
+        a, b = v[:-1], v[1:]
+        base = np.where((a == NO_CONSTRAINT) | (b == INFEASIBLE), b, a)
+        linear = np.isfinite(a) & np.isfinite(b)
+        step = np.subtract(b, a, out=np.full(len(a), -0.0), where=linear)
+        table = np.column_stack(
+            (
+                [g[0], math.nan, math.nan, math.nan, math.nan],
+                np.stack((g[:-1], np.diff(g), base, step, a)),
+                [g[-1], math.nan, math.nan, math.nan, v[-1]],
+            )
+        )
+        object.__setattr__(self, "_grid", g)
+        object.__setattr__(self, "_table", table)
 
 
 def make_phase_grid(count: int) -> Tuple[float, ...]:
@@ -408,29 +429,21 @@ def combine_with_ucontour(curve: BoundCurve, u: UContour) -> BoundCurve:
 # --- interpolation ---------------------------------------------------------
 
 def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray:
-    """Bound values at arbitrary phases.
+    """Bound values at an array of phases.
 
     Linear between finite nodes; INFEASIBLE wins over any neighbour; a
     NO_CONSTRAINT neighbour defers to the finite one (conservative); queries
-    beyond the grid ends are unconstrained.
+    beyond the grid ends, and NaN, are unconstrained.  Computes
+    ``(p - start) / width * step + base`` from the query's slot of the
+    curve's table, the IEEE arithmetic of ``a + t * (b - a)``; a node query
+    takes the node's value, and ``fmax`` maps the NaN computed beyond the
+    grid to NO_CONSTRAINT.
     """
-    grid = curve._grid
-    vals = curve._values
-    phases = np.asarray(phases, dtype=float)
-    out = np.full(phases.shape, NO_CONSTRAINT)
-    inside = (phases >= grid[0]) & (phases <= grid[-1])
-    if not np.any(inside):
-        return out
-    p = phases[inside]
-    idx = np.searchsorted(grid, p, side="left")  # a node index, as p <= grid[-1]
-    hi = np.minimum(np.maximum(idx, 1), len(grid) - 1)
-    a = vals[hi - 1]
-    b = vals[hi]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = (p - grid[hi - 1]) / (grid[hi] - grid[hi - 1])
-        res = np.where(a == NO_CONSTRAINT, b, np.where(b == NO_CONSTRAINT, a, a + t * (b - a)))
-    res[(a == INFEASIBLE) | (b == INFEASIBLE)] = INFEASIBLE
-    exact = grid[idx] == p
-    res[exact] = vals[idx[exact]]
-    out[inside] = res
-    return out
+    slot = np.searchsorted(curve._grid, phases, side="right")
+    start, width, base, step, node = curve._table
+    offset = phases - start.take(slot)
+    out = offset / width.take(slot)
+    out *= step.take(slot)
+    out += base.take(slot)
+    np.copyto(out, node.take(slot), where=offset == 0.0)
+    return np.fmax(out, NO_CONSTRAINT, out=out)

@@ -94,7 +94,10 @@ def wrap_phase(phase_deg: float) -> float:
 
 def wrap_phase_array(phase_deg: np.ndarray) -> np.ndarray:
     """Elementwise :func:`wrap_phase`."""
-    r = np.fmod(phase_deg, 360.0)
+    return _fold_onto_branch(np.fmod(phase_deg, 360.0))
+
+
+def _fold_onto_branch(r: np.ndarray) -> np.ndarray:
     r = np.where(r > 0.0, r - 360.0, r)
     return np.where(r == -360.0, 0.0, r) + 0.0
 
@@ -127,9 +130,11 @@ def to_nichols_array(response) -> Tuple[np.ndarray, np.ndarray]:
     The dense sweeps, the chart curves and the gain-box oracle use this one;
     it may differ from :func:`to_nichols` in the last bit.  A zero response
     maps to -inf dB (at phase 0 or -180, from the signs of its zeros).
+    The phase skips :func:`wrap_phase_array`'s ``fmod``, which would return
+    the ``arctan2`` angle (within [-180, 180] degrees) unchanged.
     """
     response = np.asarray(response, dtype=complex)
-    phase = wrap_phase_array(np.degrees(np.arctan2(response.imag, response.real)))
+    phase = _fold_onto_branch(np.degrees(np.arctan2(response.imag, response.real)))
     with np.errstate(divide="ignore"):
         return phase, 20.0 * np.log10(np.abs(response))
 

@@ -30,7 +30,6 @@ from qft_forge.bounds import (
     SCAN_CEILING_DB,
     SCAN_FLOOR_DB,
     SCAN_STEP_DB,
-    interpolate_bound_array,
 )
 from qft_forge.errors import (
     CriticalPoint,
@@ -44,9 +43,9 @@ from qft_forge.lti import (
     eval_tf,
     m_circle_gains,
     principal_phase,
-    to_nichols_array,
     undb,
     wrap_phase,
+    wrap_phase_array,
 )
 from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, PidGains, pid_frequency_response
 from qft_forge.plant import Template, TemplatePoint, convex_hull_nichols, evaluate_plant_array
@@ -144,7 +143,7 @@ def screen_sweep(screen, gains):
     controller = np.empty(len(screen.omegas), dtype=complex)
     controller.real = gains.kp
     controller.imag = gains.kd * screen.omegas - gains.ki / screen.omegas
-    phase, gain = to_nichols_array(screen.nominal_responses * controller)
+    phase, gain = nichols_array(screen.nominal_responses * controller)
     return phase, gain, screen.contour.inside(phase, gain, tol_db=INTERPOLATION_TOLERANCE_DB)
 
 
@@ -244,6 +243,40 @@ def interpolate_bound(curve, phase_deg: float) -> float:
     return a + t * (b - a)
 
 
+def interpolate_bound_array(curve, phases: np.ndarray) -> np.ndarray:
+    """The earlier array interpolation: the sentinel rules applied per query
+    by masks over the whole block."""
+    grid = np.array(curve.phase_grid)
+    vals = np.array(curve.min_gain_db)
+    phases = np.asarray(phases, dtype=float)
+    out = np.full(phases.shape, NO_CONSTRAINT)
+    inside = (phases >= grid[0]) & (phases <= grid[-1])
+    if not np.any(inside):
+        return out
+    p = phases[inside]
+    idx = np.searchsorted(grid, p, side="left")  # a node index, as p <= grid[-1]
+    hi = np.minimum(np.maximum(idx, 1), len(grid) - 1)
+    a = vals[hi - 1]
+    b = vals[hi]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        t = (p - grid[hi - 1]) / (grid[hi] - grid[hi - 1])
+        res = np.where(a == NO_CONSTRAINT, b, np.where(b == NO_CONSTRAINT, a, a + t * (b - a)))
+    res[(a == INFEASIBLE) | (b == INFEASIBLE)] = INFEASIBLE
+    exact = grid[idx] == p
+    res[exact] = vals[idx[exact]]
+    out[inside] = res
+    return out
+
+
+def nichols_array(response):
+    """The earlier array Nichols conversion, whose phase goes through the
+    full :func:`wrap_phase_array`, ``fmod`` included."""
+    response = np.asarray(response, dtype=complex)
+    phase = wrap_phase_array(np.degrees(np.arctan2(response.imag, response.real)))
+    with np.errstate(divide="ignore"):
+        return phase, 20.0 * np.log10(np.abs(response))
+
+
 def envelope_extremes(plant, gains, prefilter, omegas):
     """(min_db, max_db) of |F L / (1 + L)| per frequency, one member at a
     time at one frequency at a time."""
@@ -315,7 +348,7 @@ def brute_force_design(problem, box):
         for k, omega in enumerate(problem.frequencies):
             ctrl = kp_vals[None, :] + 1j * (kd * omega - ki_vals[:, None] / omega)
             loop = responses[k] * ctrl
-            phase, gain_db = to_nichols_array(loop)
+            phase, gain_db = nichols_array(loop)
             bound = interpolate_bound_array(problem.bounds[k], phase)
             # A zero controller response has no phase, so no bound can be
             # looked up for it; treat it as failing this frequency outright

@@ -304,6 +304,20 @@ class TestBoundCurveValidation:
             min_gain_db=(NO_CONSTRAINT, INFEASIBLE),
         )
 
+    @pytest.mark.parametrize(
+        "grid",
+        [(-math.inf, 0.0), (-10.0, math.inf), (-10.0, math.nan), (math.inf,), (math.nan,)],
+    )
+    def test_non_finite_grid_phase(self, grid):
+        # a -inf node used to interpolate to NaN at every phase next to it
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=(1.0, 2.0)[: len(grid)])
+
+    @pytest.mark.parametrize("omega", [math.inf, -math.inf, math.nan])
+    def test_non_finite_omega(self, omega):
+        with pytest.raises(ValueError, match="must be finite"):
+            BoundCurve(omega=omega, phase_grid=(-200.0, -100.0), min_gain_db=(1.0, 2.0))
+
 
 class TestPhaseGrid:
     def test_360_point_grid(self):
@@ -522,6 +536,49 @@ class TestInterpolateBound:
         want = [repr(ref.interpolate_bound(curve, p)) for p in phases]
         assert [repr(v) for v in interpolate_bound_array(curve, np.array(phases)).tolist()] == want
         assert [repr(at(curve, p)) for p in phases] == want
+
+    @given(
+        grid=st.lists(
+            st.one_of(st.floats(-400.0, 50.0), st.just(0.0)),
+            min_size=1,
+            max_size=8,
+            unique=True,
+        ).map(sorted),
+        values=st.lists(
+            st.one_of(
+                st.sampled_from([NO_CONSTRAINT, INFEASIBLE, 0.0, -0.0]),
+                st.floats(-200.0, 200.0),
+            ),
+            min_size=8,
+            max_size=8,
+        ),
+        queries=st.lists(
+            st.one_of(
+                st.floats(-500.0, 100.0),
+                st.sampled_from([0.0, -0.0, -math.inf, math.inf, math.nan]),
+            ),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=300)
+    def test_table_matches_frozen_mask_chain(self, grid, values, queries):
+        # every sentinel pairing and single-node curves, queried on and next
+        # to each node, inside each interval and beyond both ends
+        curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=values[: len(grid)])
+        nodes = np.array(grid)
+        phases = np.concatenate(
+            (
+                queries,
+                nodes,
+                np.nextafter(nodes, -math.inf),
+                np.nextafter(nodes, math.inf),
+                0.5 * (nodes[1:] + nodes[:-1]),
+                [nodes[0] - 1.0, nodes[-1] + 1.0],
+            )
+        )
+        want = [repr(v) for v in ref.interpolate_bound_array(curve, phases).tolist()]
+        assert [repr(v) for v in interpolate_bound_array(curve, phases).tolist()] == want
+        assert interpolate_bound_array(curve, np.array([math.nan]))[0] == NO_CONSTRAINT
 
     def test_array_all_outside(self):
         out = interpolate_bound_array(self.CURVE, np.array([-350.0, -250.0, -10.0]))

@@ -23,6 +23,7 @@ from qft_forge.lti import (
     to_nichols_array,
     undb,
     wrap_phase,
+    wrap_phase_array,
 )
 
 # Strict tracking model bound and servo plant reused across cases.
@@ -225,6 +226,48 @@ class TestToNicholsArray:
     def test_never_returns_negative_zero(self):
         phases, _ = to_nichols_array(np.array([complex(1.0, -0.0)]))
         assert math.copysign(1.0, phases[0]) == 1.0
+
+
+class TestNicholsWithoutFmod:
+    """``to_nichols_array`` folds the principal angle onto (-360, 0] without
+    the ``fmod`` of :func:`wrap_phase_array`.  ``np.arctan2`` returns an
+    angle in [-pi, pi], so its degrees lie in [-180, 180], and there
+    ``fmod(x, 360)`` returns ``x`` exactly: leaving it out changes no bit."""
+
+    PARTS = st.one_of(
+        st.floats(min_value=-1e300, max_value=1e300),
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.5e-310, -1e-320, 1.0, -1.0]),
+    )
+
+    def assert_bit_equal(self, responses):
+        z = np.array(responses, dtype=complex)
+        phase, gain = to_nichols_array(z)
+        want = wrap_phase_array(np.degrees(np.arctan2(z.imag, z.real)))
+        assert phase.tobytes() == want.tobytes()
+        with np.errstate(divide="ignore"):
+            assert gain.tobytes() == (20.0 * np.log10(np.abs(z))).tobytes()
+        return phase
+
+    @given(st.lists(st.builds(complex, PARTS, PARTS), min_size=1, max_size=20))
+    @settings(max_examples=300)
+    def test_bit_equal_to_the_full_wrap(self, responses):
+        self.assert_bit_equal(responses)
+
+    def test_edge_responses(self):
+        phase = self.assert_bit_equal(
+            [
+                complex(-1.0, 0.0),  # +180 deg, the negative real axis from above
+                complex(-1.0, -0.0),  # -180 deg, from below
+                complex(1.0, 1e-300),  # a tiny positive angle folds to 0.0
+                complex(0.0, 0.0),
+                complex(-0.0, 0.0),
+                complex(0.0, -0.0),
+                complex(-0.0, -0.0),
+                complex(5e-324, 5e-324),
+                complex(-5e-324, 2.5e-310),
+            ]
+        )
+        assert [repr(p) for p in phase[:3].tolist()] == ["-180.0", "-180.0", "0.0"]
 
 
 class TestMCircle:
