@@ -4,8 +4,9 @@ For each design frequency the plant template is swept along a vertical line of
 candidate nominal gains at every grid phase.  The least gain that keeps the
 closed-loop magnitude spread within the tracking allowance (or the sensitivity
 under its cap) is located by an upward 5 dB scan from a -100 dB floor followed
-by bisection of the first feasible bracket.  Two sentinels extend the real
-line:
+by bisection of the first feasible bracket.  When the probed members are
+more than the template's hull, a probe first tries the hull members alone.
+Two sentinels extend the real line:
 
 * ``NO_CONSTRAINT`` (-inf): already feasible at the scan floor;
 * ``INFEASIBLE``    (+inf): still infeasible at the +100 dB ceiling.
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -184,9 +185,13 @@ def delta_spread(spec: TrackingSpec, omega: float) -> float:
 
 # --- scan + bisection machinery -------------------------------------------
 
-# Phases are searched in blocks of at most this many phase x template-point
-# cells, which bounds the probe arrays' memory on large templates.
+# Every probe array holds at most this many phase x member cells, which bounds
+# the search's memory on large templates.  With witnesses a block of phases is
+# sized by them, and the rows probed on every member go in chunks.
 _BLOCK_CELLS = 8192
+
+# Only members with gain * |ratio| inside this window can land on -1.
+_CRITICAL_WINDOW = (1.0 - 1e-9, 1.0 + 1e-9)
 
 
 def _spread_db(loop: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -204,42 +209,69 @@ def _least_feasible_gains(
     measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
     limit: float,
     tol_db: float,
+    witnesses: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Least gain with ``measure(loop, 1 + loop) <= limit`` at every phase.
 
     ``measure`` reduces a (phases, members) array of loop values row by row.
     Each block of phases runs the upward scan and then the bisection of its
     first feasible bracket in lockstep.
+
+    ``witnesses``, some of the members (the template's hull), rule out the
+    rows whose witness measure exceeds ``limit``; only the rest are probed on
+    every member.  That is exact: a measure is a max (or max - min) of
+    elementwise values, a subset's max and min select among the row's, and
+    rounded subtraction is monotone.  A NaN measure takes the full path, as
+    do rows where a member may land on -1, for the nudge below.
     """
     rotors = np.array(
         [complex(math.cos(r), math.sin(r)) for r in map(math.radians, phases_deg)],
         dtype=complex,
     )
+    mags = None if witnesses is None else np.sort(np.abs(ratios))
     out = np.empty(len(rotors))
-    rows = max(1, _BLOCK_CELLS // len(ratios))
+    rows = max(1, _BLOCK_CELLS // len(ratios if witnesses is None else witnesses))
     for start in range(0, len(rotors), rows):
         block = slice(start, start + rows)
-        out[block] = _search_block(ratios, rotors[block], measure, limit, tol_db)
+        out[block] = _search_block(ratios, rotors[block], measure, limit, tol_db, witnesses, mags)
     return out
 
 
-def _search_block(ratios, rotors, measure, limit, tol_db) -> np.ndarray:
-    def loops(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
-        gains = np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(rows))
-        return (gains * rotors[rows])[:, None] * ratios
+def _search_block(ratios, rotors, measure, limit, tol_db, witnesses, mags) -> np.ndarray:
+    def linear(gains_db: np.ndarray) -> np.ndarray:
+        return np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(gains_db))
 
-    def probe(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
-        loop = loops(rows, gains_db)
+    def loops(rows: np.ndarray, gains: np.ndarray, members=ratios) -> np.ndarray:
+        return (gains * rotors[rows])[:, None] * members
+
+    def probe_all(rows: np.ndarray, gains_db: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        loop = loops(rows, gains)
         denom = 1.0 + loop
         hit = np.any(denom == 0, axis=1)
         if np.any(hit):
             # nudge those rows off the critical point once; a second hit is a real error
-            loop[hit] = loops(rows[hit], gains_db[hit] + tol_db / 10.0)
+            loop[hit] = loops(rows[hit], linear(gains_db[hit] + tol_db / 10.0))
             denom = 1.0 + loop
             if np.any(denom == 0):
                 raise CriticalPoint("template member landed exactly on -1")
         return measure(loop, denom) <= limit
 
+    def probe(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
+        gains = linear(gains_db)
+        if witnesses is None:
+            return probe_all(rows, gains_db, gains)
+        edges = np.searchsorted(mags, np.outer(1.0 / gains, _CRITICAL_WINDOW))
+        clear = np.flatnonzero(edges[:, 0] == edges[:, 1])
+        loop = loops(rows[clear], gains[clear], witnesses)
+        ok = np.ones(len(rows), dtype=bool)  # until probed in full, False if ruled out
+        ok[clear] = ~(measure(loop, 1.0 + loop) > limit)
+        todo = np.flatnonzero(ok)
+        for start in range(0, len(todo), chunk):
+            part = todo[start : start + chunk]
+            ok[part] = probe_all(rows[part], gains_db[part], gains[part])
+        return ok
+
+    chunk = max(1, _BLOCK_CELLS // len(ratios))
     every = np.arange(len(rotors))
     lo = np.full(len(rotors), SCAN_FLOOR_DB)
     hi = np.full(len(rotors), np.nan)  # NaN until a feasible scan step is found
@@ -265,6 +297,18 @@ def _search_block(ratios, rotors, measure, limit, tol_db) -> np.ndarray:
     return np.where(at_floor, NO_CONSTRAINT, np.where(np.isnan(hi), INFEASIBLE, hi))
 
 
+def _check_search(name: str, limit: float, tol_db: float) -> None:
+    if not (limit > 0.0 and 1e-12 <= tol_db < math.inf):  # a finer bisection can stall
+        raise ValueError(f"need {name} > 0 and 1e-12 <= tol_db < inf, got {limit!r}, {tol_db!r}")
+
+
+def _probe_sets(template: Template, use_hull: bool):
+    """The members a bound probes, and the hull as witnesses if it has fewer."""
+    ratios = template.ratio_array(use_hull)
+    hull = ratios if use_hull else template.ratio_array(True)
+    return ratios, (hull if len(hull) < len(ratios) else None)
+
+
 def horowitz_bound(
     template: Template,
     delta_db: float,
@@ -274,11 +318,12 @@ def horowitz_bound(
 ) -> BoundCurve:
     """Least nominal gain keeping the family's closed-loop spread <= delta_db,
     at each phase of ``phase_grid``."""
-    ratios = template.ratio_array(use_hull)
+    _check_search("delta_db", delta_db, tol_db)
+    ratios, witnesses = _probe_sets(template, use_hull)
     if len(ratios) <= 1:
         entries = [NO_CONSTRAINT] * len(phase_grid)
     else:
-        entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, tol_db)
+        entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, tol_db, witnesses)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
@@ -291,8 +336,9 @@ def disturbance_bound(
 ) -> BoundCurve:
     """Least nominal gain holding |1/(1+L)| <= cap over the whole template,
     at each phase of ``phase_grid``."""
-    ratios = template.ratio_array(use_hull)
-    entries = _least_feasible_gains(ratios, phase_grid, _worst_sensitivity, cap, tol_db)
+    _check_search("cap", cap, tol_db)
+    ratios, witnesses = _probe_sets(template, use_hull)
+    entries = _least_feasible_gains(ratios, phase_grid, _worst_sensitivity, cap, tol_db, witnesses)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 

@@ -1,14 +1,17 @@
 """The array bound search against the scalar reference scan + bisection.
 
 ``horowitz_bound`` and ``disturbance_bound`` run the upward scan and the
-bisection for a block of phases at once; every entry must still equal, bit
-for bit, what the one-phase-at-a-time reference in ``scalar_reference``
+bisection for a block of phases at once, and on large templates rule rows
+out on a few witness members first; every entry must still equal, bit for
+bit, what the one-phase-at-a-time reference in ``scalar_reference``
 returns, sentinels included.
 """
 
 from __future__ import annotations
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,18 +22,24 @@ import qft_forge.bounds as bounds
 from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
+    delta_spread,
     disturbance_bound,
     horowitz_bound,
+    make_phase_grid,
 )
+from qft_forge.config import parse_config_dict
 from qft_forge.errors import CriticalPoint
 from qft_forge.lti import db, undb
-from qft_forge.plant import Template, TemplatePoint
+from qft_forge.pipeline import compute_templates
+from qft_forge.plant import Template, TemplatePoint, convex_hull_nichols
 
 import scalar_reference as ref
+from conftest import SERVO_CONFIG_PATH
 
 
-def template_of(ratios) -> Template:
-    """Hull-free template whose members have the given ratios to nominal."""
+def template_of(ratios, hull_indices=()) -> Template:
+    """Template whose members have the given ratios to nominal; the members
+    ``hull_indices`` names are its hull (none: the template is hull-free)."""
     points = tuple(
         TemplatePoint(
             params=(),
@@ -41,18 +50,41 @@ def template_of(ratios) -> Template:
         )
         for r in ratios
     )
-    return Template(omega=1.0, points=points, hull=(), hull_indices=())
+    return Template(omega=1.0, points=points, hull=(), hull_indices=tuple(hull_indices))
+
+
+def hull_indices_of(ratios):
+    """The members on the Nichols hull, found as ``generate_templates`` does."""
+    coords = [(p.phase_deg, p.gain_db) for p in template_of(ratios).points]
+    first = {}
+    for i, c in enumerate(coords):
+        first.setdefault(c, i)
+    return tuple(first[v] for v in convex_hull_nichols(coords))
+
+
+def polar(gain_db, phase_deg):
+    return undb(gain_db) * complex(
+        math.cos(math.radians(phase_deg)), math.sin(math.radians(phase_deg))
+    )
 
 
 members = st.builds(
-    lambda gain_db, phase_deg: undb(gain_db) * complex(
-        math.cos(math.radians(phase_deg)), math.sin(math.radians(phase_deg))
-    ),
+    polar,
     # members far below nominal keep the bound infeasible up to the ceiling
     st.one_of(st.floats(-20.0, 20.0), st.floats(-140.0, -100.0)),
     st.floats(-120.0, 120.0),
 )
 templates = st.lists(members, min_size=0, max_size=6).map(lambda extra: [1.0 + 0j, *extra])
+# clouds large enough for the witness path; the -140 dB branch of ``members``
+# would make nearly every large template infeasible, so it is drawn rarely
+large_templates = st.tuples(
+    st.lists(
+        st.builds(polar, st.floats(-20.0, 20.0), st.floats(-120.0, 120.0)),
+        min_size=39,
+        max_size=197,
+    ),
+    st.lists(members, max_size=2),
+).map(lambda parts: [1.0 + 0j, *parts[0], *parts[1]])
 phase_grids = st.lists(
     st.floats(-359.9, -0.1), min_size=1, max_size=40, unique=True
 ).map(sorted)
@@ -155,6 +187,145 @@ class TestMatchesScalarReference:
         )
 
 
+BLOCKS = st.sampled_from([1, 7, 64, 8192])
+
+
+def proper_subsets(size):
+    return st.sets(st.integers(0, max(size - 1, 0)), max_size=size - 1).map(sorted)
+
+
+def search(spec, ratios, limit, grid, block, hull_indices):
+    """The package's bound entries, probing every member and screening on
+    the hull members, with ``_BLOCK_CELLS`` patched; and the scalar
+    reference's entries."""
+    bound = horowitz_bound if spec == "tracking" else disturbance_bound
+    entries = ref.horowitz_entries if spec == "tracking" else ref.disturbance_entries
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bounds, "_BLOCK_CELLS", block)
+        curve = bound(template_of(ratios, hull_indices), limit, grid, use_hull=False)
+    return curve, entries(np.array(ratios, dtype=complex), limit, grid)
+
+
+class TestWitnessPath:
+    """Rows ruled out on the hull members must be exactly the rows the full
+    template rules out; any subset of the members screens exactly."""
+
+    @PROPERTY
+    @given(ratios=large_templates, grid=phase_grids, delta_db=st.floats(0.05, 30.0), block=BLOCKS)
+    def test_horowitz_bound_large(self, ratios, grid, delta_db, block):
+        hull = hull_indices_of(ratios)
+        assert_same(*search("tracking", ratios, delta_db, grid, block, hull))
+
+    @PROPERTY
+    @given(ratios=large_templates, grid=phase_grids, cap=st.floats(0.2, 3.0), block=BLOCKS)
+    def test_disturbance_bound_large(self, ratios, grid, cap, block):
+        hull = hull_indices_of(ratios)
+        assert_same(*search("disturbance", ratios, cap, grid, block, hull))
+
+    @PROPERTY
+    @given(
+        ratios=templates,
+        grid=phase_grids,
+        delta_db=st.floats(0.05, 30.0),
+        block=BLOCKS,
+        data=st.data(),
+    )
+    def test_horowitz_bound_any_witnesses(self, ratios, grid, delta_db, block, data):
+        witnesses = data.draw(proper_subsets(len(ratios)))
+        assert_same(*search("tracking", ratios, delta_db, grid, block, witnesses))
+
+    @PROPERTY
+    @given(
+        ratios=templates, grid=phase_grids, cap=st.floats(0.2, 3.0), block=BLOCKS, data=st.data()
+    )
+    def test_disturbance_bound_any_witnesses(self, ratios, grid, cap, block, data):
+        witnesses = data.draw(proper_subsets(len(ratios)))
+        assert_same(*search("disturbance", ratios, cap, grid, block, witnesses))
+
+    def test_hull_templates_are_not_screened(self):
+        # probing the hull, the witnesses would be every probed member
+        ratios = [1.0, 2.0, 0.5j, 1.1 + 0.2j]
+        template = template_of(ratios, hull_indices_of(ratios))
+        assert len(template.hull_indices) == 3
+        assert bounds._probe_sets(template, True)[1] is None
+        assert len(bounds._probe_sets(template, False)[1]) == 3
+
+    @pytest.mark.parametrize("spec", ["tracking", "disturbance"])
+    def test_a_limit_met_exactly_is_feasible(self, spec):
+        # the third member repeats the first, so the witness measure is the
+        # full measure; a limit equal to it must pass, not be ruled out
+        ratios = np.array([1.0, 0.3 - 0.4j, 1.0])
+        phase = -120.0
+        rad = math.radians(phase)
+        if spec == "tracking":
+            limit = ref._closed_loop_spread_db(ratios, bounds.SCAN_FLOOR_DB, rad)
+        else:
+            limit = ref._worst_sensitivity(ratios, bounds.SCAN_FLOOR_DB, rad)
+        curve, expected = search(spec, ratios, limit, [phase], 8192, (0, 1))
+        assert_same(curve, expected)
+        assert curve.min_gain_db == (NO_CONSTRAINT,)
+
+
+@pytest.fixture(scope="module")
+def dense_templates():
+    """The 625-member templates of the dense-template benchmark workload
+    (seed 1): the servo plant on a 25 x 25 grid, no hull pruning."""
+    raw = json.loads(SERVO_CONFIG_PATH.read_text())
+    raw["plant"]["parameters"] = [
+        {"name": "a", "min": 1.0, "max": 10.7269, "grid": 25},
+        {"name": "k", "min": 1.0, "max": 9.8464, "grid": 25},
+    ]
+    raw["design"]["use_hull"] = False
+    raw["phase_grid_count"] = 180
+    raw["disturbance"] = [{"omega": 0.5, "cap": 0.937}, {"omega": 1.0, "cap": 0.6584}]
+    config = parse_config_dict(raw)
+    return config, compute_templates(config)
+
+
+@pytest.mark.parametrize("omega", [0.5, 1.0])
+def test_dense_template_matches_scalar_reference(dense_templates, omega):
+    config, templates = dense_templates
+    template = templates[omega]
+    ratios = template.ratio_array(False)
+    assert len(template.hull_indices) < len(ratios) == 625
+    grid = make_phase_grid(config.phase_grid_count)
+    delta = delta_spread(config.tracking, omega)
+    cap = config.disturbance.caps[omega]
+    tracking = horowitz_bound(template, delta, grid, use_hull=False)
+    assert_same(tracking, ref.horowitz_entries(ratios, delta, grid))
+    sensitivity = disturbance_bound(template, cap, grid, use_hull=False)
+    assert_same(sensitivity, ref.disturbance_entries(ratios, cap, grid))
+    assert all(map(math.isfinite, tracking.min_gain_db + sensitivity.min_gain_db))
+
+
+class TestSearchArguments:
+    @pytest.mark.parametrize("tol_db", [0.0, 1e-20, -0.01, math.nan, math.inf])
+    @pytest.mark.parametrize("bound", [horowitz_bound, disturbance_bound])
+    def test_tolerance_must_be_finite_and_not_below_the_floor(self, bound, tol_db):
+        # 0.0 and 1e-20 used to bisect forever (the midpoint collapses onto an
+        # end of a bracket one ulp wide); NaN returned the scan step unbisected
+        with pytest.raises(ValueError, match=re.escape(f"got 0.5, {tol_db!r}")):
+            bound(template_of([1.0, 0.5j]), 0.5, [-90.0], tol_db=tol_db)
+
+    @pytest.mark.parametrize("limit", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize(
+        "bound, name", [(horowitz_bound, "delta_db"), (disturbance_bound, "cap")]
+    )
+    def test_limit_must_be_positive(self, bound, name, limit):
+        # a NaN limit used to make every entry INFEASIBLE
+        with pytest.raises(ValueError, match=f"need {name} > 0 .* got {limit!r}, 0.01"):
+            bound(template_of([1.0, 0.5j]), limit, [-90.0])
+
+    def test_the_tolerance_floor_still_bisects(self):
+        ratios = np.array([1.0, 0.5j])
+        curve = disturbance_bound(template_of(ratios), 0.5, [-90.0], tol_db=1e-12)
+        assert_same(curve, ref.disturbance_entries(ratios, 0.5, [-90.0], tol_db=1e-12))
+
+    def test_single_member_tracking_is_checked_too(self):
+        with pytest.raises(ValueError, match="need delta_db > 0"):
+            horowitz_bound(template_of([1.0]), math.nan, [-90.0])
+
+
 class TestCriticalPoint:
     # at phase 0 the rotor is exactly 1, so the member -1 sits exactly on the
     # critical point when the 0 dB scan step probes it
@@ -174,3 +345,32 @@ class TestCriticalPoint:
             ref.disturbance_entries(np.array([1.0, -1.0, second], dtype=complex), 0.5, [0.0])
         with pytest.raises(CriticalPoint):
             disturbance_bound(template_of([1.0, -1.0, second]), 0.5, [-90.0, 0.0], use_hull=False)
+
+    @staticmethod
+    def large_template_with(extra):
+        """-1 between two other negative reals, on the hull's edge but not
+        one of its vertices, inside a cloud whose hull are the witnesses."""
+        rng = np.random.default_rng(11)
+        cloud = undb(rng.uniform(-10, 10, 60)) * np.exp(1j * rng.uniform(-1.5, 1.5, 60))
+        ratios = np.concatenate(([1.0, -2.0, -0.5, -1.0], extra, cloud))
+        hull = hull_indices_of(ratios)
+        assert 3 not in hull and len(hull) < len(ratios)
+        return template_of(ratios, hull), ratios
+
+    def test_non_witness_member_nudged_once_like_the_reference(self):
+        template, ratios = self.large_template_with([])
+        grid = [-90.0, 0.0]
+        for bound, entries, limit in (
+            (disturbance_bound, ref.disturbance_entries, 0.5),
+            (horowitz_bound, ref.horowitz_entries, 12.0),
+        ):
+            curve = bound(template, limit, grid, use_hull=False)
+            assert_same(curve, entries(ratios, limit, grid))
+
+    def test_non_witness_second_hit_raises(self):
+        second = -1.0 / undb(bounds.DEFAULT_TOL_DB / 10.0)
+        template, ratios = self.large_template_with([second])
+        with pytest.raises(CriticalPoint):
+            ref.disturbance_entries(ratios, 0.5, [0.0])
+        with pytest.raises(CriticalPoint):
+            disturbance_bound(template, 0.5, [-90.0, 0.0], use_hull=False)
