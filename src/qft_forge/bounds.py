@@ -304,8 +304,9 @@ def _check_search(name: str, limit: float, tol_db: float) -> None:
 
 def _probe_sets(template: Template, use_hull: bool):
     """The members a bound probes, and the hull as witnesses if it has fewer."""
-    ratios = template.ratio_array(use_hull)
-    hull = ratios if use_hull else template.ratio_array(True)
+    indices = template.hull_indices
+    hull = template.ratios[indices] if len(indices) else template.ratios
+    ratios = hull if use_hull else template.ratios
     return ratios, (hull if len(hull) < len(ratios) else None)
 
 

@@ -105,6 +105,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except QftError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OSError as exc:
+        print(f"error: cannot write to --out {args.out}: {exc.strerror or exc}", file=sys.stderr)
+        return EXIT_USAGE
 
     for name in artifacts.written:
         print(f"wrote {name}")

@@ -279,16 +279,11 @@ def write_templates_csv(path: str, config: DesignConfig, templates: Dict[float, 
     rows: List[List[str]] = []
     for omega in config.frequencies:
         template = templates[omega]
-        hull = set(template.hull_indices)
-        for i, point in enumerate(template.points):
+        hull = set(template.hull_indices.tolist())
+        columns = (template.points.tolist(), template.phase_deg.tolist(), template.gain_db.tolist())
+        for i, (point, phase, gain) in enumerate(zip(*columns)):
             rows.append(
-                [
-                    _num(omega),
-                    *(_num(v) for v in point.params),
-                    _num(point.phase_deg),
-                    _num(point.gain_db),
-                    "1" if i in hull else "0",
-                ]
+                [_num(omega), *map(_num, point), _num(phase), _num(gain), "1" if i in hull else "0"]
             )
     _write_csv(path, header, rows)
 
@@ -456,13 +451,11 @@ def _nichols_layers(
 
     template_layers = []
     for omega in config.frequencies:
-        template = artifacts.templates.get(omega)
-        if template is None:
-            continue
+        template = artifacts.templates[omega]
         base_phase, base_gain = to_nichols(at_design[omega])
         points = [
-            (wrap_phase(base_phase + p.phase_deg), base_gain + p.gain_db)
-            for p in template.points
+            (wrap_phase(base_phase + phase), base_gain + gain)
+            for phase, gain in zip(template.phase_deg.tolist(), template.gain_db.tolist())
         ]
         template_layers.append((f"w={omega:g}", points))
     layers["templates"] = template_layers

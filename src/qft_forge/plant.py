@@ -3,10 +3,10 @@
 A plant is a rational function of s whose coefficients are arithmetic
 expressions in box-bounded parameters.  At each design frequency the family
 traces out a template: the set of responses, held as ratios to the nominal
-response so the nominal member always sits at (0 deg, 0 dB).  Ratios use the
-principal phase branch (-180, 180] centred on the nominal; a family whose
-ratios spread wider than 180 degrees has no single-branch template and is
-rejected.
+response so the nominal member always sits at (0 deg, 0 dB), one array per
+member field.  Ratios use the principal phase branch (-180, 180] centred on
+the nominal; a family whose ratios spread wider than 180 degrees has no
+single-branch template and is rejected.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from .lti import PoleOnAxis, db, principal_phase
 __all__ = [
     "ParameterSpec",
     "UncertainPlant",
-    "TemplatePoint",
     "Template",
     "evaluate_plant_array",
     "generate_templates",
@@ -128,34 +127,24 @@ def evaluate_plant_array(plant: UncertainPlant, point: Dict[str, float], s) -> n
     return np.array([n / d for n, d in zip(num_val.tolist(), den_val.tolist())], dtype=complex)
 
 
-@dataclass(frozen=True)
-class TemplatePoint:
-    """One sampled family member at a fixed frequency, and its ratio to nominal."""
-
-    params: Tuple[float, ...]
-    response: complex  # the member's frequency response; ratio = response / nominal
-    ratio: complex
-    phase_deg: float  # relative to nominal, principal branch (-180, 180]
-    gain_db: float
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Template:
-    """All sampled responses of the family at one frequency."""
+    """The family at one frequency: one array per field, made read-only."""
 
     omega: float
-    points: Tuple[TemplatePoint, ...]
-    hull: Tuple[Tuple[float, float], ...]  # CCW (phase_deg, gain_db) vertices
-    hull_indices: Tuple[int, ...]
+    points: np.ndarray  # (members x parameters), rows in UncertainPlant.members() order
+    responses: np.ndarray  # complex member responses; ratios = responses / nominal
+    ratios: np.ndarray
+    phase_deg: np.ndarray  # relative to nominal, principal branch (-180, 180]
+    gain_db: np.ndarray
+    hull_indices: np.ndarray  # members on the CCW (phase_deg, gain_db) hull
 
-    def ratio_array(self, use_hull: bool = True) -> np.ndarray:
-        if use_hull and len(self.hull_indices) >= 1:
-            return np.array([self.points[i].ratio for i in self.hull_indices])
-        return np.array([p.ratio for p in self.points])
+    def __post_init__(self):
+        for name in ("points", "responses", "ratios", "phase_deg", "gain_db", "hull_indices"):
+            getattr(self, name).flags.writeable = False
 
     def gain_span_db(self) -> float:
-        gains = [self.hull[i][1] for i in range(len(self.hull))]
-        return max(gains) - min(gains)
+        return float(self.gain_db.max() - self.gain_db.min())
 
 
 def _cross(o, a, b) -> float:
@@ -192,60 +181,49 @@ def convex_hull_nichols(points: Sequence[Tuple[float, float]]) -> List[Tuple[flo
 def generate_templates(plant: UncertainPlant, omegas: Sequence[float]) -> Dict[float, Template]:
     """Sample the family over its parameter grid at every design frequency.
 
-    Each member is evaluated once over all of ``omegas``.  The nominal member
-    is always included (appended when the grid misses it), ratios are formed
-    against its response, and the convex hull is taken in relative Nichols
-    coordinates.  Points keep each member's response for later stages.
-    Templates are keyed by frequency, in the order given.
+    Each member is evaluated once over all of ``omegas``; every template
+    shares ``points`` and holds one column of the response matrix.  The
+    nominal member is always included (appended when the grid misses it),
+    ratios are formed against its response, and the convex hull is taken in
+    relative Nichols coordinates.  Templates are keyed by frequency, in order.
     """
     omegas = [float(omega) for omega in omegas]
     names = tuple(spec.name for spec in plant.params)
     members = plant.members()
+    points = np.array(members, dtype=float)
     s = 1j * np.array(omegas)
-    responses = [
-        evaluate_plant_array(plant, dict(zip(names, combo)), s).tolist() for combo in members
-    ]
-    nominal_responses = responses[members.index(plant.nominal_member())]
+    rows = [evaluate_plant_array(plant, dict(zip(names, combo)), s) for combo in members]
+    responses = np.array(rows, dtype=complex)
+    nominal_responses = responses[members.index(plant.nominal_member())].tolist()
     templates: Dict[float, Template] = {}
     for k, omega in enumerate(omegas):
         if nominal_responses[k] == 0:
             raise ZeroMagnitude(
                 f"nominal plant at {plant.nominal} has zero response at omega={omega}"
             )
-        points: List[TemplatePoint] = []
-        for combo, row in zip(members, responses):
-            ratio = row[k] / nominal_responses[k]
-            magnitude = abs(ratio)
-            if magnitude == 0.0:
-                env = dict(zip(names, combo))
-                raise ZeroMagnitude(f"family member at {env} has zero response at omega={omega}")
-            points.append(
-                TemplatePoint(
-                    params=combo,
-                    response=row[k],
-                    ratio=ratio,
-                    phase_deg=principal_phase(ratio),
-                    gain_db=db(magnitude),
-                )
-            )
-        phases = [p.phase_deg for p in points]
+        ratios = [response / nominal_responses[k] for response in responses[:, k].tolist()]
+        magnitudes = [abs(ratio) for ratio in ratios]
+        if 0.0 in magnitudes:
+            env = dict(zip(names, members[magnitudes.index(0.0)]))
+            raise ZeroMagnitude(f"family member at {env} has zero response at omega={omega}")
+        gains = [db(magnitude) for magnitude in magnitudes]
+        phases = [principal_phase(ratio) for ratio in ratios]
         span = max(phases) - min(phases)
         if span > 180.0 + 1e-9:
             raise TemplateTooWide(
                 f"template at omega={omega} spans {span:.2f} deg of phase (> 180)"
             )
 
-        coords = [(p.phase_deg, p.gain_db) for p in points]
-        hull = convex_hull_nichols(coords)
+        coords = list(zip(phases, gains))
         # map hull vertices back onto sample indices (first match wins)
-        index_of = {}
-        for i, c in enumerate(coords):
-            index_of.setdefault(c, i)
-        hull_indices = tuple(index_of[v] for v in hull)
+        index_of = {c: i for i, c in reversed(list(enumerate(coords)))}
         templates[omega] = Template(
             omega=omega,
-            points=tuple(points),
-            hull=tuple(hull),
-            hull_indices=hull_indices,
+            points=points,
+            responses=responses[:, k],
+            ratios=np.array(ratios, dtype=complex),
+            phase_deg=np.array(phases),
+            gain_db=np.array(gains),
+            hull_indices=np.array([index_of[v] for v in convex_hull_nichols(coords)], dtype=int),
         )
     return templates

@@ -145,14 +145,13 @@ def closed_loop_envelope(
     omegas = [template.omega for template in templates]
     controller = [pid_frequency_response(gains, omega) for omega in omegas]
     f_mags = [abs(eval_tf(prefilter, 1j * omega)) for omega in omegas]
-    members = list(zip(*(template.points for template in templates)))  # points per member
-    mags = np.empty((len(omegas), len(members)))  # one contiguous row per frequency
-    for m, member in enumerate(members):
-        for k, point in enumerate(member):
-            loop = point.response * controller[k]
+    mags = np.empty((len(omegas), len(templates[0].responses) if templates else 0))
+    for k, template in enumerate(templates):
+        for m, response in enumerate(template.responses.tolist()):
+            loop = response * controller[k]
             denom = 1.0 + loop
             if denom == 0.0:
-                env = {spec.name: v for spec, v in zip(plant.params, point.params)}
+                env = dict(zip((spec.name for spec in plant.params), template.points[m].tolist()))
                 raise CriticalPoint(
                     f"family member {env} drives the loop onto -1 at omega={omegas[k]}"
                 )

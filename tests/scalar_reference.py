@@ -48,7 +48,7 @@ from qft_forge.lti import (
     wrap_phase_array,
 )
 from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, PidGains, pid_frequency_response
-from qft_forge.plant import Template, TemplatePoint, convex_hull_nichols, evaluate_plant_array
+from qft_forge.plant import Template, convex_hull_nichols, evaluate_plant_array
 from qft_forge.verify import EnvelopeRow, OracleResult
 
 
@@ -185,41 +185,39 @@ def generate_template(plant, omega: float) -> Template:
     """The family's template at one frequency, one member at a time."""
     nominal_response = member_response(plant, plant.nominal, 1j * omega)
     names = tuple(spec.name for spec in plant.params)
-    points = []
-    for combo in plant.members():
+    members = plant.members()
+    responses, ratios, phases, gains = [], [], [], []
+    for combo in members:
         env = dict(zip(names, combo))
         response = member_response(plant, env, 1j * omega)
         ratio = response / nominal_response
         magnitude = abs(ratio)
         if magnitude == 0.0:
             raise ZeroMagnitude(f"family member at {env} has zero response at omega={omega}")
-        points.append(
-            TemplatePoint(
-                params=combo,
-                response=response,
-                ratio=ratio,
-                phase_deg=principal_phase(ratio),
-                gain_db=db(magnitude),
-            )
-        )
+        responses.append(response)
+        ratios.append(ratio)
+        phases.append(principal_phase(ratio))
+        gains.append(db(magnitude))
 
-    phases = [p.phase_deg for p in points]
     span = max(phases) - min(phases)
     if span > 180.0 + 1e-9:
         raise TemplateTooWide(
             f"template at omega={omega} spans {span:.2f} deg of phase (> 180)"
         )
 
-    coords = [(p.phase_deg, p.gain_db) for p in points]
+    coords = list(zip(phases, gains))
     hull = convex_hull_nichols(coords)
     index_of = {}
     for i, c in enumerate(coords):
         index_of.setdefault(c, i)
     return Template(
         omega=float(omega),
-        points=tuple(points),
-        hull=tuple(hull),
-        hull_indices=tuple(index_of[v] for v in hull),
+        points=np.array(members, dtype=float),
+        responses=np.array(responses, dtype=complex),
+        ratios=np.array(ratios, dtype=complex),
+        phase_deg=np.array(phases),
+        gain_db=np.array(gains),
+        hull_indices=np.array([index_of[v] for v in hull], dtype=int),
     )
 
 

@@ -297,7 +297,7 @@ class TestC6BisectionSoundness:
             if not math.isfinite(bound):
                 continue
             finite_cases += 1
-            ratios = list(template.ratio_array(use_hull=False))
+            ratios = list(template.ratios)
             worst_hold = max(worst_hold, direct_spread(ratios, bound + 0.02, phase) - delta)
             worst_violation = min(
                 worst_violation, direct_spread(ratios, bound - 0.5, phase) - delta

@@ -31,7 +31,7 @@ from qft_forge.config import parse_config_dict
 from qft_forge.errors import CriticalPoint
 from qft_forge.lti import db, undb
 from qft_forge.pipeline import compute_templates
-from qft_forge.plant import Template, TemplatePoint, convex_hull_nichols
+from qft_forge.plant import Template, convex_hull_nichols
 
 import scalar_reference as ref
 from conftest import SERVO_CONFIG_PATH
@@ -40,22 +40,22 @@ from conftest import SERVO_CONFIG_PATH
 def template_of(ratios, hull_indices=()) -> Template:
     """Template whose members have the given ratios to nominal; the members
     ``hull_indices`` names are its hull (none: the template is hull-free)."""
-    points = tuple(
-        TemplatePoint(
-            params=(),
-            response=complex(r),
-            ratio=complex(r),
-            phase_deg=math.degrees(math.atan2(complex(r).imag, complex(r).real)),
-            gain_db=db(abs(r)),
-        )
-        for r in ratios
+    ratios = [complex(r) for r in ratios]
+    return Template(
+        omega=1.0,
+        points=np.empty((len(ratios), 0)),
+        responses=np.array(ratios, dtype=complex),
+        ratios=np.array(ratios, dtype=complex),
+        phase_deg=np.array([math.degrees(math.atan2(r.imag, r.real)) for r in ratios]),
+        gain_db=np.array([db(abs(r)) for r in ratios]),
+        hull_indices=np.array(hull_indices, dtype=int),
     )
-    return Template(omega=1.0, points=points, hull=(), hull_indices=tuple(hull_indices))
 
 
 def hull_indices_of(ratios):
     """The members on the Nichols hull, found as ``generate_templates`` does."""
-    coords = [(p.phase_deg, p.gain_db) for p in template_of(ratios).points]
+    template = template_of(ratios)
+    coords = list(zip(template.phase_deg.tolist(), template.gain_db.tolist()))
     first = {}
     for i, c in enumerate(coords):
         first.setdefault(c, i)
@@ -286,7 +286,7 @@ def dense_templates():
 def test_dense_template_matches_scalar_reference(dense_templates, omega):
     config, templates = dense_templates
     template = templates[omega]
-    ratios = template.ratio_array(False)
+    ratios = template.ratios
     assert len(template.hull_indices) < len(ratios) == 625
     grid = make_phase_grid(config.phase_grid_count)
     delta = delta_spread(config.tracking, omega)

@@ -98,6 +98,22 @@ class TestUsageErrors:
         ]
         assert main(argv) == EXIT_USAGE
 
+    @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+    def test_unusable_out(self, reduced_json, tmp_path, under_file):
+        # an existing file, or a path below one, cannot become the output directory
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / "out" if under_file else blocker
+        argv = ["templates", "--config", reduced_json, "--out", str(out)]
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+        done = subprocess.run(
+            [sys.executable, "-m", "qft_forge", *argv], env=env, capture_output=True, text=True
+        )
+        assert done.returncode == EXIT_USAGE
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith(f"error: cannot write to --out {out}: ")
+        assert len(done.stderr.splitlines()) == 1
+
     def test_parser_prog_name(self):
         assert build_parser().prog == "qft-forge"
 

@@ -187,10 +187,11 @@ class TestArtifactContents:
         )
         assert hull_rows == expected_hull
         first = body[0]
-        point = reduced_stack.templates[reduced_config.frequencies[0]].points[0]
+        template = reduced_stack.templates[reduced_config.frequencies[0]]
         assert float(first[0]) == reduced_config.frequencies[0]
-        assert float(first[3]) == point.phase_deg
-        assert float(first[4]) == point.gain_db
+        assert [float(v) for v in first[1:3]] == template.points[0].tolist()
+        assert float(first[3]) == template.phase_deg[0]
+        assert float(first[4]) == template.gain_db[0]
 
     def test_bounds_csv(self, reduced_all_dir, reduced_stack, reduced_config):
         with open(reduced_all_dir / "bounds.csv", newline="") as fh:

@@ -56,6 +56,24 @@ def template_at(plant, omega):
     return generate_templates(plant, [omega])[omega]
 
 
+def hull_of(template):
+    """The template's CCW hull vertices in (phase_deg, gain_db)."""
+    indices = template.hull_indices
+    return list(zip(template.phase_deg[indices].tolist(), template.gain_db[indices].tolist()))
+
+
+def members_of(template):
+    """(params, ratio, phase_deg, gain_db) per member, as Python scalars."""
+    return list(
+        zip(
+            map(tuple, template.points.tolist()),
+            template.ratios.tolist(),
+            template.phase_deg.tolist(),
+            template.gain_db.tolist(),
+        )
+    )
+
+
 def servo_response(a, k, omega):
     s = 1j * omega
     return (k * a) / (s * s + a * s)
@@ -222,7 +240,17 @@ class TestMembers:
         for grid in (4, 2):
             plant = servo_plant(grid=grid)
             for template in generate_templates(plant, [2.0, 5.0]).values():
-                assert [p.params for p in template.points] == plant.members()
+                assert [tuple(row) for row in template.points.tolist()] == plant.members()
+                assert len(template.points) == len(plant.members())
+
+    def test_template_arrays_are_read_only(self):
+        templates = generate_templates(servo_plant(grid=3), [2.0, 5.0])
+        for template in templates.values():
+            for name in ("points", "responses", "ratios", "phase_deg", "gain_db", "hull_indices"):
+                array = getattr(template, name)
+                assert not array.flags.writeable, name
+                with pytest.raises(ValueError):
+                    array[0] = 0
 
 
 class TestConvexHull:
@@ -275,23 +303,18 @@ class TestGenerateTemplate:
         template = template_at(servo_plant(grid=2), 1.0)
         assert len(template.points) == 4
         nominal = servo_response(1.0, 1.0, 1.0)
-        for point in template.points:
-            a, k = point.params
+        for (a, k), ratio, phase_deg, gain_db in members_of(template):
             expected = servo_response(a, k, 1.0) / nominal
-            assert point.ratio == pytest.approx(expected, rel=1e-12)
-            assert point.gain_db == pytest.approx(db(abs(expected)), abs=1e-9)
-            assert point.phase_deg == pytest.approx(
+            assert ratio == pytest.approx(expected, rel=1e-12)
+            assert gain_db == pytest.approx(db(abs(expected)), abs=1e-9)
+            assert phase_deg == pytest.approx(
                 math.degrees(cmath.phase(expected)), abs=1e-9
             )
 
     def test_nominal_member_is_exactly_unity(self):
         template = template_at(servo_plant(), 2.0)
-        nominal_points = [p for p in template.points if p.params == (1.0, 1.0)]
-        assert len(nominal_points) == 1
-        point = nominal_points[0]
-        assert point.ratio == 1.0 + 0.0j
-        assert point.phase_deg == 0.0
-        assert point.gain_db == 0.0
+        nominal_points = [m[1:] for m in members_of(template) if m[0] == (1.0, 1.0)]
+        assert nominal_points == [(1.0 + 0.0j, 0.0, 0.0)]
 
     def test_full_grid_size(self):
         template = template_at(servo_plant(), 1.0)
@@ -306,7 +329,7 @@ class TestGenerateTemplate:
         )
         template = template_at(plant, 1.0)
         assert len(template.points) == 5
-        assert template.points[-1].params == (5.5, 5.5)
+        assert template.points[-1].tolist() == [5.5, 5.5]
 
     def test_high_frequency_gain_span(self):
         # At omega = 60 the family's span is set by the k*a numerator:
@@ -319,33 +342,32 @@ class TestGenerateTemplate:
         assert finer.gain_span_db() == pytest.approx(expected, abs=1e-9)
 
     def test_span_equals_pointwise_extremes(self):
+        # the hull holds both gain extremes, so its span is the members' span
         template = template_at(servo_plant(), 10.0)
-        gains = [p.gain_db for p in template.points]
-        assert template.gain_span_db() == pytest.approx(max(gains) - min(gains), abs=1e-12)
+        gains = template.gain_db.tolist()
+        hull_gains = [gain for _, gain in hull_of(template)]
+        assert template.gain_span_db() == max(gains) - min(gains)
+        assert template.gain_span_db() == max(hull_gains) - min(hull_gains)
 
     def test_hull_soundness(self):
         template = template_at(servo_plant(), 1.0)
-        for point in template.points:
-            assert inside_hull(template.hull, (point.phase_deg, point.gain_db))
+        hull = hull_of(template)
+        for point in zip(template.phase_deg.tolist(), template.gain_db.tolist()):
+            assert inside_hull(hull, point)
 
     def test_hull_indices_map_back_to_points(self):
         template = template_at(servo_plant(), 5.0)
-        for vertex, index in zip(template.hull, template.hull_indices):
-            point = template.points[index]
-            assert (point.phase_deg, point.gain_db) == vertex
-
-    def test_ratio_array_hull_vs_all(self):
-        template = template_at(servo_plant(), 5.0)
-        assert len(template.ratio_array(use_hull=True)) == len(template.hull_indices)
-        assert len(template.ratio_array(use_hull=False)) == len(template.points)
+        coords = list(zip(template.phase_deg.tolist(), template.gain_db.tolist()))
+        assert hull_of(template) == convex_hull_nichols(coords)
+        assert len(set(template.hull_indices.tolist())) == len(template.hull_indices)
 
     def test_grid_refinement_containment(self):
         coarse = template_at(servo_plant(grid=5), 5.0)
         fine = template_at(servo_plant(grid=9), 5.0)
         # the 9-point axes contain the 5-point axes, so the finer hull
         # must cover every coarse vertex
-        for vertex in coarse.hull:
-            assert inside_hull(fine.hull, vertex, tol=1e-9)
+        for vertex in hull_of(coarse):
+            assert inside_hull(hull_of(fine), vertex, tol=1e-9)
 
     def test_zero_uncertainty_family(self):
         plant = make_plant(
@@ -362,7 +384,8 @@ class TestGenerateTemplate:
         plant = make_plant(["2"], ["1", "1"], [], {})
         template = template_at(plant, 1.0)
         assert len(template.points) == 1
-        assert template.points[0].ratio == 1.0 + 0.0j
+        assert template.points.shape == (1, 0)
+        assert template.ratios.tolist() == [1.0 + 0.0j]
 
     def test_template_too_wide(self):
         # s^2 + a s + b with the (a, b) box wrapping the origin of the
@@ -414,11 +437,16 @@ def template_bits(template: Template):
     return (
         template.omega.hex(),
         [
-            (p.params, bits(p.response), bits(p.ratio), p.phase_deg.hex(), p.gain_db.hex())
-            for p in template.points
+            (params, bits(response), bits(ratio), phase.hex(), gain.hex())
+            for params, response, ratio, phase, gain in zip(
+                map(tuple, template.points.tolist()),
+                template.responses.tolist(),
+                template.ratios.tolist(),
+                template.phase_deg.tolist(),
+                template.gain_db.tolist(),
+            )
         ],
-        [(x.hex(), y.hex()) for x, y in template.hull],
-        template.hull_indices,
+        template.hull_indices.tolist(),
     )
 
 
