@@ -36,7 +36,7 @@ from .bounds import (
 from .config import load_config
 from .errors import QftError
 from .lti import to_nichols
-from .optimizer import SweepScreen, design_pi_pd, design_pid, kernel_direction, loop_margins
+from .optimizer import SweepScreen, design_pi_pd, design_pid, loop_margins
 from .pipeline import run_command
 from .plant import evaluate_plant_array, generate_templates
 from .svgchart import emit_nichols_svg
@@ -59,7 +59,6 @@ __all__ = [
     "u_contour",
     "combine_with_ucontour",
     "interpolate_bound_array",
-    "kernel_direction",
     "design_pid",
     "design_pi_pd",
     "SweepScreen",

@@ -60,9 +60,6 @@ class RationalTransferFunction:
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "den", den)
 
-    def __call__(self, s: complex) -> complex:
-        return eval_tf(self, s)
-
 
 def eval_tf(tf: RationalTransferFunction, s: complex) -> complex:
     """Evaluate ``tf`` at a complex point.

@@ -42,15 +42,12 @@ from .plant import UncertainPlant
 
 __all__ = [
     "PidGains",
-    "KernelDirection",
     "DesignProblem",
     "MarginEntry",
     "DesignResult",
     "GainMap",
     "pid_frequency_response",
     "phase_window",
-    "kernel_direction",
-    "beta_scaling",
     "loop_margins",
     "design_pid",
     "design_pi_pd",
@@ -82,9 +79,6 @@ class PidGains:
             if value < 0.0 or not math.isfinite(value):
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
-    def as_tuple(self) -> Tuple[float, float, float]:
-        return (self.kp, self.ki, self.kd)
-
 
 def pid_frequency_response(gains: PidGains, omega: float) -> complex:
     """K(j*omega); only defined for omega > 0 (the integrator blows up at 0)."""
@@ -108,46 +102,6 @@ def phase_window(nominal_phase_deg: float, phase_grid: Sequence[float]) -> Tuple
             f"no grid phase within {PHASE_WINDOW_HALF_DEG} deg of {centre:.2f} deg"
         )
     return window
-
-
-@dataclass(frozen=True)
-class KernelDirection:
-    """Unit vector spanning the kernel of the two-frequency phase constraint.
-
-    Components are ordered (derivative, integral, proportional); the phases
-    (degrees) and frequencies (rad/s) that generated the constraint matrix
-    ride along so the residual stays checkable after the fact.
-    """
-
-    v21: float
-    v22: float
-    v23: float
-    psi_i: float
-    psi_j: float
-    omega_i: float
-    omega_j: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.v21, self.v22, self.v23])
-
-    def constraint_residual(self) -> float:
-        """Norm of A @ v for the generating constraint matrix (ideally 0)."""
-        a = _constraint_matrix(self.psi_i, self.psi_j, self.omega_i, self.omega_j)
-        return float(np.linalg.norm(a @ self.as_array()))
-
-
-def _constraint_matrix(
-    psi_i_deg: float, psi_j_deg: float, omega_i: float, omega_j: float
-) -> np.ndarray:
-    rows = []
-    for psi, omega in ((psi_i_deg, omega_i), (psi_j_deg, omega_j)):
-        if not (abs(psi) < 90.0):
-            raise ValueError(f"controller phase {psi} deg outside (-90, 90)")
-        if omega <= 0.0:
-            raise ValueError("frequencies must be positive")
-        t = math.tan(math.radians(psi))
-        rows.append([1.0, -1.0 / (omega * omega), -t / omega])
-    return np.array(rows)
 
 
 def _kernel_grid(b_i, b_j, omega_i: float, omega_j: float) -> np.ndarray:
@@ -179,23 +133,6 @@ def _kernel_grid(b_i, b_j, omega_i: float, omega_j: float) -> np.ndarray:
     v[np.abs(v) <= _SIGN_EPS] = 0.0
     v /= np.sqrt(np.sum(v * v, axis=0))
     return v
-
-
-def kernel_direction(
-    psi_i_deg: float,
-    psi_j_deg: float,
-    omega_i: float,
-    omega_j: float,
-) -> KernelDirection:
-    """Direction of gain triples realising the two requested phases: the
-    one-cell case of :func:`_kernel_grid`."""
-    if omega_i == omega_j:
-        raise ValueError("kernel needs two distinct frequencies")
-    a = _constraint_matrix(psi_i_deg, psi_j_deg, omega_i, omega_j)
-    v = _kernel_grid(a[0, 2], a[1, 2], omega_i, omega_j)
-    return KernelDirection(
-        *(float(c) for c in v), float(psi_i_deg), float(psi_j_deg), float(omega_i), float(omega_j)
-    )
 
 
 @dataclass(frozen=True)
@@ -256,15 +193,6 @@ def _lift(v: np.ndarray, problem: DesignProblem):
         beta = np.where(tighter, term, beta)
         active = np.where(tighter, k, active)
     return np.where(blocked | (beta == NO_CONSTRAINT), INFEASIBLE, beta), active
-
-
-def beta_scaling(direction: KernelDirection, problem: DesignProblem):
-    """(beta_db, active_index) lifting one direction onto its tightest bound,
-    or (INFEASIBLE, None); the one-cell case of :func:`_lift`."""
-    beta, active = _lift(direction.as_array()[:, None], problem)
-    if beta[0] == INFEASIBLE:
-        return INFEASIBLE, None
-    return float(beta[0]), int(active[0])
 
 
 def _scale(v: np.ndarray, beta) -> np.ndarray:
@@ -373,10 +301,6 @@ class SweepScreen:
         controller.imag = kd * self.omegas - ki / self.omegas
         phase, gain = to_nichols_array(self.nominal_responses * controller)
         return phase, gain, self.contour.inside(phase, gain, tol_db=INTERPOLATION_TOLERANCE_DB)
-
-    def admits(self, gains: PidGains) -> bool:
-        """True when the candidate's nominal loop stays out of the contour."""
-        return not np.any(self.sweep(gains)[2])
 
     def first_admitted(self, kd: np.ndarray, ki: np.ndarray, kp: np.ndarray) -> Optional[int]:
         """Index of the first candidate (gain columns in visiting order) whose
@@ -518,7 +442,8 @@ def design_pid(
         grid = np.full((len(windows[0]), len(windows[1])), np.inf)
         return _no_design(grid, windows, "no binding constraint")
 
-    # third constraint-matrix column, -tan(psi) / w, as in _constraint_matrix
+    # third column -tan(psi) / w of the rows in the module docstring; phase_window's
+    # strict bound keeps psi inside (-90, 90)
     b_i = np.array([-math.tan(math.radians(p - phase_i)) / omega_i for p in windows[0]])
     b_j = np.array([-math.tan(math.radians(p - phase_j)) / omega_j for p in windows[1]])
     return _screened_design(

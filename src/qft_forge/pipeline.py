@@ -43,7 +43,6 @@ from .optimizer import (
     design_pi_pd,
     design_pid,
     filtered_derivative_transform,
-    pid_frequency_response,
 )
 from .plant import Template, UncertainPlant, evaluate_plant_array, generate_templates
 from .svgchart import emit_nichols_svg
@@ -492,14 +491,13 @@ def _nichols_layers(
     loop_points: List[Tuple[float, float]] = []
     markers: List[Tuple[float, float, str]] = []
     if artifacts.design is not None and artifacts.design.gains is not None:
-        gains = artifacts.design.gains
-        phase, gain, _ = SweepScreen(artifacts.contour, *sweep).sweep(gains)
+        phase, gain, _ = SweepScreen(artifacts.contour, *sweep).sweep(artifacts.design.gains)
         loop_points = list(zip(phase.tolist(), gain.tolist()))
-        for omega in config.frequencies:
-            loop = at_design[omega] * pid_frequency_response(gains, omega)
-            if loop == 0:
-                continue
-            markers.append((*to_nichols(loop), f"{omega:g}"))
+        # a zero loop's entry sits at -inf dB, which the chart drops
+        markers = [
+            (entry.phase_deg, entry.gain_db, f"{entry.omega:g}")
+            for entry in artifacts.design.margin_report
+        ]
     layers["loop_curve"] = loop_points
     layers["loop_markers"] = markers
     return layers

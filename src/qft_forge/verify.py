@@ -122,10 +122,6 @@ class VerificationReport:
     def sweep_violations(self) -> Tuple[SweepPoint, ...]:
         return tuple(p for p in self.dense_sweep if p.inside_ucontour)
 
-    @property
-    def envelope_violations(self) -> Tuple[EnvelopeRow, ...]:
-        return tuple(row for row in self.envelope if not row.inside())
-
 
 def closed_loop_envelope(
     plant: UncertainPlant,

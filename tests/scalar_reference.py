@@ -12,6 +12,12 @@ the reference for the envelope that reads the templates' responses.  The
 gain-box oracle's earlier full-mesh search is kept here too: every kd slice
 tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
 the blocked search must return the same result.
+
+The design search has a one-cell reference in plain Python floats: a gain
+direction per phase pair (PID) or per phase (PI, PD), and its lift onto the
+bounds by :func:`interpolate_bound`.  It calls none of the grid's array
+code (``_kernel_grid``, ``_lift``, ``interpolate_bound_array``), and tests
+compare the two cell by cell to a relative tolerance.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from qft_forge.lti import (
     eval_tf,
     m_circle_gains,
     principal_phase,
+    to_nichols,
     undb,
     wrap_phase,
     wrap_phase_array,
@@ -127,7 +134,8 @@ def disturbance_entries(
 
 
 def screen_admits(screen, gains) -> bool:
-    """Point-by-point twin of ``SweepScreen.admits``."""
+    """Point-by-point twin of the screen's decision: True when no point of
+    ``screen.sweep(gains)`` lies inside the contour."""
     for omega, response in zip(screen.omegas, screen.nominal_responses):
         loop = response * pid_frequency_response(gains, omega)
         if loop == 0:
@@ -154,6 +162,72 @@ def first_admitted(screen, kd, ki, kp):
         if not np.any(screen_sweep(screen, PidGains(*gains))[2]):
             return index
     return None
+
+
+def _unit(v):
+    norm = math.sqrt(sum(c * c for c in v))
+    return [c / norm for c in v]
+
+
+def pid_direction(psi_i_deg: float, psi_j_deg: float, omega_i: float, omega_j: float):
+    """(kd, ki, kp) unit direction realising controller phases ``psi_i_deg``
+    at ``omega_i`` and ``psi_j_deg`` at ``omega_j``.
+
+    The cross product of the constraint rows [1, -1/w^2, -tan(psi)/w],
+    normalised, with its largest-magnitude component made positive and
+    components of magnitude at most 1e-12 snapped to zero, then normalised
+    again.
+    """
+    rows = [
+        (1.0, -1.0 / (omega * omega), -math.tan(math.radians(psi)) / omega)
+        for psi, omega in ((psi_i_deg, omega_i), (psi_j_deg, omega_j))
+    ]
+    (x1, y1, z1), (x2, y2, z2) = rows
+    v = _unit([y1 * z2 - z1 * y2, z1 * x2 - x1 * z2, x1 * y2 - y1 * x2])
+    if max(v, key=abs) < 0.0:
+        v = [-c for c in v]
+    return _unit([0.0 if abs(c) <= 1e-12 else c for c in v])
+
+
+def pi_pd_direction(kind: str, psi_deg: float, omega: float):
+    """(kd, ki, kp) unit direction of the PI ray (0, -w tan(psi), 1) or the
+    PD ray (tan(psi) / w, 0, 1)."""
+    t = math.tan(math.radians(psi_deg))
+    return _unit([0.0, -omega * t, 1.0] if kind == "pi" else [t / omega, 0.0, 1.0])
+
+
+def lift(problem, v):
+    """(beta_db, active index) lifting direction ``v`` onto its tightest
+    bound over the design frequencies, or None when a bound at the induced
+    phase is infeasible, the loop vanishes where a bound applies, or no
+    bound applies anywhere.  Ties keep the first frequency."""
+    kd, ki, kp = v
+    beta, active = None, None
+    for k, (omega, curve) in enumerate(zip(problem.frequencies, problem.bounds)):
+        nominal_phase, nominal_gain = to_nichols(problem.nominal_responses[k])
+        nu = kd * omega - ki / omega
+        g2 = kp * kp + nu * nu
+        bound = interpolate_bound(curve, wrap_phase(nominal_phase + math.degrees(math.atan2(nu, kp))))
+        if bound == NO_CONSTRAINT:
+            continue
+        if bound == INFEASIBLE or g2 == 0.0:
+            return None
+        term = bound - nominal_gain - 10.0 * math.log10(g2)
+        if beta is None or term > beta:
+            beta, active = term, k
+    return None if beta is None else (beta, active)
+
+
+def candidate_gains(problem, v):
+    """Gains (kd, ki, kp) of direction ``v`` lifted onto its bounds, or None
+    when its components mix signs or :func:`lift` rejects it."""
+    if any(c > 0.0 for c in v) and any(c < 0.0 for c in v):
+        return None
+    lifted = lift(problem, v)
+    if lifted is None:
+        return None
+    scale = 10.0 ** (lifted[0] / 20.0)
+    return [abs(c) * scale for c in v]
 
 
 def _inside(contour, phase_deg: float, gain_db: float, tol_db: float) -> bool:

@@ -24,7 +24,7 @@ from qft_forge.cli import EXIT_VERIFY_FAILED, main
 from qft_forge.config import load_config
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import db, m_circle_gains, undb
-from qft_forge.optimizer import kernel_direction
+from qft_forge.optimizer import _kernel_grid
 from qft_forge.pipeline import (
     build_problem,
     compute_bounds,
@@ -238,11 +238,18 @@ class TestC5KernelProperties:
             omega_j = 10.0 ** rng.uniform(-2, 2)
             while omega_j == omega_i:
                 omega_j = 10.0 ** rng.uniform(-2, 2)
-            direction = kernel_direction(psi_i, psi_j, omega_i, omega_j)
-            worst_residual = max(worst_residual, direction.constraint_residual())
+            # rows [1, -1/w^2, -tan(psi)/w] of the phase-constraint matrix
+            a = np.array(
+                [
+                    [1.0, -1.0 / (omega * omega), -math.tan(math.radians(psi)) / omega]
+                    for psi, omega in ((psi_i, omega_i), (psi_j, omega_j))
+                ]
+            )
+            kd, ki, kp = _kernel_grid(a[0, 2], a[1, 2], omega_i, omega_j)
+            worst_residual = max(worst_residual, float(np.linalg.norm(a @ [kd, ki, kp])))
             for psi, omega in ((psi_i, omega_i), (psi_j, omega_j)):
-                nu = direction.v21 * omega - direction.v22 / omega
-                reconstructed = math.degrees(math.atan2(nu, direction.v23))
+                nu = kd * omega - ki / omega
+                reconstructed = math.degrees(math.atan2(nu, kp))
                 error = abs((reconstructed - psi + 90.0) % 180.0 - 90.0)
                 worst_phase = max(worst_phase, error)
         verdict = (

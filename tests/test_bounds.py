@@ -598,6 +598,32 @@ class TestInterpolateBound:
         assert [repr(v) for v in interpolate_bound_array(curve, phases).tolist()] == want
         assert interpolate_bound_array(curve, np.array([math.nan]))[0] == NO_CONSTRAINT
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="queries within half a grid step of the 0/-360 deg seam come back "
+        "NO_CONSTRAINT instead of interpolating between the two end nodes",
+    )
+    def test_seam_interpolates_between_end_nodes(self):
+        """A bound is 360-degree periodic, but the table stops at the grid ends.
+
+        ``make_phase_grid(10)`` has nodes -342, -306, ..., -18: the seam at
+        0/-360 deg lies 18 deg beyond each end.  -5 deg and -355 deg (that
+        is, 5 deg) both fall in the periodic gap between -18 and -342 + 360 =
+        18 deg, 13/36 and 23/36 of the way from -18.
+        ``interpolate_bound_array`` treats both as beyond the grid
+        and returns NO_CONSTRAINT, so a loop phase there meets no bound at all
+        although every node constrains.  The gap is 0.5 deg on the default
+        360-point grid and 18 deg here.  A fix adds one periodic node at each
+        end of the curve's table.
+        """
+        grid = make_phase_grid(10)
+        values = tuple(float(k) for k in range(1, 11))
+        curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=values)
+        first, last = values[0], values[-1]  # at -342 and -18 deg
+        want = [last + t * (first - last) for t in (13.0 / 36.0, 23.0 / 36.0)]
+        got = interpolate_bound_array(curve, np.array([-5.0, -355.0]))
+        assert got.tolist() == pytest.approx(want, abs=1e-12)
+
     def test_array_all_outside(self):
         out = interpolate_bound_array(self.CURVE, np.array([-350.0, -250.0, -10.0]))
         assert np.all(out == NO_CONSTRAINT)

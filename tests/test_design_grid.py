@@ -1,8 +1,9 @@
 """The array phase-pair grid and the stability screen.
 
-``design_pid`` scores every phase pair at once; each cell must agree with the
-one-cell path (``kernel_direction`` -> ``beta_scaling``, then the lift
-applied to the direction).  ``SweepScreen.admits`` evaluates the dense loop
+``design_pid`` scores every phase pair at once, and ``design_pi_pd`` every
+phase of its half-window; each cell must agree with the scalar reference
+(``scalar_reference.pid_direction`` or ``pi_pd_direction``, lifted by
+``scalar_reference.lift``).  ``SweepScreen.sweep`` evaluates the dense loop
 as one array and must make the same decision as the point-by-point
 reference; ``SweepScreen.first_admitted`` sweeps blocks of candidates and
 must pick the candidate the one-at-a-time walk picks.
@@ -11,7 +12,6 @@ must pick the candidate the one-at-a-time walk picks.
 from __future__ import annotations
 
 import json
-import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,15 +20,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import qft_forge.bounds as bounds
-from qft_forge.bounds import INFEASIBLE
+from qft_forge.bounds import BoundCurve
 from qft_forge.errors import RankDeficient
-from qft_forge.optimizer import (
-    PidGains,
-    SweepScreen,
-    beta_scaling,
-    design_pid,
-    kernel_direction,
-)
+from qft_forge.optimizer import DesignProblem, PidGains, SweepScreen, design_pi_pd, design_pid
 from qft_forge.config import parse_config_dict
 from qft_forge.pipeline import (
     build_problem,
@@ -62,87 +56,108 @@ def screen_walk_config():
     return parse_config_dict(raw)
 
 
-def one_cell_direction(problem, phi_i, phi_j):
-    """Kernel direction of one phase pair of the design's anchor frequencies."""
-    k, l = problem.pair_indices
-    return kernel_direction(
-        phi_i - problem.nominal_phase_deg(k),
-        phi_j - problem.nominal_phase_deg(l),
-        problem.frequencies[k],
-        problem.frequencies[l],
-    )
+def reference_grid(problem, result, kind="pid"):
+    """The result's candidate grid recomputed cell by cell by the scalar
+    reference: the objective gain (kp for PI, kd otherwise), inf where a
+    cell is rejected."""
+    objective = 2 if kind == "pi" else 0
+    grid = np.full(result.kd_grid.shape, np.inf)
+    for (i, j), _ in np.ndenumerate(grid):
+        if kind == "pid":
+            k, l = problem.pair_indices
+            v = ref.pid_direction(
+                result.window_phases_i[i] - problem.nominal_phase_deg(k),
+                result.window_phases_j[j] - problem.nominal_phase_deg(l),
+                problem.frequencies[k],
+                problem.frequencies[l],
+            )
+        else:
+            anchor = problem.pair_indices[0]
+            v = ref.pi_pd_direction(
+                kind,
+                result.window_phases_j[j] - problem.nominal_phase_deg(anchor),
+                problem.frequencies[anchor],
+            )
+        gains = ref.candidate_gains(problem, v)
+        if gains is not None:
+            grid[i, j] = gains[objective]
+    return grid
 
 
-def one_cell_gains(problem, phi_i, phi_j):
-    """Gains of one phase pair through the scalar path: the unit direction
-    lifted by its scaling, with the sign that makes the gains non-negative;
-    None when rejected."""
-    direction = one_cell_direction(problem, phi_i, phi_j)
-    v = direction.as_array()
-    if np.any(v > 0.0) and np.any(v < 0.0):
-        return None
-    beta, _ = beta_scaling(direction, problem)
-    if beta == INFEASIBLE:
-        return None
-    kd, ki, kp = np.abs(v) * 10.0 ** (beta / 20.0)
-    return PidGains(kp=kp, ki=ki, kd=kd)
+def assert_grid_matches_reference(problem, result, kind="pid"):
+    expected = reference_grid(problem, result, kind)
+    got = result.kd_grid
+    assert got.shape == expected.shape
+    assert np.array_equal(np.isinf(got), np.isinf(expected))
+    finite = np.isfinite(expected)
+    assert got[finite] == pytest.approx(expected[finite], rel=1e-10, abs=0.0)
 
 
-def one_cell_kd(problem, phi_i, phi_j):
-    """kd of one phase pair through the scalar path; inf when rejected."""
-    gains = one_cell_gains(problem, phi_i, phi_j)
-    return math.inf if gains is None else gains.kd
-
-
-def assert_grid_matches_one_cell_path(problem, result):
-    assert result.kd_grid.shape == (len(result.window_phases_i), len(result.window_phases_j))
-    for i, phi_i in enumerate(result.window_phases_i):
-        for j, phi_j in enumerate(result.window_phases_j):
-            expected = one_cell_kd(problem, phi_i, phi_j)
-            got = result.kd_grid[i, j]
-            assert math.isinf(got) == math.isinf(expected), (phi_i, phi_j)
-            if not math.isinf(got):
-                assert got == pytest.approx(expected, rel=1e-10, abs=0.0), (phi_i, phi_j)
+def admitted(screen, gains):
+    """The screen's decision on one candidate, through ``first_admitted``."""
+    columns = (np.array([g]) for g in (gains.kd, gains.ki, gains.kp))
+    return screen.first_admitted(*columns) == 0
 
 
 class TestKernelGrid:
-    def test_reduced_grid_matches_one_cell_path(self, reduced_stack, reduced_design):
+    def test_reduced_grid_matches_reference(self, reduced_stack, reduced_design):
         assert np.isfinite(reduced_design.kd_grid).any()
         assert np.isinf(reduced_design.kd_grid).any()
-        assert_grid_matches_one_cell_path(reduced_stack.problem, reduced_design)
+        assert_grid_matches_reference(reduced_stack.problem, reduced_design)
 
-    def test_servo_grid_matches_one_cell_path(self, servo_stack, servo_design):
+    def test_servo_grid_matches_reference(self, servo_stack, servo_design):
         assert int(np.isfinite(servo_design.kd_grid).sum()) == 10332
-        assert_grid_matches_one_cell_path(servo_stack.problem, servo_design)
+        assert_grid_matches_reference(servo_stack.problem, servo_design)
 
-    def test_winner_is_the_one_cell_candidate(self, servo_stack, servo_design):
+    @pytest.mark.parametrize("kind", ["pi", "pd"])
+    def test_servo_pi_pd_grid_matches_reference(self, servo_stack, kind):
         problem = servo_stack.problem
-        direction = one_cell_direction(problem, *servo_design.chosen_phases)
-        beta, active = beta_scaling(direction, problem)
-        assert beta == servo_design.beta_db
+        result = design_pi_pd(problem, kind, anchor_frequency_index=problem.pair_indices[0])
+        assert np.isfinite(result.kd_grid).any()
+        assert_grid_matches_reference(problem, result, kind)
+
+    def test_winner_is_the_reference_candidate(self, servo_stack, servo_design):
+        problem = servo_stack.problem
+        k, l = problem.pair_indices
+        phi_i, phi_j = servo_design.chosen_phases
+        v = ref.pid_direction(
+            phi_i - problem.nominal_phase_deg(k),
+            phi_j - problem.nominal_phase_deg(l),
+            problem.frequencies[k],
+            problem.frequencies[l],
+        )
+        beta, active = ref.lift(problem, v)
+        assert beta == pytest.approx(servo_design.beta_db, rel=1e-12)
         assert problem.frequencies[active] == servo_design.active_frequency
-        gains = one_cell_gains(problem, *servo_design.chosen_phases)
-        assert gains.as_tuple() == pytest.approx(servo_design.gains.as_tuple(), rel=1e-12)
+        gains = servo_design.gains
+        assert ref.candidate_gains(problem, v) == pytest.approx(
+            [gains.kd, gains.ki, gains.kp], rel=1e-12
+        )
 
     def test_near_equal_frequencies_are_rank_deficient(self):
+        # equal nominal phases put equal controller phases on the diagonal,
+        # where the two constraint rows differ only by 1e-15 in omega
+        grid = (-135.0, -90.0, -45.0)
+        curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=(0.0, 0.0, 0.0))
+        problem = DesignProblem(
+            frequencies=(1.0, 1.0 + 1e-15),
+            nominal_responses=(-1j, -1j),
+            bounds=(curve, curve),
+            phase_grid=grid,
+            pair_indices=(0, 1),
+        )
         with pytest.raises(RankDeficient):
-            kernel_direction(20.0, 20.0, 1.0, 1.0 + 1e-15)
+            design_pid(problem)
 
 
 class TestArrayScreen:
-    def visit_order(self, result, limit):
-        grid = result.kd_grid
-        finite = np.flatnonzero(np.isfinite(grid))
-        order = finite[np.argsort(grid.ravel()[finite], kind="stable")]
-        return [np.unravel_index(flat, grid.shape) for flat in order[:limit]]
-
     def test_same_decisions_as_point_by_point_reference(self, servo_config, servo_stack):
         screen = SweepScreen(servo_stack.contour, *nominal_sweep(servo_config))
         candidates = list(self.candidates(servo_stack.problem, 60))
         rng = np.random.default_rng(3)
         candidates += [PidGains(*rng.uniform(0.0, 30.0, 3)) for _ in range(60)]
         candidates.append(PidGains(kp=0.0, ki=0.0, kd=0.0))
-        decisions = [screen.admits(g) for g in candidates]
+        decisions = [admitted(screen, g) for g in candidates]
         assert decisions == [ref.screen_admits(screen, g) for g in candidates]
         assert True in decisions and False in decisions
 
@@ -157,7 +172,7 @@ class TestArrayScreen:
         decisions = []
         for gains in self.candidates(problem, 50):
             report = verify_design(config.plant, templates, gains, curves, contour, sweep)
-            decisions.append(screen.admits(gains))
+            decisions.append(admitted(screen, gains))
             assert decisions[-1] == (not report.sweep_violations)
         assert len(decisions) == 50
         # servo admits its 15th candidate; screen-walk vetoes every one
@@ -165,9 +180,8 @@ class TestArrayScreen:
 
     def candidates(self, problem, limit):
         """The first ``limit`` candidates of the unscreened grid in kd order."""
-        result = design_pid(problem)
-        for i, j in self.visit_order(result, limit):
-            yield one_cell_gains(problem, result.window_phases_i[i], result.window_phases_j[j])
+        kd, ki, kp = (c[:limit].tolist() for c in ranked_columns(problem))
+        return [PidGains(kp=p, ki=i, kd=d) for d, i, p in zip(kd, ki, kp)]
 
     def test_servo_vetoes_are_counted(self, servo_design):
         # the 14 cheapest candidates cross the contour between design frequencies
@@ -266,10 +280,10 @@ class TestBatchedScreen:
 
     def test_winner_inside_a_block(self, servo_pool):
         screen, pool = servo_pool
-        vetoed = [c for c in pool if not screen.admits(PidGains(*c[::-1]))]
-        admitted = [c for c in pool if screen.admits(PidGains(*c[::-1]))]
+        vetoed = [c for c in pool if not admitted(screen, PidGains(*c[::-1]))]
+        passed = [c for c in pool if admitted(screen, PidGains(*c[::-1]))]
         # blocks [0], [1, 2], [3..6]: the winner is the second row of the third
-        order = vetoed[:4] + admitted[:3] + vetoed[4:6]
+        order = vetoed[:4] + passed[:3] + vetoed[4:6]
         kd, ki, kp = (np.array(c) for c in zip(*order))
         with pytest.MonkeyPatch.context() as patch:
             rows = count_sweep_rows(patch)

@@ -68,10 +68,6 @@ class TestRationalTransferFunction:
         with pytest.raises(ValueError):
             RationalTransferFunction([1.0], [0.0, 1.0])
 
-    def test_call_matches_eval(self):
-        s = 0.3 + 1.7j
-        assert SERVO_NOMINAL(s) == eval_tf(SERVO_NOMINAL, s)
-
 
 class TestEvalTf:
     def test_upper_model_dc_gain_is_exactly_one(self):

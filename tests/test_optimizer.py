@@ -1,4 +1,4 @@
-"""Controller search: kernel directions, scaling, and the grid searches."""
+"""Controller search: kernel directions, the dB lift, and the grid searches."""
 
 from __future__ import annotations
 
@@ -25,15 +25,14 @@ from qft_forge.optimizer import (
     INTERPOLATION_TOLERANCE_DB,
     DesignProblem,
     GainMap,
-    KernelDirection,
     PidGains,
     SweepScreen,
+    _kernel_grid,
+    _lift,
     _scale,
-    beta_scaling,
     design_pi_pd,
     design_pid,
     filtered_derivative_transform,
-    kernel_direction,
     loop_margins,
     phase_window,
     pid_frequency_response,
@@ -87,9 +86,6 @@ class TestPidResponse:
             PidGains(kp=-0.1, ki=0.0, kd=0.0)
         with pytest.raises(ValueError):
             PidGains(kp=math.inf, ki=0.0, kd=0.0)
-
-    def test_as_tuple(self):
-        assert PidGains(kp=1.0, ki=2.0, kd=3.0).as_tuple() == (1.0, 2.0, 3.0)
 
 
 def gain_phase(gains, omega):
@@ -167,61 +163,88 @@ class TestPhaseWindow:
             phase_window(-180.0, (-350.0, -10.0))
 
 
+def constraint_rows(psi_i, psi_j, omega_i, omega_j):
+    """The 2x3 phase-constraint matrix: rows [1, -1/w^2, -tan(psi)/w]."""
+    return np.array(
+        [
+            [1.0, -1.0 / (omega * omega), -math.tan(math.radians(psi)) / omega]
+            for psi, omega in ((psi_i, omega_i), (psi_j, omega_j))
+        ]
+    )
+
+
+def kernel(psi_i, psi_j, omega_i, omega_j):
+    """One cell of ``_kernel_grid``: the (kd, ki, kp) unit direction realising
+    controller phases ``psi_i`` at ``omega_i`` and ``psi_j`` at ``omega_j``."""
+    rows = constraint_rows(psi_i, psi_j, omega_i, omega_j)
+    return _kernel_grid(rows[0, 2], rows[1, 2], omega_i, omega_j)
+
+
+def residual(v, psi_i, psi_j, omega_i, omega_j):
+    return float(np.linalg.norm(constraint_rows(psi_i, psi_j, omega_i, omega_j) @ v))
+
+
+P_RAY = np.array([0.0, 0.0, 1.0])  # the direction of phases (0, 0) at omega (1, 2)
+PID_RAY = np.array([1.0, 2.0, 1.0]) / math.sqrt(6.0)  # phases (-45, 45)
+MIXED_RAY = np.array([1.0, -2.0, 3.0]) / math.sqrt(14.0)  # phases (45, 45)
+
+
 class TestKernelDirection:
     def test_zero_phases_give_pure_proportional(self):
-        direction = kernel_direction(0.0, 0.0, 1.0, 2.0)
-        assert direction.v21 == 0.0
-        assert direction.v22 == 0.0
-        assert direction.v23 == 1.0
+        assert kernel(0.0, 0.0, 1.0, 2.0).tolist() == P_RAY.tolist()
 
     def test_all_positive_direction(self):
         # tan(psi) = omega - 2/omega makes (kd, ki, kp) = (1, 2, 1) a kernel
-        direction = kernel_direction(-45.0, 45.0, 1.0, 2.0)
-        expected = np.array([1.0, 2.0, 1.0]) / math.sqrt(6.0)
-        assert direction.as_array() == pytest.approx(expected, abs=1e-12)
-        assert direction.constraint_residual() <= 1e-12
+        direction = kernel(-45.0, 45.0, 1.0, 2.0)
+        assert direction == pytest.approx(PID_RAY, abs=1e-12)
+        assert residual(direction, -45.0, 45.0, 1.0, 2.0) <= 1e-12
 
     def test_sign_mixed_direction(self):
         # tan(psi) = (omega + 2/omega)/3 makes (1, -2, 3) a kernel
-        direction = kernel_direction(45.0, 45.0, 1.0, 2.0)
-        expected = np.array([1.0, -2.0, 3.0]) / math.sqrt(14.0)
-        assert direction.as_array() == pytest.approx(expected, abs=1e-12)
+        assert kernel(45.0, 45.0, 1.0, 2.0) == pytest.approx(MIXED_RAY, abs=1e-12)
 
     def test_unit_norm_and_pivot_sign(self):
         for psi_i, psi_j in ((-30.0, 70.0), (10.0, -80.0), (45.0, -45.0)):
-            direction = kernel_direction(psi_i, psi_j, 0.7, 13.0)
-            v = direction.as_array()
+            v = kernel(psi_i, psi_j, 0.7, 13.0)
             assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
             assert v[int(np.argmax(np.abs(v)))] > 0.0
-            assert direction.constraint_residual() <= 1e-10
+            assert residual(v, psi_i, psi_j, 0.7, 13.0) <= 1e-10
 
-    def test_equal_frequencies_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_direction(-10.0, 10.0, 2.0, 2.0)
+    def test_degenerate_pair_snaps_onto_pi_ray(self):
+        # w_i tan(psi_i) = w_j tan(psi_j) puts the kernel on the PI ray kd = 0;
+        # rounding leaves kd at -9e-19, which would make the ray sign-mixed
+        psi_j = math.degrees(math.atan(0.7 * math.tan(math.radians(-40.0)) / 13.0))
+        v = kernel(-40.0, psi_j, 0.7, 13.0)
+        assert v[0] == 0.0
+        assert v[1] > 0.0 and v[2] > 0.0
+        assert np.isfinite(_scale(v, 0.0)).all()
 
-    def test_phase_at_90_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_direction(90.0, 0.0, 1.0, 2.0)
-        with pytest.raises(ValueError):
-            kernel_direction(0.0, -95.0, 1.0, 2.0)
+    def test_grid_cells_match_single_cells(self):
+        psi_i = np.array([-30.0, 10.0, 45.0])
+        psi_j = np.array([70.0, -80.0, -45.0, 0.0])
+        b_i = -np.tan(np.radians(psi_i)) / 0.7
+        b_j = -np.tan(np.radians(psi_j)) / 13.0
+        grid = _kernel_grid(b_i[:, None], b_j[None, :], 0.7, 13.0)
+        assert grid.shape == (3, 3, 4)
+        for (i, j), _ in np.ndenumerate(grid[0]):
+            assert grid[:, i, j].tolist() == kernel(psi_i[i], psi_j[j], 0.7, 13.0).tolist()
 
-    def test_non_positive_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            kernel_direction(0.0, 10.0, -1.0, 2.0)
+
+def lift_one(v, problem):
+    """(beta_db, active index) of one direction through ``_lift``."""
+    beta, active = _lift(np.asarray(v, dtype=float)[:, None], problem)
+    return float(beta[0]), int(active[0])
 
 
-class TestBetaScaling:
+class TestLift:
     GRID = (-135.0, -90.0, -45.0)
-
-    def direction_p(self):
-        return kernel_direction(0.0, 0.0, 1.0, 2.0)  # (0, 0, 1)
 
     def test_single_binding_bound(self):
         problem = two_freq_problem(
             node_curve(1.0, self.GRID, {-90.0: 20.0}),
             node_curve(2.0, self.GRID, {}),
         )
-        beta, active = beta_scaling(self.direction_p(), problem)
+        beta, active = lift_one(P_RAY, problem)
         assert beta == pytest.approx(20.0, abs=1e-12)
         assert active == 0
 
@@ -230,7 +253,7 @@ class TestBetaScaling:
             node_curve(1.0, self.GRID, {-90.0: 20.0}),
             node_curve(2.0, self.GRID, {-90.0: 26.0}),
         )
-        beta, active = beta_scaling(self.direction_p(), problem)
+        beta, active = lift_one(P_RAY, problem)
         assert beta == pytest.approx(26.0, abs=1e-12)
         assert active == 1
 
@@ -239,25 +262,25 @@ class TestBetaScaling:
             node_curve(1.0, self.GRID, {-90.0: INFEASIBLE}),
             node_curve(2.0, self.GRID, {-90.0: 10.0}),
         )
-        assert beta_scaling(self.direction_p(), problem) == (INFEASIBLE, None)
+        assert lift_one(P_RAY, problem)[0] == INFEASIBLE
 
     def test_all_unconstrained_is_infeasible(self):
         problem = two_freq_problem(
             node_curve(1.0, self.GRID, {}),
             node_curve(2.0, self.GRID, {}),
         )
-        assert beta_scaling(self.direction_p(), problem) == (INFEASIBLE, None)
+        assert lift_one(P_RAY, problem)[0] == INFEASIBLE
 
     def test_scaled_candidate_meets_bounds_exactly(self):
         # direction (1, 2, 1)/sqrt(6) induces phases -135 (w=1) and -45 (w=2)
-        direction = kernel_direction(-45.0, 45.0, 1.0, 2.0)
+        direction = kernel(-45.0, 45.0, 1.0, 2.0)
         problem = two_freq_problem(
             node_curve(1.0, self.GRID, {-135.0: 10.0}),
             node_curve(2.0, self.GRID, {-45.0: 3.0}),
         )
-        beta, active = beta_scaling(direction, problem)
+        beta, active = lift_one(direction, problem)
         assert active == 0
-        kd, ki, kp = _scale(direction.as_array(), beta)
+        kd, ki, kp = _scale(direction, beta)
         gains = PidGains(kp=kp, ki=ki, kd=kd)
         for k, omega in enumerate(problem.frequencies):
             loop = problem.nominal_responses[k] * pid_frequency_response(gains, omega)
@@ -273,8 +296,7 @@ class TestCandidateFromKernel:
     """``_scale``: a kernel direction lifted into (kd, ki, kp) gains."""
 
     def test_scaling_by_20_db(self):
-        direction = kernel_direction(-45.0, 45.0, 1.0, 2.0)  # (1,2,1)/sqrt(6)
-        kd, ki, kp = _scale(direction.as_array(), 20.0)
+        kd, ki, kp = _scale(PID_RAY, 20.0)
         gains = PidGains(kp=kp, ki=ki, kd=kd)
         assert gains.kd == pytest.approx(10.0 / math.sqrt(6.0), abs=1e-9)
         assert gains.kd == pytest.approx(4.08248290463863, abs=1e-9)
@@ -282,19 +304,14 @@ class TestCandidateFromKernel:
         assert gains.kp == pytest.approx(10.0 / math.sqrt(6.0), abs=1e-9)
 
     def test_sign_mixed_rejected(self):
-        direction = kernel_direction(45.0, 45.0, 1.0, 2.0)  # (1,-2,3)/sqrt(14)
-        assert np.isinf(_scale(direction.as_array(), 0.0)).all()
+        assert np.isinf(_scale(MIXED_RAY, 0.0)).all()
 
     def test_zero_beta_pure_proportional(self):
-        direction = kernel_direction(0.0, 0.0, 1.0, 2.0)
-        assert _scale(direction.as_array(), 0.0).tolist() == [0.0, 0.0, 1.0]
+        assert _scale(P_RAY, 0.0).tolist() == [0.0, 0.0, 1.0]
 
     def test_all_negative_direction_flips_sign(self):
         r = 1.0 / math.sqrt(2.0)
-        direction = KernelDirection(
-            v21=-r, v22=-r, v23=0.0, psi_i=0.0, psi_j=0.0, omega_i=1.0, omega_j=2.0
-        )
-        kd, ki, kp = _scale(direction.as_array(), 0.0)
+        kd, ki, kp = _scale(np.array([-r, -r, 0.0]), 0.0)
         assert kp == 0.0
         assert ki == pytest.approx(r)
         assert kd == pytest.approx(r)
@@ -350,6 +367,9 @@ class TestSweepScreen:
             contour=contour, omegas=omegas, nominal_responses=tuple(responses)
         )
 
+    def admits(self, screen, gains):
+        return not screen.sweep(gains)[2].any()
+
     def test_validation(self):
         contour = u_contour(1.2, 20.0, make_phase_grid(360))
         with pytest.raises(ValueError):
@@ -359,19 +379,19 @@ class TestSweepScreen:
 
     def test_loop_inside_contour_rejected(self):
         screen = self.make_screen([-1.0 + 0j])  # loop at (-180 deg, 0 dB)
-        assert not screen.admits(PidGains(kp=1.0, ki=0.0, kd=0.0))
+        assert not self.admits(screen, PidGains(kp=1.0, ki=0.0, kd=0.0))
 
     def test_loop_above_contour_admitted(self):
         screen = self.make_screen([-1.0 + 0j])
-        assert screen.admits(PidGains(kp=100.0, ki=0.0, kd=0.0))
+        assert self.admits(screen, PidGains(kp=100.0, ki=0.0, kd=0.0))
 
     def test_loop_outside_span_admitted(self):
         screen = self.make_screen([-1j])  # -90 deg, outside the contour span
-        assert screen.admits(PidGains(kp=1.0, ki=0.0, kd=0.0))
+        assert self.admits(screen, PidGains(kp=1.0, ki=0.0, kd=0.0))
 
     def test_empty_grid_admits_everything(self):
         screen = self.make_screen([])
-        assert screen.admits(PidGains(kp=1.0, ki=0.0, kd=0.0))
+        assert self.admits(screen, PidGains(kp=1.0, ki=0.0, kd=0.0))
 
     def test_sweep_reports_every_point(self):
         # a zero loop (no phase) sits at -inf dB, outside the contour
@@ -387,7 +407,7 @@ class TestSweepScreen:
         contour = u_contour(1.2, 20.0, make_phase_grid(360))
         top = contour.upper_at(-180.0)
         screen = self.make_screen([-undb(top) + 0j])
-        assert screen.admits(PidGains(kp=1.0, ki=0.0, kd=0.0))
+        assert self.admits(screen, PidGains(kp=1.0, ki=0.0, kd=0.0))
 
 
 class TestDesignPidReduced:
@@ -520,6 +540,14 @@ class TestDesignPidEdgeCases:
                 bounds=(curve, flat_curve(2.0, self.GRID, 0.0)),
                 phase_grid=self.GRID,
                 pair_indices=(1, 1),
+            )
+        with pytest.raises(ValueError, match="positive"):
+            DesignProblem(
+                frequencies=(0.0, 2.0),
+                nominal_responses=(-1j, -1j),
+                bounds=(flat_curve(0.0, self.GRID, 0.0), flat_curve(2.0, self.GRID, 0.0)),
+                phase_grid=self.GRID,
+                pair_indices=(0, 1),
             )
 
 

@@ -457,7 +457,7 @@ class TestVerifyEnvelopeIntegration:
             tracking=servo_config.tracking,
         )
         assert len(report.envelope) == len(servo_config.frequencies)
-        assert report.envelope_violations
+        assert not all(row.inside() for row in report.envelope)
         assert any("reference corridor" in r for r in report.reasons)
 
     def test_no_prefilter_no_envelope(self, servo_config, servo_stack):
@@ -530,7 +530,7 @@ class TestBruteForce:
             kd=GainAxis(0.0, 0.0, 1.0),
         )
         result = brute_force_design(problem, box)
-        assert result.best_gains.as_tuple() != (0.0, 0.0, 0.0)
+        assert result.best_gains != PidGains(kp=0.0, ki=0.0, kd=0.0)
 
     def test_ki_major_tie_break(self):
         problem = self.problem({-135.0: 5.0, -90.0: 5.0, -45.0: 5.0})
