@@ -46,6 +46,7 @@ __all__ = [
     "SCAN_CEILING_DB",
     "SCAN_STEP_DB",
     "DEFAULT_TOL_DB",
+    "INTERPOLATION_TOLERANCE_DB",
     "TrackingSpec",
     "DisturbanceSpec",
     "BoundCurve",
@@ -67,6 +68,11 @@ SCAN_FLOOR_DB = -100.0
 SCAN_CEILING_DB = 100.0
 SCAN_STEP_DB = 5.0
 DEFAULT_TOL_DB = 0.01
+
+# Slack allowed against interpolated bounds throughout the package: margins
+# may dip this far below zero, and boundary-riding loops may graze the
+# stability contour by this much, before anything is reported as a violation.
+INTERPOLATION_TOLERANCE_DB = 0.05
 
 _MIN_SPREAD_DB = 0.05
 
@@ -208,7 +214,6 @@ def _least_feasible_gains(
     phases_deg: Sequence[float],
     measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
     limit: float,
-    tol_db: float,
     witnesses: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Least gain with ``measure(loop, 1 + loop) <= limit`` at every phase.
@@ -233,11 +238,11 @@ def _least_feasible_gains(
     rows = max(1, _BLOCK_CELLS // len(ratios if witnesses is None else witnesses))
     for start in range(0, len(rotors), rows):
         block = slice(start, start + rows)
-        out[block] = _search_block(ratios, rotors[block], measure, limit, tol_db, witnesses, mags)
+        out[block] = _search_block(ratios, rotors[block], measure, limit, witnesses, mags)
     return out
 
 
-def _search_block(ratios, rotors, measure, limit, tol_db, witnesses, mags) -> np.ndarray:
+def _search_block(ratios, rotors, measure, limit, witnesses, mags) -> np.ndarray:
     def linear(gains_db: np.ndarray) -> np.ndarray:
         return np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(gains_db))
 
@@ -250,7 +255,7 @@ def _search_block(ratios, rotors, measure, limit, tol_db, witnesses, mags) -> np
         hit = np.any(denom == 0, axis=1)
         if np.any(hit):
             # nudge those rows off the critical point once; a second hit is a real error
-            loop[hit] = loops(rows[hit], linear(gains_db[hit] + tol_db / 10.0))
+            loop[hit] = loops(rows[hit], linear(gains_db[hit] + DEFAULT_TOL_DB / 10.0))
             denom = 1.0 + loop
             if np.any(denom == 0):
                 raise CriticalPoint("template member landed exactly on -1")
@@ -284,10 +289,10 @@ def _search_block(ratios, rotors, measure, limit, tol_db, witnesses, mags) -> np
         lo[pending[~ok]] = c
         pending = pending[~ok]
         c += SCAN_STEP_DB
-    # rows without a bracket compare NaN > tol_db as False and drop out at once
+    # rows without a bracket compare NaN > DEFAULT_TOL_DB as False and drop out at once
     bisecting = every
     while True:
-        bisecting = bisecting[hi[bisecting] - lo[bisecting] > tol_db]
+        bisecting = bisecting[hi[bisecting] - lo[bisecting] > DEFAULT_TOL_DB]
         if not bisecting.size:
             break
         mid = 0.5 * (lo[bisecting] + hi[bisecting])
@@ -297,9 +302,9 @@ def _search_block(ratios, rotors, measure, limit, tol_db, witnesses, mags) -> np
     return np.where(at_floor, NO_CONSTRAINT, np.where(np.isnan(hi), INFEASIBLE, hi))
 
 
-def _check_search(name: str, limit: float, tol_db: float) -> None:
-    if not (limit > 0.0 and 1e-12 <= tol_db < math.inf):  # a finer bisection can stall
-        raise ValueError(f"need {name} > 0 and 1e-12 <= tol_db < inf, got {limit!r}, {tol_db!r}")
+def _check_search(name: str, limit: float) -> None:
+    if not limit > 0.0:
+        raise ValueError(f"need {name} > 0, got {limit!r}")
 
 
 def _probe_sets(template: Template, use_hull: bool):
@@ -314,17 +319,16 @@ def horowitz_bound(
     template: Template,
     delta_db: float,
     phase_grid: Sequence[float],
-    tol_db: float = DEFAULT_TOL_DB,
     use_hull: bool = True,
 ) -> BoundCurve:
     """Least nominal gain keeping the family's closed-loop spread <= delta_db,
     at each phase of ``phase_grid``."""
-    _check_search("delta_db", delta_db, tol_db)
+    _check_search("delta_db", delta_db)
     ratios, witnesses = _probe_sets(template, use_hull)
     if len(ratios) <= 1:
         entries = [NO_CONSTRAINT] * len(phase_grid)
     else:
-        entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, tol_db, witnesses)
+        entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, witnesses)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
@@ -332,14 +336,13 @@ def disturbance_bound(
     template: Template,
     cap: float,
     phase_grid: Sequence[float],
-    tol_db: float = DEFAULT_TOL_DB,
     use_hull: bool = True,
 ) -> BoundCurve:
     """Least nominal gain holding |1/(1+L)| <= cap over the whole template,
     at each phase of ``phase_grid``."""
-    _check_search("cap", cap, tol_db)
+    _check_search("cap", cap)
     ratios, witnesses = _probe_sets(template, use_hull)
-    entries = _least_feasible_gains(ratios, phase_grid, _worst_sensitivity, cap, tol_db, witnesses)
+    entries = _least_feasible_gains(ratios, phase_grid, _worst_sensitivity, cap, witnesses)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
@@ -391,12 +394,12 @@ class UContour:
             raise ValueError(f"phase {phase_deg} outside the contour span")
         return pair[0]
 
-    def inside(self, phase_deg, gain_db, tol_db: float = 0.0):
+    def inside(self, phase_deg, gain_db):
         """Strict interior test, used by the dense stability sweep;
         elementwise over arrays of phases and gains.
 
-        A positive ``tol_db`` shrinks the region: points within ``tol_db``
-        of either edge count as outside.  This keeps points that ride a
+        The region is shrunk by ``INTERPOLATION_TOLERANCE_DB``: points within
+        it of either edge count as outside.  This keeps points that ride a
         boundary (where the combined design bounds equal the contour top)
         from being flagged over sub-0.01 dB arithmetic noise.  The edges are
         the two crossings of :func:`m_circle_gains`, the lower one dropped by
@@ -415,8 +418,8 @@ class UContour:
             (self.phase_min_deg <= phase_deg)
             & (phase_deg <= self.phase_max_deg)
             & crosses
-            & (lower + tol_db < gain_db)
-            & (gain_db < upper - tol_db)
+            & (lower + INTERPOLATION_TOLERANCE_DB < gain_db)
+            & (gain_db < upper - INTERPOLATION_TOLERANCE_DB)
         )
 
 

@@ -43,11 +43,8 @@ class ExpressionSyntaxError(QftError):
 class UnknownParameter(QftError):
     """Coefficient expression references a parameter that was not declared."""
 
-    def __init__(self, name: str, position: int = -1):
-        if position >= 0:
-            super().__init__(f"unknown parameter '{name}' (at position {position})")
-        else:
-            super().__init__(f"unknown parameter '{name}'")
+    def __init__(self, name: str, position: int):
+        super().__init__(f"unknown parameter '{name}' (at position {position})")
         self.name = name
         self.position = position
 

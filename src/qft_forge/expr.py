@@ -20,8 +20,6 @@ from .errors import ExpressionSyntaxError, UndefinedCoefficient, UnknownParamete
 __all__ = [
     "CoefficientExpression",
     "parse_coefficient_expr",
-    "scale_expression",
-    "add_expressions",
 ]
 
 
@@ -240,18 +238,3 @@ def parse_coefficient_expr(text: str, declared_params) -> CoefficientExpression:
         raise ExpressionSyntaxError(f"unexpected '{trailing.text}'", trailing.pos)
     return CoefficientExpression(source=text, root=root)
 
-
-# --- synthetic expressions (used when rewriting a plant in place) ----------
-
-def scale_expression(expr: CoefficientExpression, factor: float) -> CoefficientExpression:
-    return CoefficientExpression(
-        source=f"({factor!r})*({expr.source})",
-        root=Bin("*", Num(float(factor)), expr.root),
-    )
-
-
-def add_expressions(a: CoefficientExpression, b: CoefficientExpression) -> CoefficientExpression:
-    return CoefficientExpression(
-        source=f"({a.source})+({b.source})",
-        root=Bin("+", a.root, b.root),
-    )

@@ -30,13 +30,14 @@ import numpy as np
 from . import bounds
 from .bounds import (
     INFEASIBLE,
+    INTERPOLATION_TOLERANCE_DB,
     NO_CONSTRAINT,
     BoundCurve,
     UContour,
     interpolate_bound_array,
 )
 from .errors import EmptyWindow, NegativeMappedGain, RankDeficient
-from .expr import add_expressions, scale_expression
+from .expr import parse_coefficient_expr
 from .lti import to_nichols, to_nichols_array, wrap_phase, wrap_phase_array
 from .plant import UncertainPlant
 
@@ -58,11 +59,6 @@ __all__ = [
 
 PHASE_WINDOW_HALF_DEG = 90.0
 _SIGN_EPS = 1e-12
-
-# Slack allowed against interpolated bounds throughout the package: margins
-# may dip this far below zero, and boundary-riding loops may graze the
-# stability contour by this much, before anything is reported as a violation.
-INTERPOLATION_TOLERANCE_DB = 0.05
 
 
 @dataclass(frozen=True)
@@ -300,7 +296,7 @@ class SweepScreen:
         controller.real = kp
         controller.imag = kd * self.omegas - ki / self.omegas
         phase, gain = to_nichols_array(self.nominal_responses * controller)
-        return phase, gain, self.contour.inside(phase, gain, tol_db=INTERPOLATION_TOLERANCE_DB)
+        return phase, gain, self.contour.inside(phase, gain)
 
     def first_admitted(self, kd: np.ndarray, ki: np.ndarray, kp: np.ndarray) -> Optional[int]:
         """Index of the first candidate (gain columns in visiting order) whose
@@ -366,7 +362,7 @@ def _screened_design(
     v: np.ndarray,
     objective: int,
     windows,
-    screen: Optional[SweepScreen],
+    screen: SweepScreen,
     empty_reason: str,
 ) -> DesignResult:
     """Rank a 2-D candidate grid and return the first candidate the screen
@@ -389,10 +385,7 @@ def _screened_design(
     order = finite[np.argsort(grid.ravel()[finite], kind="stable")]
     rows, cols = np.unravel_index(order, grid.shape)
     kd, ki, kp = gains[:, rows, cols]
-    if screen is not None:
-        winner = screen.first_admitted(kd, ki, kp)
-    else:
-        winner = 0 if finite.size else None
+    winner = screen.first_admitted(kd, ki, kp)
     if winner is None:
         if finite.size:
             empty_reason = (
@@ -415,10 +408,7 @@ def _screened_design(
     )
 
 
-def design_pid(
-    problem: DesignProblem,
-    screen: Optional[SweepScreen] = None,
-) -> DesignResult:
+def design_pid(problem: DesignProblem, screen: SweepScreen) -> DesignResult:
     """Grid search over phase pairs for the least derivative gain.
 
     Fills an (m, n) grid of candidate kd values (inf where the direction is
@@ -426,11 +416,11 @@ def design_pid(
     lexicographically first cell.  An all-inf grid comes back infeasible
     instead of raising so the caller can report and exit cleanly.
 
-    With a ``screen``, the candidates go to its ``first_admitted`` as
-    (kd, ki, kp) columns in ascending (kd, i, j) order, and the first one
-    whose dense nominal sweep stays out of the stability contour wins; the
-    grid itself is unchanged (it documents the raw search), and the number
-    of vetoed lower-kd candidates is reported in ``screen_rejections``.
+    The candidates go to the ``screen``'s ``first_admitted`` as (kd, ki, kp)
+    columns in ascending (kd, i, j) order, and the first one whose dense
+    nominal sweep stays out of the stability contour wins; the grid itself
+    is unchanged (it documents the raw search), and the number of vetoed
+    lower-kd candidates is reported in ``screen_rejections``.
     """
     k_idx, l_idx = problem.pair_indices
     omega_i = problem.frequencies[k_idx]
@@ -459,8 +449,8 @@ def design_pid(
 def design_pi_pd(
     problem: DesignProblem,
     kind: str,
-    anchor_frequency_index: int = 0,
-    screen: Optional[SweepScreen] = None,
+    anchor_frequency_index: int,
+    screen: SweepScreen,
 ) -> DesignResult:
     """One-parameter specialisations: PI (kd = 0) or PD (ki = 0).
 
@@ -469,7 +459,7 @@ def design_pi_pd(
     (psi in [0, 90)).  PI minimises kp — its derivative gain is identically
     zero — while PD minimises kd.  The 1-D candidate grid is returned in
     ``kd_grid`` with one row, holding the objective values.  Ties resolve to
-    the smallest phase index.  A ``screen`` works as in :func:`design_pid`:
+    the smallest phase index.  The ``screen`` works as in :func:`design_pid`:
     its ``first_admitted`` gets the (kd, ki, kp) columns in ascending
     objective order and picks the first candidate whose dense sweep clears
     the stability contour.
@@ -536,12 +526,13 @@ def filtered_derivative_transform(plant: UncertainPlant, tau: float) -> Uncertai
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")
-    old = list(plant.den)
-    # multiply the denominator polynomial by (tau s + 1), coefficients descending
-    new_den = [scale_expression(old[0], tau)]
-    for k in range(1, len(old)):
-        new_den.append(add_expressions(scale_expression(old[k], tau), old[k - 1]))
-    new_den.append(old[-1])
+    # multiply the denominator polynomial by (tau s + 1), coefficients descending:
+    # each new coefficient tau * c_k + c_(k-1) is written as source text and parsed
+    old = [f"({c.source})" for c in plant.den]
+    factor = f"({float(tau)!r})*"
+    texts = [factor + old[0]] + [f"{factor}{c}+{prev}" for prev, c in zip(old, old[1:])]
+    names = [spec.name for spec in plant.params]
+    new_den = [parse_coefficient_expr(text, names) for text in texts] + [plant.den[-1]]
     return UncertainPlant(
         num=plant.num,
         den=tuple(new_den),

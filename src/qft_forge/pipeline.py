@@ -205,10 +205,9 @@ def compute_design(
     screen = SweepScreen(contour, *sweep)
     kind = config.design.kind
     if kind == "pid":
-        result = design_pid(problem, screen=screen)
+        result = design_pid(problem, screen)
     else:
-        anchor = config.pair_indices()[0]
-        result = design_pi_pd(problem, kind, anchor_frequency_index=anchor, screen=screen)
+        result = design_pi_pd(problem, kind, config.pair_indices()[0], screen)
     physical = None
     if result.feasible and config.design.tau is not None:
         physical = GainMap(config.design.tau).inverse(result.gains)
@@ -232,8 +231,8 @@ def compute_verification(
         curves,
         contour,
         sweep,
-        prefilter=config.prefilter,
-        tracking=config.tracking if config.prefilter is not None else None,
+        config.tracking,
+        config.prefilter,
     )
 
 
@@ -445,6 +444,7 @@ def _nichols_layers(
     artifacts: RunArtifacts,
     sweep: Sweep,
 ) -> Dict[str, object]:
+    """The chart's layers, as :func:`emit_nichols_svg`'s keyword arguments."""
     layers: Dict[str, object] = {}
     at_design = dict(zip(config.frequencies, _at_design_frequencies(config, sweep)))
 
@@ -574,20 +574,7 @@ def run_command(
         emit("verify_report.txt", lambda p: _write_text(p, render_verify_report(report)))
 
     layers = _nichols_layers(config, artifacts, sweep)
-    emit(
-        "nichols.svg",
-        lambda p: _write_text(
-            p,
-            emit_nichols_svg(
-                templates=layers["templates"],
-                bound_curves=layers["bound_curves"],
-                u_contour=layers["u_contour"],
-                plant_curve=layers["plant_curve"],
-                loop_curve=layers["loop_curve"],
-                loop_markers=layers["loop_markers"],
-            ),
-        ),
-    )
+    emit("nichols.svg", lambda p: _write_text(p, emit_nichols_svg(**layers)))
 
     artifacts.written = tuple(written)
     return artifacts

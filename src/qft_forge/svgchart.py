@@ -11,7 +11,7 @@ fixed palette so two runs on the same data produce byte-identical files.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 __all__ = ["emit_nichols_svg"]
 

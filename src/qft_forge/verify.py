@@ -17,6 +17,7 @@ import numpy as np
 
 from . import bounds
 from .bounds import (
+    INTERPOLATION_TOLERANCE_DB,
     NO_CONSTRAINT,
     BoundCurve,
     TrackingSpec,
@@ -26,7 +27,6 @@ from .bounds import (
 from .errors import CriticalPoint, NoFeasiblePoint
 from .lti import RationalTransferFunction, db, eval_tf, to_nichols_array
 from .optimizer import (
-    INTERPOLATION_TOLERANCE_DB,
     DesignProblem,
     MarginEntry,
     PidGains,
@@ -44,7 +44,6 @@ __all__ = [
     "GainAxis",
     "OracleBox",
     "OracleResult",
-    "default_prefilter",
     "default_dense_grid",
     "closed_loop_envelope",
     "verify_design",
@@ -52,14 +51,9 @@ __all__ = [
 ]
 
 
-def default_prefilter(cutoff_a: float = 3.5, cutoff_b: float = 7.5) -> RationalTransferFunction:
-    """Unity-dc two-pole prefilter used to centre the tracking band."""
-    product = cutoff_a * cutoff_b
-    return RationalTransferFunction([product], [1.0, cutoff_a + cutoff_b, product])
-
-
-def default_dense_grid(frequencies: Sequence[float], points: int = 500) -> np.ndarray:
-    """Log-spaced sweep a decade past both ends of the design frequencies.
+def default_dense_grid(frequencies: Sequence[float]) -> np.ndarray:
+    """500-point log-spaced sweep a decade past both ends of the design
+    frequencies.
 
     The design frequencies themselves are merged into the grid, so a sweep
     on it meets :func:`verify_design`'s demand that the sweep hold every
@@ -67,7 +61,7 @@ def default_dense_grid(frequencies: Sequence[float], points: int = 500) -> np.nd
     """
     lo = min(frequencies) / 10.0
     hi = max(frequencies) * 10.0
-    sweep = np.logspace(math.log10(lo), math.log10(hi), points)
+    sweep = np.logspace(math.log10(lo), math.log10(hi), 500)
     return _sorted_unique(np.concatenate([sweep, np.asarray(frequencies, dtype=float)]))
 
 
@@ -177,17 +171,17 @@ def verify_design(
     bound_curves: Sequence[BoundCurve],
     u: UContour,
     sweep: Tuple[np.ndarray, np.ndarray],
+    tracking: TrackingSpec,
     prefilter: Optional[RationalTransferFunction] = None,
-    tracking: Optional[TrackingSpec] = None,
 ) -> VerificationReport:
     """Re-examine a finished design against everything it promised.
 
     Margins are recomputed from scratch by :func:`loop_margins` (plant
     response times controller response against the interpolated bound), each
     tagged with the constraint that sets its bound; the nominal loop is swept
-    densely through the stability contour, and — when a prefilter and the
-    tracking models are supplied — the family envelope, read from
-    ``templates`` (keyed by frequency), is checked against the corridor.
+    densely through the stability contour, and — when a prefilter is
+    supplied — the family envelope, read from ``templates`` (keyed by
+    frequency), is checked against the ``tracking`` corridor.
 
     ``sweep`` is the run's ``(omegas, responses)``: the nominal response on
     a sorted grid holding every design frequency (ValueError otherwise).
@@ -224,7 +218,7 @@ def verify_design(
     )
 
     envelope: Tuple[EnvelopeRow, ...] = ()
-    if prefilter is not None and tracking is not None:
+    if prefilter is not None:
         family = [templates[omega] for omega in design_freqs]
         envelope = closed_loop_envelope(plant, gains, prefilter, tracking, family)
 

@@ -15,6 +15,7 @@ from types import SimpleNamespace
 import pytest
 
 from qft_forge.config import DesignConfig, load_config
+from qft_forge.lti import RationalTransferFunction
 from qft_forge.optimizer import PidGains, design_pid
 from qft_forge.pipeline import (
     build_problem,
@@ -30,6 +31,13 @@ SERVO_CONFIG_PATH = REPO_ROOT / "configs" / "servo.json"
 # Fixed external reference controller for the servo plant; several tests
 # check margins and acceptance bands against this point design.
 REFERENCE_GAINS = PidGains(kp=12.6, ki=4.46, kd=3.95)
+
+# The servo config's prefilter: unity dc gain, poles at -3.5 and -7.5.
+PREFILTER = RationalTransferFunction([26.25], [1.0, 11.0, 26.25])
+
+# Stand-in for a SweepScreen that admits every candidate, so a search returns
+# the least-objective cell of its raw grid.
+ADMIT_ALL = SimpleNamespace(first_admitted=lambda kd, ki, kp: 0 if len(kd) else None)
 
 
 @pytest.fixture(scope="session")
@@ -94,4 +102,4 @@ def reduced_stack(reduced_config):
 @pytest.fixture(scope="session")
 def reduced_design(reduced_stack):
     """Unscreened PID search on the reduced problem (pure grid algebra)."""
-    return design_pid(reduced_stack.problem)
+    return design_pid(reduced_stack.problem, ADMIT_ALL)

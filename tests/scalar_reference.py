@@ -109,25 +109,22 @@ def least_feasible_gain(feasible: Callable[[float], bool], tol_db: float) -> flo
     return hi
 
 
-def horowitz_entries(
-    ratios: np.ndarray, delta_db: float, phase_grid: Sequence[float], tol_db=DEFAULT_TOL_DB
-):
+def horowitz_entries(ratios: np.ndarray, delta_db: float, phase_grid: Sequence[float]):
     if len(ratios) <= 1:
         return [NO_CONSTRAINT] * len(phase_grid)
     return [
         least_feasible_gain(
-            lambda c: _closed_loop_spread_db(ratios, c, math.radians(phi)) <= delta_db, tol_db
+            lambda c: _closed_loop_spread_db(ratios, c, math.radians(phi)) <= delta_db,
+            DEFAULT_TOL_DB,
         )
         for phi in phase_grid
     ]
 
 
-def disturbance_entries(
-    ratios: np.ndarray, cap: float, phase_grid: Sequence[float], tol_db=DEFAULT_TOL_DB
-):
+def disturbance_entries(ratios: np.ndarray, cap: float, phase_grid: Sequence[float]):
     return [
         least_feasible_gain(
-            lambda c: _worst_sensitivity(ratios, c, math.radians(phi)) <= cap, tol_db
+            lambda c: _worst_sensitivity(ratios, c, math.radians(phi)) <= cap, DEFAULT_TOL_DB
         )
         for phi in phase_grid
     ]
@@ -152,7 +149,7 @@ def screen_sweep(screen, gains):
     controller.real = gains.kp
     controller.imag = gains.kd * screen.omegas - gains.ki / screen.omegas
     phase, gain = nichols_array(screen.nominal_responses * controller)
-    return phase, gain, screen.contour.inside(phase, gain, tol_db=INTERPOLATION_TOLERANCE_DB)
+    return phase, gain, screen.contour.inside(phase, gain)
 
 
 def first_admitted(screen, kd, ki, kp):

@@ -43,11 +43,10 @@ from qft_forge.verify import (
     OracleBox,
     brute_force_design,
     closed_loop_envelope,
-    default_prefilter,
     verify_design,
 )
 
-from conftest import SERVO_CONFIG_PATH
+from conftest import PREFILTER, SERVO_CONFIG_PATH
 
 SEED = 20260825
 
@@ -137,6 +136,7 @@ class TestC2MarginTightness:
             timed_servo.curves,
             timed_servo.contour,
             (grid, evaluate_plant_array(plant, plant.nominal, 1j * grid)),
+            timed_servo.config.tracking,
         )
         slacks = [m.slack_db for m in report.per_frequency_margins]
         verdict = (
@@ -328,7 +328,7 @@ class TestC7ClosedLoopEnvelope:
         return closed_loop_envelope(
             timed_servo.config.plant,
             timed_servo.result.gains,
-            default_prefilter(),
+            PREFILTER,
             timed_servo.config.tracking,
             list(timed_servo.templates.values()),
         )

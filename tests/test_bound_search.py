@@ -299,27 +299,14 @@ def test_dense_template_matches_scalar_reference(dense_templates, omega):
 
 
 class TestSearchArguments:
-    @pytest.mark.parametrize("tol_db", [0.0, 1e-20, -0.01, math.nan, math.inf])
-    @pytest.mark.parametrize("bound", [horowitz_bound, disturbance_bound])
-    def test_tolerance_must_be_finite_and_not_below_the_floor(self, bound, tol_db):
-        # 0.0 and 1e-20 used to bisect forever (the midpoint collapses onto an
-        # end of a bracket one ulp wide); NaN returned the scan step unbisected
-        with pytest.raises(ValueError, match=re.escape(f"got 0.5, {tol_db!r}")):
-            bound(template_of([1.0, 0.5j]), 0.5, [-90.0], tol_db=tol_db)
-
     @pytest.mark.parametrize("limit", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize(
         "bound, name", [(horowitz_bound, "delta_db"), (disturbance_bound, "cap")]
     )
     def test_limit_must_be_positive(self, bound, name, limit):
         # a NaN limit used to make every entry INFEASIBLE
-        with pytest.raises(ValueError, match=f"need {name} > 0 .* got {limit!r}, 0.01"):
+        with pytest.raises(ValueError, match=re.escape(f"need {name} > 0, got {limit!r}")):
             bound(template_of([1.0, 0.5j]), limit, [-90.0])
-
-    def test_the_tolerance_floor_still_bisects(self):
-        ratios = np.array([1.0, 0.5j])
-        curve = disturbance_bound(template_of(ratios), 0.5, [-90.0], tol_db=1e-12)
-        assert_same(curve, ref.disturbance_entries(ratios, 0.5, [-90.0], tol_db=1e-12))
 
     def test_single_member_tracking_is_checked_too(self):
         with pytest.raises(ValueError, match="need delta_db > 0"):

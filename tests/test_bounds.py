@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from qft_forge.bounds import (
     DEFAULT_TOL_DB,
     INFEASIBLE,
+    INTERPOLATION_TOLERANCE_DB,
     NO_CONSTRAINT,
     BoundCurve,
     DisturbanceSpec,
     TrackingSpec,
-    UContour,
     combine_with_ucontour,
     delta_spread,
     disturbance_bound,
@@ -181,8 +181,9 @@ class TestHorowitzGain:
 
     def test_finer_tolerance_agrees(self):
         template = gain_only_template([0.1, 1.0], nominal=1.0)
+        ratios = template.ratios.tolist()
         (coarse,) = horowitz_bound(template, 6.0, (-90.0,)).min_gain_db
-        (fine,) = horowitz_bound(template, 6.0, (-90.0,), tol_db=0.001).min_gain_db
+        fine = ref.least_feasible_gain(lambda c: spread_at(ratios, c, -90.0) <= 6.0, 0.001)
         assert abs(coarse - fine) <= DEFAULT_TOL_DB + 0.001
 
 
@@ -391,7 +392,13 @@ class TestUContour:
         contour = u_contour(1.2, 20.0, self.GRID)
         assert contour.inside(-180.0, 0.0)
         assert contour.inside(-180.0, 15.5)
-        assert not contour.inside(-180.0, 15.5, tol_db=0.1)
+        # points within the fixed tolerance of either edge count as outside
+        hi, lo = m_circle_gains(1.2, -180.0)
+        tol = INTERPOLATION_TOLERANCE_DB
+        assert contour.inside(-180.0, hi - 1.5 * tol)
+        assert not contour.inside(-180.0, hi - 0.5 * tol)
+        assert contour.inside(-180.0, lo - 20.0 + 1.5 * tol)
+        assert not contour.inside(-180.0, lo - 20.0 + 0.5 * tol)
         assert not contour.inside(-180.0, 16.0)
         assert not contour.inside(-180.0, -26.0)
         assert not contour.inside(-100.0, 0.0)

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -120,7 +121,7 @@ class TestUsageErrors:
     @pytest.mark.parametrize("axis", ["[NaN, 1, 0.5]", "[0, Infinity, 0.5]", "[0, 1, Infinity]"])
     def test_non_finite_oracle_axis(self, capsys, reduced_json, tmp_path, axis):
         # JSON as Python writes and reads it accepts NaN and Infinity
-        raw = json.loads(open(reduced_json).read())
+        raw = json.loads(Path(reduced_json).read_text())
         raw["oracle"] = {"kp": "AXIS", "ki": [0, 5, 0.5], "kd": [0, 5, 0.5]}
         cfg = tmp_path / "bad_box.json"
         cfg.write_text(json.dumps(raw).replace('"AXIS"', axis))
@@ -140,7 +141,7 @@ class TestUsageErrors:
         ],
     )
     def test_non_finite_number(self, capsys, reduced_json, tmp_path, place, text, message):
-        raw = json.loads(open(reduced_json).read())
+        raw = json.loads(Path(reduced_json).read_text())
         if place == "frequency":
             raw["frequencies"][0] = "VALUE"
         elif place == "max":
@@ -248,7 +249,7 @@ class TestSuccessfulRuns:
         assert len(rows) - 1 == 3 * 36
 
     def test_oracle_flag(self, capsys, reduced_json, tmp_path):
-        raw = json.loads(open(reduced_json).read())
+        raw = json.loads(Path(reduced_json).read_text())
         raw["oracle"] = {"kp": [0, 10, 0.5], "ki": [0, 5, 0.5], "kd": [0, 5, 0.5]}
         cfg = tmp_path / "with_box.json"
         cfg.write_text(json.dumps(raw))

@@ -32,7 +32,7 @@ from qft_forge.pipeline import (
 )
 from qft_forge.verify import verify_design
 
-from conftest import SERVO_CONFIG_PATH
+from conftest import ADMIT_ALL, SERVO_CONFIG_PATH
 
 import scalar_reference as ref
 
@@ -112,7 +112,7 @@ class TestKernelGrid:
     @pytest.mark.parametrize("kind", ["pi", "pd"])
     def test_servo_pi_pd_grid_matches_reference(self, servo_stack, kind):
         problem = servo_stack.problem
-        result = design_pi_pd(problem, kind, anchor_frequency_index=problem.pair_indices[0])
+        result = design_pi_pd(problem, kind, problem.pair_indices[0], ADMIT_ALL)
         assert np.isfinite(result.kd_grid).any()
         assert_grid_matches_reference(problem, result, kind)
 
@@ -147,7 +147,7 @@ class TestKernelGrid:
             pair_indices=(0, 1),
         )
         with pytest.raises(RankDeficient):
-            design_pid(problem)
+            design_pid(problem, ADMIT_ALL)
 
 
 class TestArrayScreen:
@@ -171,7 +171,9 @@ class TestArrayScreen:
         screen = SweepScreen(contour, *sweep)
         decisions = []
         for gains in self.candidates(problem, 50):
-            report = verify_design(config.plant, templates, gains, curves, contour, sweep)
+            report = verify_design(
+                config.plant, templates, gains, curves, contour, sweep, config.tracking
+            )
             decisions.append(admitted(screen, gains))
             assert decisions[-1] == (not report.sweep_violations)
         assert len(decisions) == 50
@@ -191,7 +193,7 @@ class TestArrayScreen:
 def ranked_columns(problem):
     """The (kd, ki, kp) columns the screened search hands its screen."""
     seen = []
-    design_pid(problem, screen=SimpleNamespace(first_admitted=lambda *cols: seen.append(cols)))
+    design_pid(problem, SimpleNamespace(first_admitted=lambda *cols: seen.append(cols)))
     return seen[0]
 
 

@@ -2,16 +2,11 @@
 
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from qft_forge.errors import ExpressionSyntaxError, UnknownParameter
-from qft_forge.expr import (
-    add_expressions,
-    parse_coefficient_expr,
-    scale_expression,
-)
+from qft_forge.expr import parse_coefficient_expr
+from qft_forge.optimizer import filtered_derivative_transform
 
 PARAMS = ("a", "k", "tau_1")
 
@@ -109,24 +104,23 @@ class TestErrors:
             parse_coefficient_expr("1e", PARAMS)
 
 
-class TestSyntheticExpressions:
-    def test_scale(self):
-        base = parse_coefficient_expr("a+1", PARAMS)
-        scaled = scale_expression(base, 3.0)
-        assert scaled.evaluate({"a": 1.0}) == pytest.approx(6.0)
-        # source stays parseable with the same declared parameters
-        reparsed = parse_coefficient_expr(scaled.source, PARAMS)
-        assert reparsed.evaluate({"a": 1.0}) == pytest.approx(6.0)
+class TestFilteredDerivativeCoefficients:
+    """``filtered_derivative_transform`` writes each coefficient of the
+    denominator times (tau s + 1) as source text and parses it."""
 
-    def test_add(self):
-        a = parse_coefficient_expr("a", PARAMS)
-        b = parse_coefficient_expr("4", PARAMS)
-        total = add_expressions(a, b)
-        assert total.evaluate({"a": 1.5}) == pytest.approx(5.5)
-        reparsed = parse_coefficient_expr(total.source, PARAMS)
-        assert reparsed.evaluate({"a": 1.5}) == pytest.approx(5.5)
-
-    def test_nested_composition(self):
-        one, two = (parse_coefficient_expr(t, PARAMS) for t in ("1", "2"))
-        expr = scale_expression(add_expressions(one, two), -2.0)
-        assert expr.evaluate({}) == pytest.approx(-6.0)
+    @pytest.mark.parametrize("tau", [1e-3, 0.05, 1.0 / 3.0])
+    def test_bit_for_bit_with_plain_floats(self, servo_config, tau):
+        plant = servo_config.plant
+        modified = filtered_derivative_transform(plant, tau)
+        names = [spec.name for spec in plant.params]
+        reparsed = [parse_coefficient_expr(c.source, names) for c in modified.den]
+        assert [c.root for c in reparsed] == [c.root for c in modified.den]
+        for member in plant.members():
+            env = dict(zip(names, member))
+            old = [c.evaluate(env) for c in plant.den]
+            # tau * c_k + c_(k-1) with c_(-1) = 0, then c_n itself
+            want = [tau * c + prev for c, prev in zip(old, [0.0] + old)] + [old[-1]]
+            got = [c.evaluate(env) for c in modified.den]
+            again = [c.evaluate(env) for c in reparsed]
+            assert list(map(float.hex, got)) == list(map(float.hex, want))
+            assert list(map(float.hex, again)) == list(map(float.hex, want))

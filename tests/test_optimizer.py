@@ -39,7 +39,7 @@ from qft_forge.optimizer import (
 )
 from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant_array
 
-from conftest import REFERENCE_GAINS
+from conftest import ADMIT_ALL, REFERENCE_GAINS
 
 
 def flat_curve(omega, grid, value):
@@ -470,19 +470,19 @@ class TestDesignPidReduced:
         finer = dataclasses.replace(
             reduced_stack.problem, phase_grid=make_phase_grid(48)
         )
-        result = design_pid(finer)
+        result = design_pid(finer, ADMIT_ALL)
         assert result.feasible
         assert result.gains.kd <= reduced_design.gains.kd + 0.05
 
     def test_trivial_screen_changes_nothing(self, reduced_stack, reduced_design):
         passthrough = SimpleNamespace(first_admitted=lambda kd, ki, kp: 0)
-        result = design_pid(reduced_stack.problem, screen=passthrough)
+        result = design_pid(reduced_stack.problem, passthrough)
         assert result.gains == reduced_design.gains
         assert result.screen_rejections == 0
 
     def test_veto_all_screen(self, reduced_stack, reduced_design):
         veto = SimpleNamespace(first_admitted=lambda kd, ki, kp: None)
-        result = design_pid(reduced_stack.problem, screen=veto)
+        result = design_pid(reduced_stack.problem, veto)
         assert not result.feasible
         assert result.gains is None
         assert "stability contour" in result.reason
@@ -499,7 +499,7 @@ class TestDesignPidEdgeCases:
             flat_curve(2.0, self.GRID, NO_CONSTRAINT),
             grid=self.GRID,
         )
-        result = design_pid(problem)
+        result = design_pid(problem, ADMIT_ALL)
         assert not result.feasible
         assert result.reason == "no binding constraint"
         assert np.all(np.isinf(result.kd_grid))
@@ -510,7 +510,7 @@ class TestDesignPidEdgeCases:
             flat_curve(2.0, self.GRID, INFEASIBLE),
             grid=self.GRID,
         )
-        result = design_pid(problem)
+        result = design_pid(problem, ADMIT_ALL)
         assert not result.feasible
         assert "sign-mixed or blocked" in result.reason
         assert result.screen_rejections == 0
@@ -559,7 +559,7 @@ class TestDesignPiPd:
             grid=(-90.0,),
         )
         with pytest.raises(ValueError):
-            design_pi_pd(problem, "pdq")
+            design_pi_pd(problem, "pdq", 0, ADMIT_ALL)
 
     def test_zero_phase_ray_is_pure_proportional(self):
         problem = two_freq_problem(
@@ -568,7 +568,7 @@ class TestDesignPiPd:
             grid=(-90.0,),
         )
         for kind in ("pi", "pd"):
-            result = design_pi_pd(problem, kind)
+            result = design_pi_pd(problem, kind, 0, ADMIT_ALL)
             assert result.feasible
             assert result.gains.kp == pytest.approx(10.0, abs=1e-9)
             assert result.gains.ki == 0.0
@@ -586,7 +586,7 @@ class TestDesignPiPd:
             responses=(response, response),
             grid=(-90.0,),
         )
-        result = design_pi_pd(problem, "pi")
+        result = design_pi_pd(problem, "pi", 0, ADMIT_ALL)
         assert result.feasible
         r = math.sqrt(0.5)
         assert result.gains.kp == pytest.approx(2.0 * r, abs=1e-9)
@@ -603,7 +603,7 @@ class TestDesignPiPd:
             node_curve(2.0, grid, {}),
             grid=grid,
         )
-        result = design_pi_pd(problem, "pd")
+        result = design_pi_pd(problem, "pd", 0, ADMIT_ALL)
         assert result.feasible
         assert result.gains.kd == 0.0  # psi = 0 beats psi = 45
         assert result.gains.kp == pytest.approx(10.0, abs=1e-9)
@@ -621,14 +621,14 @@ class TestDesignPiPd:
             grid=(-44.0,),
         )
         with pytest.raises(EmptyWindow):
-            design_pi_pd(lead, "pi")
+            design_pi_pd(lead, "pi", 0, ADMIT_ALL)
         lag = two_freq_problem(
             node_curve(1.0, (-130.0,), {}),
             node_curve(2.0, (-130.0,), {}),
             grid=(-130.0,),
         )
         with pytest.raises(EmptyWindow):
-            design_pi_pd(lag, "pd")
+            design_pi_pd(lag, "pd", 0, ADMIT_ALL)
 
     def test_anchor_index(self):
         # anchor on the second frequency: its nominal phase centres the window
@@ -643,27 +643,27 @@ class TestDesignPiPd:
             phase_grid=grid,
             pair_indices=(0, 1),
         )
-        result = design_pi_pd(problem, "pd", anchor_frequency_index=1)
+        result = design_pi_pd(problem, "pd", 1, ADMIT_ALL)
         assert result.feasible
         assert result.gains.kp == pytest.approx(undb(6.0), abs=1e-9)
 
     def test_screen_veto_counts(self, reduced_stack):
         veto = SimpleNamespace(first_admitted=lambda kd, ki, kp: None)
-        result = design_pi_pd(reduced_stack.problem, "pd", screen=veto)
+        result = design_pi_pd(reduced_stack.problem, "pd", 0, veto)
         assert not result.feasible
         assert result.screen_rejections > 0
 
 
 class TestDesignPiPdReduced:
     def test_pd_on_reduced_problem(self, reduced_stack):
-        result = design_pi_pd(reduced_stack.problem, "pd", anchor_frequency_index=1)
+        result = design_pi_pd(reduced_stack.problem, "pd", 1, ADMIT_ALL)
         assert result.feasible
         assert result.gains.ki == 0.0
         assert result.gains.kd == pytest.approx(3.1376, abs=2e-3)
         assert result.gains.kp == pytest.approx(8.1636, abs=2e-3)
 
     def test_pd_objective_is_grid_minimum(self, reduced_stack):
-        result = design_pi_pd(reduced_stack.problem, "pd", anchor_frequency_index=1)
+        result = design_pi_pd(reduced_stack.problem, "pd", 1, ADMIT_ALL)
         finite = result.kd_grid[np.isfinite(result.kd_grid)]
         assert result.gains.kd == pytest.approx(finite.min(), abs=1e-12)
 

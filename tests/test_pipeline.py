@@ -14,10 +14,8 @@ from qft_forge.lti import db
 from qft_forge.optimizer import GainMap, PidGains
 from qft_forge import pipeline, plant, verify
 from qft_forge.pipeline import (
-    COMMANDS,
     DEFAULT_ORACLE_BOX,
     compute_bounds,
-    compute_design,
     compute_templates,
     compute_verification,
     effective_plant,

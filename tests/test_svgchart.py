@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 import xml.etree.ElementTree as ET
 
-import pytest
-
 from qft_forge.svgchart import emit_nichols_svg
 
 LEGEND_LABELS = (

@@ -14,9 +14,6 @@ from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
     BoundCurve,
-    TrackingSpec,
-    make_phase_grid,
-    u_contour,
 )
 from qft_forge.errors import (
     CriticalPoint,
@@ -43,11 +40,10 @@ from qft_forge.verify import (
     brute_force_design,
     closed_loop_envelope,
     default_dense_grid,
-    default_prefilter,
     verify_design,
 )
 
-from conftest import REFERENCE_GAINS
+from conftest import PREFILTER, REFERENCE_GAINS
 
 import scalar_reference as ref
 
@@ -74,30 +70,6 @@ def node_curve(omega, grid, node_values):
     return BoundCurve(omega=omega, phase_grid=grid, min_gain_db=tuple(values))
 
 
-class TestDefaultPrefilter:
-    def test_polynomials_and_poles(self):
-        f = default_prefilter()
-        assert f.num == (26.25,)
-        assert f.den == (1.0, 11.0, 26.25)
-        roots = sorted(np.roots(f.den))
-        assert roots == pytest.approx([-7.5, -3.5], abs=1e-9)
-
-    def test_unity_dc_gain(self):
-        assert eval_tf(default_prefilter(), 0j) == 1.0 + 0.0j
-
-    def test_gain_at_lower_cutoff(self):
-        f = default_prefilter()
-        expected = db(26.25 / abs(complex(26.25 - 3.5**2, 11.0 * 3.5)))
-        got = db(abs(eval_tf(f, 3.5j)))
-        assert got == pytest.approx(expected, abs=1e-12)
-        assert got == pytest.approx(-3.866, abs=2e-3)
-
-    def test_custom_cutoffs(self):
-        f = default_prefilter(2.0, 5.0)
-        assert f.num == (10.0,)
-        assert f.den == (1.0, 7.0, 10.0)
-
-
 class TestDefaultDenseGrid:
     FREQS = (0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 30.0, 60.0)
 
@@ -112,9 +84,9 @@ class TestDefaultDenseGrid:
             assert omega in grid
 
     def test_sorted_unique(self):
-        grid = default_dense_grid(self.FREQS, points=100)
+        grid = default_dense_grid(self.FREQS)
         assert np.all(np.diff(grid) > 0)
-        assert 100 <= len(grid) <= 100 + len(self.FREQS)
+        assert 500 <= len(grid) <= 500 + len(self.FREQS)
 
     @given(
         st.lists(
@@ -145,6 +117,7 @@ class TestVerifyMargins:
             servo_stack.curves,
             servo_stack.contour,
             servo_stack.sweep if sweep is None else sweep,
+            servo_config.tracking,
             **kwargs,
         )
 
@@ -255,7 +228,7 @@ class TestClosedLoopEnvelope:
         rows = closed_loop_envelope(
             with_grid(plant, 3),
             gains,
-            default_prefilter(),
+            PREFILTER,
             self.tracking(servo_config),
             templates_at(with_grid(plant, 3), [1.0, 3.0]),
         )
@@ -266,7 +239,7 @@ class TestClosedLoopEnvelope:
             loop = evaluate_plant_array(plant, plant.nominal, [s])[0] * pid_frequency_response(
                 gains, row.omega
             )
-            nominal_db = db(abs(eval_tf(default_prefilter(), s))) + db(
+            nominal_db = db(abs(eval_tf(PREFILTER, s))) + db(
                 abs(loop / (1.0 + loop))
             )
             assert row.min_db - 1e-9 <= nominal_db <= row.max_db + 1e-9
@@ -302,11 +275,11 @@ class TestClosedLoopEnvelope:
         rows = closed_loop_envelope(
             plant,
             REFERENCE_GAINS,
-            default_prefilter(),
+            PREFILTER,
             self.tracking(servo_config),
             templates_at(plant, omegas),
         )
-        want = ref.envelope_extremes(plant, REFERENCE_GAINS, default_prefilter(), omegas)
+        want = ref.envelope_extremes(plant, REFERENCE_GAINS, PREFILTER, omegas)
         assert [(repr(r.min_db), repr(r.max_db)) for r in rows] == [
             (repr(lo), repr(hi)) for lo, hi in want
         ]
@@ -378,7 +351,7 @@ class TestEnvelopeReadsTemplates:
         templates = list(servo_stack.templates.values())
         for gains in (REFERENCE_GAINS, HALF_REFERENCE_GAINS, PidGains(0.0, 0.0, 0.0)):
             self.assert_matches_reference(
-                servo_config.plant, templates, gains, default_prefilter(), servo_config.tracking
+                servo_config.plant, templates, gains, PREFILTER, servo_config.tracking
             )
 
     def test_derivative_filter_config(self, servo_config):
@@ -413,11 +386,11 @@ class TestEnvelopeReadsTemplates:
         gains = PidGains(kp=1.0, ki=0.0, kd=0.0)
         with pytest.raises(CriticalPoint):
             ref.closed_loop_envelope(
-                plant, gains, default_prefilter(), servo_config.tracking, [1.0, 2.0]
+                plant, gains, PREFILTER, servo_config.tracking, [1.0, 2.0]
             )
         templates = templates_at(plant, [1.0, 2.0])
         self.assert_matches_reference(
-            plant, templates, gains, default_prefilter(), servo_config.tracking
+            plant, templates, gains, PREFILTER, servo_config.tracking
         )
 
     @given(family=small_families())
@@ -429,7 +402,7 @@ class TestEnvelopeReadsTemplates:
         except (PoleOnAxis, TemplateTooWide, ZeroMagnitude):
             return  # no templates, so no envelope
         self.assert_matches_reference(
-            plant, templates, gains, default_prefilter(), servo_config.tracking
+            plant, templates, gains, PREFILTER, servo_config.tracking
         )
 
 
@@ -453,8 +426,8 @@ class TestVerifyEnvelopeIntegration:
             servo_stack.curves,
             servo_stack.contour,
             servo_stack.sweep,
-            prefilter=RationalTransferFunction([0.0], [1.0]),
-            tracking=servo_config.tracking,
+            servo_config.tracking,
+            RationalTransferFunction([0.0], [1.0]),
         )
         assert len(report.envelope) == len(servo_config.frequencies)
         assert not all(row.inside() for row in report.envelope)
@@ -468,6 +441,7 @@ class TestVerifyEnvelopeIntegration:
             servo_stack.curves,
             servo_stack.contour,
             servo_stack.sweep,
+            servo_config.tracking,
         )
         assert report.envelope == ()
 
