@@ -56,6 +56,7 @@ __all__ = [
     "horowitz_bound",
     "disturbance_bound",
     "performance_bound",
+    "contour_edges",
     "u_contour",
     "combine_with_ucontour",
     "interpolate_bound_array",
@@ -97,6 +98,12 @@ class TrackingSpec:
     def __post_init__(self):
         _assert_stable_strictly_proper(self.lower, "lower tracking")
         _assert_stable_strictly_proper(self.upper, "upper tracking")
+
+    def corridor_db(self, omega: float) -> Tuple[float, float]:
+        """The two model gains at ``omega`` in dB, lower first: the models
+        may swap order on some bands."""
+        gains = [db(abs(eval_tf(model, 1j * omega))) for model in (self.lower, self.upper)]
+        return min(gains), max(gains)
 
 
 @dataclass(frozen=True)
@@ -174,14 +181,10 @@ def make_phase_grid(count: int) -> Tuple[float, ...]:
 
 
 def delta_spread(spec: TrackingSpec, omega: float) -> float:
-    """Allowed dB spread between the two reference models at one frequency.
-
-    Taken as max - min of the two model gains, so the result stays positive
-    even on bands where the models swap order.
-    """
-    lower_db = db(abs(eval_tf(spec.lower, 1j * omega)))
-    upper_db = db(abs(eval_tf(spec.upper, 1j * omega)))
-    spread = max(lower_db, upper_db) - min(lower_db, upper_db)
+    """Allowed dB spread between the two reference models at one frequency:
+    the width of :meth:`TrackingSpec.corridor_db`."""
+    lower_db, upper_db = spec.corridor_db(omega)
+    spread = upper_db - lower_db
     if spread < _MIN_SPREAD_DB:
         raise DegenerateSpread(
             f"model spread {spread:.4f} dB at omega={omega} is below {_MIN_SPREAD_DB} dB"
@@ -385,15 +388,6 @@ class UContour:
         if self.delta_hf_db < 0.0:
             raise ValueError("delta_hf_db must be non-negative")
 
-    def contains_phase(self, phase_deg: float) -> bool:
-        return self.phase_min_deg <= phase_deg <= self.phase_max_deg
-
-    def upper_at(self, phase_deg: float) -> float:
-        pair = m_circle_gains(self.m_value, phase_deg)
-        if pair is None:
-            raise ValueError(f"phase {phase_deg} outside the contour span")
-        return pair[0]
-
     def inside(self, phase_deg, gain_db):
         """Strict interior test, used by the dense stability sweep;
         elementwise over arrays of phases and gains.
@@ -423,27 +417,34 @@ class UContour:
         )
 
 
+def contour_edges(
+    m_value: float, delta_hf_db: float, phases: Sequence[float]
+) -> List[Optional[Tuple[float, float]]]:
+    """(top, bottom) of the stability contour at each phase, the bottom
+    dropped by ``delta_hf_db``; None where the contour does not reach the
+    phase (outside :func:`m_circle_phase_range`, or where
+    :func:`m_circle_gains` finds no crossing, as it may at a span end).
+    Scalar libm arithmetic, whose bits ``bounds.csv`` records.
+    """
+    phase_min, phase_max = m_circle_phase_range(m_value)
+    edges: List[Optional[Tuple[float, float]]] = []
+    for phi in phases:
+        pair = m_circle_gains(m_value, phi) if phase_min <= phi <= phase_max else None
+        edges.append(None if pair is None else (pair[0], pair[1] - delta_hf_db))
+    return edges
+
+
 def u_contour(m_value: float, delta_hf_db: float, phase_grid: Sequence[float]) -> UContour:
     """Sample the stability contour on the grid phases it covers."""
     phase_min, phase_max = m_circle_phase_range(m_value)
-    phases: List[float] = []
-    upper: List[float] = []
-    lower: List[float] = []
-    for phi in phase_grid:
-        if not phase_min <= phi <= phase_max:
-            continue
-        pair = m_circle_gains(m_value, phi)
-        if pair is None:
-            continue
-        phases.append(float(phi))
-        upper.append(pair[0])
-        lower.append(pair[1] - delta_hf_db)
+    edges = contour_edges(m_value, delta_hf_db, phase_grid)
+    reached = [(float(phi), edge) for phi, edge in zip(phase_grid, edges) if edge is not None]
     return UContour(
         m_value=float(m_value),
         delta_hf_db=float(delta_hf_db),
-        phases=tuple(phases),
-        upper_db=tuple(upper),
-        lower_db=tuple(lower),
+        phases=tuple(phi for phi, _ in reached),
+        upper_db=tuple(top for _, (top, _) in reached),
+        lower_db=tuple(bottom for _, (_, bottom) in reached),
         phase_min_deg=phase_min,
         phase_max_deg=phase_max,
     )
@@ -457,22 +458,17 @@ def combine_with_ucontour(curve: BoundCurve, u: UContour) -> BoundCurve:
     the performance spec allows, and the conflict deserves eyes on it.
     """
     merged: List[float] = []
-    for phi, entry in zip(curve.phase_grid, curve.min_gain_db):
-        if not u.contains_phase(phi):
-            merged.append(entry)
-            continue
-        pair = m_circle_gains(u.m_value, phi)
-        if pair is None:
-            merged.append(entry)
-            continue
-        top = pair[0]
-        bottom = pair[1] - u.delta_hf_db
-        if math.isfinite(entry) and entry < bottom - 1e-9:
-            raise BoundBelowUContour(
-                f"performance bound {entry:.3f} dB at phase {phi:.1f} deg sits below "
-                f"the stability contour bottom {bottom:.3f} dB (omega={curve.omega})"
-            )
-        merged.append(max(entry, top))
+    edges = contour_edges(u.m_value, u.delta_hf_db, curve.phase_grid)
+    for phi, entry, edge in zip(curve.phase_grid, curve.min_gain_db, edges):
+        if edge is not None:
+            top, bottom = edge
+            if math.isfinite(entry) and entry < bottom - 1e-9:
+                raise BoundBelowUContour(
+                    f"performance bound {entry:.3f} dB at phase {phi:.1f} deg sits below "
+                    f"the stability contour bottom {bottom:.3f} dB (omega={curve.omega})"
+                )
+            entry = max(entry, top)
+        merged.append(entry)
     return BoundCurve(omega=curve.omega, phase_grid=curve.phase_grid, min_gain_db=tuple(merged))
 
 

@@ -78,15 +78,7 @@ def wrap_phase(phase_deg: float) -> float:
 
     Idempotent: values already in range are returned unchanged.
     """
-    r = math.fmod(phase_deg, 360.0)
-    if r > 0.0:
-        r -= 360.0
-        if r == -360.0:
-            # a positive angle below ~5.7e-14 deg is indistinguishable from 0
-            # at double precision, and -360 itself is outside the branch
-            r = 0.0
-    # fold -0.0 (and exact multiples of 360) onto +0.0
-    return r + 0.0
+    return float(wrap_phase_array(phase_deg))
 
 
 def wrap_phase_array(phase_deg: np.ndarray) -> np.ndarray:
@@ -96,6 +88,9 @@ def wrap_phase_array(phase_deg: np.ndarray) -> np.ndarray:
 
 def _fold_onto_branch(r: np.ndarray) -> np.ndarray:
     r = np.where(r > 0.0, r - 360.0, r)
+    # a positive angle below ~5.7e-14 deg is indistinguishable from 0 at
+    # double precision, and -360 itself is outside the branch; + 0.0 folds
+    # -0.0 (and exact multiples of 360) onto +0.0
     return np.where(r == -360.0, 0.0, r) + 0.0
 
 

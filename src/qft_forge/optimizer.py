@@ -76,11 +76,19 @@ class PidGains:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
-def pid_frequency_response(gains: PidGains, omega: float) -> complex:
-    """K(j*omega); only defined for omega > 0 (the integrator blows up at 0)."""
-    if omega <= 0.0:
+def pid_frequency_response(kp, ki, kd, omega) -> np.ndarray:
+    """K(j*omega) for gains and frequencies broadcast together, as a complex
+    array; only defined for omega > 0 (the integrator blows up at 0).
+
+    The real part is set to ``kp`` itself, not added to, so a kp of -0.0
+    keeps its sign.
+    """
+    if np.less_equal(omega, 0.0).any():
         raise ValueError("omega must be positive")
-    return complex(gains.kp, gains.kd * omega - gains.ki / omega)
+    out = np.empty(np.broadcast(kp, ki, kd, omega).shape, dtype=complex)
+    out.real = kp
+    out.imag = kd * omega - ki / omega
+    return out
 
 
 def phase_window(nominal_phase_deg: float, phase_grid: Sequence[float]) -> Tuple[float, ...]:
@@ -228,8 +236,10 @@ def loop_margins(
     0 and -inf dB, and clears a curve only when that curve constrains nothing.
     """
     entries = []
-    for curve, response in zip(curves, responses):
-        loop = response * pid_frequency_response(gains, curve.omega)
+    omegas = np.array([curve.omega for curve in curves])
+    controller = pid_frequency_response(gains.kp, gains.ki, gains.kd, omegas).tolist()
+    for curve, response, k in zip(curves, responses, controller):
+        loop = response * k  # CPython's product: NumPy's differs in the last bits
         if loop == 0:
             phase, gain = 0.0, -math.inf
             vacuous = all(v == NO_CONSTRAINT for v in curve.min_gain_db)
@@ -292,9 +302,7 @@ class SweepScreen:
         candidate, with the same elementwise arithmetic in every row.
         """
         kp, ki, kd = (np.asarray(g, dtype=float)[..., None] for g in (gains.kp, gains.ki, gains.kd))
-        controller = np.empty(np.broadcast_shapes(kp.shape, self.omegas.shape), dtype=complex)
-        controller.real = kp
-        controller.imag = kd * self.omegas - ki / self.omegas
+        controller = pid_frequency_response(kp, ki, kd, self.omegas)
         phase, gain = to_nichols_array(self.nominal_responses * controller)
         return phase, gain, self.contour.inside(phase, gain)
 

@@ -33,11 +33,12 @@ from .bounds import (
     u_contour,
 )
 from .config import DesignConfig
-from .lti import to_nichols, to_nichols_array, wrap_phase
+from .lti import to_nichols, to_nichols_array, wrap_phase_array
 from .optimizer import (
     DesignProblem,
     DesignResult,
     GainMap,
+    MarginEntry,
     PidGains,
     SweepScreen,
     design_pi_pd,
@@ -53,6 +54,7 @@ from .verify import (
     VerificationReport,
     brute_force_design,
     default_dense_grid,
+    responses_at,
     verify_design,
 )
 
@@ -125,11 +127,6 @@ def nominal_sweep(config: DesignConfig) -> Sweep:
     return omegas, evaluate_plant_array(plant, plant.nominal, 1j * omegas)
 
 
-def _at_design_frequencies(config: DesignConfig, sweep: Sweep) -> List[complex]:
-    omegas, responses = sweep
-    return responses[np.searchsorted(omegas, config.frequencies)].tolist()
-
-
 def compute_templates(config: DesignConfig) -> Dict[float, Template]:
     """Uncertainty templates at every design frequency, ascending order."""
     return generate_templates(effective_plant(config), config.frequencies)
@@ -180,7 +177,7 @@ def build_problem(
 ) -> DesignProblem:
     return DesignProblem(
         frequencies=config.frequencies,
-        nominal_responses=tuple(_at_design_frequencies(config, sweep)),
+        nominal_responses=tuple(responses_at(sweep, config.frequencies)),
         bounds=tuple(curves),
         phase_grid=make_phase_grid(config.phase_grid_count),
         pair_indices=config.pair_indices(),
@@ -299,21 +296,19 @@ def write_kd_grid_csv(path: str, result: DesignResult):
     # rows are streamed, not collected, and the grid becomes Python floats one
     # row at a time: holding the servo grid's 32 400 rows as lists of strings
     # set the run's peak memory, and a whole-grid tolist() raised it too
-    def cell(value: float) -> str:
-        return "INFEASIBLE" if math.isinf(value) else _num(value)
-
+    # the grid holds finite values and INFEASIBLE, never NO_CONSTRAINT
     phases_j = [_num(phase) for phase in result.window_phases_j]
     if result.window_phases_i:
         header = ["phase_i_deg", "phase_j_deg", "kd"]
         rows = (
-            [phase_i, phase_j, cell(value)]
+            [phase_i, phase_j, _bound_str(value)]
             for phase_i, values in zip(map(_num, result.window_phases_i), result.kd_grid)
             for phase_j, value in zip(phases_j, values.tolist())
         )
     else:
         header = ["phase_deg", "objective"]
         values = result.kd_grid[0].tolist()
-        rows = ([phase, cell(value)] for phase, value in zip(phases_j, values))
+        rows = ([phase, _bound_str(value)] for phase, value in zip(phases_j, values))
     _write_csv(path, header, rows)
 
 
@@ -327,6 +322,14 @@ def write_envelope_csv(path: str, report: VerificationReport):
 
 def _gains_line(gains: PidGains) -> str:
     return f"kp={_num(gains.kp)} ki={_num(gains.ki)} kd={_num(gains.kd)}"
+
+
+def _margin_row(entry: MarginEntry) -> str:
+    return (
+        f"  omega={entry.omega:<8g} phase={entry.phase_deg:10.4f} deg  "
+        f"gain={entry.gain_db:10.4f} dB  bound={_bound_str(entry.bound_db):>14}  "
+        f"slack={entry.slack_db:10.4f} dB"
+    )
 
 
 def render_design_report(
@@ -374,12 +377,7 @@ def render_design_report(
     )
     if result.margin_report:
         lines.append("margins (design-frequency slack over the combined bounds):")
-        for entry in result.margin_report:
-            lines.append(
-                f"  omega={entry.omega:<8g} phase={entry.phase_deg:10.4f} deg  "
-                f"gain={entry.gain_db:10.4f} dB  bound={_bound_str(entry.bound_db):>14}  "
-                f"slack={entry.slack_db:10.4f} dB"
-            )
+        lines.extend(map(_margin_row, result.margin_report))
     if oracle is not None:
         lines.append("brute-force cross-check:")
         lines.append(f"  best gains       : {_gains_line(oracle.best_gains)}")
@@ -405,11 +403,7 @@ def render_verify_report(report: VerificationReport) -> str:
     lines.append(f"verdict : {'PASS' if report.passed else 'FAIL'}")
     lines.append("margins:")
     for m in report.per_frequency_margins:
-        lines.append(
-            f"  omega={m.omega:<8g} phase={m.phase_deg:10.4f} deg  "
-            f"gain={m.gain_db:10.4f} dB  bound={_bound_str(m.bound_db):>14}  "
-            f"slack={m.slack_db:10.4f} dB  source={m.source}"
-        )
+        lines.append(f"{_margin_row(m)}  source={m.source}")
     inside = report.sweep_violations
     lines.append(
         f"dense sweep : {len(report.dense_sweep)} points, "
@@ -446,16 +440,12 @@ def _nichols_layers(
 ) -> Dict[str, object]:
     """The chart's layers, as :func:`emit_nichols_svg`'s keyword arguments."""
     layers: Dict[str, object] = {}
-    at_design = dict(zip(config.frequencies, _at_design_frequencies(config, sweep)))
-
     template_layers = []
-    for omega in config.frequencies:
+    for omega, response in zip(config.frequencies, responses_at(sweep, config.frequencies)):
         template = artifacts.templates[omega]
-        base_phase, base_gain = to_nichols(at_design[omega])
-        points = [
-            (wrap_phase(base_phase + phase), base_gain + gain)
-            for phase, gain in zip(template.phase_deg.tolist(), template.gain_db.tolist())
-        ]
+        base_phase, base_gain = to_nichols(response)
+        phases = wrap_phase_array(base_phase + template.phase_deg).tolist()
+        points = list(zip(phases, (base_gain + template.gain_db).tolist()))
         template_layers.append((f"w={omega:g}", points))
     layers["templates"] = template_layers
 

@@ -22,10 +22,11 @@ from .bounds import (
     BoundCurve,
     TrackingSpec,
     UContour,
+    contour_edges,
     interpolate_bound_array,
 )
 from .errors import CriticalPoint, NoFeasiblePoint
-from .lti import RationalTransferFunction, db, eval_tf, to_nichols_array
+from .lti import RationalTransferFunction, eval_tf, to_nichols_array
 from .optimizer import (
     DesignProblem,
     MarginEntry,
@@ -45,6 +46,7 @@ __all__ = [
     "OracleBox",
     "OracleResult",
     "default_dense_grid",
+    "responses_at",
     "closed_loop_envelope",
     "verify_design",
     "brute_force_design",
@@ -63,6 +65,16 @@ def default_dense_grid(frequencies: Sequence[float]) -> np.ndarray:
     hi = max(frequencies) * 10.0
     sweep = np.logspace(math.log10(lo), math.log10(hi), 500)
     return _sorted_unique(np.concatenate([sweep, np.asarray(frequencies, dtype=float)]))
+
+
+def responses_at(sweep: Tuple[np.ndarray, np.ndarray], frequencies: Sequence[float]) -> list:
+    """The responses of ``sweep``, ``(omegas, responses)`` on a sorted grid,
+    at each of ``frequencies``, which the grid must hold (ValueError
+    otherwise)."""
+    omegas, responses = sweep
+    if np.any(np.diff(omegas) <= 0) or not set(frequencies) <= set(omegas.tolist()):
+        raise ValueError("the sweep must be sorted and cover the design frequencies")
+    return responses[np.searchsorted(omegas, frequencies)].tolist()
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -133,7 +145,7 @@ def closed_loop_envelope(
     exactly on -1 raises CriticalPoint — no finite envelope describes it.
     """
     omegas = [template.omega for template in templates]
-    controller = [pid_frequency_response(gains, omega) for omega in omegas]
+    controller = pid_frequency_response(gains.kp, gains.ki, gains.kd, np.array(omegas)).tolist()
     f_mags = [abs(eval_tf(prefilter, 1j * omega)) for omega in omegas]
     mags = np.empty((len(omegas), len(templates[0].responses) if templates else 0))
     for k, template in enumerate(templates):
@@ -148,20 +160,10 @@ def closed_loop_envelope(
             mags[k, m] = f_mags[k] * abs(loop / denom)
     with np.errstate(divide="ignore"):
         mags_db = 20.0 * np.log10(mags)
-    rows: List[EnvelopeRow] = []
-    for omega, row_db in zip(omegas, mags_db):
-        lo_model = db(abs(eval_tf(tracking.lower, 1j * omega)))
-        hi_model = db(abs(eval_tf(tracking.upper, 1j * omega)))
-        rows.append(
-            EnvelopeRow(
-                omega=omega,
-                min_db=float(row_db.min()),
-                max_db=float(row_db.max()),
-                lower_db=min(lo_model, hi_model),
-                upper_db=max(lo_model, hi_model),
-            )
-        )
-    return tuple(rows)
+    return tuple(
+        EnvelopeRow(omega, float(row_db.min()), float(row_db.max()), *tracking.corridor_db(omega))
+        for omega, row_db in zip(omegas, mags_db)
+    )
 
 
 def verify_design(
@@ -190,23 +192,17 @@ def verify_design(
     """
     design_freqs = [c.omega for c in bound_curves]
     omegas, dense_responses = sweep
-    if np.any(np.diff(omegas) <= 0) or not set(design_freqs) <= set(omegas.tolist()):
-        raise ValueError("the sweep must be sorted and cover the design frequencies")
-    at_design = dense_responses[np.searchsorted(omegas, design_freqs)].tolist()
+    at_design = responses_at(sweep, design_freqs)
 
     margins: List[VerifyMargin] = []
     for m in loop_margins(bound_curves, at_design, gains):
         # a zero loop (-inf dB) has no phase, so no constraint is active there
         if m.bound_db == NO_CONSTRAINT or m.gain_db == -math.inf:
             source = "none"
-        elif (
-            u.contains_phase(m.phase_deg)
-            and math.isfinite(m.bound_db)
-            and abs(m.bound_db - u.upper_at(m.phase_deg)) <= 1e-9
-        ):
-            source = "ucontour"
         else:
-            source = "performance"
+            edge = contour_edges(u.m_value, u.delta_hf_db, [m.phase_deg])[0]
+            on_top = edge is not None and abs(m.bound_db - edge[0]) <= 1e-9
+            source = "ucontour" if on_top else "performance"
         margins.append(VerifyMargin(**vars(m), source=source))
 
     screen = SweepScreen(u, omegas, dense_responses)
@@ -267,7 +263,9 @@ class GainAxis:
             raise ValueError(f"bad gain axis ({self.lo}, {self.hi}, {self.step})")
 
     def values(self) -> np.ndarray:
-        count = int(round((self.hi - self.lo) / self.step)) + 1
+        """lo, lo + step, ... up to the last value within rounding of hi; a
+        partial last step is dropped, so no value lies beyond the box."""
+        count = int((self.hi - self.lo) / self.step + 1e-9) + 1
         return self.lo + self.step * np.arange(count)
 
 
@@ -326,11 +324,11 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
             for k in order:
                 omega = problem.frequencies[k]
                 if survivors is None:
-                    ctrl = kp_vals[None, :] + 1j * (kd * omega - ki_block[:, None] / omega)
+                    ctrl = pid_frequency_response(kp_vals[None, :], ki_block[:, None], kd, omega)
                     ctrl = ctrl.reshape(-1)
                 else:
-                    ki_cells = ki_block[survivors // n_kp]
-                    ctrl = kp_vals[survivors % n_kp] + 1j * (kd * omega - ki_cells / omega)
+                    kp_cells, ki_cells = kp_vals[survivors % n_kp], ki_block[survivors // n_kp]
+                    ctrl = pid_frequency_response(kp_cells, ki_cells, kd, omega)
                 phase, gain_db = to_nichols_array(responses[k] * ctrl)
                 bound = interpolate_bound_array(problem.bounds[k], phase)
                 # A zero controller response has no phase, so no bound can be

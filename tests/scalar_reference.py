@@ -11,7 +11,9 @@ earlier envelope that evaluates every family member again is kept too, as
 the reference for the envelope that reads the templates' responses.  The
 gain-box oracle's earlier full-mesh search is kept here too: every kd slice
 tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
-the blocked search must return the same result.
+the blocked search must return the same result.  The earlier scalar
+controller response and phase wrap are kept too, as the references for the
+array kernel and for the wrap that now runs on it.
 
 The design search has a one-cell reference in plain Python floats: a gain
 direction per phase pair (PID) or per phase (PI, PD), and its lift onto the
@@ -51,12 +53,29 @@ from qft_forge.lti import (
     principal_phase,
     to_nichols,
     undb,
-    wrap_phase,
     wrap_phase_array,
 )
-from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, PidGains, pid_frequency_response
+from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, PidGains
 from qft_forge.plant import Template, convex_hull_nichols, evaluate_plant_array
 from qft_forge.verify import EnvelopeRow, OracleResult
+
+
+def pid_frequency_response(gains, omega: float) -> complex:
+    """The earlier scalar controller response K(j omega) of one gain triple,
+    in CPython arithmetic."""
+    if omega <= 0.0:
+        raise ValueError("omega must be positive")
+    return complex(gains.kp, gains.kd * omega - gains.ki / omega)
+
+
+def wrap_phase(phase_deg: float) -> float:
+    """The earlier scalar wrap onto (-360, 0], on libm's ``fmod``."""
+    r = math.fmod(phase_deg, 360.0)
+    if r > 0.0:
+        r -= 360.0
+        if r == -360.0:
+            r = 0.0
+    return r + 0.0
 
 
 def _closed_loop_spread_db(ratios: np.ndarray, gain_db: float, phase_rad: float) -> float:
@@ -229,7 +248,7 @@ def candidate_gains(problem, v):
 
 def _inside(contour, phase_deg: float, gain_db: float, tol_db: float) -> bool:
     """The contour's interior test on libm scalars."""
-    if not contour.contains_phase(phase_deg):
+    if not contour.phase_min_deg <= phase_deg <= contour.phase_max_deg:
         return False
     pair = m_circle_gains(contour.m_value, phase_deg)
     if pair is None:

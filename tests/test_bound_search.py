@@ -361,3 +361,60 @@ class TestCriticalPoint:
             ref.disturbance_entries(ratios, 0.5, [0.0])
         with pytest.raises(CriticalPoint):
             disturbance_bound(template, 0.5, [-90.0, 0.0], use_hull=False)
+
+
+def hull_loops(template, phase_deg, gain_db):
+    """The loops of the template's hull members at one nominal phase and gain."""
+    rotor = complex(math.cos(math.radians(phase_deg)), math.sin(math.radians(phase_deg)))
+    return undb(gain_db) * rotor * template.ratios[template.hull_indices]
+
+
+def hull_spread_db(template, phase_deg, gain_db):
+    loop = hull_loops(template, phase_deg, gain_db)
+    mags_db = 20.0 * np.log10(np.abs(loop / (1.0 + loop)))
+    return mags_db.max() - mags_db.min()
+
+
+class TestKnownSearchDefects:
+    """Defects of the upward scan + bisection on servo's templates, probed on
+    the hull members the default search probes.  A loop at or above a bound
+    should meet the spec there, and the bound should be the least gain that
+    does; each test asserts one of these facts where the search breaks it."""
+
+    GRID = make_phase_grid(360)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a sensitivity cap above 1 is ignored: at the -100 dB scan floor |S| is "
+        "about 1, below the cap, so every entry is NO_CONSTRAINT",
+    )
+    def test_cap_above_one_constrains(self, servo_stack):
+        template = servo_stack.templates[1.0]
+        loop = hull_loops(template, -180.5, -20.0)
+        assert np.max(np.abs(1.0 / (1.0 + loop))) > 100.0  # 114.6 against the cap 2
+        curve = disturbance_bound(template, 2.0, self.GRID)
+        assert curve.min_gain_db[self.GRID.index(-180.5)] > -20.0
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="forbidden bands above the bound: at omega=2, -194.5 deg the bound is "
+        "-5.469 dB, but the spread exceeds delta(2) at -4.5, 0 and 8 dB",
+    )
+    def test_gains_above_the_tracking_bound_meet_the_spread(self, servo_config, servo_stack):
+        template = servo_stack.templates[2.0]
+        delta = delta_spread(servo_config.tracking, 2.0)
+        bound = horowitz_bound(template, delta, self.GRID).min_gain_db[self.GRID.index(-194.5)]
+        above = [gain for gain in (-4.5, 0.0, 8.0) if gain >= bound]
+        assert all(hull_spread_db(template, -194.5, gain) <= delta for gain in above)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the 5 dB scan steps over the feasible window of about -5.57 to -5.45 dB at "
+        "omega=1, -182.5 deg and reports 18.584 dB",
+    )
+    def test_bound_is_not_above_a_feasible_gain(self, servo_config, servo_stack):
+        template = servo_stack.templates[1.0]
+        delta = delta_spread(servo_config.tracking, 1.0)
+        assert hull_spread_db(template, -182.5, -5.5) <= delta  # 0.969 against 1.028 dB
+        bound = horowitz_bound(template, delta, self.GRID).min_gain_db[self.GRID.index(-182.5)]
+        assert bound <= -5.5

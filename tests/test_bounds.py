@@ -20,6 +20,7 @@ from qft_forge.bounds import (
     DisturbanceSpec,
     TrackingSpec,
     combine_with_ucontour,
+    contour_edges,
     delta_spread,
     disturbance_bound,
     horowitz_bound,
@@ -34,7 +35,13 @@ from qft_forge.errors import (
     GridMismatch,
 )
 from qft_forge.expr import parse_coefficient_expr
-from qft_forge.lti import RationalTransferFunction, db, eval_tf, m_circle_gains, undb
+from qft_forge.lti import (
+    RationalTransferFunction,
+    db,
+    eval_tf,
+    m_circle_gains,
+    undb,
+)
 from qft_forge.pipeline import compute_bounds
 from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 
@@ -378,15 +385,14 @@ class TestUContour:
             assert up == pytest.approx(hi, abs=1e-12)
             assert low == pytest.approx(lo - 20.0, abs=1e-12)
 
-    def test_upper_lower_at(self):
-        contour = u_contour(1.2, 20.0, self.GRID)
+    def test_edges_at(self):
         hi, lo = m_circle_gains(1.2, -180.0)
-        assert contour.upper_at(-180.0) == pytest.approx(hi, abs=1e-12)
+        at_axis, outside = contour_edges(1.2, 20.0, [-180.0, -100.0])
+        assert at_axis == (pytest.approx(hi, abs=1e-12), pytest.approx(lo - 20.0, abs=1e-12))
         # the lower edge is the sampled locus dropped by the span
         bottom = u_contour(1.2, 20.0, (-180.0,)).lower_db
         assert bottom == (pytest.approx(lo - 20.0, abs=1e-12),)
-        with pytest.raises(ValueError):
-            contour.upper_at(-100.0)
+        assert outside is None
 
     def test_inside(self):
         contour = u_contour(1.2, 20.0, self.GRID)
@@ -461,7 +467,7 @@ class TestCombineWithUContour:
             if curve.omega not in (0.5, 10.0):
                 continue
             for phase, value in zip(curve.phase_grid, curve.min_gain_db):
-                if servo_stack.contour.contains_phase(phase):
+                if servo_stack.contour.phase_min_deg <= phase <= servo_stack.contour.phase_max_deg:
                     pair = m_circle_gains(1.2, phase)
                     if pair is not None:
                         assert value >= pair[0] - 1e-9
@@ -604,6 +610,19 @@ class TestInterpolateBound:
         want = [repr(v) for v in ref.interpolate_bound_array(curve, phases).tolist()]
         assert [repr(v) for v in interpolate_bound_array(curve, phases).tolist()] == want
         assert interpolate_bound_array(curve, np.array([math.nan]))[0] == NO_CONSTRAINT
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="contour-edge gap: the lookup joins the last node inside the contour span "
+        "and the first outside it by a chord far below the contour top",
+    )
+    def test_lookup_near_a_contour_edge_is_not_below_the_top(self, servo_stack):
+        curve = next(c for c in servo_stack.curves if c.omega == 2.0)
+        phase = -123.6  # inside the span, whose edge is at -123.557 deg
+        assert servo_stack.contour.phase_min_deg <= phase <= servo_stack.contour.phase_max_deg
+        top = m_circle_gains(1.2, phase)[0]  # 5.56 dB
+        got = interpolate_bound_array(curve, np.array([phase]))[0]  # -2.98 dB
+        assert got >= top - INTERPOLATION_TOLERANCE_DB
 
     @pytest.mark.xfail(
         strict=True,

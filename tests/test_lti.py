@@ -7,10 +7,10 @@ import math
 
 import pytest
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qft_forge.bounds import make_phase_grid, u_contour
+from qft_forge.bounds import contour_edges, make_phase_grid, u_contour
 from qft_forge.errors import InvalidM, PoleOnAxis, ZeroMagnitude
 from qft_forge.lti import (
     RationalTransferFunction,
@@ -25,6 +25,8 @@ from qft_forge.lti import (
     wrap_phase,
     wrap_phase_array,
 )
+
+import scalar_reference as ref
 
 # Strict tracking model bound and servo plant reused across cases.
 UPPER_MODEL = RationalTransferFunction(
@@ -117,6 +119,20 @@ class TestWrapPhase:
     def test_never_returns_negative_zero(self):
         assert math.copysign(1.0, wrap_phase(-360.0)) == 1.0
         assert math.copysign(1.0, wrap_phase(0.0)) == 1.0
+
+    @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+    @example(1e6)
+    @example(-1e6)
+    @example(-1080.0)
+    @example(720.0)
+    @example(5e-14)
+    @example(-5e-14)
+    @example(-0.0)
+    @settings(max_examples=300)
+    def test_bit_for_bit_with_scalar_reference(self, raw):
+        got = wrap_phase(raw)
+        assert type(got) is float
+        assert got.hex() == ref.wrap_phase(raw).hex()
 
     @given(st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
     @settings(max_examples=300)
@@ -331,8 +347,6 @@ class TestMCircleSection:
 
     def test_contains(self):
         contour = u_contour(1.2, 20.0, make_phase_grid(360))
-        assert contour.contains_phase(-180.0)
-        assert contour.contains_phase(contour.phase_max_deg)
-        assert contour.contains_phase(contour.phase_min_deg)
-        assert not contour.contains_phase(contour.phase_max_deg + 1e-6)
-        assert not contour.contains_phase(-237.0)
+        lo, hi = contour.phase_min_deg, contour.phase_max_deg
+        inside = contour_edges(1.2, 20.0, [-180.0, hi, lo, hi + 1e-6, -237.0])
+        assert [edge is not None for edge in inside] == [True, True, True, False, False]

@@ -9,11 +9,14 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
     BoundCurve,
+    contour_edges,
     interpolate_bound_array,
     make_phase_grid,
     u_contour,
@@ -41,6 +44,8 @@ from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant_array
 
 from conftest import ADMIT_ALL, REFERENCE_GAINS
 
+import scalar_reference as ref
+
 
 def flat_curve(omega, grid, value):
     return BoundCurve(
@@ -64,22 +69,52 @@ def two_freq_problem(bound1, bound2, responses=(-1j, -1j), grid=(-135.0, -90.0, 
     )
 
 
+GAIN = st.floats(min_value=0.0, max_value=1e4) | st.sampled_from([0.0, -0.0])
+OMEGA = st.floats(min_value=1e-3, max_value=1e3)
+
+
+def controller(gains, omega):
+    """The kernel's K(j omega) for one gain triple, as a Python complex."""
+    return complex(pid_frequency_response(gains.kp, gains.ki, gains.kd, omega))
+
+
 class TestPidResponse:
     def test_reference_gains_at_j1(self):
-        response = pid_frequency_response(REFERENCE_GAINS, 1.0)
+        response = controller(REFERENCE_GAINS, 1.0)
         assert response == pytest.approx(12.6 - 0.51j, abs=1e-12)
 
     def test_matches_formula(self):
         gains = PidGains(kp=2.0, ki=3.0, kd=0.5)
         for omega in (0.2, 1.0, 7.0):
             expected = complex(2.0, 0.5 * omega - 3.0 / omega)
-            assert pid_frequency_response(gains, omega) == pytest.approx(expected)
+            assert controller(gains, omega) == pytest.approx(expected)
 
     def test_rejects_non_positive_omega(self):
         with pytest.raises(ValueError):
-            pid_frequency_response(REFERENCE_GAINS, 0.0)
+            controller(REFERENCE_GAINS, 0.0)
         with pytest.raises(ValueError):
-            pid_frequency_response(REFERENCE_GAINS, -1.0)
+            controller(REFERENCE_GAINS, -1.0)
+        with pytest.raises(ValueError):
+            pid_frequency_response(1.0, 1.0, 1.0, np.array([1.0, 0.0]))
+
+    @given(st.lists(st.tuples(GAIN, GAIN, GAIN, OMEGA), min_size=1, max_size=6))
+    @example([(0.0, 1.0, 2.0, 3.0), (-0.0, 1.0, 2.0, 3.0), (-0.0, 0.0, 0.0, 1.0)])
+    @settings(max_examples=200, deadline=None)
+    def test_bit_for_bit_with_scalar_reference(self, rows):
+        def bits(z):
+            return z.real.hex(), z.imag.hex()
+
+        want = [
+            [bits(ref.pid_frequency_response(PidGains(kp, ki, kd), omega)) for *_, omega in rows]
+            for kp, ki, kd, _ in rows
+        ]
+        # scalars: each triple at its own frequency, the diagonal of ``want``
+        for i, (kp, ki, kd, omega) in enumerate(rows):
+            assert bits(complex(pid_frequency_response(kp, ki, kd, omega))) == want[i][i]
+        # arrays: every triple (a row) at every frequency (a column)
+        kp, ki, kd, omegas = (np.array(column) for column in zip(*rows))
+        grid = pid_frequency_response(kp[:, None], ki[:, None], kd[:, None], omegas[None, :])
+        assert [list(map(bits, row)) for row in grid.tolist()] == want
 
     def test_gains_validation(self):
         with pytest.raises(ValueError):
@@ -90,7 +125,7 @@ class TestPidResponse:
 
 def gain_phase(gains, omega):
     """(linear gain, principal phase deg) of the controller at one frequency."""
-    response = pid_frequency_response(gains, omega)
+    response = controller(gains, omega)
     return abs(response), math.degrees(cmath.phase(response))
 
 
@@ -118,12 +153,12 @@ class TestPidGainPhase:
 
     def test_zero_controller(self):
         with pytest.raises(ZeroMagnitude):
-            to_nichols(pid_frequency_response(PidGains(kp=0.0, ki=0.0, kd=0.0), 1.0))
+            to_nichols(controller(PidGains(kp=0.0, ki=0.0, kd=0.0), 1.0))
 
     def test_vanishing_response(self):
         # ki = kd at omega = 1 cancels the imaginary part with kp = 0
         with pytest.raises(ZeroMagnitude):
-            to_nichols(pid_frequency_response(PidGains(kp=0.0, ki=1.0, kd=1.0), 1.0))
+            to_nichols(controller(PidGains(kp=0.0, ki=1.0, kd=1.0), 1.0))
 
 
 class TestPidTransferFunction:
@@ -133,7 +168,7 @@ class TestPidTransferFunction:
         tf = RationalTransferFunction([gains.kd, gains.kp, gains.ki], [1.0, 0.0])
         for omega in (0.5, 2.0):
             assert eval_tf(tf, 1j * omega) == pytest.approx(
-                pid_frequency_response(gains, omega), rel=1e-12
+                controller(gains, omega), rel=1e-12
             )
 
 
@@ -283,7 +318,7 @@ class TestLift:
         kd, ki, kp = _scale(direction, beta)
         gains = PidGains(kp=kp, ki=ki, kd=kd)
         for k, omega in enumerate(problem.frequencies):
-            loop = problem.nominal_responses[k] * pid_frequency_response(gains, omega)
+            loop = problem.nominal_responses[k] * controller(gains, omega)
             phase = wrap_phase(math.degrees(cmath.phase(loop)))
             bound = interpolate_bound_array(problem.bounds[k], np.array([phase]))[0]
             slack = db(abs(loop)) - bound
@@ -405,7 +440,7 @@ class TestSweepScreen:
     def test_boundary_tolerance(self):
         # a point riding the contour top must not be vetoed
         contour = u_contour(1.2, 20.0, make_phase_grid(360))
-        top = contour.upper_at(-180.0)
+        top = contour_edges(contour.m_value, contour.delta_hf_db, [-180.0])[0][0]
         screen = self.make_screen([-undb(top) + 0j])
         assert self.admits(screen, PidGains(kp=1.0, ki=0.0, kd=0.0))
 
@@ -592,7 +627,7 @@ class TestDesignPiPd:
         assert result.gains.kp == pytest.approx(2.0 * r, abs=1e-9)
         assert result.gains.ki == pytest.approx(2.0 * r, abs=1e-9)
         assert result.gains.kd == 0.0
-        loop = response * pid_frequency_response(result.gains, 1.0)
+        loop = response * controller(result.gains, 1.0)
         assert db(abs(loop)) == pytest.approx(db(2.0), abs=1e-9)
         assert wrap_phase(math.degrees(cmath.phase(loop))) == pytest.approx(-90.0)
 

@@ -14,6 +14,9 @@ from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
     BoundCurve,
+    contour_edges,
+    make_phase_grid,
+    u_contour,
 )
 from qft_forge.errors import (
     CriticalPoint,
@@ -23,7 +26,14 @@ from qft_forge.errors import (
     ZeroMagnitude,
 )
 from qft_forge.expr import parse_coefficient_expr
-from qft_forge.lti import RationalTransferFunction, db, eval_tf
+from qft_forge.lti import (
+    RationalTransferFunction,
+    db,
+    eval_tf,
+    m_circle_gains,
+    m_circle_phase_range,
+    to_nichols,
+)
 from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, DesignProblem, PidGains, loop_margins
 from qft_forge.pipeline import compute_templates, effective_plant
 from qft_forge.plant import (
@@ -147,9 +157,10 @@ class TestVerifyMargins:
         assert not report.passed
         violations = report.sweep_violations
         assert len(violations) == 17
+        c = servo_stack.contour
         deepest = max(
             violations,
-            key=lambda p: servo_stack.contour.upper_at(p.phase_deg) - p.gain_db,
+            key=lambda p: contour_edges(c.m_value, c.delta_hf_db, [p.phase_deg])[0][0] - p.gain_db,
         )
         assert 2.0 < deepest.omega < 3.0
         assert any("stability contour" in r for r in report.reasons)
@@ -173,6 +184,35 @@ class TestVerifyMargins:
             assert margin.source == "none"
             assert margin.gain_db == -math.inf
             assert margin.slack_db == -math.inf
+
+    @pytest.mark.parametrize(
+        "m_value, response",
+        [
+            # the loop sits at M=1.1's upper span end, -114.62 deg
+            (1.1, complex(-0.4165977904505331, -0.9090909090909135)),
+            # and at M=2's lower span end, exactly -210 deg
+            (2.0, complex(-0.866025403784443, 0.5000000000000023)),
+        ],
+    )
+    def test_margin_at_a_span_end_without_crossing(self, servo_config, m_value, response):
+        # m_circle_gains finds no crossing at these span ends, so the bound
+        # there cannot be the contour top
+        phase = to_nichols(response)[0]
+        assert phase in m_circle_phase_range(m_value)
+        assert m_circle_gains(m_value, phase) is None
+        curve = BoundCurve(omega=1.0, phase_grid=(-300.0, -60.0), min_gain_db=(0.0, 0.0))
+        report = verify_design(
+            servo_config.plant,
+            {},
+            PidGains(kp=1.0, ki=0.0, kd=0.0),
+            (curve,),
+            u_contour(m_value, 0.0, make_phase_grid(360)),
+            (np.array([1.0]), np.array([response])),
+            servo_config.tracking,
+        )
+        (margin,) = report.per_frequency_margins
+        assert margin.phase_deg == phase
+        assert margin.source == "performance"
 
     def test_precomputed_responses_need_the_design_frequencies(self, servo_config, servo_stack):
         plant = servo_config.plant
@@ -232,11 +272,9 @@ class TestClosedLoopEnvelope:
             self.tracking(servo_config),
             templates_at(with_grid(plant, 3), [1.0, 3.0]),
         )
-        from qft_forge.optimizer import pid_frequency_response
-
         for row in rows:
             s = 1j * row.omega
-            loop = evaluate_plant_array(plant, plant.nominal, [s])[0] * pid_frequency_response(
+            loop = evaluate_plant_array(plant, plant.nominal, [s])[0] * ref.pid_frequency_response(
                 gains, row.omega
             )
             nominal_db = db(abs(eval_tf(PREFILTER, s))) + db(
@@ -467,6 +505,12 @@ class TestGainAxis:
         values = GainAxis(0.0, 50.0, 0.05).values()
         assert len(values) == 1001
         assert values[-1] == pytest.approx(50.0, abs=1e-9)
+
+    @pytest.mark.parametrize("hi, count", [(1.06, 11), (1.04, 11), (1.0, 11), (0.99, 10)])
+    def test_partial_last_step_is_dropped(self, hi, count):
+        values = GainAxis(0.0, hi, 0.1).values()
+        assert len(values) == count
+        assert values[-1] <= hi + 1e-12
 
 
 class TestBruteForce:
