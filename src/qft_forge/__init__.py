@@ -27,11 +27,11 @@ rest of the API is imported from its module.
 from .bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
+    UContour,
     combine_with_ucontour,
     disturbance_bound,
     horowitz_bound,
     interpolate_bound_array,
-    u_contour,
 )
 from .config import load_config
 from .errors import QftError
@@ -56,7 +56,7 @@ __all__ = [
     "to_nichols",
     "horowitz_bound",
     "disturbance_bound",
-    "u_contour",
+    "UContour",
     "combine_with_ucontour",
     "interpolate_bound_array",
     "design_pid",

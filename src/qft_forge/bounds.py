@@ -18,17 +18,12 @@ stacking bound families directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import (
-    BoundBelowUContour,
-    CriticalPoint,
-    DegenerateSpread,
-    GridMismatch,
-)
+from .errors import BoundBelowUContour, CriticalPoint, DegenerateSpread
 from .lti import (
     RationalTransferFunction,
     db,
@@ -55,9 +50,6 @@ __all__ = [
     "delta_spread",
     "horowitz_bound",
     "disturbance_bound",
-    "performance_bound",
-    "contour_edges",
-    "u_contour",
     "combine_with_ucontour",
     "interpolate_bound_array",
 ]
@@ -349,44 +341,44 @@ def disturbance_bound(
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
-def performance_bound(curves: Sequence[BoundCurve]) -> BoundCurve:
-    """Pointwise max of several bound families at one frequency.
-
-    The sentinel encoding does the bookkeeping: anything beats NO_CONSTRAINT,
-    INFEASIBLE beats everything.
-    """
-    if not curves:
-        raise ValueError("need at least one curve")
-    first = curves[0]
-    for other in curves[1:]:
-        if other.phase_grid != first.phase_grid:
-            raise GridMismatch("bound curves sampled on different phase grids")
-        if other.omega != first.omega:
-            raise GridMismatch(
-                f"cannot merge bounds for omega={other.omega} into omega={first.omega}"
-            )
-    merged = [max(vals) for vals in zip(*(c.min_gain_db for c in curves))]
-    return BoundCurve(omega=first.omega, phase_grid=first.phase_grid, min_gain_db=tuple(merged))
-
-
 # --- high-frequency stability contour -------------------------------------
 
 @dataclass(frozen=True)
 class UContour:
     """Closed stability region: constant-M locus on top, the same locus
-    dropped by the high-frequency template span underneath."""
+    dropped by the high-frequency template span underneath, over the phase
+    range :func:`m_circle_phase_range` gives."""
 
     m_value: float
     delta_hf_db: float
-    phases: Tuple[float, ...]
-    upper_db: Tuple[float, ...]
-    lower_db: Tuple[float, ...]
-    phase_min_deg: float
-    phase_max_deg: float
+    phase_min_deg: float = field(init=False)
+    phase_max_deg: float = field(init=False)
 
     def __post_init__(self):
+        phase_min, phase_max = m_circle_phase_range(self.m_value)
         if self.delta_hf_db < 0.0:
             raise ValueError("delta_hf_db must be non-negative")
+        object.__setattr__(self, "m_value", float(self.m_value))
+        object.__setattr__(self, "delta_hf_db", float(self.delta_hf_db))
+        object.__setattr__(self, "phase_min_deg", phase_min)
+        object.__setattr__(self, "phase_max_deg", phase_max)
+
+    def edges(self, phases: Sequence[float]) -> List[Optional[Tuple[float, float]]]:
+        """(top, bottom) at each phase, the bottom dropped by ``delta_hf_db``;
+        None where the contour does not reach the phase (outside the phase
+        range, or where :func:`m_circle_gains` finds no crossing, as it may
+        at a span end).  Scalar libm arithmetic, whose bits ``bounds.csv``
+        records.
+        """
+        edges: List[Optional[Tuple[float, float]]] = []
+        for phi in phases:
+            pair = (
+                m_circle_gains(self.m_value, phi)
+                if self.phase_min_deg <= phi <= self.phase_max_deg
+                else None
+            )
+            edges.append(None if pair is None else (pair[0], pair[1] - self.delta_hf_db))
+        return edges
 
     def inside(self, phase_deg, gain_db):
         """Strict interior test, used by the dense stability sweep;
@@ -396,9 +388,8 @@ class UContour:
         it of either edge count as outside.  This keeps points that ride a
         boundary (where the combined design bounds equal the contour top)
         from being flagged over sub-0.01 dB arithmetic noise.  The edges are
-        the two crossings of :func:`m_circle_gains`, the lower one dropped by
-        the high-frequency span, recomputed here with NumPy; the scalar
-        function stays on libm, whose last bits the bound files record.
+        :meth:`edges` recomputed with NumPy; the scalar method stays on
+        libm, whose last bits the bound files record.
         """
         m2 = self.m_value * self.m_value
         c = np.cos(np.radians(phase_deg))
@@ -417,39 +408,6 @@ class UContour:
         )
 
 
-def contour_edges(
-    m_value: float, delta_hf_db: float, phases: Sequence[float]
-) -> List[Optional[Tuple[float, float]]]:
-    """(top, bottom) of the stability contour at each phase, the bottom
-    dropped by ``delta_hf_db``; None where the contour does not reach the
-    phase (outside :func:`m_circle_phase_range`, or where
-    :func:`m_circle_gains` finds no crossing, as it may at a span end).
-    Scalar libm arithmetic, whose bits ``bounds.csv`` records.
-    """
-    phase_min, phase_max = m_circle_phase_range(m_value)
-    edges: List[Optional[Tuple[float, float]]] = []
-    for phi in phases:
-        pair = m_circle_gains(m_value, phi) if phase_min <= phi <= phase_max else None
-        edges.append(None if pair is None else (pair[0], pair[1] - delta_hf_db))
-    return edges
-
-
-def u_contour(m_value: float, delta_hf_db: float, phase_grid: Sequence[float]) -> UContour:
-    """Sample the stability contour on the grid phases it covers."""
-    phase_min, phase_max = m_circle_phase_range(m_value)
-    edges = contour_edges(m_value, delta_hf_db, phase_grid)
-    reached = [(float(phi), edge) for phi, edge in zip(phase_grid, edges) if edge is not None]
-    return UContour(
-        m_value=float(m_value),
-        delta_hf_db=float(delta_hf_db),
-        phases=tuple(phi for phi, _ in reached),
-        upper_db=tuple(top for _, (top, _) in reached),
-        lower_db=tuple(bottom for _, (_, bottom) in reached),
-        phase_min_deg=phase_min,
-        phase_max_deg=phase_max,
-    )
-
-
 def combine_with_ucontour(curve: BoundCurve, u: UContour) -> BoundCurve:
     """Fold the stability contour's top into a performance bound.
 
@@ -458,8 +416,7 @@ def combine_with_ucontour(curve: BoundCurve, u: UContour) -> BoundCurve:
     the performance spec allows, and the conflict deserves eyes on it.
     """
     merged: List[float] = []
-    edges = contour_edges(u.m_value, u.delta_hf_db, curve.phase_grid)
-    for phi, entry, edge in zip(curve.phase_grid, curve.min_gain_db, edges):
+    for phi, entry, edge in zip(curve.phase_grid, curve.min_gain_db, u.edges(curve.phase_grid)):
         if edge is not None:
             top, bottom = edge
             if math.isfinite(entry) and entry < bottom - 1e-9:

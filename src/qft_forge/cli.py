@@ -1,4 +1,4 @@
-"""Command-line front end: stage commands, config overrides, exit codes.
+"""Command-line front end: stage commands and exit codes.
 
 ``qft-forge <command> --config <path> --out <dir>`` runs one pipeline stage
 (with its prerequisites) and writes that stage's artifacts.  Exit codes: 0
@@ -9,12 +9,11 @@ fails, 1 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import sys
 from typing import List, Optional
 
-from .config import DesignConfig, load_config
-from .errors import ConfigError, NegativeMappedGain, NoFeasiblePoint, QftError
+from .config import load_config
+from .errors import NegativeMappedGain, NoFeasiblePoint, QftError
 from .pipeline import COMMANDS, run_command
 
 __all__ = ["build_parser", "main"]
@@ -30,6 +29,7 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
 
 
@@ -46,42 +46,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the JSON run configuration")
     parser.add_argument("--out", required=True, help="output directory for artifacts")
     parser.add_argument(
-        "--phase-grid",
-        type=int,
-        metavar="N",
-        help="override the phase grid density (points across -360..0 deg)",
-    )
-    parser.add_argument(
-        "--pair",
-        metavar="K,L",
-        help="override the anchor frequency pair (two 1-based positions, comma separated)",
-    )
-    parser.add_argument(
         "--oracle",
         action="store_true",
         help="also run the brute-force gain-box cross-check (slow; design/verify/all only)",
     )
     return parser
-
-
-def _apply_overrides(config: DesignConfig, args: argparse.Namespace) -> DesignConfig:
-    if args.phase_grid is not None:
-        if args.phase_grid < 10:
-            raise ConfigError(f"--phase-grid: must be at least 10, got {args.phase_grid}")
-        config = dataclasses.replace(config, phase_grid_count=args.phase_grid)
-    if args.pair is not None:
-        pieces = args.pair.split(",")
-        if len(pieces) != 2:
-            raise ConfigError("--pair: expected two comma-separated positions, e.g. 2,7")
-        try:
-            pair = (int(pieces[0]), int(pieces[1]))
-        except ValueError as exc:
-            raise ConfigError(f"--pair: positions must be integers ({args.pair!r})") from exc
-        design = dataclasses.replace(config.design, pair=pair)
-        config = dataclasses.replace(config, design=design)
-    # resolve eagerly so a bad override fails before any work happens
-    config.pair_indices()
-    return config
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -92,7 +61,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return int(exc.code or 0)
 
     try:
-        config = _apply_overrides(load_config(args.config), args)
+        config = load_config(args.config)
     except QftError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -311,7 +311,7 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
         if not isinstance(use_hull, bool):
             raise ConfigError("config.design.use_hull: expected true/false")
         design = DesignOptions(kind=kind.lower(), tau=tau, pair=pair, use_hull=use_hull)
-    # Resolve the pair eagerly so bad overrides fail at load time.
+    # Resolve the pair eagerly so a bad pair fails at load time.
     design.pair_indices(len(frequencies))
 
     prefilter = None

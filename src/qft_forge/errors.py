@@ -66,10 +66,6 @@ class DegenerateSpread(QftError):
     """Tracking models are too close together to define a usable spread."""
 
 
-class GridMismatch(QftError):
-    """Bound curves defined on different phase grids cannot be combined."""
-
-
 class BoundBelowUContour(QftError):
     """A finite performance bound lies below the bottom of the high-frequency
     stability contour; the max-combination would silently hide the conflict."""

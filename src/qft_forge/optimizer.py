@@ -503,16 +503,11 @@ def design_pi_pd(
 @dataclass(frozen=True)
 class GainMap:
     """Bijection between ideal-form gains and the regrouped gains obtained
-    after pushing a first-order derivative filter into the plant."""
+    after pushing a first-order derivative filter into the plant: the
+    regrouped gains are kp + ki tau, ki and kd + kp tau, and :meth:`inverse`
+    maps them back."""
 
     tau: float
-
-    def forward(self, gains: PidGains) -> PidGains:
-        return PidGains(
-            kp=gains.kp + gains.ki * self.tau,
-            ki=gains.ki,
-            kd=gains.kd + gains.kp * self.tau,
-        )
 
     def inverse(self, primed: PidGains) -> PidGains:
         kp = primed.kp - primed.ki * self.tau

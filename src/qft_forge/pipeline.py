@@ -29,8 +29,6 @@ from .bounds import (
     disturbance_bound,
     horowitz_bound,
     make_phase_grid,
-    performance_bound,
-    u_contour,
 )
 from .config import DesignConfig
 from .lti import to_nichols, to_nichols_array, wrap_phase_array
@@ -94,7 +92,6 @@ class RunArtifacts:
     templates: Dict[float, Template] = field(default_factory=dict)
     bound_curves: Tuple[BoundCurve, ...] = ()
     contour: Optional[UContour] = None
-    delta_hf_db: Optional[float] = None
     problem: Optional[DesignProblem] = None
     design: Optional[DesignResult] = None
     physical_gains: Optional[PidGains] = None
@@ -135,23 +132,26 @@ def compute_templates(config: DesignConfig) -> Dict[float, Template]:
 def _performance_curve(
     config: DesignConfig, templates: Dict[float, Template], omega: float, grid: Sequence[float]
 ) -> BoundCurve:
-    """Tracking-spread bound at one frequency, merged with its sensitivity-cap
-    bound when the configuration caps this frequency."""
+    """Tracking-spread bound at one frequency, merged entrywise with its
+    sensitivity-cap bound when the configuration caps this frequency; the
+    sentinel encoding makes ``max`` the combination rule."""
     template = templates[omega]
     use_hull = config.design.use_hull
     curve = horowitz_bound(template, delta_spread(config.tracking, omega), grid, use_hull=use_hull)
     caps = config.disturbance.caps if config.disturbance is not None else {}
     if omega in caps:
-        extra = disturbance_bound(template, caps[omega], grid, use_hull=use_hull)
-        curve = performance_bound([curve, extra])
+        cap = disturbance_bound(template, caps[omega], grid, use_hull=use_hull)
+        merged = tuple(map(max, curve.min_gain_db, cap.min_gain_db))
+        curve = BoundCurve(omega=curve.omega, phase_grid=curve.phase_grid, min_gain_db=merged)
     return curve
 
 
 def compute_bounds(
     config: DesignConfig,
     templates: Dict[float, Template],
-) -> Tuple[Tuple[BoundCurve, ...], UContour, float]:
-    """Combined per-frequency design bounds plus the stability contour.
+) -> Tuple[Tuple[BoundCurve, ...], UContour]:
+    """Combined per-frequency design bounds plus the stability contour, which
+    carries the high-frequency span it drops its bottom edge by.
 
     Per frequency: the tracking-spread bound, optionally merged with a
     sensitivity-cap bound, then folded with the contour top over its phase
@@ -162,12 +162,12 @@ def compute_bounds(
         delta_hf = config.delta_hf_override
     else:
         delta_hf = templates[config.frequencies[-1]].gain_span_db()
-    contour = u_contour(config.m_value, delta_hf, grid)
+    contour = UContour(config.m_value, delta_hf)
     curves = tuple(
         combine_with_ucontour(_performance_curve(config, templates, omega, grid), contour)
         for omega in config.frequencies
     )
-    return curves, contour, delta_hf
+    return curves, contour
 
 
 def build_problem(
@@ -464,15 +464,13 @@ def _nichols_layers(
         bound_layers.append((f"w={curve.omega:g}", segments))
     layers["bound_curves"] = bound_layers
 
-    contour = artifacts.contour
-    if contour is not None and contour.phases:
-        polygon = list(zip(contour.phases, contour.upper_db))
-        polygon.extend(
-            (phase, low) for phase, low in zip(reversed(contour.phases), reversed(contour.lower_db))
-        )
-        layers["u_contour"] = polygon
-    else:
-        layers["u_contour"] = []
+    reached = []
+    if artifacts.contour is not None:
+        grid = make_phase_grid(config.phase_grid_count)
+        reached = [(p, e) for p, e in zip(grid, artifacts.contour.edges(grid)) if e is not None]
+    layers["u_contour"] = [(p, top) for p, (top, _) in reached] + [
+        (p, bottom) for p, (_, bottom) in reversed(reached)
+    ]
 
     # zero responses come out at -inf dB, which the chart drops
     phase, gain = to_nichols_array(sweep[1])
@@ -525,10 +523,8 @@ def run_command(
     emit("templates.csv", lambda p: write_templates_csv(p, config, artifacts.templates))
 
     if depth >= 1:
-        curves, contour, delta_hf = compute_bounds(config, artifacts.templates)
+        curves, artifacts.contour = compute_bounds(config, artifacts.templates)
         artifacts.bound_curves = curves
-        artifacts.contour = contour
-        artifacts.delta_hf_db = delta_hf
         emit("bounds.csv", lambda p: write_bounds_csv(p, curves))
 
     sweep = nominal_sweep(config)
@@ -545,7 +541,7 @@ def run_command(
             lambda p: _write_text(
                 p,
                 render_design_report(
-                    config, result, physical, artifacts.delta_hf_db, artifacts.oracle
+                    config, result, physical, artifacts.contour.delta_hf_db, artifacts.oracle
                 ),
             ),
         )

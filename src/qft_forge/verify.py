@@ -22,7 +22,6 @@ from .bounds import (
     BoundCurve,
     TrackingSpec,
     UContour,
-    contour_edges,
     interpolate_bound_array,
 )
 from .errors import CriticalPoint, NoFeasiblePoint
@@ -200,7 +199,7 @@ def verify_design(
         if m.bound_db == NO_CONSTRAINT or m.gain_db == -math.inf:
             source = "none"
         else:
-            edge = contour_edges(u.m_value, u.delta_hf_db, [m.phase_deg])[0]
+            edge = u.edges([m.phase_deg])[0]
             on_top = edge is not None and abs(m.bound_db - edge[0]) <= 1e-9
             source = "ucontour" if on_top else "performance"
         margins.append(VerifyMargin(**vars(m), source=source))

@@ -49,14 +49,13 @@ def servo_config() -> DesignConfig:
 def servo_stack(servo_config):
     """Templates, combined bounds, stability contour and design problem."""
     templates = compute_templates(servo_config)
-    curves, contour, delta_hf = compute_bounds(servo_config, templates)
+    curves, contour = compute_bounds(servo_config, templates)
     sweep = nominal_sweep(servo_config)
     problem = build_problem(servo_config, curves, sweep)
     return SimpleNamespace(
         templates=templates,
         curves=curves,
         contour=contour,
-        delta_hf=delta_hf,
         sweep=sweep,
         problem=problem,
     )
@@ -86,14 +85,13 @@ def reduced_config(servo_config) -> DesignConfig:
 @pytest.fixture(scope="session")
 def reduced_stack(reduced_config):
     templates = compute_templates(reduced_config)
-    curves, contour, delta_hf = compute_bounds(reduced_config, templates)
+    curves, contour = compute_bounds(reduced_config, templates)
     sweep = nominal_sweep(reduced_config)
     problem = build_problem(reduced_config, curves, sweep)
     return SimpleNamespace(
         templates=templates,
         curves=curves,
         contour=contour,
-        delta_hf=delta_hf,
         sweep=sweep,
         problem=problem,
     )

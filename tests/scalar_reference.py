@@ -13,7 +13,9 @@ gain-box oracle's earlier full-mesh search is kept here too: every kd slice
 tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
 the blocked search must return the same result.  The earlier scalar
 controller response and phase wrap are kept too, as the references for the
-array kernel and for the wrap that now runs on it.
+array kernel and for the wrap that now runs on it, and so are the earlier
+free-function contour edges and the contour's sampled top and bottom, as the
+references for ``UContour.edges`` and the chart's contour polygon.
 
 The design search has a one-cell reference in plain Python floats: a gain
 direction per phase pair (PID) or per phase (PI, PD), and its lift onto the
@@ -50,6 +52,7 @@ from qft_forge.lti import (
     db,
     eval_tf,
     m_circle_gains,
+    m_circle_phase_range,
     principal_phase,
     to_nichols,
     undb,
@@ -244,6 +247,30 @@ def candidate_gains(problem, v):
         return None
     scale = 10.0 ** (lifted[0] / 20.0)
     return [abs(c) * scale for c in v]
+
+
+def contour_edges(m_value: float, delta_hf_db: float, phases: Sequence[float]):
+    """(top, bottom) of the stability contour at each phase, the bottom
+    dropped by ``delta_hf_db``; None outside the locus's phase range or
+    where :func:`m_circle_gains` finds no crossing."""
+    phase_min, phase_max = m_circle_phase_range(m_value)
+    edges = []
+    for phi in phases:
+        pair = m_circle_gains(m_value, phi) if phase_min <= phi <= phase_max else None
+        edges.append(None if pair is None else (pair[0], pair[1] - delta_hf_db))
+    return edges
+
+
+def contour_samples(m_value: float, delta_hf_db: float, phase_grid: Sequence[float]):
+    """The contour sampled on the grid phases it reaches, as the tuples
+    ``(phases, upper_db, lower_db)``."""
+    edges = contour_edges(m_value, delta_hf_db, phase_grid)
+    reached = [(float(phi), edge) for phi, edge in zip(phase_grid, edges) if edge is not None]
+    return (
+        tuple(phi for phi, _ in reached),
+        tuple(top for _, (top, _) in reached),
+        tuple(bottom for _, (_, bottom) in reached),
+    )
 
 
 def _inside(contour, phase_deg: float, gain_db: float, tol_db: float) -> bool:

@@ -66,7 +66,7 @@ def timed_servo():
     config = load_config(str(SERVO_CONFIG_PATH))
     start = time.perf_counter()
     templates = compute_templates(config)
-    curves, contour, delta_hf = compute_bounds(config, templates)
+    curves, contour = compute_bounds(config, templates)
     sweep = nominal_sweep(config)
     problem = build_problem(config, curves, sweep)
     result, _ = compute_design(config, problem, contour, sweep)
@@ -76,7 +76,6 @@ def timed_servo():
         templates=templates,
         curves=curves,
         contour=contour,
-        delta_hf=delta_hf,
         problem=problem,
         result=result,
         elapsed=elapsed,

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qft_forge.bounds import (
@@ -19,21 +19,15 @@ from qft_forge.bounds import (
     BoundCurve,
     DisturbanceSpec,
     TrackingSpec,
+    UContour,
     combine_with_ucontour,
-    contour_edges,
     delta_spread,
     disturbance_bound,
     horowitz_bound,
     interpolate_bound_array,
     make_phase_grid,
-    performance_bound,
-    u_contour,
 )
-from qft_forge.errors import (
-    BoundBelowUContour,
-    DegenerateSpread,
-    GridMismatch,
-)
+from qft_forge.errors import BoundBelowUContour, DegenerateSpread, InvalidM
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import (
     RationalTransferFunction,
@@ -42,7 +36,7 @@ from qft_forge.lti import (
     m_circle_gains,
     undb,
 )
-from qft_forge.pipeline import compute_bounds
+from qft_forge.pipeline import _performance_curve, compute_bounds
 from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 
 import scalar_reference as ref
@@ -238,7 +232,7 @@ class TestHorowitzBoundServo:
     def test_hull_bound_is_not_below_full_template(self, servo_config, servo_stack):
         design = dataclasses.replace(servo_config.design, use_hull=False)
         full_config = dataclasses.replace(servo_config, design=design)
-        full_curves, _, _ = compute_bounds(full_config, servo_stack.templates)
+        full_curves, _ = compute_bounds(full_config, servo_stack.templates)
         k = servo_config.frequencies.index(2.0)
         i = servo_stack.curves[k].phase_grid.index(-123.5)
         hull, full = servo_stack.curves[k].min_gain_db[i], full_curves[k].min_gain_db[i]
@@ -275,39 +269,28 @@ class TestDisturbanceGain:
             assert worst_sensitivity_at(ratios, bound - 0.5, phase) > 0.4
 
 
-class TestPerformanceBound:
-    GRID = (-270.0, -180.0, -90.0)
+class TestPerformanceCurve:
+    """The tracking bound at one frequency, merged with its cap bound."""
 
-    def curve(self, values, omega=1.0):
-        return BoundCurve(omega=omega, phase_grid=self.GRID, min_gain_db=values)
+    GRID = make_phase_grid(24)
 
-    def test_pointwise_max_with_sentinels(self):
-        merged = performance_bound(
-            [
-                self.curve((NO_CONSTRAINT, 5.0, INFEASIBLE)),
-                self.curve((3.0, NO_CONSTRAINT, 2.0)),
-            ]
-        )
-        assert merged.min_gain_db == (3.0, 5.0, INFEASIBLE)
+    def test_capped_curve_is_entrywise_max(self, reduced_config, reduced_stack):
+        config = dataclasses.replace(reduced_config, disturbance=DisturbanceSpec(caps={3.0: 1.0}))
+        template = reduced_stack.templates[3.0]
+        tracking = horowitz_bound(template, delta_spread(config.tracking, 3.0), self.GRID)
+        cap = disturbance_bound(template, 1.0, self.GRID)
+        curve = _performance_curve(config, reduced_stack.templates, 3.0, self.GRID)
+        assert curve.min_gain_db == tuple(map(max, tracking.min_gain_db, cap.min_gain_db))
+        # each side wins somewhere, and the sentinels meet finite entries
+        pairs = list(zip(tracking.min_gain_db, cap.min_gain_db))
+        assert any(t > c for t, c in pairs) and any(c > t for t, c in pairs)
+        assert any(NO_CONSTRAINT in pair for pair in pairs)
 
-    def test_single_curve_identity(self):
-        original = self.curve((1.0, 2.0, 3.0))
-        assert performance_bound([original]).min_gain_db == original.min_gain_db
-
-    def test_grid_mismatch(self):
-        other = BoundCurve(omega=1.0, phase_grid=(-200.0, -100.0), min_gain_db=(0.0, 0.0))
-        with pytest.raises(GridMismatch):
-            performance_bound([self.curve((0.0, 0.0, 0.0)), other])
-
-    def test_omega_mismatch(self):
-        with pytest.raises(GridMismatch):
-            performance_bound(
-                [self.curve((0.0, 0.0, 0.0)), self.curve((0.0, 0.0, 0.0), omega=2.0)]
-            )
-
-    def test_empty_input(self):
-        with pytest.raises(ValueError):
-            performance_bound([])
+    def test_uncapped_curve_is_tracking_bound(self, reduced_config, reduced_stack):
+        template = reduced_stack.templates[1.0]
+        tracking = horowitz_bound(template, delta_spread(reduced_config.tracking, 1.0), self.GRID)
+        curve = _performance_curve(reduced_config, reduced_stack.templates, 1.0, self.GRID)
+        assert curve == tracking
 
 
 class TestBoundCurveValidation:
@@ -372,30 +355,45 @@ class TestUContour:
     GRID = make_phase_grid(360)
 
     def test_span_matches_m_circle(self):
-        contour = u_contour(1.2, 20.0, self.GRID)
+        contour = UContour(1.2, 20.0)
         assert contour.phase_min_deg == pytest.approx(-236.44269023807928, abs=1e-9)
         assert contour.phase_max_deg == pytest.approx(-123.55730976192072, abs=1e-9)
         expected = [p for p in self.GRID if contour.phase_min_deg <= p <= contour.phase_max_deg]
-        assert list(contour.phases) == expected
+        reached = [p for p, edge in zip(self.GRID, contour.edges(self.GRID)) if edge is not None]
+        assert reached == expected
 
     def test_sampled_edges_match_m_circle(self):
-        contour = u_contour(1.2, 20.0, self.GRID)
-        for phase, up, low in zip(contour.phases, contour.upper_db, contour.lower_db):
-            hi, lo = m_circle_gains(1.2, phase)
-            assert up == pytest.approx(hi, abs=1e-12)
-            assert low == pytest.approx(lo - 20.0, abs=1e-12)
+        contour = UContour(1.2, 20.0)
+        for phase, edge in zip(self.GRID, contour.edges(self.GRID)):
+            if edge is not None:
+                hi, lo = m_circle_gains(1.2, phase)
+                assert edge[0] == pytest.approx(hi, abs=1e-12)
+                assert edge[1] == pytest.approx(lo - 20.0, abs=1e-12)
 
     def test_edges_at(self):
         hi, lo = m_circle_gains(1.2, -180.0)
-        at_axis, outside = contour_edges(1.2, 20.0, [-180.0, -100.0])
+        at_axis, outside = UContour(1.2, 20.0).edges([-180.0, -100.0])
+        # the lower edge is the locus dropped by the span
         assert at_axis == (pytest.approx(hi, abs=1e-12), pytest.approx(lo - 20.0, abs=1e-12))
-        # the lower edge is the sampled locus dropped by the span
-        bottom = u_contour(1.2, 20.0, (-180.0,)).lower_db
-        assert bottom == (pytest.approx(lo - 20.0, abs=1e-12),)
         assert outside is None
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m_value=st.floats(min_value=1.0, max_value=5.0, exclude_min=True),
+        delta=st.floats(min_value=0.0, max_value=40.0),
+        phases=st.lists(st.floats(min_value=-360.0, max_value=0.0), max_size=20),
+    )
+    # m_circle_gains finds no crossing at M=1.1's upper span end (-114.62 deg)
+    # nor at M=2's lower one (exactly -210 deg)
+    @example(m_value=1.1, delta=20.0, phases=[])
+    @example(m_value=2.0, delta=0.0, phases=[])
+    def test_edges_bit_for_bit_with_scalar_reference(self, m_value, delta, phases):
+        contour = UContour(m_value, delta)
+        phases = phases + [contour.phase_min_deg, contour.phase_max_deg]
+        assert repr(contour.edges(phases)) == repr(ref.contour_edges(m_value, delta, phases))
+
     def test_inside(self):
-        contour = u_contour(1.2, 20.0, self.GRID)
+        contour = UContour(1.2, 20.0)
         assert contour.inside(-180.0, 0.0)
         assert contour.inside(-180.0, 15.5)
         # points within the fixed tolerance of either edge count as outside
@@ -410,17 +408,22 @@ class TestUContour:
         assert not contour.inside(-100.0, 0.0)
 
     def test_zero_delta(self):
-        contour = u_contour(1.2, 0.0, (-180.0,))
-        assert contour.lower_db[0] == pytest.approx(db(6.0 / 11.0), abs=1e-12)
+        ((_, bottom),) = UContour(1.2, 0.0).edges((-180.0,))
+        assert bottom == pytest.approx(db(6.0 / 11.0), abs=1e-12)
 
     def test_negative_delta_rejected(self):
         with pytest.raises(ValueError):
-            u_contour(1.2, -1.0, self.GRID)
+            UContour(1.2, -1.0)
+
+    @pytest.mark.parametrize("m_value", [1.0, 0.5, math.inf, math.nan])
+    def test_bad_m_rejected(self, m_value):
+        with pytest.raises(InvalidM):
+            UContour(m_value, 0.0)
 
 
 class TestCombineWithUContour:
     def test_fold_examples(self):
-        contour = u_contour(1.2, 5.0, make_phase_grid(360))
+        contour = UContour(1.2, 5.0)
         top = m_circle_gains(1.2, -180.0)[0]
         curve = BoundCurve(
             omega=1.0,
@@ -433,14 +436,14 @@ class TestCombineWithUContour:
         assert merged.min_gain_db[2] == 5.0
 
     def test_entry_above_top_survives(self):
-        contour = u_contour(1.2, 5.0, make_phase_grid(360))
+        contour = UContour(1.2, 5.0)
         curve = BoundCurve(
             omega=1.0, phase_grid=(-180.0,), min_gain_db=(20.0,)
         )
         assert combine_with_ucontour(curve, contour).min_gain_db == (20.0,)
 
     def test_sentinels_pass_through(self):
-        contour = u_contour(1.2, 5.0, make_phase_grid(360))
+        contour = UContour(1.2, 5.0)
         top = m_circle_gains(1.2, -180.0)[0]
         curve = BoundCurve(
             omega=1.0,
@@ -454,7 +457,7 @@ class TestCombineWithUContour:
         assert merged.min_gain_db[1] == INFEASIBLE
 
     def test_finite_entry_below_bottom_aborts(self):
-        contour = u_contour(1.2, 5.0, make_phase_grid(360))
+        contour = UContour(1.2, 5.0)
         bottom = m_circle_gains(1.2, -180.0)[1] - 5.0
         curve = BoundCurve(
             omega=1.0, phase_grid=(-180.0,), min_gain_db=(bottom - 1.0,)

@@ -58,9 +58,15 @@ class TestUsageErrors:
     def test_unknown_command(self, capsys, reduced_json, tmp_path):
         argv = ["refine", "--config", reduced_json, "--out", str(tmp_path)]
         assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qft-forge")
+        assert "qft-forge: error: argument command: invalid choice: 'refine'" in err
 
     def test_missing_out(self, capsys, reduced_json):
         assert main(["templates", "--config", reduced_json]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qft-forge")
+        assert "qft-forge: error: the following arguments are required: --out" in err
 
     def test_missing_config_file(self, capsys, tmp_path):
         argv = [
@@ -73,31 +79,28 @@ class TestUsageErrors:
         assert main(argv) == EXIT_USAGE
         assert "config error:" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("pair", ["1", "a,b", "1,1", "1,99"])
-    def test_bad_pair(self, capsys, reduced_json, tmp_path, pair):
-        argv = [
-            "design",
-            "--config",
-            reduced_json,
-            "--out",
-            str(tmp_path),
-            "--pair",
-            pair,
-        ]
+    @pytest.mark.parametrize(
+        "pair", [[1], ["a", "b"], [1, 1], [1, 99]], ids=["1", "a,b", "1,1", "1,99"]
+    )
+    def test_bad_pair(self, capsys, tmp_path, pair):
+        raw = reduced_raw()
+        raw["design"]["pair"] = pair
+        cfg = tmp_path / "bad_pair.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["design", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_USAGE
-        assert "config error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "design.pair" in err
+        assert not (tmp_path / "out").exists()
 
-    def test_sparse_phase_grid(self, capsys, reduced_json, tmp_path):
-        argv = [
-            "bounds",
-            "--config",
-            reduced_json,
-            "--out",
-            str(tmp_path),
-            "--phase-grid",
-            "5",
-        ]
+    def test_sparse_phase_grid(self, capsys, tmp_path):
+        raw = reduced_raw()
+        raw["phase_grid_count"] = 5
+        cfg = tmp_path / "sparse.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_USAGE
+        assert "config error: config.phase_grid_count" in capsys.readouterr().err
 
     @pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
     def test_unusable_out(self, reduced_json, tmp_path, under_file):
@@ -219,33 +222,25 @@ class TestSuccessfulRuns:
         assert "gains:" not in out
         assert "verification:" not in out
 
-    def test_pair_override_changes_anchors(self, capsys, reduced_json, tmp_path):
-        argv = [
-            "design",
-            "--config",
-            reduced_json,
-            "--out",
-            str(tmp_path),
-            "--pair",
-            "1,3",
-        ]
+    def test_pair_override_changes_anchors(self, capsys, tmp_path):
+        raw = reduced_raw()
+        raw["design"]["pair"] = [1, 3]
+        cfg = tmp_path / "pair.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["design", "--config", str(cfg), "--out", str(tmp_path)]
         assert main(argv) == EXIT_OK
         assert "gains: kp=7.411304 ki=0.088219 kd=3.158082" in capsys.readouterr().out
         report = (tmp_path / "design_report.txt").read_text()
         assert "anchor frequencies : 1 rad/s (position 1), 10 rad/s (position 3)" in report
 
-    def test_phase_grid_override(self, capsys, reduced_json, tmp_path):
-        argv = [
-            "bounds",
-            "--config",
-            reduced_json,
-            "--out",
-            str(tmp_path),
-            "--phase-grid",
-            "36",
-        ]
+    def test_phase_grid_override(self, capsys, tmp_path):
+        raw = reduced_raw()
+        raw["phase_grid_count"] = 36
+        cfg = tmp_path / "grid.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["bounds", "--config", str(cfg), "--out", str(tmp_path / "out")]
         assert main(argv) == EXIT_OK
-        rows = (tmp_path / "bounds.csv").read_text().splitlines()
+        rows = (tmp_path / "out" / "bounds.csv").read_text().splitlines()
         assert len(rows) - 1 == 3 * 36
 
     def test_oracle_flag(self, capsys, reduced_json, tmp_path):

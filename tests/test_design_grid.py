@@ -165,7 +165,7 @@ class TestArrayScreen:
     def test_screen_agrees_with_verify_sweep(self, workload, servo_config):
         config = servo_config if workload == "servo" else screen_walk_config()
         templates = compute_templates(config)
-        curves, contour, _ = compute_bounds(config, templates)
+        curves, contour = compute_bounds(config, templates)
         sweep = nominal_sweep(config)
         problem = build_problem(config, curves, sweep)
         screen = SweepScreen(contour, *sweep)
@@ -267,7 +267,7 @@ class TestBatchedScreen:
 
     def test_screen_walk_vetoes_every_candidate(self):
         config = screen_walk_config()
-        curves, contour, _ = compute_bounds(config, compute_templates(config))
+        curves, contour = compute_bounds(config, compute_templates(config))
         sweep = nominal_sweep(config)
         problem = build_problem(config, curves, sweep)
         screen = SweepScreen(contour, *sweep)

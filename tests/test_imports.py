@@ -1,10 +1,17 @@
-"""No module imports a name it never uses.
+"""No module imports a name it never uses, and the package defines nothing
+it never reads.
 
 Every module of the package and of the test suite is parsed with ``ast``.
 A name an import binds counts as used when it is read anywhere in the
 module (including inside string annotations, which ``from __future__ import
 annotations`` leaves as strings) or listed in ``__all__``.  ``from
 __future__`` imports are skipped.
+
+A ``def``, ``class`` or module-level assignment in the package counts as
+read when some module of the package reads its name as a ``Name``, an
+``Attribute``, an imported name or a keyword argument; ``__all__`` entries
+do not count.  Dunders are exempt, and so is ``cli._Parser.error``, which
+argparse calls.
 """
 
 from __future__ import annotations
@@ -15,9 +22,11 @@ import pytest
 
 from conftest import REPO_ROOT
 
-MODULES = sorted(
-    [*(REPO_ROOT / "src" / "qft_forge").glob("*.py"), *(REPO_ROOT / "tests").glob("*.py")]
-)
+PACKAGE = sorted((REPO_ROOT / "src" / "qft_forge").glob("*.py"))
+MODULES = sorted([*PACKAGE, *(REPO_ROOT / "tests").glob("*.py")])
+
+# read from outside the package: argparse calls the parser's error hook
+CALLED_FROM_OUTSIDE = {"cli._Parser.error"}
 
 
 def imported_names(tree: ast.Module):
@@ -69,3 +78,66 @@ def test_an_unused_import_is_caught():
         "Optional",
         "os",
     ]
+
+
+def definitions(tree: ast.Module, module: str):
+    """(qualified name, name, line) for every def and class at any depth,
+    and every name a module-level assignment binds."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                yield f"{prefix}.{child.name}", child.name, child.lineno
+                yield from walk(child, f"{prefix}.{child.name}")
+            else:
+                yield from walk(child, prefix)
+
+    yield from walk(tree, module)
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for name in (n for target in targets for n in ast.walk(target)):
+                if isinstance(name, ast.Name):
+                    yield f"{module}.{name.id}", name.id, node.lineno
+
+
+def read_names(tree: ast.Module):
+    reads = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            reads.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            reads.add(node.attr)
+        elif isinstance(node, ast.alias):
+            reads.add(node.name.split(".")[-1])
+        elif isinstance(node, ast.keyword) and node.arg is not None:
+            reads.add(node.arg)
+    return reads
+
+
+def dead_definitions(sources):
+    """Definitions in ``sources`` (module name -> source text) read by none of them."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = set().union(*map(read_names, trees.values()))
+    return sorted(
+        f"{qualified} (line {line})"
+        for module, tree in trees.items()
+        for qualified, name, line in definitions(tree, module)
+        if name not in reads
+        and not (name.startswith("__") and name.endswith("__"))
+        and qualified not in CALLED_FROM_OUTSIDE
+    )
+
+
+def test_every_definition_is_read():
+    dead = dead_definitions({path.stem: path.read_text(encoding="utf-8") for path in PACKAGE})
+    assert not dead, f"defined but never read in the package: {', '.join(dead)}"
+
+
+def test_a_dead_definition_is_caught():
+    sources = {
+        "a": "LIMIT = 3\nUNUSED = 4\n__all__ = ['UNUSED']\n"
+        "class Box:\n    def used(self):\n        return LIMIT\n    def spare(self):\n"
+        "        pass\n    def __repr__(self):\n        return ''\n",
+        "b": "from a import Box\nBox().used()\ndef call(limit):\n    pass\ncall(limit=1)\n",
+    }
+    assert dead_definitions(sources) == ["a.Box.spare (line 7)", "a.UNUSED (line 2)"]

@@ -10,7 +10,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qft_forge.bounds import contour_edges, make_phase_grid, u_contour
+from qft_forge.bounds import UContour
 from qft_forge.errors import InvalidM, PoleOnAxis, ZeroMagnitude
 from qft_forge.lti import (
     RationalTransferFunction,
@@ -342,11 +342,11 @@ class TestMCircleSection:
     """The locus's phase span is the stability contour's span, end points included."""
 
     def test_for_m_span(self):
-        contour = u_contour(1.2, 20.0, make_phase_grid(360))
+        contour = UContour(1.2, 20.0)
         assert (contour.phase_min_deg, contour.phase_max_deg) == m_circle_phase_range(1.2)
 
     def test_contains(self):
-        contour = u_contour(1.2, 20.0, make_phase_grid(360))
+        contour = UContour(1.2, 20.0)
         lo, hi = contour.phase_min_deg, contour.phase_max_deg
-        inside = contour_edges(1.2, 20.0, [-180.0, hi, lo, hi + 1e-6, -237.0])
+        inside = contour.edges([-180.0, hi, lo, hi + 1e-6, -237.0])
         assert [edge is not None for edge in inside] == [True, True, True, False, False]

@@ -16,10 +16,9 @@ from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
     BoundCurve,
-    contour_edges,
+    UContour,
     interpolate_bound_array,
     make_phase_grid,
-    u_contour,
 )
 from qft_forge.errors import EmptyWindow, NegativeMappedGain, ZeroMagnitude
 from qft_forge.expr import parse_coefficient_expr
@@ -396,7 +395,7 @@ class TestLoopMargins:
 
 class TestSweepScreen:
     def make_screen(self, responses, omegas=None):
-        contour = u_contour(1.2, 20.0, make_phase_grid(360))
+        contour = UContour(1.2, 20.0)
         omegas = omegas or tuple(1.0 for _ in responses)
         return SweepScreen(
             contour=contour, omegas=omegas, nominal_responses=tuple(responses)
@@ -406,7 +405,7 @@ class TestSweepScreen:
         return not screen.sweep(gains)[2].any()
 
     def test_validation(self):
-        contour = u_contour(1.2, 20.0, make_phase_grid(360))
+        contour = UContour(1.2, 20.0)
         with pytest.raises(ValueError):
             SweepScreen(contour=contour, omegas=(1.0, 2.0), nominal_responses=(-1j,))
         with pytest.raises(ValueError):
@@ -439,8 +438,8 @@ class TestSweepScreen:
 
     def test_boundary_tolerance(self):
         # a point riding the contour top must not be vetoed
-        contour = u_contour(1.2, 20.0, make_phase_grid(360))
-        top = contour_edges(contour.m_value, contour.delta_hf_db, [-180.0])[0][0]
+        contour = UContour(1.2, 20.0)
+        top = contour.edges([-180.0])[0][0]
         screen = self.make_screen([-undb(top) + 0j])
         assert self.admits(screen, PidGains(kp=1.0, ki=0.0, kd=0.0))
 
@@ -703,17 +702,22 @@ class TestDesignPiPdReduced:
         assert result.gains.kd == pytest.approx(finite.min(), abs=1e-12)
 
 
+def regrouped(gains: PidGains, tau: float) -> PidGains:
+    """The forward map that ``GainMap(tau).inverse`` undoes."""
+    return PidGains(kp=gains.kp + gains.ki * tau, ki=gains.ki, kd=gains.kd + gains.kp * tau)
+
+
 class TestGainMap:
-    def test_forward(self):
-        mapped = GainMap(tau=0.01).forward(PidGains(kp=2.0, ki=3.0, kd=0.5))
-        assert mapped.kp == pytest.approx(2.03, abs=1e-12)
-        assert mapped.ki == 3.0
-        assert mapped.kd == pytest.approx(0.52, abs=1e-12)
+    def test_inverse_at_known_values(self):
+        physical = GainMap(tau=0.01).inverse(PidGains(kp=2.03, ki=3.0, kd=0.52))
+        assert physical.kp == pytest.approx(2.0, abs=1e-12)
+        assert physical.ki == 3.0
+        assert physical.kd == pytest.approx(0.5, abs=1e-12)
 
     def test_round_trip(self):
         gain_map = GainMap(tau=0.01)
         for gains in (PidGains(2.0, 3.0, 0.5), PidGains(0.0, 1.0, 0.0), REFERENCE_GAINS):
-            back = gain_map.inverse(gain_map.forward(gains))
+            back = gain_map.inverse(regrouped(gains, 0.01))
             assert back.kp == pytest.approx(gains.kp, abs=1e-12)
             assert back.ki == pytest.approx(gains.ki, abs=1e-12)
             assert back.kd == pytest.approx(gains.kd, abs=1e-12)

@@ -9,12 +9,14 @@ import math
 import numpy as np
 import pytest
 
-from qft_forge.bounds import DisturbanceSpec
+from qft_forge.bounds import DisturbanceSpec, make_phase_grid
 from qft_forge.lti import db
-from qft_forge.optimizer import GainMap, PidGains
+from qft_forge.optimizer import PidGains
 from qft_forge import pipeline, plant, verify
 from qft_forge.pipeline import (
     DEFAULT_ORACLE_BOX,
+    RunArtifacts,
+    _nichols_layers,
     compute_bounds,
     compute_templates,
     compute_verification,
@@ -23,6 +25,8 @@ from qft_forge.pipeline import (
     run_command,
 )
 from qft_forge.verify import GainAxis, OracleBox, OracleResult
+
+import scalar_reference as ref
 
 ALL_ARTIFACTS = (
     "templates.csv",
@@ -62,16 +66,28 @@ class TestEffectivePlant:
 class TestComputeBounds:
     def test_delta_override_wins(self, reduced_config):
         cfg = dataclasses.replace(reduced_config, delta_hf_override=12.0)
-        _, contour, delta = compute_bounds(cfg, compute_templates(cfg))
-        assert delta == 12.0
+        _, contour = compute_bounds(cfg, compute_templates(cfg))
         assert contour.delta_hf_db == 12.0
 
     def test_servo_hf_span(self, servo_stack):
         # widest-gain template: k spans a factor 100, the a-dependence shrinks
         # it by sqrt(3601/3700) at the last design frequency
         expected = db(100.0 * math.sqrt(3601.0 / 3700.0))
-        assert servo_stack.delta_hf == pytest.approx(expected, rel=1e-12)
-        assert servo_stack.delta_hf == pytest.approx(39.8822139730429, rel=1e-12)
+        assert servo_stack.contour.delta_hf_db == pytest.approx(expected, rel=1e-12)
+        assert servo_stack.contour.delta_hf_db == pytest.approx(39.8822139730429, rel=1e-12)
+
+
+class TestChartLayers:
+    def test_contour_polygon_is_the_sampled_contour(self, servo_config, servo_stack):
+        # the sampled tops in grid order, then the sampled bottoms reversed
+        contour = servo_stack.contour
+        artifacts = RunArtifacts(out_dir="", templates=servo_stack.templates, contour=contour)
+        polygon = _nichols_layers(servo_config, artifacts, servo_stack.sweep)["u_contour"]
+        grid = make_phase_grid(servo_config.phase_grid_count)
+        phases, upper, lower = ref.contour_samples(contour.m_value, contour.delta_hf_db, grid)
+        expected = list(zip(phases, upper)) + list(zip(phases[::-1], lower[::-1]))
+        assert len(expected) > 200
+        assert repr(polygon) == repr(expected)
 
 
 class TestServoDesign:
@@ -307,10 +323,11 @@ class TestSpecialRuns:
         )
         artifacts = run_command(cfg, "design", str(tmp_path))
         assert artifacts.physical_gains is not None
-        mapped = GainMap(0.001).forward(artifacts.physical_gains)
-        assert mapped.kp == pytest.approx(artifacts.design.gains.kp, rel=1e-12)
-        assert mapped.ki == pytest.approx(artifacts.design.gains.ki, rel=1e-12)
-        assert mapped.kd == pytest.approx(artifacts.design.gains.kd, rel=1e-12)
+        # the regrouped gains are kp + ki tau, ki and kd + kp tau
+        physical, design = artifacts.physical_gains, artifacts.design.gains
+        assert physical.kp + physical.ki * 0.001 == pytest.approx(design.kp, rel=1e-12)
+        assert physical.ki == pytest.approx(design.ki, rel=1e-12)
+        assert physical.kd + physical.kp * 0.001 == pytest.approx(design.kd, rel=1e-12)
         text = (tmp_path / "design_report.txt").read_text()
         assert "physical gains     : " in text
         assert "(derivative filter tau=0.001)" in text

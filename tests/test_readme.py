@@ -1,5 +1,6 @@
-"""The README's library example runs as written, and the names it documents
-are what ``qft_forge`` exports."""
+"""The README's library example runs as written, the names it documents are
+what ``qft_forge`` exports, and its command-line section lists the parser's
+flags."""
 
 from __future__ import annotations
 
@@ -7,6 +8,7 @@ import re
 import shutil
 
 import qft_forge
+from qft_forge.cli import build_parser
 
 from conftest import REPO_ROOT, SERVO_CONFIG_PATH
 
@@ -45,3 +47,15 @@ def test_exports_only_documented_names():
     assert example == {"load_config", "generate_templates", "run_command"}
     assert sorted(set(qft_forge.__all__) - documented) == []
     assert sorted(documented - set(qft_forge.__all__)) == []
+
+
+def test_command_line_section_lists_the_parser_flags():
+    section = re.search(r"\n## Command line\n(.*?)\n## ", README, flags=re.S).group(1)
+    documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    flags = {
+        flag
+        for action in build_parser()._actions
+        for flag in action.option_strings
+        if flag.startswith("--")
+    }
+    assert documented == flags - {"--help"}

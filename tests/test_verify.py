@@ -14,9 +14,7 @@ from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
     BoundCurve,
-    contour_edges,
-    make_phase_grid,
-    u_contour,
+    UContour,
 )
 from qft_forge.errors import (
     CriticalPoint,
@@ -160,7 +158,7 @@ class TestVerifyMargins:
         c = servo_stack.contour
         deepest = max(
             violations,
-            key=lambda p: contour_edges(c.m_value, c.delta_hf_db, [p.phase_deg])[0][0] - p.gain_db,
+            key=lambda p: c.edges([p.phase_deg])[0][0] - p.gain_db,
         )
         assert 2.0 < deepest.omega < 3.0
         assert any("stability contour" in r for r in report.reasons)
@@ -206,7 +204,7 @@ class TestVerifyMargins:
             {},
             PidGains(kp=1.0, ki=0.0, kd=0.0),
             (curve,),
-            u_contour(m_value, 0.0, make_phase_grid(360)),
+            UContour(m_value, 0.0),
             (np.array([1.0]), np.array([response])),
             servo_config.tracking,
         )
