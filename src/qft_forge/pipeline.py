@@ -35,13 +35,13 @@ from .lti import to_nichols, to_nichols_array, wrap_phase_array
 from .optimizer import (
     DesignProblem,
     DesignResult,
-    GainMap,
     MarginEntry,
     PidGains,
     SweepScreen,
     design_pi_pd,
     design_pid,
     filtered_derivative_transform,
+    physical_gains,
 )
 from .plant import Template, UncertainPlant, evaluate_plant_array, generate_templates
 from .svgchart import emit_nichols_svg
@@ -138,9 +138,8 @@ def _performance_curve(
     template = templates[omega]
     use_hull = config.design.use_hull
     curve = horowitz_bound(template, delta_spread(config.tracking, omega), grid, use_hull=use_hull)
-    caps = config.disturbance.caps if config.disturbance is not None else {}
-    if omega in caps:
-        cap = disturbance_bound(template, caps[omega], grid, use_hull=use_hull)
+    if omega in config.disturbance:
+        cap = disturbance_bound(template, config.disturbance[omega], grid, use_hull=use_hull)
         merged = tuple(map(max, curve.min_gain_db, cap.min_gain_db))
         curve = BoundCurve(omega=curve.omega, phase_grid=curve.phase_grid, min_gain_db=merged)
     return curve
@@ -207,7 +206,7 @@ def compute_design(
         result = design_pi_pd(problem, kind, config.pair_indices()[0], screen)
     physical = None
     if result.feasible and config.design.tau is not None:
-        physical = GainMap(config.design.tau).inverse(result.gains)
+        physical = physical_gains(result.gains, config.design.tau)
     return result, physical
 
 
@@ -271,24 +270,25 @@ def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
 def write_templates_csv(path: str, config: DesignConfig, templates: Dict[float, Template]):
     names = tuple(spec.name for spec in config.plant.params)
     header = ["omega", *names, "phase_deg", "gain_db", "on_hull"]
-    rows: List[List[str]] = []
-    for omega in config.frequencies:
-        template = templates[omega]
-        hull = set(template.hull_indices.tolist())
-        columns = (template.points.tolist(), template.phase_deg.tolist(), template.gain_db.tolist())
-        for i, (point, phase, gain) in enumerate(zip(*columns)):
-            rows.append(
-                [_num(omega), *map(_num, point), _num(phase), _num(gain), "1" if i in hull else "0"]
-            )
-    _write_csv(path, header, rows)
+
+    def rows():  # streamed: collecting every row raised the run's peak memory
+        for omega in config.frequencies:
+            t = templates[omega]
+            hull = set(t.hull_indices.tolist())
+            columns = (t.points.tolist(), t.phase_deg.tolist(), t.gain_db.tolist())
+            for i, (point, phase, gain) in enumerate(zip(*columns)):
+                on_hull = "1" if i in hull else "0"
+                yield [_num(omega), *map(_num, point), _num(phase), _num(gain), on_hull]
+
+    _write_csv(path, header, rows())
 
 
 def write_bounds_csv(path: str, curves: Sequence[BoundCurve]):
-    rows = [
+    rows = (
         [_num(curve.omega), _num(phase), _bound_str(value)]
         for curve in curves
         for phase, value in zip(curve.phase_grid, curve.min_gain_db)
-    ]
+    )
     _write_csv(path, ["omega", "phase_deg", "min_gain_db"], rows)
 
 
@@ -406,7 +406,7 @@ def render_verify_report(report: VerificationReport) -> str:
         lines.append(f"{_margin_row(m)}  source={m.source}")
     inside = report.sweep_violations
     lines.append(
-        f"dense sweep : {len(report.dense_sweep)} points, "
+        f"dense sweep : {len(report.sweep_omegas)} points, "
         f"{len(inside)} inside the stability contour"
     )
     for point in inside[:10]:
@@ -479,7 +479,8 @@ def _nichols_layers(
     loop_points: List[Tuple[float, float]] = []
     markers: List[Tuple[float, float, str]] = []
     if artifacts.design is not None and artifacts.design.gains is not None:
-        phase, gain, _ = SweepScreen(artifacts.contour, *sweep).sweep(artifacts.design.gains)
+        g = artifacts.design.gains
+        phase, gain, _ = SweepScreen(artifacts.contour, *sweep).sweep(g.kp, g.ki, g.kd)
         loop_points = list(zip(phase.tolist(), gain.tolist()))
         # a zero loop's entry sits at -inf dB, which the chart drops
         markers = [

@@ -94,13 +94,12 @@ class VerifyMargin(MarginEntry):
 
 @dataclass(frozen=True)
 class SweepPoint:
-    """One stop of the dense sweep: where the loop sits and whether it has
-    strayed into the forbidden stability region."""
+    """A stop of the dense sweep where the loop has strayed into the
+    forbidden stability region."""
 
     omega: float
     phase_deg: float
     gain_db: float
-    inside_ucontour: bool
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,11 @@ class EnvelopeRow:
 @dataclass(frozen=True)
 class VerificationReport:
     per_frequency_margins: Tuple[VerifyMargin, ...]
-    dense_sweep: Tuple[SweepPoint, ...]
+    sweep_omegas: Tuple[float, ...]  # the dense sweep's frequencies
+    sweep_violations: Tuple[SweepPoint, ...]  # its stops inside the contour, ascending
     envelope: Tuple[EnvelopeRow, ...]
     passed: bool
     reasons: Tuple[str, ...]
-
-    @property
-    def sweep_violations(self) -> Tuple[SweepPoint, ...]:
-        return tuple(p for p in self.dense_sweep if p.inside_ucontour)
 
 
 def closed_loop_envelope(
@@ -205,11 +201,10 @@ def verify_design(
         margins.append(VerifyMargin(**vars(m), source=source))
 
     screen = SweepScreen(u, omegas, dense_responses)
-    sweep_points = tuple(
-        SweepPoint(omega=omega, phase_deg=phase, gain_db=gain, inside_ucontour=inside)
-        for omega, phase, gain, inside in zip(
-            omegas.tolist(), *(a.tolist() for a in screen.sweep(gains))
-        )
+    phase, gain, inside = screen.sweep(gains.kp, gains.ki, gains.kd)
+    violations = tuple(
+        SweepPoint(omega=omega, phase_deg=p, gain_db=g)
+        for omega, p, g in zip(*(a[inside].tolist() for a in (omegas, phase, gain)))
     )
 
     envelope: Tuple[EnvelopeRow, ...] = ()
@@ -224,12 +219,10 @@ def verify_design(
                 f"margin at omega={m.omega:g}: slack {m.slack_db:.3f} dB below "
                 f"-{INTERPOLATION_TOLERANCE_DB} dB"
             )
-    n_inside = sum(1 for p in sweep_points if p.inside_ucontour)
-    if n_inside:
-        worst = next(p for p in sweep_points if p.inside_ucontour)
+    if violations:
         reasons.append(
-            f"loop enters the stability contour at {n_inside} swept frequencies "
-            f"(first at omega={worst.omega:.4g})"
+            f"loop enters the stability contour at {len(violations)} swept frequencies "
+            f"(first at omega={violations[0].omega:.4g})"
         )
     for row in envelope:
         if not row.inside():
@@ -239,7 +232,8 @@ def verify_design(
 
     return VerificationReport(
         per_frequency_margins=tuple(margins),
-        dense_sweep=sweep_points,
+        sweep_omegas=tuple(omegas.tolist()),
+        sweep_violations=violations,
         envelope=envelope,
         passed=not reasons,
         reasons=tuple(reasons),
@@ -278,7 +272,6 @@ class OracleBox:
 @dataclass(frozen=True)
 class OracleResult:
     best_gains: PidGains
-    best_kd: float
     evaluations: int
     box: OracleBox
 
@@ -342,12 +335,7 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
             else:
                 i_ki, i_kp = divmod(int(survivors[0]), n_kp)
                 gains = PidGains(kp=float(kp_vals[i_kp]), ki=float(ki_block[i_ki]), kd=float(kd))
-                return OracleResult(
-                    best_gains=gains,
-                    best_kd=float(kd),
-                    evaluations=examined,
-                    box=box,
-                )
+                return OracleResult(best_gains=gains, evaluations=examined, box=box)
     raise NoFeasiblePoint(
         f"no feasible gain triple in the {len(kd_vals)}x{len(ki_vals)}x{len(kp_vals)} box"
     )

@@ -154,7 +154,7 @@ def disturbance_entries(ratios: np.ndarray, cap: float, phase_grid: Sequence[flo
 
 def screen_admits(screen, gains) -> bool:
     """Point-by-point twin of the screen's decision: True when no point of
-    ``screen.sweep(gains)`` lies inside the contour."""
+    ``screen.sweep(gains.kp, gains.ki, gains.kd)`` lies inside the contour."""
     for omega, response in zip(screen.omegas, screen.nominal_responses):
         loop = response * pid_frequency_response(gains, omega)
         if loop == 0:
@@ -476,12 +476,7 @@ def brute_force_design(problem, box):
             flat = int(np.argmax(feasible.reshape(-1)))
             i_ki, i_kp = divmod(flat, len(kp_vals))
             gains = PidGains(kp=float(kp_vals[i_kp]), ki=float(ki_vals[i_ki]), kd=float(kd))
-            return OracleResult(
-                best_gains=gains,
-                best_kd=float(kd),
-                evaluations=examined,
-                box=box,
-            )
+            return OracleResult(best_gains=gains, evaluations=examined, box=box)
     raise NoFeasiblePoint(
         f"no feasible gain triple in the {len(kd_vals)}x{len(ki_vals)}x{len(kp_vals)} box"
     )

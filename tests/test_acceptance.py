@@ -164,14 +164,14 @@ class TestC3OracleEquivalence:
         oracle = brute_force_design(reduced_stack.problem, box)
         elapsed = time.perf_counter() - start
         kd_design = reduced_design.gains.kd
-        lo = oracle.best_kd - 0.05
-        hi = 1.05 * oracle.best_kd
+        lo = oracle.best_gains.kd - 0.05
+        hi = 1.05 * oracle.best_gains.kd
         verdict = "PASS" if lo <= kd_design <= hi and elapsed < 600.0 else "FAIL"
         announce(
             capsys,
             f"ACCEPTANCE C3: design kd={kd_design:.4f} in "
             f"[oracle-0.05, 1.05*oracle]=[{lo:.4f}, {hi:.4f}] "
-            f"(oracle kd={oracle.best_kd:.2f}, {oracle.evaluations} evaluations, "
+            f"(oracle kd={oracle.best_gains.kd:.2f}, {oracle.evaluations} evaluations, "
             f"{elapsed:.1f}s < 600s) -> {verdict}",
         )
         assert elapsed < 600.0

@@ -290,7 +290,7 @@ def test_dense_template_matches_scalar_reference(dense_templates, omega):
     assert len(template.hull_indices) < len(ratios) == 625
     grid = make_phase_grid(config.phase_grid_count)
     delta = delta_spread(config.tracking, omega)
-    cap = config.disturbance.caps[omega]
+    cap = config.disturbance[omega]
     tracking = horowitz_bound(template, delta, grid, use_hull=False)
     assert_same(tracking, ref.horowitz_entries(ratios, delta, grid))
     sensitivity = disturbance_bound(template, cap, grid, use_hull=False)

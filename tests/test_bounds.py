@@ -17,7 +17,6 @@ from qft_forge.bounds import (
     INTERPOLATION_TOLERANCE_DB,
     NO_CONSTRAINT,
     BoundCurve,
-    DisturbanceSpec,
     TrackingSpec,
     UContour,
     combine_with_ucontour,
@@ -117,16 +116,6 @@ class TestTrackingSpec:
         integrator = RationalTransferFunction([1.0], [1.0, 0.0])
         with pytest.raises(ValueError):
             TrackingSpec(lower=integrator, upper=UPPER_MODEL)
-
-
-class TestDisturbanceSpec:
-    def test_positive_caps_ok(self):
-        DisturbanceSpec(caps={3.0: 0.5})
-
-    @pytest.mark.parametrize("cap", [0.0, -1.0])
-    def test_rejects_non_positive(self, cap):
-        with pytest.raises(ValueError):
-            DisturbanceSpec(caps={3.0: cap})
 
 
 class TestDeltaSpread:
@@ -275,7 +264,7 @@ class TestPerformanceCurve:
     GRID = make_phase_grid(24)
 
     def test_capped_curve_is_entrywise_max(self, reduced_config, reduced_stack):
-        config = dataclasses.replace(reduced_config, disturbance=DisturbanceSpec(caps={3.0: 1.0}))
+        config = dataclasses.replace(reduced_config, disturbance={3.0: 1.0})
         template = reduced_stack.templates[3.0]
         tracking = horowitz_bound(template, delta_spread(config.tracking, 3.0), self.GRID)
         cap = disturbance_bound(template, 1.0, self.GRID)

@@ -141,6 +141,9 @@ class TestUsageErrors:
             ("frequency", "Infinity", "config.frequencies[0]: must be finite"),
             ("max", "Infinity", "config.plant.parameters[0].max: must be finite"),
             ("m", "Infinity", "config.stability.m: must be finite"),
+            # JSON integers too large for a float
+            ("m", "1" + "0" * 400, "config.stability.m: must be finite"),
+            ("numerator", "-1" + "0" * 400, "config.plant.numerator[0]: must be finite"),
         ],
     )
     def test_non_finite_number(self, capsys, reduced_json, tmp_path, place, text, message):
@@ -149,6 +152,8 @@ class TestUsageErrors:
             raw["frequencies"][0] = "VALUE"
         elif place == "max":
             raw["plant"]["parameters"][0]["max"] = "VALUE"
+        elif place == "numerator":
+            raw["plant"]["numerator"][0] = "VALUE"
         else:
             raw["stability"]["m"] = "VALUE"
         cfg = tmp_path / "non_finite.json"
@@ -158,6 +163,17 @@ class TestUsageErrors:
             assert main(argv) == EXIT_USAGE
             assert f"config error: {message}" in capsys.readouterr().err
             assert not (tmp_path / "out").exists()
+
+    def test_tracking_model_with_zero_gain(self, capsys, tmp_path):
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["tracking"]["lower"] = {"num": [1, 0, 4], "den": [1, 3, 3, 1]}  # zero at omega=2
+        cfg = tmp_path / "zero_tracking.json"
+        cfg.write_text(json.dumps(raw))
+        for command in ("bounds", "all"):
+            out = tmp_path / command
+            assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_USAGE
+            message = "error: lower tracking model has zero gain at omega=2\n"
+            assert capsys.readouterr().err == message
 
     def test_zero_nominal_response(self, capsys, tmp_path):
         raw = json.loads(SERVO_CONFIG_PATH.read_text())

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 import math
 import json
 import re
@@ -26,7 +27,7 @@ class TestServoConfig:
         assert servo_config.m_value == 1.2
         assert servo_config.phase_grid_count == 360
         assert servo_config.delta_hf_override is None
-        assert servo_config.disturbance is None
+        assert servo_config.disturbance == {}
         assert servo_config.oracle is None
 
     def test_frequencies(self, servo_config):
@@ -90,7 +91,7 @@ class TestRoundTrip:
         assert config.design.tau == 0.01
         assert config.design.use_hull is False
         assert config.delta_hf_override == 12.5
-        assert config.disturbance.caps == {3.0: 0.5}
+        assert config.disturbance == {3.0: 0.5}
         assert config.oracle.kp.step == 0.5
         assert config.pair_indices() == (0, 2)
         assert config.prefilter.den == (1.0, 1.0)
@@ -103,32 +104,32 @@ class TestRoundTrip:
 
 
 class TestPairDefaults:
+    @staticmethod
+    def config(servo_config, count, pair=None):
+        """The servo config with ``count`` frequencies and the given pair."""
+        frequencies = tuple(float(k) for k in range(1, count + 1))
+        return dataclasses.replace(
+            servo_config, frequencies=frequencies, design=DesignOptions(pair=pair)
+        )
+
     @pytest.mark.parametrize(
         "count, expected",
         [(8, (1, 5)), (4, (1, 3)), (3, (1, 0)), (2, (1, 0))],
     )
-    def test_default_rule(self, count, expected):
-        assert DesignOptions().pair_indices(count) == expected
+    def test_default_rule(self, servo_config, count, expected):
+        assert self.config(servo_config, count).pair_indices() == expected
 
-    def test_single_frequency_rejected(self):
+    def test_single_frequency_rejected(self, servo_config):
         with pytest.raises(ConfigError, match="at least two"):
-            DesignOptions().pair_indices(1)
+            self.config(servo_config, 1).pair_indices()
 
-    def test_explicit_pair_out_of_range(self):
+    def test_explicit_pair_out_of_range(self, servo_config):
         with pytest.raises(ConfigError, match="outside 1..4"):
-            DesignOptions(pair=(1, 5)).pair_indices(4)
+            self.config(servo_config, 4, pair=(1, 5)).pair_indices()
 
-    def test_explicit_pair_equal(self):
+    def test_explicit_pair_equal(self, servo_config):
         with pytest.raises(ConfigError, match="must differ"):
-            DesignOptions(pair=(3, 3)).pair_indices(8)
-
-    def test_bad_kind(self):
-        with pytest.raises(ConfigError, match="design.kind"):
-            DesignOptions(kind="lead")
-
-    def test_bad_tau(self):
-        with pytest.raises(ConfigError, match="tau"):
-            DesignOptions(tau=0.0)
+            self.config(servo_config, 8, pair=(3, 3)).pair_indices()
 
 
 class TestValidationErrors:
@@ -162,6 +163,42 @@ class TestValidationErrors:
         d["frequencies"] = freqs
         with pytest.raises(ConfigError, match=message):
             parse_config_dict(d)
+
+    @pytest.mark.parametrize(
+        "edits, message",
+        [
+            (
+                [(("design", "kind"), "Lowpass")],
+                "config.design.kind: must be one of ('pid', 'pi', 'pd'), got 'lowpass'",
+            ),
+            ([(("design", "kind"), 7)], "config.design.kind: expected a string"),
+            ([(("design", "tau"), 0)], "config.design.tau: must be positive, got 0.0"),
+            ([(("design", "pair"), [2, 2])], "config.design.pair: the two positions must differ"),
+            ([(("design", "pair"), [1, 99])], "config.design.pair[1]: position 99 outside 1..8"),
+            (
+                [(("design", "pair"), None), (("frequencies",), [1.0])],
+                "config.frequencies: need at least two for a phase-pair design",
+            ),
+            (
+                [(("plant", "numerator"), ["a +* k"])],
+                "config.plant.numerator[0]: unexpected '*' (at position 3)",
+            ),
+            (
+                [(("plant", "numerator"), [True])],
+                "config.plant.numerator[0]: expected an expression string or number",
+            ),
+        ],
+    )
+    def test_message_is_its_full_path_once(self, servo_dict, edits, message):
+        d = copy.deepcopy(servo_dict)
+        for path, value in edits:
+            target = d
+            for key in path[:-1]:
+                target = target[key]
+            target[path[-1]] = value
+        with pytest.raises(ConfigError) as info:
+            parse_config_dict(d)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("m", [0.9, 1.0, -2.0])
     def test_bad_m(self, servo_dict, m):
@@ -284,6 +321,9 @@ class TestValidationErrors:
             (("tracking", "lower", "num", 0), math.nan),
             (("tracking", "upper", "den", 1), math.inf),
             (("prefilter", "den", 2), -math.inf),
+            # integers beyond the float range
+            (("stability", "m"), 10**400),
+            (("plant", "denominator", 1), -(10**400)),
         ],
     )
     def test_non_finite_number(self, servo_dict, path, value):
@@ -375,4 +415,26 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
         with pytest.raises(ConfigError, match="not valid JSON"):
+            load_config(str(path))
+
+    def test_invalid_utf8(self, tmp_path):
+        path = tmp_path / "latin1.json"
+        path.write_bytes(SERVO_CONFIG_PATH.read_bytes().replace(b'"pid"', b'"p\xefd"'))
+        with pytest.raises(ConfigError, match="not valid UTF-8"):
+            load_config(str(path))
+
+    @pytest.mark.parametrize(
+        "old, repeat, key",
+        [
+            ('"phase_grid_count": 360', ', "phase_grid_count": 12', "phase_grid_count"),
+            ('"m": 1.2', ', "m": 3', "m"),
+        ],
+    )
+    def test_duplicate_key(self, tmp_path, old, repeat, key):
+        # the last value would otherwise win silently
+        text = SERVO_CONFIG_PATH.read_text()
+        assert text.count(old) == 1
+        path = tmp_path / "twice.json"
+        path.write_text(text.replace(old, old + repeat), encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"repeats the key '{key}'"):
             load_config(str(path))

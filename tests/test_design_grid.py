@@ -202,8 +202,8 @@ def count_sweep_rows(patch):
     rows = []
     sweep = SweepScreen.sweep
 
-    def counted(self, gains):
-        result = sweep(self, gains)
+    def counted(self, kp, ki, kd):
+        result = sweep(self, kp, ki, kd)
         rows.append(result[2].shape[0] if result[2].ndim == 2 else 1)
         return result
 
@@ -248,9 +248,9 @@ class TestBatchedScreen:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(bounds, "_BLOCK_CELLS", block)
             assert screen.first_admitted(kd, ki, kp) == ref.first_admitted(screen, kd, ki, kp)
-        batched = screen.sweep(SimpleNamespace(kp=kp, ki=ki, kd=kd))
+        batched = screen.sweep(kp, ki, kd)
         for row, gains in enumerate(zip(kp.tolist(), ki.tolist(), kd.tolist())):
-            one = screen.sweep(PidGains(*gains))
+            one = screen.sweep(*gains)
             want = ref.screen_sweep(screen, PidGains(*gains))
             for got_part, one_part, want_part in zip(batched, one, want):
                 assert bits(got_part[row]) == bits(one_part) == bits(want_part)

@@ -12,6 +12,10 @@ read when some module of the package reads its name as a ``Name``, an
 ``Attribute``, an imported name or a keyword argument; ``__all__`` entries
 do not count.  Dunders are exempt, and so is ``cli._Parser.error``, which
 argparse calls.
+
+A field of a package dataclass counts as read when some module of the
+package reads its name as a ``Name`` or an ``Attribute``; passing it as a
+keyword argument only writes it.
 """
 
 from __future__ import annotations
@@ -141,3 +145,50 @@ def test_a_dead_definition_is_caught():
         "b": "from a import Box\nBox().used()\ndef call(limit):\n    pass\ncall(limit=1)\n",
     }
     assert dead_definitions(sources) == ["a.Box.spare (line 7)", "a.UNUSED (line 2)"]
+
+
+def is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def dead_fields(sources):
+    """Dataclass fields in ``sources`` (module name -> source text) that none
+    of them reads as a name or an attribute."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    reads = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.add(node.attr)
+    return sorted(
+        f"{module}.{cls.name}.{stmt.target.id} (line {stmt.lineno})"
+        for module, tree in trees.items()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign)
+        and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in reads
+    )
+
+
+def test_every_dataclass_field_is_read():
+    dead = dead_fields({path.stem: path.read_text(encoding="utf-8") for path in PACKAGE})
+    assert not dead, f"dataclass fields never read in the package: {', '.join(dead)}"
+
+
+def test_a_dead_field_is_caught():
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\nclass Pair:\n    left: int\n    right: int = 0\n"
+        "@dataclass\nclass Plain:\n    spare: int\n"
+        "class NotData:\n    extra: int\n",
+        "b": "from a import Pair, Plain\nprint(Pair(left=1, right=2).left)\nPlain(spare=3)\n",
+    }
+    assert dead_fields(sources) == ["a.Pair.right (line 5)", "a.Plain.spare (line 8)"]

@@ -26,7 +26,6 @@ from qft_forge.lti import RationalTransferFunction, db, eval_tf, to_nichols, und
 from qft_forge.optimizer import (
     INTERPOLATION_TOLERANCE_DB,
     DesignProblem,
-    GainMap,
     PidGains,
     SweepScreen,
     _kernel_grid,
@@ -37,6 +36,7 @@ from qft_forge.optimizer import (
     filtered_derivative_transform,
     loop_margins,
     phase_window,
+    physical_gains,
     pid_frequency_response,
 )
 from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant_array
@@ -402,7 +402,7 @@ class TestSweepScreen:
         )
 
     def admits(self, screen, gains):
-        return not screen.sweep(gains)[2].any()
+        return not screen.sweep(gains.kp, gains.ki, gains.kd)[2].any()
 
     def test_validation(self):
         contour = UContour(1.2, 20.0)
@@ -431,7 +431,7 @@ class TestSweepScreen:
         # a zero loop (no phase) sits at -inf dB, outside the contour
         screen = self.make_screen([-1.0 + 0j, 0j, -1j], omegas=(1.0, 2.0, 3.0))
         assert isinstance(screen.omegas, np.ndarray)
-        phase, gain, inside = screen.sweep(PidGains(kp=1.0, ki=0.0, kd=0.0))
+        phase, gain, inside = screen.sweep(1.0, 0.0, 0.0)
         assert phase.tolist() == [-180.0, 0.0, -90.0]
         assert gain.tolist() == [0.0, -math.inf, 0.0]
         assert inside.tolist() == [True, False, False]
@@ -703,32 +703,31 @@ class TestDesignPiPdReduced:
 
 
 def regrouped(gains: PidGains, tau: float) -> PidGains:
-    """The forward map that ``GainMap(tau).inverse`` undoes."""
+    """The forward map that ``physical_gains(..., tau)`` undoes."""
     return PidGains(kp=gains.kp + gains.ki * tau, ki=gains.ki, kd=gains.kd + gains.kp * tau)
 
 
 class TestGainMap:
     def test_inverse_at_known_values(self):
-        physical = GainMap(tau=0.01).inverse(PidGains(kp=2.03, ki=3.0, kd=0.52))
+        physical = physical_gains(PidGains(kp=2.03, ki=3.0, kd=0.52), 0.01)
         assert physical.kp == pytest.approx(2.0, abs=1e-12)
         assert physical.ki == 3.0
         assert physical.kd == pytest.approx(0.5, abs=1e-12)
 
     def test_round_trip(self):
-        gain_map = GainMap(tau=0.01)
         for gains in (PidGains(2.0, 3.0, 0.5), PidGains(0.0, 1.0, 0.0), REFERENCE_GAINS):
-            back = gain_map.inverse(regrouped(gains, 0.01))
+            back = physical_gains(regrouped(gains, 0.01), 0.01)
             assert back.kp == pytest.approx(gains.kp, abs=1e-12)
             assert back.ki == pytest.approx(gains.ki, abs=1e-12)
             assert back.kd == pytest.approx(gains.kd, abs=1e-12)
 
     def test_negative_mapped_kp(self):
         with pytest.raises(NegativeMappedGain):
-            GainMap(tau=0.01).inverse(PidGains(kp=0.1, ki=20.0, kd=1.0))
+            physical_gains(PidGains(kp=0.1, ki=20.0, kd=1.0), 0.01)
 
     def test_negative_mapped_kd(self):
         with pytest.raises(NegativeMappedGain):
-            GainMap(tau=0.01).inverse(PidGains(kp=1.0, ki=0.0, kd=0.005))
+            physical_gains(PidGains(kp=1.0, ki=0.0, kd=0.005), 0.01)
 
 
 class TestFilteredDerivativeTransform:

@@ -3,7 +3,7 @@
 ``brute_force_design`` tests a kd slice in blocks of ki rows, most
 restrictive frequency first and later frequencies only on surviving cells.
 It must return exactly what the reference in ``scalar_reference`` returns:
-the same gains, ``best_kd`` and ``evaluations``, or the same
+the same gains and ``evaluations``, or the same
 ``NoFeasiblePoint`` message.
 """
 
@@ -127,7 +127,7 @@ class TestMatchesFullMeshReference:
             kp=GainAxis(0.0, 4.0, 0.5), ki=GainAxis(0.0, 4.0, 0.5), kd=GainAxis(0.0, 3.0, 0.5)
         )
         result = assert_matches_reference(problem, box, block)
-        assert result.best_kd == 0.0
+        assert result.best_gains.kd == 0.0
 
     def test_kp_axis_longer_than_a_block(self):
         # one ki row per block, each longer than the block size

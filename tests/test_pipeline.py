@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qft_forge.bounds import DisturbanceSpec, make_phase_grid
+from qft_forge.bounds import make_phase_grid
 from qft_forge.lti import db
 from qft_forge.optimizer import PidGains
 from qft_forge import pipeline, plant, verify
@@ -283,9 +283,7 @@ class TestSpecialRuns:
 
         def oracle(problem, box):
             boxes.append(box)
-            return OracleResult(
-                best_gains=PidGains(kp=1.0, ki=0.0, kd=0.0), best_kd=0.0, evaluations=0, box=box
-            )
+            return OracleResult(best_gains=PidGains(kp=1.0, ki=0.0, kd=0.0), evaluations=0, box=box)
 
         monkeypatch.setattr(pipeline, "brute_force_design", oracle)
         assert reduced_config.oracle is None
@@ -333,9 +331,7 @@ class TestSpecialRuns:
         assert "(derivative filter tau=0.001)" in text
 
     def test_infeasible_design_stops_early(self, reduced_config, tmp_path):
-        cfg = dataclasses.replace(
-            reduced_config, disturbance=DisturbanceSpec(caps={3.0: 1e-6})
-        )
+        cfg = dataclasses.replace(reduced_config, disturbance={3.0: 1e-6})
         artifacts = run_command(cfg, "all", str(tmp_path))
         assert not artifacts.design.feasible
         assert artifacts.verification is None

@@ -226,7 +226,7 @@ class TestVerifyMargins:
 
     def test_sweep_always_covers_design_frequencies(self, servo_config, servo_stack):
         report = self.verify(servo_config, servo_stack, REFERENCE_GAINS)
-        swept = [p.omega for p in report.dense_sweep]
+        swept = list(report.sweep_omegas)
         assert swept == servo_stack.sweep[0].tolist()
         assert set(servo_config.frequencies) <= set(swept)
 
@@ -535,7 +535,7 @@ class TestBruteForce:
         )
         result = brute_force_design(problem, box)
         assert result.best_gains == PidGains(kp=1.0, ki=0.0, kd=0.0)
-        assert result.best_kd == 0.0
+        assert result.best_gains.kd == 0.0
         assert result.evaluations == 3
 
     def test_zero_controller_never_wins(self):
@@ -567,7 +567,7 @@ class TestBruteForce:
             kd=GainAxis(0.0, 1.0, 1.0),
         )
         result = brute_force_design(problem, box)
-        assert result.best_kd == 1.0
+        assert result.best_gains.kd == 1.0
         assert result.evaluations == 4  # two 2-cell slices examined
 
     def test_no_feasible_point(self):
