@@ -11,9 +11,9 @@ against them:
   templates (with Nichols-plane convex hulls).
 - :mod:`qft_forge.bounds` — tracking-spread and sensitivity bounds by
   bisection, the high-frequency stability contour, bound combination.
-- :mod:`qft_forge.optimizer` — the phase-pair kernel search minimising the
-  derivative gain, plus PI/PD specialisations and the derivative-filter
-  gain map.
+- :mod:`qft_forge.optimizer` — the controller search: the phase-pair kernel
+  minimising the derivative gain, or for PI/PD the same search pinned at one
+  anchor; plus the derivative-filter gain map.
 - :mod:`qft_forge.verify` — margins, dense stability sweep, closed-loop
   tracking envelope, and the brute-force gain-box oracle.
 - :mod:`qft_forge.config` / :mod:`qft_forge.pipeline` /
@@ -36,7 +36,7 @@ from .bounds import (
 from .config import load_config
 from .errors import QftError
 from .lti import to_nichols
-from .optimizer import SweepScreen, design_pi_pd, design_pid, loop_margins
+from .optimizer import SweepScreen, design_controller, loop_margins
 from .pipeline import run_command
 from .plant import evaluate_plant_array, generate_templates
 from .svgchart import emit_nichols_svg
@@ -59,8 +59,7 @@ __all__ = [
     "UContour",
     "combine_with_ucontour",
     "interpolate_bound_array",
-    "design_pid",
-    "design_pi_pd",
+    "design_controller",
     "SweepScreen",
     "loop_margins",
     "verify_design",

@@ -179,10 +179,15 @@ def delta_spread(spec: TrackingSpec, omega: float) -> float:
 
 # --- scan + bisection machinery -------------------------------------------
 
-# Every probe array holds at most this many phase x member cells, which bounds
-# the search's memory on large templates.  With witnesses a block of phases is
-# sized by them, and the rows probed on every member go in chunks.
-_BLOCK_CELLS = 8192
+# The block budget: 4096 complex cells, 64 KiB.  The bound search's chunks
+# probed on every member, the stability screen's blocks and the oracle's ki
+# blocks keep their complex temporaries within it.  Freeing a chunk of 64 KiB
+# or more makes glibc's free() consolidate the heap and trim its top, and the
+# next block faults those pages back in: 40 000 minor faults and +0.13 s on
+# dense-template at some checkout paths, 124 000 faults on the oracle workload
+# with double blocks.  The scan's phase blocks hold two budgets of cells; with
+# witnesses they are sized by them.
+_BLOCK_CELLS = 4096
 
 # Only members with gain * |ratio| inside this window can land on -1.
 _CRITICAL_WINDOW = (1.0 - 1e-9, 1.0 + 1e-9)
@@ -223,7 +228,7 @@ def _least_feasible_gains(
     )
     mags = None if witnesses is None else np.sort(np.abs(ratios))
     out = np.empty(len(rotors))
-    rows = max(1, _BLOCK_CELLS // len(ratios if witnesses is None else witnesses))
+    rows = max(1, 2 * _BLOCK_CELLS // len(ratios if witnesses is None else witnesses))
     for start in range(0, len(rotors), rows):
         block = slice(start, start + rows)
         out[block] = _search_block(ratios, rotors[block], measure, limit, witnesses, mags)
@@ -264,10 +269,7 @@ def _search_block(ratios, rotors, measure, limit, witnesses, mags) -> np.ndarray
             ok[part] = probe_all(rows[part], gains_db[part], gains[part])
         return ok
 
-    # Half-size chunks keep each complex temporary under 64 KiB, so glibc's
-    # free() never trims the heap top only to fault it back in at the next
-    # probe: 40 000 faults, +0.13 s on dense-template at some checkout paths.
-    chunk = max(1, _BLOCK_CELLS // 2 // len(ratios))
+    chunk = max(1, _BLOCK_CELLS // len(ratios))
     every = np.arange(len(rotors))
     lo = np.full(len(rotors), SCAN_FLOOR_DB)
     hi = np.full(len(rotors), np.nan)  # NaN until a feasible scan step is found

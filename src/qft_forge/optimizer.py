@@ -13,7 +13,9 @@ controller phase at two distinct frequencies puts the gain triple
 The kernel is one-dimensional, so each phase pair proposes a gain *direction*;
 a scalar multiplier then lifts the open loop until the tightest bound is met
 with equality.  Scanning phase pairs over a grid and keeping the candidate
-with the smallest derivative gain gives the design.  Directions whose
+with the smallest derivative gain gives the design.  PI and PD are the same
+search pinned at one anchor frequency with kd or ki held at zero: the phase
+there fixes the direction of the two gains left.  Directions whose
 components mix signs cannot be scaled into non-negative gains and are
 rejected outright.
 """
@@ -49,8 +51,7 @@ __all__ = [
     "pid_frequency_response",
     "phase_window",
     "loop_margins",
-    "design_pid",
-    "design_pi_pd",
+    "design_controller",
     "filtered_derivative_transform",
     "SweepScreen",
     "INTERPOLATION_TOLERANCE_DB",
@@ -341,12 +342,6 @@ class DesignResult:
     screen_rejections: int = 0
 
 
-def _all_unconstrained(problem: DesignProblem) -> bool:
-    return all(
-        entry == NO_CONSTRAINT for curve in problem.bounds for entry in curve.min_gain_db
-    )
-
-
 def _no_design(grid: np.ndarray, windows, reason: str, vetoed: int = 0) -> DesignResult:
     return DesignResult(
         feasible=False,
@@ -363,24 +358,64 @@ def _no_design(grid: np.ndarray, windows, reason: str, vetoed: int = 0) -> Desig
     )
 
 
-def _screened_design(
-    problem: DesignProblem,
-    v: np.ndarray,
-    objective: int,
-    windows,
-    screen: SweepScreen,
-    empty_reason: str,
-) -> DesignResult:
-    """Rank a 2-D candidate grid and return the first candidate the screen
-    admits.
+def design_controller(problem: DesignProblem, kind: str, screen: SweepScreen) -> DesignResult:
+    """The controller search: least derivative gain for ``kind`` "pid", and
+    the one-parameter specialisations "pi" (kd = 0, least kp) and "pd"
+    (ki = 0, least kd).
 
-    ``v`` holds the grid's unit directions stacked along its first axis;
-    row ``objective`` of the scaled (kd, ki, kp) is the ranked gain.
-    Candidates are ranked in ascending (objective, cell index) order and
-    handed to the screen as gain columns; the number it passes over is
-    ``screen_rejections``, and only the winner becomes a :class:`PidGains`.
-    Sign-mixed cells are not lifted at all.
+    A PID pins the loop phase at both anchors ``problem.pair_indices`` and
+    scores the (m, n) grid of phase pairs.  PI and PD pin it at the first
+    anchor only, over the lagging (psi in (-90, 0]) or leading (psi in
+    [0, 90)) half of its window, and score a (1, n) grid; ``window_phases_i``
+    is then empty.  Each cell's unit gain direction is lifted onto the
+    tightest bound; the grid of objective values (inf where the direction is
+    sign-mixed or unscalable, which are not lifted at all) is returned in
+    ``kd_grid`` and documents the raw search.
+
+    The finite cells go to the ``screen``'s ``first_admitted`` as (kd, ki,
+    kp) columns in ascending (objective, cell index) order, and the first
+    whose dense nominal sweep stays out of the stability contour wins; the
+    number it passes over is ``screen_rejections``.  A grid with no finite
+    or admitted cell comes back infeasible instead of raising so the caller
+    can report and exit cleanly; an empty window raises EmptyWindow.
     """
+    if kind not in ("pid", "pi", "pd"):
+        raise ValueError("kind must be 'pid', 'pi' or 'pd'")
+    k, l = problem.pair_indices
+    omega_i, phase_i = problem.frequencies[k], problem.nominal_phase_deg(k)
+    if kind == "pid":
+        omega_j, phase_j = problem.frequencies[l], problem.nominal_phase_deg(l)
+        windows = tuple(phase_window(p, problem.phase_grid) for p in (phase_i, phase_j))
+    else:
+        lag = kind == "pi"
+        window = tuple(
+            p
+            for p in phase_window(phase_i, problem.phase_grid)
+            if (-90.0 < p - phase_i <= 0.0 if lag else 0.0 <= p - phase_i < 90.0)
+        )
+        if not window:
+            raise EmptyWindow(f"no grid phase in the {kind.upper()} half-window")
+        windows = ((), window)
+    if all(entry == NO_CONSTRAINT for curve in problem.bounds for entry in curve.min_gain_db):
+        grid = np.full((len(windows[0]) or 1, len(windows[1])), np.inf)
+        return _no_design(grid, windows, "no binding constraint")
+
+    if kind == "pid":
+        # third column -tan(psi) / w of the rows in the module docstring; phase_window's
+        # strict bound keeps psi inside (-90, 90)
+        b_i = np.array([-math.tan(math.radians(p - phase_i)) / omega_i for p in windows[0]])
+        b_j = np.array([-math.tan(math.radians(p - phase_j)) / omega_j for p in windows[1]])
+        v = _kernel_grid(b_i[:, None], b_j[None, :], omega_i, omega_j)
+        objective = 0
+        empty_reason = "every phase pair is sign-mixed or blocked by an infeasible bound"
+    else:
+        t = np.array([[math.tan(math.radians(p - phase_i)) for p in window]])
+        zero, one = np.zeros_like(t), np.ones_like(t)
+        raw = np.stack([zero, -omega_i * t, one] if lag else [t / omega_i, zero, one])
+        v = raw / np.sqrt(np.sum(raw * raw, axis=0))
+        objective = 2 if lag else 0
+        empty_reason = f"no feasible {kind.upper()} phase in the half-window"
+
     beta = np.full(v.shape[1:], INFEASIBLE)
     active = np.zeros(v.shape[1:], dtype=int)
     scalable = ~(np.any(v > 0.0, axis=0) & np.any(v < 0.0, axis=0))
@@ -411,90 +446,6 @@ def _screened_design(
         window_phases_j=windows[1],
         margin_report=loop_margins(problem.bounds, problem.nominal_responses, candidate),
         screen_rejections=winner,
-    )
-
-
-def design_pid(problem: DesignProblem, screen: SweepScreen) -> DesignResult:
-    """Grid search over phase pairs for the least derivative gain.
-
-    Fills an (m, n) grid of candidate kd values (inf where the direction is
-    sign-mixed or unscalable) and returns the argmin; ties resolve to the
-    lexicographically first cell.  An all-inf grid comes back infeasible
-    instead of raising so the caller can report and exit cleanly.
-
-    The candidates go to the ``screen``'s ``first_admitted`` as (kd, ki, kp)
-    columns in ascending (kd, i, j) order, and the first one whose dense
-    nominal sweep stays out of the stability contour wins; the grid itself
-    is unchanged (it documents the raw search), and the number of vetoed
-    lower-kd candidates is reported in ``screen_rejections``.
-    """
-    k_idx, l_idx = problem.pair_indices
-    omega_i = problem.frequencies[k_idx]
-    omega_j = problem.frequencies[l_idx]
-    phase_i = problem.nominal_phase_deg(k_idx)
-    phase_j = problem.nominal_phase_deg(l_idx)
-    windows = (phase_window(phase_i, problem.phase_grid), phase_window(phase_j, problem.phase_grid))
-    if _all_unconstrained(problem):
-        grid = np.full((len(windows[0]), len(windows[1])), np.inf)
-        return _no_design(grid, windows, "no binding constraint")
-
-    # third column -tan(psi) / w of the rows in the module docstring; phase_window's
-    # strict bound keeps psi inside (-90, 90)
-    b_i = np.array([-math.tan(math.radians(p - phase_i)) / omega_i for p in windows[0]])
-    b_j = np.array([-math.tan(math.radians(p - phase_j)) / omega_j for p in windows[1]])
-    return _screened_design(
-        problem,
-        _kernel_grid(b_i[:, None], b_j[None, :], omega_i, omega_j),
-        0,
-        windows,
-        screen,
-        "every phase pair is sign-mixed or blocked by an infeasible bound",
-    )
-
-
-def design_pi_pd(
-    problem: DesignProblem,
-    kind: str,
-    anchor_frequency_index: int,
-    screen: SweepScreen,
-) -> DesignResult:
-    """One-parameter specialisations: PI (kd = 0) or PD (ki = 0).
-
-    A single anchor frequency fixes the controller phase; PI candidates use
-    the lagging half of the window (psi in (-90, 0]), PD the leading half
-    (psi in [0, 90)).  PI minimises kp — its derivative gain is identically
-    zero — while PD minimises kd.  The 1-D candidate grid is returned in
-    ``kd_grid`` with one row, holding the objective values.  Ties resolve to
-    the smallest phase index.  The ``screen`` works as in :func:`design_pid`:
-    its ``first_admitted`` gets the (kd, ki, kp) columns in ascending
-    objective order and picks the first candidate whose dense sweep clears
-    the stability contour.
-    """
-    if kind not in ("pi", "pd"):
-        raise ValueError("kind must be 'pi' or 'pd'")
-    omega_a = problem.frequencies[anchor_frequency_index]
-    phase_a = problem.nominal_phase_deg(anchor_frequency_index)
-    window = phase_window(phase_a, problem.phase_grid)
-    if kind == "pi":
-        window = tuple(p for p in window if -90.0 < p - phase_a <= 0.0)
-    else:
-        window = tuple(p for p in window if 0.0 <= p - phase_a < 90.0)
-    if not window:
-        raise EmptyWindow(f"no grid phase in the {kind.upper()} half-window")
-    windows = ((), window)
-    if _all_unconstrained(problem):
-        return _no_design(np.full((1, len(window)), np.inf), windows, "no binding constraint")
-
-    t = np.array([[math.tan(math.radians(p - phase_a)) for p in window]])
-    zero, one = np.zeros_like(t), np.ones_like(t)
-    raw = np.stack([zero, -omega_a * t, one] if kind == "pi" else [t / omega_a, zero, one])
-    return _screened_design(
-        problem,
-        raw / np.sqrt(np.sum(raw * raw, axis=0)),
-        2 if kind == "pi" else 0,
-        windows,
-        screen,
-        f"no feasible {kind.upper()} phase in the half-window",
     )
 
 

@@ -38,8 +38,7 @@ from .optimizer import (
     MarginEntry,
     PidGains,
     SweepScreen,
-    design_pi_pd,
-    design_pid,
+    design_controller,
     filtered_derivative_transform,
     physical_gains,
 )
@@ -198,12 +197,7 @@ def compute_design(
     result and, when a derivative filter is configured, the mapped-back
     physical gains (None otherwise, or when infeasible).
     """
-    screen = SweepScreen(contour, *sweep)
-    kind = config.design.kind
-    if kind == "pid":
-        result = design_pid(problem, screen)
-    else:
-        result = design_pi_pd(problem, kind, config.pair_indices()[0], screen)
+    result = design_controller(problem, config.design.kind, SweepScreen(contour, *sweep))
     physical = None
     if result.feasible and config.design.tau is not None:
         physical = physical_gains(result.gains, config.design.tau)
@@ -344,10 +338,11 @@ def render_design_report(
     lines.append("=============")
     lines.append(f"controller kind    : {config.design.kind}")
     lines.append(f"phase grid         : {config.phase_grid_count} points")
-    pair = config.pair_indices()
+    # PI and PD pin the phase at the first anchor only
+    anchors = config.pair_indices()[: 2 if config.design.kind == "pid" else 1]
     lines.append(
         "anchor frequencies : "
-        + ", ".join(f"{config.frequencies[i]:g} rad/s (position {i + 1})" for i in pair)
+        + ", ".join(f"{config.frequencies[i]:g} rad/s (position {i + 1})" for i in anchors)
     )
     lines.append(f"hf gain span       : {delta_hf:.6f} dB")
     lines.append(f"feasible           : {'yes' if result.feasible else 'no'}")

@@ -282,8 +282,8 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
     Feasibility is the same test the optimizer answers to: at every design
     frequency the open-loop gain must clear the interpolated bound at the
     loop's own phase.  kd slices are visited in ascending order, and each
-    slice in blocks of ascending ki rows of at most half of
-    ``bounds._BLOCK_CELLS`` cells (one row when a kp row alone is longer).  In a block the first
+    slice in blocks of ascending ki rows of at most ``bounds._BLOCK_CELLS``
+    cells (one row when a kp row alone is longer).  In a block the first
     frequency is tested on the whole (ki, kp) mesh and every later one only
     on the cells that passed so far; the frequency that emptied the previous
     block is tested first, since neighbouring blocks tend to fail at the
@@ -300,11 +300,7 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
     kd_vals = box.kd.values()
     responses = np.asarray(problem.nominal_responses)
     n_kp = len(kp_vals)
-    # Half-size blocks keep each complex temporary under 64 KiB.  Freeing a
-    # larger chunk lets glibc's malloc trim the top of the heap, and the next
-    # block faults those pages back in: 124 000 minor faults on the oracle
-    # workload (seed 1) with full blocks, 13 with half blocks.
-    rows = max(1, bounds._BLOCK_CELLS // 2 // n_kp)
+    rows = max(1, bounds._BLOCK_CELLS // n_kp)
     order = list(range(len(problem.frequencies)))
 
     examined = 0

@@ -16,7 +16,7 @@ import pytest
 
 from qft_forge.config import DesignConfig, load_config
 from qft_forge.lti import RationalTransferFunction
-from qft_forge.optimizer import PidGains, design_pid
+from qft_forge.optimizer import PidGains, design_controller
 from qft_forge.pipeline import (
     build_problem,
     compute_bounds,
@@ -100,4 +100,4 @@ def reduced_stack(reduced_config):
 @pytest.fixture(scope="session")
 def reduced_design(reduced_stack):
     """Unscreened PID search on the reduced problem (pure grid algebra)."""
-    return design_pid(reduced_stack.problem, ADMIT_ALL)
+    return design_controller(reduced_stack.problem, "pid", ADMIT_ALL)

@@ -155,7 +155,7 @@ class TestMatchesScalarReference:
         ratios = undb(rng.uniform(-10, 10, 100)) * np.exp(1j * rng.uniform(-1.0, 1.0, 100))
         ratios[0] = 1.0
         grid = [-360.0 + 1.8 * (k + 0.5) for k in range(200)]
-        assert len(grid) > bounds._BLOCK_CELLS // len(ratios)
+        assert len(grid) > 2 * bounds._BLOCK_CELLS // len(ratios)
         tracking = horowitz_bound(template_of(ratios), 6.0, grid, use_hull=False)
         assert_same(tracking, ref.horowitz_entries(ratios, 6.0, grid))
         assert any(math.isfinite(v) for v in tracking.min_gain_db)

@@ -465,6 +465,75 @@ class TestCombineWithUContour:
                         assert value >= pair[0] - 1e-9
 
 
+def member_stability_top_db(ratios, phase_deg, m):
+    """The least loop gain in dB above which every member keeps |T_i| <= m.
+
+    For a member with z = e^(j phase) r_i, |g z / (1 + g z)| <= m is
+    a (1 - m^2) g^2 - 2 m^2 b g - m^2 <= 0 with a = |z|^2 = |r_i|^2 and
+    b = Re z; for m > 1 the gains between its two roots break it.  The
+    largest positive root over the members, -inf when none has one.
+    """
+    top = -math.inf
+    for r in ratios:
+        z = cmath.rect(1.0, math.radians(phase_deg)) * r
+        qa, qb, qc = abs(z) ** 2 * (1.0 - m * m), -2.0 * m * m * z.real, -m * m
+        disc = qb * qb - 4.0 * qa * qc
+        if disc >= 0.0:
+            root = max((-qb - math.sqrt(disc)) / (2.0 * qa), (-qb + math.sqrt(disc)) / (2.0 * qa))
+            if root > 0.0:
+                top = max(top, db(root))
+    return top
+
+
+class TestPerMemberStability:
+    """Stability over every member of the template, pinned at servo omega=60
+    and -236.5 deg."""
+
+    PHASE = -236.5
+
+    def test_member_top_just_past_the_contour_span(self, servo_config, servo_stack):
+        # the analysis the xfail below rests on
+        assert self.PHASE < servo_stack.contour.phase_min_deg  # -236.443 deg
+        top = member_stability_top_db(servo_stack.templates[60.0].ratios, self.PHASE, 1.2)
+        assert top == pytest.approx(1.0106, abs=1e-4)
+        # the nominal member alone stays clear of M there: only its circle is folded in
+        assert member_stability_top_db([1.0 + 0j], self.PHASE, 1.2) == -math.inf
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the combined bound folds in only the nominal member's M-circle: at "
+        "omega=60, -236.5 deg it reads -27.744 dB, 28.75 dB below the 1.011 dB "
+        "every member's |T| <= 1.2 needs",
+    )
+    def test_bound_is_not_below_any_members_stability_top(self, servo_config, servo_stack):
+        """The combined bound must keep every member's |T_i| within M.
+
+        ``combine_with_ucontour`` folds in the stability contour, which is
+        the nominal member's M-circle top widened by the high-frequency
+        span, so it constrains only the phases inside the contour's span,
+        -236.443 to -123.557 deg on servo.  The classic per-frequency
+        stability bound asks |T_i| <= M of every member: with
+        a = |r_i|^2 and b = Re(e^(j phase) r_i), the gains between the roots
+        of a (1 - M^2) g^2 - 2 M^2 b g - M^2 = 0 break it.
+
+        At omega=60 and -236.5 deg, just past the span's lagging end, the
+        combined bound is -27.744140625 dB, the tracking bound alone.  The
+        largest per-member root is 1.0106 dB, so the bound is 28.75 dB low:
+        a loop just below 1.0106 dB meets the bound, yet drives that
+        member's |T| above M.
+        Across servo's 2 880 combined entries, 217 fall short of the
+        per-member top by more than 0.05 dB: six inside the span (at omega=2
+        and 3) and 211 up to 53 deg past its lagging end.  The fix merges a
+        per-member stability curve into the bounds before
+        ``combine_with_ucontour``.
+        """
+        k = servo_config.frequencies.index(60.0)
+        curve = servo_stack.curves[k]
+        bound = curve.min_gain_db[curve.phase_grid.index(self.PHASE)]
+        top = member_stability_top_db(servo_stack.templates[60.0].ratios, self.PHASE, 1.2)
+        assert bound >= top - 0.05
+
+
 def at(curve, phase):
     """The interpolated bound at one phase, as a Python float."""
     return float(interpolate_bound_array(curve, np.array([phase]))[0])

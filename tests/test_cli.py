@@ -296,6 +296,43 @@ class TestFailureExitCodes:
         assert (tmp_path / "verify_report.txt").read_text().count("verdict : FAIL") == 1
 
 
+def servo_json_of_kind(tmp_path, kind):
+    raw = json.loads(SERVO_CONFIG_PATH.read_text())
+    raw["design"]["kind"] = kind
+    path = tmp_path / f"servo_{kind}.json"
+    path.write_text(json.dumps(raw))
+    return str(path)
+
+
+class TestSingleAnchorKinds:
+    """PI and PD runs of the shipped servo config, through the CLI.  Their
+    design reports name only the first anchor, the one the search pins."""
+
+    ANCHOR = "anchor frequencies : 1 rad/s (position 2)\n"
+
+    def test_pi_is_infeasible(self, capsys, tmp_path):
+        config = servo_json_of_kind(tmp_path, "pi")
+        argv = ["all", "--config", config, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_INFEASIBLE
+        assert capsys.readouterr().err == (
+            "design infeasible: every feasible candidate crosses the stability contour "
+            "between design frequencies\n"
+        )
+        assert self.ANCHOR in (tmp_path / "out" / "design_report.txt").read_text()
+
+    def test_pd_fails_verification_at_omega_30(self, capsys, tmp_path):
+        config = servo_json_of_kind(tmp_path, "pd")
+        argv = ["all", "--config", config, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_VERIFY_FAILED
+        captured = capsys.readouterr()
+        assert "gains: kp=12.763401 ki=0.000000 kd=3.539604" in captured.out
+        assert "verification: FAIL" in captured.out
+        assert captured.err == (
+            "  - closed-loop envelope leaves the reference corridor at omega=30\n"
+        )
+        assert self.ANCHOR in (tmp_path / "out" / "design_report.txt").read_text()
+
+
 def loaded_numpy_ma(code: str) -> list:
     """The ``numpy.ma`` modules a fresh interpreter holds after running ``code``."""
     probe = (

@@ -1,9 +1,9 @@
 """The array phase-pair grid and the stability screen.
 
-``design_pid`` scores every phase pair at once, and ``design_pi_pd`` every
-phase of its half-window; each cell must agree with the scalar reference
-(``scalar_reference.pid_direction`` or ``pi_pd_direction``, lifted by
-``scalar_reference.lift``).  ``SweepScreen.sweep`` evaluates the dense loop
+``design_controller`` scores every phase pair at once for a PID, and every
+phase of the half-window for a PI or PD; each cell must agree with the
+scalar reference (``scalar_reference.pid_direction`` or ``pi_pd_direction``,
+lifted by ``scalar_reference.lift``).  ``SweepScreen.sweep`` evaluates the dense loop
 as one array and must make the same decision as the point-by-point
 reference; ``SweepScreen.first_admitted`` sweeps blocks of candidates and
 must pick the candidate the one-at-a-time walk picks.
@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 import qft_forge.bounds as bounds
 from qft_forge.bounds import BoundCurve
 from qft_forge.errors import RankDeficient
-from qft_forge.optimizer import DesignProblem, PidGains, SweepScreen, design_pi_pd, design_pid
+from qft_forge.optimizer import DesignProblem, PidGains, SweepScreen, design_controller
 from qft_forge.config import parse_config_dict
 from qft_forge.pipeline import (
     build_problem,
@@ -112,7 +112,7 @@ class TestKernelGrid:
     @pytest.mark.parametrize("kind", ["pi", "pd"])
     def test_servo_pi_pd_grid_matches_reference(self, servo_stack, kind):
         problem = servo_stack.problem
-        result = design_pi_pd(problem, kind, problem.pair_indices[0], ADMIT_ALL)
+        result = design_controller(problem, kind, ADMIT_ALL)
         assert np.isfinite(result.kd_grid).any()
         assert_grid_matches_reference(problem, result, kind)
 
@@ -147,7 +147,7 @@ class TestKernelGrid:
             pair_indices=(0, 1),
         )
         with pytest.raises(RankDeficient):
-            design_pid(problem, ADMIT_ALL)
+            design_controller(problem, "pid", ADMIT_ALL)
 
 
 class TestArrayScreen:
@@ -193,7 +193,8 @@ class TestArrayScreen:
 def ranked_columns(problem):
     """The (kd, ki, kp) columns the screened search hands its screen."""
     seen = []
-    design_pid(problem, SimpleNamespace(first_admitted=lambda *cols: seen.append(cols)))
+    screen = SimpleNamespace(first_admitted=lambda *cols: seen.append(cols))
+    design_controller(problem, "pid", screen)
     return seen[0]
 
 
@@ -259,7 +260,7 @@ class TestBatchedScreen:
         screen = SweepScreen(servo_stack.contour, *servo_stack.sweep)
         with pytest.MonkeyPatch.context() as patch:
             rows = count_sweep_rows(patch)
-            result = design_pid(servo_stack.problem, screen=screen)
+            result = design_controller(servo_stack.problem, "pid", screen)
         # blocks of 1, 2, 4 and 8 rows; the winner is the 15th candidate
         assert rows == [1, 2, 4, 8]
         assert result.screen_rejections == 14
@@ -271,10 +272,10 @@ class TestBatchedScreen:
         sweep = nominal_sweep(config)
         problem = build_problem(config, curves, sweep)
         screen = SweepScreen(contour, *sweep)
-        assert len(screen.omegas) == 512  # 16-row blocks at the default cap
+        assert len(screen.omegas) == 512  # 8-row blocks at the default cap
         with pytest.MonkeyPatch.context() as patch:
             rows = count_sweep_rows(patch)
-            result = design_pid(problem, screen=screen)
+            result = design_controller(problem, "pid", screen)
         assert not result.feasible
         assert "stability contour" in result.reason
         assert result.screen_rejections == sum(rows) == 2483

@@ -31,8 +31,7 @@ from qft_forge.optimizer import (
     _kernel_grid,
     _lift,
     _scale,
-    design_pi_pd,
-    design_pid,
+    design_controller,
     filtered_derivative_transform,
     loop_margins,
     phase_window,
@@ -504,19 +503,19 @@ class TestDesignPidReduced:
         finer = dataclasses.replace(
             reduced_stack.problem, phase_grid=make_phase_grid(48)
         )
-        result = design_pid(finer, ADMIT_ALL)
+        result = design_controller(finer, "pid", ADMIT_ALL)
         assert result.feasible
         assert result.gains.kd <= reduced_design.gains.kd + 0.05
 
     def test_trivial_screen_changes_nothing(self, reduced_stack, reduced_design):
         passthrough = SimpleNamespace(first_admitted=lambda kd, ki, kp: 0)
-        result = design_pid(reduced_stack.problem, passthrough)
+        result = design_controller(reduced_stack.problem, "pid", passthrough)
         assert result.gains == reduced_design.gains
         assert result.screen_rejections == 0
 
     def test_veto_all_screen(self, reduced_stack, reduced_design):
         veto = SimpleNamespace(first_admitted=lambda kd, ki, kp: None)
-        result = design_pid(reduced_stack.problem, veto)
+        result = design_controller(reduced_stack.problem, "pid", veto)
         assert not result.feasible
         assert result.gains is None
         assert "stability contour" in result.reason
@@ -533,7 +532,7 @@ class TestDesignPidEdgeCases:
             flat_curve(2.0, self.GRID, NO_CONSTRAINT),
             grid=self.GRID,
         )
-        result = design_pid(problem, ADMIT_ALL)
+        result = design_controller(problem, "pid", ADMIT_ALL)
         assert not result.feasible
         assert result.reason == "no binding constraint"
         assert np.all(np.isinf(result.kd_grid))
@@ -544,7 +543,7 @@ class TestDesignPidEdgeCases:
             flat_curve(2.0, self.GRID, INFEASIBLE),
             grid=self.GRID,
         )
-        result = design_pid(problem, ADMIT_ALL)
+        result = design_controller(problem, "pid", ADMIT_ALL)
         assert not result.feasible
         assert "sign-mixed or blocked" in result.reason
         assert result.screen_rejections == 0
@@ -592,8 +591,8 @@ class TestDesignPiPd:
             node_curve(2.0, (-90.0,), {}),
             grid=(-90.0,),
         )
-        with pytest.raises(ValueError):
-            design_pi_pd(problem, "pdq", 0, ADMIT_ALL)
+        with pytest.raises(ValueError, match="kind"):
+            design_controller(problem, "pdq", ADMIT_ALL)
 
     def test_zero_phase_ray_is_pure_proportional(self):
         problem = two_freq_problem(
@@ -602,7 +601,7 @@ class TestDesignPiPd:
             grid=(-90.0,),
         )
         for kind in ("pi", "pd"):
-            result = design_pi_pd(problem, kind, 0, ADMIT_ALL)
+            result = design_controller(problem, kind, ADMIT_ALL)
             assert result.feasible
             assert result.gains.kp == pytest.approx(10.0, abs=1e-9)
             assert result.gains.ki == 0.0
@@ -620,7 +619,7 @@ class TestDesignPiPd:
             responses=(response, response),
             grid=(-90.0,),
         )
-        result = design_pi_pd(problem, "pi", 0, ADMIT_ALL)
+        result = design_controller(problem, "pi", ADMIT_ALL)
         assert result.feasible
         r = math.sqrt(0.5)
         assert result.gains.kp == pytest.approx(2.0 * r, abs=1e-9)
@@ -637,7 +636,7 @@ class TestDesignPiPd:
             node_curve(2.0, grid, {}),
             grid=grid,
         )
-        result = design_pi_pd(problem, "pd", 0, ADMIT_ALL)
+        result = design_controller(problem, "pd", ADMIT_ALL)
         assert result.feasible
         assert result.gains.kd == 0.0  # psi = 0 beats psi = 45
         assert result.gains.kp == pytest.approx(10.0, abs=1e-9)
@@ -655,17 +654,18 @@ class TestDesignPiPd:
             grid=(-44.0,),
         )
         with pytest.raises(EmptyWindow):
-            design_pi_pd(lead, "pi", 0, ADMIT_ALL)
+            design_controller(lead, "pi", ADMIT_ALL)
         lag = two_freq_problem(
             node_curve(1.0, (-130.0,), {}),
             node_curve(2.0, (-130.0,), {}),
             grid=(-130.0,),
         )
         with pytest.raises(EmptyWindow):
-            design_pi_pd(lag, "pd", 0, ADMIT_ALL)
+            design_controller(lag, "pd", ADMIT_ALL)
 
     def test_anchor_index(self):
-        # anchor on the second frequency: its nominal phase centres the window
+        # anchor on the second frequency, the first of the pair: its nominal
+        # phase centres the window
         grid = (-90.0,)
         problem = DesignProblem(
             frequencies=(1.0, 2.0),
@@ -675,29 +675,31 @@ class TestDesignPiPd:
                 node_curve(2.0, grid, {-90.0: 6.0}),
             ),
             phase_grid=grid,
-            pair_indices=(0, 1),
+            pair_indices=(1, 0),
         )
-        result = design_pi_pd(problem, "pd", 1, ADMIT_ALL)
+        result = design_controller(problem, "pd", ADMIT_ALL)
         assert result.feasible
         assert result.gains.kp == pytest.approx(undb(6.0), abs=1e-9)
 
     def test_screen_veto_counts(self, reduced_stack):
         veto = SimpleNamespace(first_admitted=lambda kd, ki, kp: None)
-        result = design_pi_pd(reduced_stack.problem, "pd", 0, veto)
+        problem = dataclasses.replace(reduced_stack.problem, pair_indices=(0, 1))
+        result = design_controller(problem, "pd", veto)
         assert not result.feasible
         assert result.screen_rejections > 0
 
 
 class TestDesignPiPdReduced:
     def test_pd_on_reduced_problem(self, reduced_stack):
-        result = design_pi_pd(reduced_stack.problem, "pd", 1, ADMIT_ALL)
+        assert reduced_stack.problem.pair_indices[0] == 1
+        result = design_controller(reduced_stack.problem, "pd", ADMIT_ALL)
         assert result.feasible
         assert result.gains.ki == 0.0
         assert result.gains.kd == pytest.approx(3.1376, abs=2e-3)
         assert result.gains.kp == pytest.approx(8.1636, abs=2e-3)
 
     def test_pd_objective_is_grid_minimum(self, reduced_stack):
-        result = design_pi_pd(reduced_stack.problem, "pd", 1, ADMIT_ALL)
+        result = design_controller(reduced_stack.problem, "pd", ADMIT_ALL)
         finite = result.kd_grid[np.isfinite(result.kd_grid)]
         assert result.gains.kd == pytest.approx(finite.min(), abs=1e-12)
 

@@ -25,7 +25,8 @@ from qft_forge.verify import GainAxis, OracleBox, brute_force_design
 
 import scalar_reference as ref
 
-BLOCKS = [1, 7, 64, bounds._BLOCK_CELLS]
+# small blocks, the default budget and a budget twice as large
+BLOCKS = [1, 7, 64, bounds._BLOCK_CELLS, 2 * bounds._BLOCK_CELLS]
 
 
 def problem_of(frequencies, responses, curves):

@@ -347,6 +347,69 @@ class TestSpecialRuns:
         assert "reason             : " in text
 
 
+def with_kind(config, kind, pair=None):
+    design = dataclasses.replace(config.design, kind=kind, pair=pair or config.design.pair)
+    return dataclasses.replace(config, design=design)
+
+
+class TestSingleAnchorRuns:
+    """PI and PD searches of the servo config through ``run_command``: one
+    anchor, one row of candidates."""
+
+    def test_pi_is_infeasible_on_servo(self, servo_config, tmp_path):
+        artifacts = run_command(with_kind(servo_config, "pi"), "all", str(tmp_path))
+        design = artifacts.design
+        assert not design.feasible
+        assert design.screen_rejections == 90
+        assert design.kd_grid.shape == (1, 90)
+        assert artifacts.verification is None
+
+    def test_pd_on_servo(self, servo_config, tmp_path):
+        artifacts = run_command(with_kind(servo_config, "pd"), "all", str(tmp_path))
+        assert artifacts.design.gains == PidGains(
+            kp=12.763401032598725, ki=0.0, kd=3.539604372018313
+        )
+        with open(tmp_path / "kd_grid.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["phase_deg", "objective"]
+        assert len(rows) - 1 == 90
+        assert not artifacts.verification.passed
+
+    @pytest.mark.parametrize("kind", ["pi", "pd"])
+    def test_rerun_is_byte_identical(self, servo_config, tmp_path, kind):
+        config = with_kind(servo_config, kind)
+        run_command(config, "all", str(tmp_path / "first"))
+        run_command(config, "all", str(tmp_path / "again"))
+        assert read_dir(tmp_path / "again") == read_dir(tmp_path / "first")
+
+    @pytest.mark.parametrize("kind", ["pi", "pd"])
+    def test_anchor_is_the_first_pair_index(self, reduced_config, kind):
+        def design(pair):
+            config = with_kind(reduced_config, kind, pair)
+            curves, contour = compute_bounds(config, compute_templates(config))
+            sweep = nominal_sweep(config)
+            problem = pipeline.build_problem(config, curves, sweep)
+            return pipeline.compute_design(config, problem, contour, sweep)[0]
+
+        first = design((1, 2))
+        # the second index plays no part in a single-anchor search
+        same = design((1, 3))
+        assert same.gains == first.gains and same.reason == first.reason
+        assert np.array_equal(same.kd_grid, first.kd_grid)
+        assert same.window_phases_j == first.window_phases_j
+        # a different first index centres the half-window elsewhere
+        assert design((3, 1)).window_phases_j != first.window_phases_j
+
+    def test_unknown_kind(self, reduced_config, reduced_stack):
+        with pytest.raises(ValueError, match="kind"):
+            pipeline.compute_design(
+                with_kind(reduced_config, "pdq"),
+                reduced_stack.problem,
+                reduced_stack.contour,
+                reduced_stack.sweep,
+            )
+
+
 class TestNominalSweep:
     def test_servo_all_evaluates_the_dense_grid_once(self, servo_config, tmp_path, monkeypatch):
         """A whole ``all`` run evaluates the plant once per template member and
