@@ -12,7 +12,6 @@ configuration reproduces every artifact byte for byte.
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -249,13 +248,17 @@ def _bound_str(value: float) -> str:
     return _num(value)
 
 
+def _open_text(path: str):
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         handle.write(text)
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _open_text(path) as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -439,24 +442,18 @@ def _nichols_layers(
     for omega, response in zip(config.frequencies, responses_at(sweep, config.frequencies)):
         template = artifacts.templates[omega]
         base_phase, base_gain = to_nichols(response)
-        phases = wrap_phase_array(base_phase + template.phase_deg).tolist()
-        points = list(zip(phases, (base_gain + template.gain_db).tolist()))
-        template_layers.append((f"w={omega:g}", points))
+        phases = wrap_phase_array(base_phase + template.phase_deg)
+        rows = np.column_stack((phases, base_gain + template.gain_db))
+        template_layers.append((f"w={omega:g}", rows))
     layers["templates"] = template_layers
 
     bound_layers = []
     for curve in artifacts.bound_curves:
-        segments: List[List[Tuple[float, float]]] = []
-        run: List[Tuple[float, float]] = []
-        for phase, value in zip(curve.phase_grid, curve.min_gain_db):
-            if math.isfinite(value):
-                run.append((phase, value))
-            elif run:
-                segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
-        bound_layers.append((f"w={curve.omega:g}", segments))
+        # the runs of finite entries, split where a sentinel interrupts them
+        rows = np.column_stack((curve.phase_grid, curve.min_gain_db))
+        finite = np.isfinite(rows[:, 1])
+        runs = np.split(rows, np.flatnonzero(np.diff(finite)) + 1)
+        bound_layers.append((f"w={curve.omega:g}", [run for run in runs if np.isfinite(run[0, 1])]))
     layers["bound_curves"] = bound_layers
 
     reached = []
@@ -468,21 +465,20 @@ def _nichols_layers(
     ]
 
     # zero responses come out at -inf dB, which the chart drops
-    phase, gain = to_nichols_array(sweep[1])
-    layers["plant_curve"] = list(zip(phase.tolist(), gain.tolist()))
+    layers["plant_curve"] = np.column_stack(to_nichols_array(sweep[1]))
 
-    loop_points: List[Tuple[float, float]] = []
+    loop_rows = ()
     markers: List[Tuple[float, float, str]] = []
     if artifacts.design is not None and artifacts.design.gains is not None:
         g = artifacts.design.gains
         phase, gain, _ = SweepScreen(artifacts.contour, *sweep).sweep(g.kp, g.ki, g.kd)
-        loop_points = list(zip(phase.tolist(), gain.tolist()))
+        loop_rows = np.column_stack((phase, gain))
         # a zero loop's entry sits at -inf dB, which the chart drops
         markers = [
             (entry.phase_deg, entry.gain_db, f"{entry.omega:g}")
             for entry in artifacts.design.margin_report
         ]
-    layers["loop_curve"] = loop_points
+    layers["loop_curve"] = loop_rows
     layers["loop_markers"] = markers
     return layers
 
@@ -556,7 +552,12 @@ def run_command(
         emit("verify_report.txt", lambda p: _write_text(p, render_verify_report(report)))
 
     layers = _nichols_layers(config, artifacts, sweep)
-    emit("nichols.svg", lambda p: _write_text(p, emit_nichols_svg(**layers)))
+
+    def write_chart(path: str):
+        with _open_text(path) as handle:
+            emit_nichols_svg(handle, **layers)
+
+    emit("nichols.svg", write_chart)
 
     artifacts.written = tuple(written)
     return artifacts

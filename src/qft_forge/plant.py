@@ -121,8 +121,10 @@ def evaluate_plant_array(plant: UncertainPlant, point: Dict[str, float], s) -> n
     num, den = plant.coefficients_at(point)
     s = np.asarray(s, dtype=complex)
     den_val = np.polyval(den, s)
-    if (den_val == 0).any():
-        raise PoleOnAxis(f"plant denominator vanishes on s = {s} for {point}")
+    poles = np.flatnonzero(den_val == 0)
+    if poles.size:
+        first = complex(s.flat[poles[0]])
+        raise PoleOnAxis(f"plant denominator vanishes at s = {first} for {point}")
     num_val = np.polyval(num, s)
     return np.array([n / d for n, d in zip(num_val.tolist(), den_val.tolist())], dtype=complex)
 

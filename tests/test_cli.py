@@ -175,6 +175,16 @@ class TestUsageErrors:
             message = "error: lower tracking model has zero gain at omega=2\n"
             assert capsys.readouterr().err == message
 
+    def test_pole_on_axis_names_one_point(self, capsys, tmp_path):
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["plant"]["numerator"] = ["k"]
+        raw["plant"]["denominator"] = ["1", "0", "a*4"]  # s^2 + 4 at the nominal a = 1
+        cfg = tmp_path / "pole_on_axis.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        message = "error: plant denominator vanishes at s = 2j for {'a': 1.0, 'k': 1.0}\n"
+        assert capsys.readouterr().err == message
+
     def test_zero_nominal_response(self, capsys, tmp_path):
         raw = json.loads(SERVO_CONFIG_PATH.read_text())
         raw["plant"]["numerator"] = ["k*a - 1"]  # zero at the nominal a = k = 1

@@ -218,6 +218,11 @@ class TestEvaluatePlantArray:
         with pytest.raises(PoleOnAxis):
             evaluate_plant_array(servo_plant(), {"a": 1.0, "k": 1.0}, [1j, 0j])
 
+    def test_pole_message_names_the_first_point(self):
+        plant = make_plant(["1"], ["1", "0", "4"], [], {})
+        with pytest.raises(PoleOnAxis, match=r"^plant denominator vanishes at s = 2j for \{\}$"):
+            evaluate_plant_array(plant, {}, [1j, 2j, -2j, 3j])
+
 
 class TestMembers:
     def test_grid_order_with_nominal_appended(self):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import xml.etree.ElementTree as ET
+
+import numpy as np
 
 from qft_forge.svgchart import emit_nichols_svg
 
@@ -17,8 +21,15 @@ LEGEND_LABELS = (
 )
 
 
+def chart(**layers):
+    """The document :func:`emit_nichols_svg` writes for these layers."""
+    out = io.StringIO()
+    emit_nichols_svg(out, **layers)
+    return out.getvalue()
+
+
 def full_chart():
-    return emit_nichols_svg(
+    return chart(
         templates=[("w=1", [(-90.0, 3.0), (-100.0, 5.0)])],
         bound_curves=[("w=1", [[(-180.0, 10.0), (-90.0, 12.0)], [(-45.0, 8.0)]])],
         u_contour=[(-200.0, 15.0), (-180.0, 16.0), (-160.0, 15.0)],
@@ -28,26 +39,97 @@ def full_chart():
     )
 
 
+def sha256(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def gain_ticks(svg):
+    """The gain-axis tick labels in document order, lowest gain first."""
+    root = ET.fromstring(svg)
+    return [el.text for el in root.iter() if el.get("text-anchor") == "end"]
+
+
+class TestPinnedDocuments:
+    def test_empty_chart(self):
+        assert sha256(chart()) == (
+            "2f4a774ef674699047a2d5539c16c0be57087e09706c2956bbdac07a078802f5"
+        )
+
+    def test_full_chart(self):
+        assert sha256(full_chart()) == (
+            "c17d71a00bb7b08366fdc96e97790859cd400013332f96ec9b0416134a29f725"
+        )
+
+    def test_arrays_and_tuple_lists_agree(self):
+        # the full chart's layers, every (phase, gain) run given as an (n, 2) array
+        arrays = chart(
+            templates=[("w=1", np.array([(-90.0, 3.0), (-100.0, 5.0)]))],
+            bound_curves=[
+                ("w=1", [np.array([(-180.0, 10.0), (-90.0, 12.0)]), np.array([(-45.0, 8.0)])])
+            ],
+            u_contour=np.array([(-200.0, 15.0), (-180.0, 16.0), (-160.0, 15.0)]),
+            plant_curve=np.array([(-170.0, 20.0), (-120.0, -5.0)]),
+            loop_curve=np.array([(-160.0, 25.0), (-110.0, 0.0)]),
+            loop_markers=[(-150.0, 20.0, "1"), (-130.0, 10.0, "3")],
+        )
+        assert arrays == full_chart()
+
+
+class TestWriting:
+    def test_one_line_per_write(self):
+        class Recorder:
+            def __init__(self):
+                self.writes = []
+
+            def write(self, text):
+                self.writes.append(text)
+
+        handle = Recorder()
+        emit_nichols_svg(
+            handle,
+            templates=[("w=1", [(-90.0, 3.0), (-100.0, 5.0)])],
+            bound_curves=[("w=1", [[(-180.0, 10.0), (-90.0, 12.0)], [(-45.0, 8.0)]])],
+            u_contour=[(-200.0, 15.0), (-180.0, 16.0), (-160.0, 15.0)],
+            plant_curve=[(-170.0, 20.0), (-120.0, -5.0)],
+            loop_curve=[(-160.0, 25.0), (-110.0, 0.0)],
+            loop_markers=[(-150.0, 20.0, "1"), (-130.0, 10.0, "3")],
+        )
+        assert all(text.endswith("\n") and text.count("\n") == 1 for text in handle.writes)
+        assert "".join(handle.writes) == full_chart()
+
+    def test_label_text_is_escaped(self):
+        label = "a<b & c>"
+        svg = chart(
+            templates=[(label, [(-90.0, 0.0)])],
+            bound_curves=[(label, [[(-90.0, 0.0)]])],
+            loop_markers=[(-90.0, 0.0, label)],
+        )
+        texts = [el.text for el in ET.fromstring(svg).iter() if el.text]
+        assert texts.count(label) == 3
+
+
 class TestDocumentShape:
     def test_axes_only_is_valid_xml(self):
-        svg = emit_nichols_svg()
+        svg = chart()
         root = ET.fromstring(svg)
         assert root.tag.endswith("svg")
         assert svg.startswith("<svg")
         assert svg.endswith("</svg>\n")
 
     def test_axis_titles(self):
-        svg = emit_nichols_svg()
+        svg = chart()
         assert "open-loop phase (deg)" in svg
         assert "open-loop gain (dB)" in svg
 
     def test_default_gain_range(self):
-        svg = emit_nichols_svg()
+        svg = chart()
         assert ">-60</text>" in svg
         assert ">40</text>" in svg
+        # -60..40 dB exactly: the empty chart takes no outward 10 dB snap
+        assert gain_ticks(svg) == [str(gain) for gain in range(-60, 41, 10)]
 
     def test_phase_ticks(self):
-        svg = emit_nichols_svg()
+        svg = chart()
         for phase in ("-360", "-315", "-270", "-225", "-180", "-135", "-90", "-45"):
             assert f">{phase}</text>" in svg
         assert ">0</text>" in svg
@@ -64,7 +146,7 @@ class TestDocumentShape:
 
 class TestLayers:
     def test_empty_call_has_no_legend(self):
-        svg = emit_nichols_svg()
+        svg = chart()
         for label in LEGEND_LABELS:
             assert label not in svg
 
@@ -74,7 +156,7 @@ class TestLayers:
         assert positions == sorted(positions)
 
     def test_only_loop_layer(self):
-        svg = emit_nichols_svg(loop_curve=[(-120.0, 0.0), (-100.0, 5.0)])
+        svg = chart(loop_curve=[(-120.0, 0.0), (-100.0, 5.0)])
         assert "shaped open loop" in svg
         assert "uncertainty templates" not in svg
         assert "design bounds" not in svg
@@ -106,7 +188,7 @@ class TestLayers:
 
 class TestFiltering:
     def test_nonfinite_points_dropped(self):
-        svg = emit_nichols_svg(
+        svg = chart(
             loop_curve=[(-120.0, 0.0), (math.nan, 5.0), (-100.0, math.inf)],
             loop_markers=[(-110.0, 2.0, "a"), (math.nan, 1.0, "b")],
         )
@@ -118,11 +200,11 @@ class TestFiltering:
         assert ">b</text>" not in svg
 
     def test_out_of_range_phases_dropped(self):
-        svg = emit_nichols_svg(loop_markers=[(-400.0, 0.0, "x"), (10.0, 0.0, "y")])
+        svg = chart(loop_markers=[(-400.0, 0.0, "x"), (10.0, 0.0, "y")])
         assert 'r="5"' not in svg
         assert "design frequencies" not in svg
 
     def test_degenerate_gain_range_widens(self):
-        svg = emit_nichols_svg(loop_curve=[(-200.0, 5.0), (-100.0, 5.0)])
+        svg = chart(loop_curve=[(-200.0, 5.0), (-100.0, 5.0)])
         assert ">-10</text>" in svg
         assert ">20</text>" in svg
