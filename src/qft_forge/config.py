@@ -152,6 +152,12 @@ def _parse_plant(obj: Any, path: str) -> UncertainPlant:
         name = _expect(entry, "name", p_path)
         if not isinstance(name, str) or not name:
             raise ConfigError(f"{p_path}.name: expected a non-empty string")
+        try:  # a name no coefficient could reference would only multiply the family
+            usable = parse_coefficient_expr(name, [name]).program == (name,)
+        except QftError:
+            usable = False
+        if not usable:
+            raise ConfigError(f"{p_path}.name: {name!r} is not an identifier")
         try:
             params.append(
                 ParameterSpec(

@@ -1,19 +1,29 @@
 """Tiny arithmetic language for uncertain polynomial coefficients.
 
 Grammar (tightest first): ``^`` (right-associative), unary minus, ``*`` ``/``,
-``+`` ``-``; parentheses; float literals; identifiers naming declared plant
-parameters.  ``-a^2`` therefore parses as ``-(a^2)``.
+``+`` ``-``; parentheses; float literals such as ``2``, ``.5`` and
+``1.5e-3``; identifiers (a letter or ``_``, then letters, digits or ``_``)
+naming declared plant parameters.  ``-a^2`` therefore parses as ``-(a^2)``,
+and ``2^-1`` is one half.
 
-Parsing is eager about errors: a stray character or an undeclared identifier
-raises immediately with its character position, so a bad config line is
-reported before any numerics run.
+One token pattern splits the text, and one pass over the tokens (the
+shunting-yard algorithm, driven by the operator table) turns them into a
+postfix program: floats, parameter names and operator functions, which
+:meth:`CoefficientExpression.evaluate` runs on a stack.  Neither step
+recurses, so nesting depth and length are unlimited.
+
+Parsing is eager about errors: the whole text is tokenized first, then a
+stray token or an undeclared identifier raises with its character position,
+so a bad config line is reported before any numerics run.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import Mapping
 
 from .errors import ExpressionSyntaxError, UndefinedCoefficient, UnknownParameter
 
@@ -22,66 +32,46 @@ __all__ = [
     "parse_coefficient_expr",
 ]
 
+_TOKEN = re.compile(
+    r"(?P<num>[\d.]+(?:[eE][+-]?\d+)?)|(?P<name>[^\W\d]\w*)|(?P<op>[-+*/^()])|(?P<bad>\S)"
+)
 
-# --- AST -------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Num:
-    value: float
-
-    def evaluate(self, env: Mapping) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-
-    def evaluate(self, env: Mapping) -> float:
-        return float(env[self.name])
-
-
-@dataclass(frozen=True)
-class Neg:
-    child: "Node"
-
-    def evaluate(self, env: Mapping) -> float:
-        return -self.child.evaluate(env)
-
-
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: "Node"
-    right: "Node"
-
-    def evaluate(self, env: Mapping) -> float:
-        a = self.left.evaluate(env)
-        b = self.right.evaluate(env)
-        if self.op == "+":
-            return a + b
-        if self.op == "-":
-            return a - b
-        if self.op == "*":
-            return a * b
-        if self.op == "/":
-            return a / b
-        return a ** b
-
-
-Node = Union[Num, Var, Neg, Bin]
+# symbol: (precedence, right-associative, function); "neg" is unary minus
+_OPERATORS = {
+    "+": (1, False, operator.add),
+    "-": (1, False, operator.sub),
+    "*": (2, False, operator.mul),
+    "/": (2, False, operator.truediv),
+    "neg": (3, True, operator.neg),
+    "^": (4, True, operator.pow),
+}
 
 
 @dataclass(frozen=True)
 class CoefficientExpression:
-    """A parsed coefficient: the original text plus its expression tree."""
+    """A parsed coefficient: the original text plus its postfix program.
+
+    The program holds float literals, parameter names (str) and operator
+    functions, each operator after its operands.
+    """
 
     source: str
-    root: Node
+    program: tuple
 
     def evaluate(self, env: Mapping) -> float:
+        stack = []
         try:
-            value = float(self.root.evaluate(env))  # a complex power: TypeError
+            for item in self.program:
+                if isinstance(item, float):
+                    stack.append(item)
+                elif isinstance(item, str):
+                    stack.append(float(env[item]))
+                elif item is operator.neg:
+                    stack[-1] = item(stack[-1])
+                else:
+                    right = stack.pop()
+                    stack[-1] = item(stack[-1], right)
+            value = float(stack[0])  # a complex power: TypeError
         except (ZeroDivisionError, OverflowError, TypeError):
             value = math.nan
         if not math.isfinite(value):
@@ -90,151 +80,62 @@ class CoefficientExpression:
 
     def names(self) -> set:
         """Parameter names the expression depends on."""
-        found = set()
-        stack = [self.root]
-        while stack:
-            node = stack.pop()
-            if isinstance(node, Var):
-                found.add(node.name)
-            elif isinstance(node, Neg):
-                stack.append(node.child)
-            elif isinstance(node, Bin):
-                stack.append(node.left)
-                stack.append(node.right)
-        return found
+        return {item for item in self.program if isinstance(item, str)}
 
 
-# --- tokenizer -------------------------------------------------------------
-
-_OPERATORS = set("+-*/^()")
-
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # 'num' | 'ident' | 'op' | 'end'
-    text: str
-    pos: int
-
-
-def _tokenize(text: str):
+def _tokenize(text: str) -> list:
+    """(kind, text, position) per token, then ("end", "", len(text))."""
     tokens = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token("op", ch, i))
-            i += 1
-            continue
-        if ch.isdigit() or ch == ".":
-            start = i
-            while i < n and (text[i].isdigit() or text[i] == "."):
-                i += 1
-            # optional exponent part, e.g. 1.5e-3
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j].isdigit():
-                    i = j
-                    while i < n and text[i].isdigit():
-                        i += 1
-            lexeme = text[start:i]
+    for match in _TOKEN.finditer(text):
+        kind, lexeme, pos = match.lastgroup, match.group(), match.start()
+        if kind == "bad":
+            raise ExpressionSyntaxError(f"unexpected character {lexeme!r}", pos)
+        if kind == "num":
             try:
                 float(lexeme)
             except ValueError:
-                raise ExpressionSyntaxError(f"bad number '{lexeme}'", start)
-            tokens.append(_Token("num", lexeme, start))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(_Token("ident", text[start:i], start))
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
-    return tokens
-
-
-# --- recursive descent -----------------------------------------------------
-
-class _Parser:
-    def __init__(self, tokens, declared):
-        self.tokens = tokens
-        self.declared = declared
-        self.index = 0
-
-    def peek(self) -> _Token:
-        return self.tokens[self.index]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.index]
-        self.index += 1
-        return tok
-
-    def expect_op(self, symbol: str):
-        tok = self.peek()
-        if tok.kind != "op" or tok.text != symbol:
-            raise ExpressionSyntaxError(f"expected '{symbol}'", tok.pos)
-        return self.advance()
-
-    def parse_expr(self) -> Node:
-        node = self.parse_term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.parse_term())
-        return node
-
-    def parse_term(self) -> Node:
-        node = self.parse_factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.parse_factor())
-        return node
-
-    def parse_factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_factor())
-        return self.parse_power()
-
-    def parse_power(self) -> Node:
-        base = self.parse_atom()
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "^":
-            self.advance()
-            # recurse through factor: right-associative, exponent may be signed
-            return Bin("^", base, self.parse_factor())
-        return base
-
-    def parse_atom(self) -> Node:
-        tok = self.advance()
-        if tok.kind == "num":
-            return Num(float(tok.text))
-        if tok.kind == "ident":
-            if tok.text not in self.declared:
-                raise UnknownParameter(tok.text, tok.pos)
-            return Var(tok.text)
-        if tok.kind == "op" and tok.text == "(":
-            node = self.parse_expr()
-            self.expect_op(")")
-            return node
-        if tok.kind == "end":
-            raise ExpressionSyntaxError("unexpected end of expression", tok.pos)
-        raise ExpressionSyntaxError(f"unexpected '{tok.text}'", tok.pos)
+                raise ExpressionSyntaxError(f"bad number '{lexeme}'", pos)
+        tokens.append((kind, lexeme, pos))
+    return tokens + [("end", "", len(text))]
 
 
 def parse_coefficient_expr(text: str, declared_params) -> CoefficientExpression:
     """Parse ``text`` against a collection of declared parameter names."""
-    parser = _Parser(_tokenize(text), set(declared_params))
-    root = parser.parse_expr()
-    trailing = parser.peek()
-    if trailing.kind != "end":
-        raise ExpressionSyntaxError(f"unexpected '{trailing.text}'", trailing.pos)
-    return CoefficientExpression(source=text, root=root)
-
+    declared = set(declared_params)
+    program, pending = [], []  # pending: operator symbols and open parentheses
+    want_operand = True
+    for kind, lexeme, pos in _tokenize(text):
+        if want_operand:
+            if lexeme in ("-", "("):
+                pending.append("neg" if lexeme == "-" else "(")
+                continue
+            if kind == "num":
+                program.append(float(lexeme))
+            elif kind == "name" and lexeme in declared:
+                program.append(lexeme)
+            elif kind == "name":
+                raise UnknownParameter(lexeme, pos)
+            elif kind == "end":
+                raise ExpressionSyntaxError("unexpected end of expression", pos)
+            else:
+                raise ExpressionSyntaxError(f"unexpected '{lexeme}'", pos)
+            want_operand = False
+        elif kind == "op" and lexeme in _OPERATORS:
+            precedence, right, _ = _OPERATORS[lexeme]
+            while pending and pending[-1] != "(":
+                top = _OPERATORS[pending[-1]][0]
+                if top < precedence or (top == precedence and right):
+                    break
+                program.append(_OPERATORS[pending.pop()][2])
+            pending.append(lexeme)
+            want_operand = True
+        else:  # ')', the end or a stray operand
+            while pending and pending[-1] != "(":
+                program.append(_OPERATORS[pending.pop()][2])
+            if pending and lexeme == ")":
+                pending.pop()
+            elif pending:
+                raise ExpressionSyntaxError("expected ')'", pos)
+            elif kind != "end":
+                raise ExpressionSyntaxError(f"unexpected '{lexeme}'", pos)
+    return CoefficientExpression(source=text, program=tuple(program))

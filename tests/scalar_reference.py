@@ -22,6 +22,11 @@ direction per phase pair (PID) or per phase (PI, PD), and its lift onto the
 bounds by :func:`interpolate_bound`.  It calls none of the grid's array
 code (``_kernel_grid``, ``_lift``, ``interpolate_bound_array``), and tests
 compare the two cell by cell to a relative tolerance.
+
+A coefficient expression has a tree reference: nested tuples evaluated by
+recursion, left operand first, with Python's float arithmetic.
+Tests render random trees as text and compare the parsed program's value
+with the tree's bit for bit.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from __future__ import annotations
 import bisect
 import cmath
 import math
+import operator
 from typing import Callable, Sequence
 
 import numpy as np
@@ -480,3 +486,38 @@ def brute_force_design(problem, box):
     raise NoFeasiblePoint(
         f"no feasible gain triple in the {len(kd_vals)}x{len(ki_vals)}x{len(kp_vals)} box"
     )
+
+
+COEFFICIENT_OPERATORS = {
+    "+": operator.add,
+    "-": operator.sub,
+    "*": operator.mul,
+    "/": operator.truediv,
+    "^": operator.pow,
+}
+
+
+def coefficient_value(tree, env):
+    """Value of a coefficient tree at ``env``, or None where it is undefined.
+
+    A tree is ``("num", text)``, ``("var", name)``, ``("neg", child)`` or
+    ``(op, left, right)`` with ``op`` one of ``+ - * / ^``.  Undefined means
+    a division by zero, an overflow, a complex result or a non-finite one.
+    """
+
+    def value(node):
+        kind = node[0]
+        if kind == "num":
+            return float(node[1])
+        if kind == "var":
+            return float(env[node[1]])
+        if kind == "neg":
+            return -value(node[1])
+        left = value(node[1])
+        return COEFFICIENT_OPERATORS[kind](left, value(node[2]))
+
+    try:
+        result = float(value(tree))
+    except (ZeroDivisionError, OverflowError, TypeError):
+        return None
+    return result if math.isfinite(result) else None

@@ -279,6 +279,26 @@ class TestSuccessfulRuns:
         assert "oracle best: kp=" in capsys.readouterr().out
 
 
+    def test_deeply_nested_coefficient(self, capsys, tmp_path):
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["plant"]["numerator"] = ["(" * 200 + "k*a" + ")" * 200]
+        cfg = tmp_path / "nested.json"
+        cfg.write_text(json.dumps(raw))
+        for config, out in ((cfg, "nested"), (SERVO_CONFIG_PATH, "plain")):
+            argv = ["templates", "--config", str(config), "--out", str(tmp_path / out)]
+            assert main(argv) == EXIT_OK
+        nested, plain = (tmp_path / out / "templates.csv" for out in ("nested", "plain"))
+        assert nested.read_bytes() == plain.read_bytes()
+
+    def test_long_sum_coefficient(self, capsys, tmp_path):
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["plant"]["numerator"] = ["+".join(["k*a/1200"] * 1200)]
+        cfg = tmp_path / "long_sum.json"
+        cfg.write_text(json.dumps(raw))
+        argv = ["templates", "--config", str(cfg), "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+
+
 class TestFailureExitCodes:
     def test_infeasible_design(self, capsys, blocked_json, tmp_path):
         code = main(["all", "--config", blocked_json, "--out", str(tmp_path)])

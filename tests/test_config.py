@@ -295,6 +295,24 @@ class TestValidationErrors:
         with pytest.raises(ConfigError, match="duplicate parameter name"):
             parse_config_dict(d)
 
+    @pytest.mark.parametrize("name", ["a b", "2x", "k-1", " a", "1e5"])
+    def test_parameter_name_no_coefficient_can_reference(self, servo_dict, name):
+        d = copy.deepcopy(servo_dict)
+        d["plant"]["parameters"].append({"name": name, "min": 1.0, "max": 2.0, "grid": 2})
+        d["plant"]["nominal"][name] = 1.0
+        with pytest.raises(ConfigError, match=r"^config\.plant\.parameters\[2\]\.name: "):
+            parse_config_dict(d)
+
+    @pytest.mark.parametrize("name", ["lambda", "α", "tau_1"])
+    def test_identifier_parameter_names(self, servo_dict, name):
+        d = copy.deepcopy(servo_dict)
+        d["plant"]["parameters"][1]["name"] = name
+        d["plant"]["nominal"] = {"a": 1.0, name: 1.0}
+        d["plant"]["numerator"] = [f"{name}*a"]
+        plant = parse_config_dict(d).plant
+        assert [spec.name for spec in plant.params] == ["a", name]
+        assert plant.num[0].names() == {"a", name}
+
     def test_inverted_parameter_interval(self, servo_dict):
         d = copy.deepcopy(servo_dict)
         d["plant"]["parameters"][0] = {"name": "a", "min": 5.0, "max": 1.0, "grid": 10}
