@@ -23,7 +23,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundBelowUContour, CriticalPoint, DegenerateSpread, ZeroMagnitude
+from .errors import BoundBelowUContour, DegenerateSpread, ZeroMagnitude
 from .lti import (
     RationalTransferFunction,
     db,
@@ -189,10 +189,6 @@ def delta_spread(spec: TrackingSpec, omega: float) -> float:
 # witnesses they are sized by them.
 _BLOCK_CELLS = 4096
 
-# Only members with gain * |ratio| inside this window can land on -1.
-_CRITICAL_WINDOW = (1.0 - 1e-9, 1.0 + 1e-9)
-
-
 def _spread_db(loop: np.ndarray, denom: np.ndarray) -> np.ndarray:
     vals = 20.0 * np.log10(np.abs(loop / denom))
     return vals.max(axis=1) - vals.min(axis=1)
@@ -212,77 +208,61 @@ def _least_feasible_gains(
     """Least gain with ``measure(loop, 1 + loop) <= limit`` at every phase.
 
     ``measure`` reduces a (phases, members) array of loop values row by row.
-    Each block of phases runs the upward scan and then the bisection of its
-    first feasible bracket in lockstep.
+    Each block of phases runs the upward scan from the floor and then the
+    bisection of its first feasible bracket in lockstep.  A member whose
+    loop is exactly -1 makes the row's measure inf or NaN, so that probe
+    fails like any other over the limit.
 
     ``witnesses``, some of the members (the template's hull), rule out the
-    rows whose witness measure exceeds ``limit``; only the rest are probed on
-    every member.  That is exact: a measure is a max (or max - min) of
-    elementwise values, a subset's max and min select among the row's, and
-    rounded subtraction is monotone.  A NaN measure takes the full path, as
-    do rows where a member may land on -1, for the nudge below.
+    rows whose witness measure is not within ``limit``; only the rest are
+    probed on every member.  That is exact: a measure is a max (or max - min)
+    of elementwise values, a subset's max and min select among the row's,
+    rounded subtraction is monotone, and a witness on -1 is on -1 in the
+    full set too.
     """
     rotors = np.array(
         [complex(math.cos(r), math.sin(r)) for r in map(math.radians, phases_deg)],
         dtype=complex,
     )
-    mags = None if witnesses is None else np.sort(np.abs(ratios))
     out = np.empty(len(rotors))
     rows = max(1, 2 * _BLOCK_CELLS // len(ratios if witnesses is None else witnesses))
-    for start in range(0, len(rotors), rows):
-        block = slice(start, start + rows)
-        out[block] = _search_block(ratios, rotors[block], measure, limit, witnesses, mags)
+    with np.errstate(divide="ignore", invalid="ignore"):  # a loop on -1 divides by zero
+        for start in range(0, len(rotors), rows):
+            block = slice(start, start + rows)
+            out[block] = _search_block(ratios, rotors[block], measure, limit, witnesses)
     return out
 
 
-def _search_block(ratios, rotors, measure, limit, witnesses, mags) -> np.ndarray:
-    def linear(gains_db: np.ndarray) -> np.ndarray:
-        return np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(gains_db))
-
-    def loops(rows: np.ndarray, gains: np.ndarray, members=ratios) -> np.ndarray:
-        return (gains * rotors[rows])[:, None] * members
-
-    def probe_all(rows: np.ndarray, gains_db: np.ndarray, gains: np.ndarray) -> np.ndarray:
-        loop = loops(rows, gains)
-        denom = 1.0 + loop
-        hit = np.any(denom == 0, axis=1)
-        if np.any(hit):
-            # nudge those rows off the critical point once; a second hit is a real error
-            loop[hit] = loops(rows[hit], linear(gains_db[hit] + DEFAULT_TOL_DB / 10.0))
-            denom = 1.0 + loop
-            if np.any(denom == 0):
-                raise CriticalPoint("template member landed exactly on -1")
-        return measure(loop, denom) <= limit
+def _search_block(ratios, rotors, measure, limit, witnesses) -> np.ndarray:
+    def probe_on(members, rows: np.ndarray, gains: np.ndarray) -> np.ndarray:
+        loop = (gains * rotors[rows])[:, None] * members
+        return measure(loop, 1.0 + loop) <= limit
 
     def probe(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
-        gains = linear(gains_db)
+        gains = np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(gains_db))
         if witnesses is None:
-            return probe_all(rows, gains_db, gains)
-        edges = np.searchsorted(mags, np.outer(1.0 / gains, _CRITICAL_WINDOW))
-        clear = np.flatnonzero(edges[:, 0] == edges[:, 1])
-        loop = loops(rows[clear], gains[clear], witnesses)
-        ok = np.ones(len(rows), dtype=bool)  # until probed in full, False if ruled out
-        ok[clear] = ~(measure(loop, 1.0 + loop) > limit)
+            return probe_on(ratios, rows, gains)
+        ok = probe_on(witnesses, rows, gains)  # False if ruled out, until probed in full
         todo = np.flatnonzero(ok)
         for start in range(0, len(todo), chunk):
             part = todo[start : start + chunk]
-            ok[part] = probe_all(rows[part], gains_db[part], gains[part])
+            ok[part] = probe_on(ratios, rows[part], gains[part])
         return ok
 
     chunk = max(1, _BLOCK_CELLS // len(ratios))
     every = np.arange(len(rotors))
     lo = np.full(len(rotors), SCAN_FLOOR_DB)
     hi = np.full(len(rotors), np.nan)  # NaN until a feasible scan step is found
-    at_floor = probe(every, lo)
-    pending = every[~at_floor]
-    c = SCAN_FLOOR_DB + SCAN_STEP_DB
+    pending = every
+    c = SCAN_FLOOR_DB
     while pending.size and c <= SCAN_CEILING_DB + 1e-12:
         ok = probe(pending, np.full(pending.size, c))
         hi[pending[ok]] = c
         lo[pending[~ok]] = c
         pending = pending[~ok]
         c += SCAN_STEP_DB
-    # rows without a bracket compare NaN > DEFAULT_TOL_DB as False and drop out at once
+    # rows without a bracket compare NaN > DEFAULT_TOL_DB as False and drop out at
+    # once, as do rows feasible at the floor, whose bracket is empty
     bisecting = every
     while True:
         bisecting = bisecting[hi[bisecting] - lo[bisecting] > DEFAULT_TOL_DB]
@@ -292,7 +272,7 @@ def _search_block(ratios, rotors, measure, limit, witnesses, mags) -> np.ndarray
         ok = probe(bisecting, mid)
         hi[bisecting[ok]] = mid[ok]
         lo[bisecting[~ok]] = mid[~ok]
-    return np.where(at_floor, NO_CONSTRAINT, np.where(np.isnan(hi), INFEASIBLE, hi))
+    return np.where(hi == SCAN_FLOOR_DB, NO_CONSTRAINT, np.where(np.isnan(hi), INFEASIBLE, hi))
 
 
 def _check_search(name: str, limit: float) -> None:
@@ -318,10 +298,7 @@ def horowitz_bound(
     at each phase of ``phase_grid``."""
     _check_search("delta_db", delta_db)
     ratios, witnesses = _probe_sets(template, use_hull)
-    if len(ratios) <= 1:
-        entries = [NO_CONSTRAINT] * len(phase_grid)
-    else:
-        entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, witnesses)
+    entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, witnesses)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
@@ -354,7 +331,7 @@ class UContour:
 
     def __post_init__(self):
         phase_min, phase_max = m_circle_phase_range(self.m_value)
-        if self.delta_hf_db < 0.0:
+        if not self.delta_hf_db >= 0.0:
             raise ValueError("delta_hf_db must be non-negative")
         object.__setattr__(self, "m_value", float(self.m_value))
         object.__setattr__(self, "delta_hf_db", float(self.delta_hf_db))

@@ -1,7 +1,9 @@
 """Exception types raised by the design pipeline.
 
 Everything derives from QftError so callers can catch the whole family at the
-CLI boundary and map it onto an exit code.
+CLI boundary and map it onto an exit code.  A failed check is not an error: a
+loop exactly on -1, for one, fails its bound probe and reads +inf dB in the
+verification envelope.
 """
 
 
@@ -19,10 +21,6 @@ class PoleOnAxis(QftError):
 
 class ZeroMagnitude(QftError):
     """Nichols coordinates requested for a response with zero magnitude."""
-
-
-class CriticalPoint(QftError):
-    """Closed-loop quantity requested at L = -1 exactly."""
 
 
 class InvalidM(QftError):

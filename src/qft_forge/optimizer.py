@@ -83,7 +83,7 @@ def pid_frequency_response(kp, ki, kd, omega) -> np.ndarray:
     The real part is set to ``kp`` itself, not added to, so a kp of -0.0
     keeps its sign.
     """
-    if np.less_equal(omega, 0.0).any():
+    if not np.greater(omega, 0.0).all():
         raise ValueError("omega must be positive")
     out = np.empty(np.broadcast(kp, ki, kd, omega).shape, dtype=complex)
     out.real = kp
@@ -153,9 +153,9 @@ class DesignProblem:
         n = len(self.frequencies)
         if len(self.nominal_responses) != n or len(self.bounds) != n:
             raise ValueError("frequencies, responses and bounds must align")
-        if any(b <= a for a, b in zip(self.frequencies, self.frequencies[1:])):
+        if any(not b > a for a, b in zip(self.frequencies, self.frequencies[1:])):
             raise ValueError("frequencies must be strictly increasing")
-        if self.frequencies and self.frequencies[0] <= 0.0:
+        if self.frequencies and not self.frequencies[0] > 0.0:
             raise ValueError("frequencies must be positive")
         k, l = self.pair_indices
         if not (0 <= k < n and 0 <= l < n):
@@ -289,7 +289,7 @@ class SweepScreen:
         object.__setattr__(self, "nominal_responses", np.array(self.nominal_responses, dtype=complex))
         if self.omegas.shape != self.nominal_responses.shape:
             raise ValueError("omegas and nominal_responses must pair up")
-        if np.any(self.omegas <= 0.0):
+        if not np.all(self.omegas > 0.0):
             raise ValueError("screen frequencies must be positive")
 
     def sweep(self, kp, ki, kd) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -471,7 +471,7 @@ def filtered_derivative_transform(plant: UncertainPlant, tau: float) -> Uncertai
     :func:`physical_gains` maps its result back to an implementable filtered
     PID.
     """
-    if tau <= 0.0:
+    if not tau > 0.0:
         raise ValueError("tau must be positive")
     # multiply the denominator polynomial by (tau s + 1), coefficients descending:
     # each new coefficient tau * c_k + c_(k-1) is written as source text and parsed

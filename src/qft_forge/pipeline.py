@@ -214,14 +214,7 @@ def compute_verification(
     """Full post-design check on the run's templates and nominal sweep; the
     tracking envelope only when the configuration carries a prefilter."""
     return verify_design(
-        config.plant,
-        templates,
-        gains,
-        curves,
-        contour,
-        sweep,
-        config.tracking,
-        config.prefilter,
+        templates, gains, curves, contour, sweep, config.tracking, config.prefilter
     )
 
 

@@ -41,7 +41,7 @@ class ParameterSpec:
     grid_points: int = 10
 
     def __post_init__(self):
-        if self.minimum > self.maximum:
+        if not self.minimum <= self.maximum:
             raise ValueError(f"parameter '{self.name}': min {self.minimum} > max {self.maximum}")
         if self.grid_points < 1:
             raise ValueError(f"parameter '{self.name}': grid_points must be >= 1")

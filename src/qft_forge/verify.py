@@ -24,7 +24,7 @@ from .bounds import (
     UContour,
     interpolate_bound_array,
 )
-from .errors import CriticalPoint, NoFeasiblePoint
+from .errors import NoFeasiblePoint
 from .lti import RationalTransferFunction, eval_tf, to_nichols_array
 from .optimizer import (
     DesignProblem,
@@ -34,7 +34,7 @@ from .optimizer import (
     loop_margins,
     pid_frequency_response,
 )
-from .plant import Template, UncertainPlant
+from .plant import Template
 
 __all__ = [
     "VerifyMargin",
@@ -125,7 +125,6 @@ class VerificationReport:
 
 
 def closed_loop_envelope(
-    plant: UncertainPlant,
     gains: PidGains,
     prefilter: RationalTransferFunction,
     tracking: TrackingSpec,
@@ -134,10 +133,11 @@ def closed_loop_envelope(
     """Extremes of |F L / (1 + L)| over the sampled plant family, one row per
     template, next to the reference-model corridor (orientation-normalised).
 
-    L is read from the templates' member responses; ``plant`` only names the
-    parameters.  The nominal member is in every template, so the nominal
-    closed loop is bracketed by every row.  A member that lands the loop
-    exactly on -1 raises CriticalPoint — no finite envelope describes it.
+    L is read from the templates' member responses.  The nominal member is
+    in every template, so the nominal closed loop is bracketed by every row.
+    A member that lands the loop exactly on -1 has an unbounded closed loop:
+    it counts as +inf dB, so its row's ``max_db`` is +inf and the row is not
+    inside the corridor.
     """
     omegas = [template.omega for template in templates]
     controller = pid_frequency_response(gains.kp, gains.ki, gains.kd, np.array(omegas)).tolist()
@@ -147,12 +147,7 @@ def closed_loop_envelope(
         for m, response in enumerate(template.responses.tolist()):
             loop = response * controller[k]
             denom = 1.0 + loop
-            if denom == 0.0:
-                env = dict(zip((spec.name for spec in plant.params), template.points[m].tolist()))
-                raise CriticalPoint(
-                    f"family member {env} drives the loop onto -1 at omega={omegas[k]}"
-                )
-            mags[k, m] = f_mags[k] * abs(loop / denom)
+            mags[k, m] = f_mags[k] * abs(loop / denom) if denom else math.inf
     with np.errstate(divide="ignore"):
         mags_db = 20.0 * np.log10(mags)
     return tuple(
@@ -162,7 +157,6 @@ def closed_loop_envelope(
 
 
 def verify_design(
-    plant: UncertainPlant,
     templates: Dict[float, Template],
     gains: PidGains,
     bound_curves: Sequence[BoundCurve],
@@ -210,7 +204,7 @@ def verify_design(
     envelope: Tuple[EnvelopeRow, ...] = ()
     if prefilter is not None:
         family = [templates[omega] for omega in design_freqs]
-        envelope = closed_loop_envelope(plant, gains, prefilter, tracking, family)
+        envelope = closed_loop_envelope(gains, prefilter, tracking, family)
 
     reasons: List[str] = []
     for m in margins:

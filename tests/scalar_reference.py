@@ -48,7 +48,6 @@ from qft_forge.bounds import (
     SCAN_STEP_DB,
 )
 from qft_forge.errors import (
-    CriticalPoint,
     NoFeasiblePoint,
     PoleOnAxis,
     TemplateTooWide,
@@ -91,7 +90,7 @@ def _closed_loop_spread_db(ratios: np.ndarray, gain_db: float, phase_rad: float)
     loop = undb(gain_db) * complex(math.cos(phase_rad), math.sin(phase_rad)) * ratios
     denom = 1.0 + loop
     if np.any(denom == 0):
-        raise CriticalPoint("template member landed exactly on -1")
+        return math.inf
     mags = np.abs(loop / denom)
     vals = 20.0 * np.log10(mags)
     return float(vals.max() - vals.min())
@@ -101,27 +100,19 @@ def _worst_sensitivity(ratios: np.ndarray, gain_db: float, phase_rad: float) -> 
     loop = undb(gain_db) * complex(math.cos(phase_rad), math.sin(phase_rad)) * ratios
     denom = 1.0 + loop
     if np.any(denom == 0):
-        raise CriticalPoint("template member landed exactly on -1")
+        return math.inf
     return float(np.max(np.abs(1.0 / denom)))
 
 
 def least_feasible_gain(feasible: Callable[[float], bool], tol_db: float) -> float:
     """Upward scan then bisection for the smallest gain passing ``feasible``."""
-
-    def probe(c: float) -> bool:
-        try:
-            return feasible(c)
-        except CriticalPoint:
-            # nudge off the critical point once; a second hit is a real error
-            return feasible(c + tol_db / 10.0)
-
-    if probe(SCAN_FLOOR_DB):
+    if feasible(SCAN_FLOOR_DB):
         return NO_CONSTRAINT
     lo = SCAN_FLOOR_DB
     hi = None
     c = SCAN_FLOOR_DB + SCAN_STEP_DB
     while c <= SCAN_CEILING_DB + 1e-12:
-        if probe(c):
+        if feasible(c):
             hi = c
             break
         lo = c
@@ -130,7 +121,7 @@ def least_feasible_gain(feasible: Callable[[float], bool], tol_db: float) -> flo
         return INFEASIBLE
     while hi - lo > tol_db:
         mid = 0.5 * (lo + hi)
-        if probe(mid):
+        if feasible(mid):
             hi = mid
         else:
             lo = mid
@@ -138,8 +129,6 @@ def least_feasible_gain(feasible: Callable[[float], bool], tol_db: float) -> flo
 
 
 def horowitz_entries(ratios: np.ndarray, delta_db: float, phase_grid: Sequence[float]):
-    if len(ratios) <= 1:
-        return [NO_CONSTRAINT] * len(phase_grid)
     return [
         least_feasible_gain(
             lambda c: _closed_loop_spread_db(ratios, c, math.radians(phi)) <= delta_db,
@@ -432,11 +421,7 @@ def closed_loop_envelope(plant, gains, prefilter, tracking, omegas):
         for k, response in enumerate(evaluate_plant_array(plant, env, s).tolist()):
             loop = response * controller[k]
             denom = 1.0 + loop
-            if denom == 0.0:
-                raise CriticalPoint(
-                    f"family member {env} drives the loop onto -1 at omega={omegas[k]}"
-                )
-            mags[k, m] = f_mags[k] * abs(loop / denom)
+            mags[k, m] = f_mags[k] * abs(loop / denom) if denom else math.inf
     with np.errstate(divide="ignore"):
         mags_db = 20.0 * np.log10(mags)
     rows = []

@@ -129,7 +129,6 @@ class TestC2MarginTightness:
             np.concatenate([np.logspace(-2, 3, 500), timed_servo.config.frequencies])
         )
         report = verify_design(
-            plant,
             timed_servo.templates,
             timed_servo.result.gains,
             timed_servo.curves,
@@ -325,7 +324,6 @@ class TestC6BisectionSoundness:
 class TestC7ClosedLoopEnvelope:
     def envelope_rows(self, timed_servo):
         return closed_loop_envelope(
-            timed_servo.config.plant,
             timed_servo.result.gains,
             PREFILTER,
             timed_servo.config.tracking,

@@ -28,7 +28,6 @@ from qft_forge.bounds import (
     make_phase_grid,
 )
 from qft_forge.config import parse_config_dict
-from qft_forge.errors import CriticalPoint
 from qft_forge.lti import db, undb
 from qft_forge.pipeline import compute_templates
 from qft_forge.plant import Template, convex_hull_nichols
@@ -314,53 +313,79 @@ class TestSearchArguments:
 
 
 class TestCriticalPoint:
+    """A member whose loop is exactly -1 fails that probe on every path: on
+    the hull alone, on every member, as a witness and past the witnesses."""
+
     # at phase 0 the rotor is exactly 1, so the member -1 sits exactly on the
     # critical point when the 0 dB scan step probes it
-    def test_nudged_once_like_the_reference(self):
-        ratios = [1.0, -1.0]
-        curve = disturbance_bound(template_of(ratios), 0.5, [-90.0, 0.0], use_hull=False)
-        expected = ref.disturbance_entries(np.array(ratios, dtype=complex), 0.5, [-90.0, 0.0])
-        assert_same(curve, expected)
+    SEARCHES = (
+        (disturbance_bound, ref.disturbance_entries, 0.5),
+        (horowitz_bound, ref.horowitz_entries, 12.0),
+    )
+
+    @staticmethod
+    def assert_matches_reference(template, grid, searches=SEARCHES):
+        """Each search, on every member and on the hull, equals the reference
+        on the members it probes."""
+        for use_hull in (False, True):
+            probed = template.ratios[template.hull_indices] if use_hull else template.ratios
+            for bound, entries, limit in searches:
+                curve = bound(template, limit, grid, use_hull=use_hull)
+                assert_same(curve, entries(probed, limit, grid))
+
+    @staticmethod
+    def small_template(ratios):
+        ratios = np.array(ratios, dtype=complex)
+        template = template_of(ratios, hull_indices_of(ratios))
+        assert sorted(template.hull_indices) == list(range(len(ratios)))
+        return template
+
+    def test_hit_fails_like_the_reference(self):
+        template = self.small_template([1.0, -1.0])
+        self.assert_matches_reference(template, [-90.0, 0.0])
+        curve = disturbance_bound(template, 0.5, [-90.0, 0.0])
         # |1 / (1 - g)| <= 0.5 needs g >= 3
         assert curve.min_gain_db[1] == pytest.approx(db(3.0), abs=0.011)
 
-    def test_second_hit_raises(self):
-        nudge = bounds.DEFAULT_TOL_DB / 10.0
-        second = -1.0 / undb(nudge)
-        assert undb(nudge) * second == -1.0
-        with pytest.raises(CriticalPoint):
-            ref.disturbance_entries(np.array([1.0, -1.0, second], dtype=complex), 0.5, [0.0])
-        with pytest.raises(CriticalPoint):
-            disturbance_bound(template_of([1.0, -1.0, second]), 0.5, [-90.0, 0.0], use_hull=False)
+    def test_second_hit_fails_like_the_reference(self):
+        # a second member on -1 at 0.001 dB, a tenth of the bisection tolerance
+        # above the first
+        second = -1.0 / undb(bounds.DEFAULT_TOL_DB / 10.0)
+        assert undb(bounds.DEFAULT_TOL_DB / 10.0) * second == -1.0
+        self.assert_matches_reference(self.small_template([1.0, -1.0, second]), [-90.0, 0.0])
+
+    def test_hit_on_a_bisection_midpoint_fails_like_the_reference(self):
+        # the scan brackets the spread bound by -5 and 0 dB (11.3 and 0.004 dB
+        # against 1 dB); its first midpoint, -2.5 dB, puts the member r
+        # exactly on -1
+        r = -1.0 / undb(-2.5)
+        assert undb(-2.5) * r == -1.0
+        template = self.small_template([r, -0.8])
+        spread = ((horowitz_bound, ref.horowitz_entries, 1.0),)
+        self.assert_matches_reference(template, [0.0], spread)
+        assert -2.5 < horowitz_bound(template, 1.0, [0.0]).min_gain_db[0] < 0.0
 
     @staticmethod
-    def large_template_with(extra):
-        """-1 between two other negative reals, on the hull's edge but not
-        one of its vertices, inside a cloud whose hull are the witnesses."""
+    def large_template_with(extra, witness=False):
+        """-1 inside a cloud whose hull are the witnesses: one of its
+        vertices when ``witness``, else between two other negative reals, on
+        the hull's edge but not one of its vertices."""
         rng = np.random.default_rng(11)
         cloud = undb(rng.uniform(-10, 10, 60)) * np.exp(1j * rng.uniform(-1.5, 1.5, 60))
-        ratios = np.concatenate(([1.0, -2.0, -0.5, -1.0], extra, cloud))
+        ratios = np.concatenate(([1.0, -0.5, -1.0], [] if witness else [-2.0], extra, cloud))
         hull = hull_indices_of(ratios)
-        assert 3 not in hull and len(hull) < len(ratios)
-        return template_of(ratios, hull), ratios
+        assert (2 in hull) == witness and len(hull) < len(ratios)
+        return template_of(ratios, hull)
 
-    def test_non_witness_member_nudged_once_like_the_reference(self):
-        template, ratios = self.large_template_with([])
-        grid = [-90.0, 0.0]
-        for bound, entries, limit in (
-            (disturbance_bound, ref.disturbance_entries, 0.5),
-            (horowitz_bound, ref.horowitz_entries, 12.0),
-        ):
-            curve = bound(template, limit, grid, use_hull=False)
-            assert_same(curve, entries(ratios, limit, grid))
+    def test_large_template_hit_fails_like_the_reference(self):
+        for witness in (False, True):
+            self.assert_matches_reference(self.large_template_with([], witness), [-90.0, 0.0])
 
-    def test_non_witness_second_hit_raises(self):
+    def test_large_template_second_hit_fails_like_the_reference(self):
         second = -1.0 / undb(bounds.DEFAULT_TOL_DB / 10.0)
-        template, ratios = self.large_template_with([second])
-        with pytest.raises(CriticalPoint):
-            ref.disturbance_entries(ratios, 0.5, [0.0])
-        with pytest.raises(CriticalPoint):
-            disturbance_bound(template, 0.5, [-90.0, 0.0], use_hull=False)
+        for witness in (False, True):
+            template = self.large_template_with([second], witness)
+            self.assert_matches_reference(template, [-90.0, 0.0])
 
 
 def hull_loops(template, phase_deg, gain_db):

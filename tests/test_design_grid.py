@@ -171,9 +171,7 @@ class TestArrayScreen:
         screen = SweepScreen(contour, *sweep)
         decisions = []
         for gains in self.candidates(problem, 50):
-            report = verify_design(
-                config.plant, templates, gains, curves, contour, sweep, config.tracking
-            )
+            report = verify_design(templates, gains, curves, contour, sweep, config.tracking)
             decisions.append(admitted(screen, gains))
             assert decisions[-1] == (not report.sweep_violations)
         assert len(decisions) == 50

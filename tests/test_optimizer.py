@@ -782,3 +782,36 @@ class TestFilteredDerivativeTransform:
 class TestInterpolationTolerance:
     def test_shared_constant(self):
         assert INTERPOLATION_TOLERANCE_DB == 0.05
+
+
+NAN_CHECKS = {
+    "UContour delta_hf_db": (lambda: UContour(1.2, math.nan), "non-negative"),
+    "SweepScreen omegas": (
+        lambda: SweepScreen(UContour(1.2, 0.0), (math.nan, 1.0), (-1j, -1j)),
+        "positive",
+    ),
+    "pid_frequency_response omega": (
+        lambda: pid_frequency_response(1.0, 1.0, 1.0, math.nan),
+        "positive",
+    ),
+    "DesignProblem frequencies": (
+        lambda: dataclasses.replace(
+            two_freq_problem(flat_curve(1.0, (-90.0,), 0.0), flat_curve(2.0, (-90.0,), 0.0)),
+            frequencies=(math.nan, 2.0),
+        ),
+        "increasing",
+    ),
+    "ParameterSpec minimum": (lambda: ParameterSpec("a", math.nan, 1.0), "min nan"),
+    "filtered_derivative_transform tau": (
+        lambda: filtered_derivative_transform(TestFilteredDerivativeTransform().servo(), math.nan),
+        "tau must be positive",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", NAN_CHECKS)
+def test_nan_fails_the_range_check(name):
+    # NaN passes a check written x < 0 or x <= 0, and fails one written not x > 0
+    build, message = NAN_CHECKS[name]
+    with pytest.raises(ValueError, match=message):
+        build()

@@ -17,7 +17,6 @@ from qft_forge.bounds import (
     UContour,
 )
 from qft_forge.errors import (
-    CriticalPoint,
     NoFeasiblePoint,
     PoleOnAxis,
     TemplateTooWide,
@@ -33,7 +32,12 @@ from qft_forge.lti import (
     to_nichols,
 )
 from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, DesignProblem, PidGains, loop_margins
-from qft_forge.pipeline import compute_templates, effective_plant
+from qft_forge.pipeline import (
+    compute_templates,
+    effective_plant,
+    render_verify_report,
+    write_envelope_csv,
+)
 from qft_forge.plant import (
     ParameterSpec,
     UncertainPlant,
@@ -119,7 +123,6 @@ def row_bits(row: EnvelopeRow):
 class TestVerifyMargins:
     def verify(self, servo_config, servo_stack, gains, sweep=None, **kwargs):
         return verify_design(
-            servo_config.plant,
             servo_stack.templates,
             gains,
             servo_stack.curves,
@@ -200,7 +203,6 @@ class TestVerifyMargins:
         assert m_circle_gains(m_value, phase) is None
         curve = BoundCurve(omega=1.0, phase_grid=(-300.0, -60.0), min_gain_db=(0.0, 0.0))
         report = verify_design(
-            servo_config.plant,
             {},
             PidGains(kp=1.0, ki=0.0, kd=0.0),
             (curve,),
@@ -250,7 +252,6 @@ class TestClosedLoopEnvelope:
             nominal={},
         )
         rows = closed_loop_envelope(
-            plant,
             PidGains(kp=100.0, ki=0.0, kd=0.0),
             self.unity_prefilter(),
             self.tracking(servo_config),
@@ -264,7 +265,6 @@ class TestClosedLoopEnvelope:
         plant = servo_config.plant
         gains = REFERENCE_GAINS
         rows = closed_loop_envelope(
-            with_grid(plant, 3),
             gains,
             PREFILTER,
             self.tracking(servo_config),
@@ -284,7 +284,6 @@ class TestClosedLoopEnvelope:
     def test_zero_prefilter_gives_minus_inf(self, servo_config):
         plant = constant_plant("1")
         rows = closed_loop_envelope(
-            plant,
             PidGains(kp=1.0, ki=0.0, kd=0.0),
             RationalTransferFunction([0.0], [1.0]),
             self.tracking(servo_config),
@@ -295,21 +294,21 @@ class TestClosedLoopEnvelope:
         assert not rows[0].inside()
 
     def test_critical_point(self, servo_config):
+        # the loop is exactly -1: an unbounded closed loop reads +inf dB
         plant = constant_plant("-1")
-        with pytest.raises(CriticalPoint):
-            closed_loop_envelope(
-                plant,
-                PidGains(kp=1.0, ki=0.0, kd=0.0),
-                self.unity_prefilter(),
-                self.tracking(servo_config),
-                templates_at(plant, [1.0]),
-            )
+        rows = closed_loop_envelope(
+            PidGains(kp=1.0, ki=0.0, kd=0.0),
+            self.unity_prefilter(),
+            self.tracking(servo_config),
+            templates_at(plant, [1.0]),
+        )
+        assert rows[0].max_db == math.inf
+        assert not rows[0].inside()
 
     def test_matches_per_frequency_reference(self, servo_config):
         omegas = list(servo_config.frequencies)
         plant = with_grid(servo_config.plant, 4)
         rows = closed_loop_envelope(
-            plant,
             REFERENCE_GAINS,
             PREFILTER,
             self.tracking(servo_config),
@@ -324,7 +323,6 @@ class TestClosedLoopEnvelope:
         tracking = self.tracking(servo_config)
         plant = constant_plant("1")
         rows = closed_loop_envelope(
-            plant,
             PidGains(kp=1.0, ki=0.0, kd=0.0),
             self.unity_prefilter(),
             tracking,
@@ -373,14 +371,8 @@ class TestEnvelopeReadsTemplates:
 
     def assert_matches_reference(self, plant, templates, gains, prefilter, tracking):
         omegas = [t.omega for t in templates]
-        try:
-            want = ref.closed_loop_envelope(plant, gains, prefilter, tracking, omegas)
-        except CriticalPoint as exc:
-            with pytest.raises(CriticalPoint) as got:
-                closed_loop_envelope(plant, gains, prefilter, tracking, templates)
-            assert str(got.value) == str(exc)
-            return
-        got = closed_loop_envelope(plant, gains, prefilter, tracking, templates)
+        want = ref.closed_loop_envelope(plant, gains, prefilter, tracking, omegas)
+        got = closed_loop_envelope(gains, prefilter, tracking, templates)
         assert [row_bits(r) for r in got] == [row_bits(r) for r in want]
 
     def test_servo(self, servo_config, servo_stack):
@@ -397,9 +389,7 @@ class TestEnvelopeReadsTemplates:
         # the pipeline's templates carry the filtered plant's responses, and
         # the envelope used to evaluate that same filtered plant
         templates = list(compute_templates(config).values())
-        rows = closed_loop_envelope(
-            config.plant, REFERENCE_GAINS, config.prefilter, config.tracking, templates
-        )
+        rows = closed_loop_envelope(REFERENCE_GAINS, config.prefilter, config.tracking, templates)
         want = ref.closed_loop_envelope(
             effective_plant(config),
             REFERENCE_GAINS,
@@ -409,7 +399,6 @@ class TestEnvelopeReadsTemplates:
         )
         assert [row_bits(r) for r in rows] == [row_bits(r) for r in want]
         plain = closed_loop_envelope(
-            config.plant,
             REFERENCE_GAINS,
             config.prefilter,
             config.tracking,
@@ -420,10 +409,8 @@ class TestEnvelopeReadsTemplates:
     def test_critical_point(self, servo_config):
         plant = constant_plant("-1")
         gains = PidGains(kp=1.0, ki=0.0, kd=0.0)
-        with pytest.raises(CriticalPoint):
-            ref.closed_loop_envelope(
-                plant, gains, PREFILTER, servo_config.tracking, [1.0, 2.0]
-            )
+        want = ref.closed_loop_envelope(plant, gains, PREFILTER, servo_config.tracking, [1.0, 2.0])
+        assert all(row.max_db == math.inf for row in want)
         templates = templates_at(plant, [1.0, 2.0])
         self.assert_matches_reference(
             plant, templates, gains, PREFILTER, servo_config.tracking
@@ -456,7 +443,6 @@ class TestVerifyEnvelopeIntegration:
     def test_zero_prefilter_fails_with_envelope_reason(self, servo_config, servo_stack):
         plant = with_grid(servo_config.plant, 2)
         report = verify_design(
-            plant,
             generate_templates(plant, servo_config.frequencies),
             REFERENCE_GAINS,
             servo_stack.curves,
@@ -469,9 +455,35 @@ class TestVerifyEnvelopeIntegration:
         assert not all(row.inside() for row in report.envelope)
         assert any("reference corridor" in r for r in report.reasons)
 
+    def test_member_on_minus_one_fails_with_envelope_reason(
+        self, servo_config, servo_stack, tmp_path
+    ):
+        # the loop is exactly -1 at every design frequency: verification
+        # reports the unbounded closed loop as leaving the corridor
+        freqs = servo_config.frequencies
+        report = verify_design(
+            generate_templates(constant_plant("-1"), freqs),
+            PidGains(kp=1.0, ki=0.0, kd=0.0),
+            servo_stack.curves,
+            servo_stack.contour,
+            servo_stack.sweep,
+            servo_config.tracking,
+            RationalTransferFunction([1.0], [1.0]),
+        )
+        assert not report.passed
+        assert [row.max_db for row in report.envelope] == [math.inf] * len(freqs)
+        for omega in freqs:
+            assert f"closed-loop envelope leaves the reference corridor at omega={omega:g}" in (
+                report.reasons
+            )
+        text = render_verify_report(report)
+        assert text.count("inside=NO") == len(freqs)
+        write_envelope_csv(tmp_path / "envelope.csv", report)
+        rows = (tmp_path / "envelope.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["inf"] * len(freqs)
+
     def test_no_prefilter_no_envelope(self, servo_config, servo_stack):
         report = verify_design(
-            servo_config.plant,
             servo_stack.templates,
             REFERENCE_GAINS,
             servo_stack.curves,
