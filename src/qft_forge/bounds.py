@@ -18,6 +18,7 @@ stacking bound families directly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -51,6 +52,7 @@ __all__ = [
     "disturbance_bound",
     "combine_with_ucontour",
     "interpolate_bound_array",
+    "gain_floor",
 ]
 
 NO_CONSTRAINT = float("-inf")
@@ -425,3 +427,32 @@ def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray
     out += base.take(slot)
     np.copyto(out, node.take(slot), where=offset == 0.0)
     return np.fmax(out, NO_CONSTRAINT, out=out)
+
+
+def gain_floor(curve: BoundCurve) -> np.ndarray:
+    """Squared loop gains below which a loop fails ``curve``: 361 entries,
+    one per degree of the loop's raw ``arctan2`` angle, ``int(angle + 180)``.
+
+    Entry j covers the angles [j - 181, j - 178], its degree widened by one on
+    each side, and the Nichols phases they fold onto: an angle <= 0 as it is,
+    one > 0 less 360 (0 at the seam).  In a slot of the table the lookup is
+    the node at its start, else ``fl(t * step) + base`` with t in [0, 1],
+    which monotone rounding keeps at or above min(base, base + step); beyond
+    the grid it is NO_CONSTRAINT.  The least over the slots those phases
+    reach, less 1e-9 dB, becomes a squared gain shrunk by 1e-12.  A floor
+    that would be subnormal, too coarse to be exact, is 0.
+    """
+    _, _, base, step, node = curve._table
+    least = np.minimum(node, np.minimum(base, base + step))
+    least[[0, -1]] = NO_CONSTRAINT
+    least, grid, floor_db = least.tolist(), curve.phase_grid, []
+    for lo in range(-181, 180):
+        hi = lo + 3
+        spans = [(lo, min(hi, 0))] if lo <= 0 else []
+        spans += [(max(lo, 0) - 360, hi - 360)] if hi > 0 else []
+        reach = (least[bisect_right(grid, a) : bisect_right(grid, b) + 1] for a, b in spans)
+        floor_db.append(min(map(min, reach)))
+    with np.errstate(over="ignore"):
+        floor = 10.0 ** ((np.array(floor_db) - 1e-9) / 10.0) * (1.0 - 1e-12)
+    floor[floor < np.finfo(float).tiny] = 0.0
+    return floor

@@ -245,8 +245,8 @@ class GainAxis:
     step: float
 
     def __post_init__(self):
-        finite = all(map(math.isfinite, (self.lo, self.hi, self.step)))
-        if not finite or self.lo < 0.0 or self.hi < self.lo or self.step <= 0.0:
+        ok = all(map(math.isfinite, (self.lo, self.hi, self.step))) and 0.0 <= self.lo <= self.hi
+        if not (ok and self.step > 0.0 and math.isfinite((self.hi - self.lo) / self.step)):
             raise ValueError(f"bad gain axis ({self.lo}, {self.hi}, {self.step})")
 
     def values(self) -> np.ndarray:
@@ -270,6 +270,25 @@ class OracleResult:
     box: OracleBox
 
 
+def _may_pass(floor: np.ndarray, re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """Flat indices of the loops ``re + j im`` that the :func:`bounds.gain_floor`
+    ``floor`` does not rule out; overwrites ``re`` and ``im``.
+
+    A |L|^2 that overflows or is NaN is kept, and so is one that underflows
+    to 0: parts that small may not place the angle within the floor's
+    widening (the product rounds them differently, down to a zero's sign).
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        degree = np.arctan2(im, re)
+        degree *= 180.0 / math.pi
+        degree += 180.0
+        re *= re
+        re += np.square(im, out=im)
+        # "clip" keeps the index a NaN angle casts to in range
+        at = floor.take(degree.astype(np.intp), mode="clip")
+        return np.flatnonzero(~(re < at) | (re == 0.0))
+
+
 def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
     """Exhaustive search of the gain box for the least-kd feasible triple.
 
@@ -285,14 +304,21 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
     only the work, not the answer.  The first survivor of the first block
     that keeps any is the lexicographic (kd, ki, kp) minimum, so the rest of
     its slice and all later slices are skipped.  ``evaluations`` counts every
-    triple of each visited slice, skipped blocks included.  Shares only the
-    Nichols conversion and the bound interpolation with the optimizer — no
-    kernels, no scaling step.
+    triple of each visited slice, skipped blocks included.
+
+    On the whole mesh the loop's parts are built from per-row values, and a
+    cell whose |L|^2 lies below the bound's :func:`bounds.gain_floor` at its
+    angle's degree is rejected before the Nichols conversion and the lookup.
+    That is exact: the parts differ from the complex product by a few ulps,
+    far inside the floor's one-degree and 1e-9 dB margins.  With the
+    optimizer's loop margins it shares the controller response and the bound
+    lookup; no kernels, no scaling step.
     """
     kp_vals = box.kp.values()
     ki_vals = box.ki.values()
     kd_vals = box.kd.values()
     responses = np.asarray(problem.nominal_responses)
+    floors = [bounds.gain_floor(curve) for curve in problem.bounds]
     n_kp = len(kp_vals)
     rows = max(1, bounds._BLOCK_CELLS // n_kp)
     order = list(range(len(problem.frequencies)))
@@ -304,20 +330,20 @@ def brute_force_design(problem: DesignProblem, box: OracleBox) -> OracleResult:
             ki_block = ki_vals[start : start + rows]
             survivors = None  # flat (ki, kp) indices into the block, ascending
             for k in order:
-                omega = problem.frequencies[k]
-                if survivors is None:
-                    ctrl = pid_frequency_response(kp_vals[None, :], ki_block[:, None], kd, omega)
-                    ctrl = ctrl.reshape(-1)
-                else:
+                omega, response = problem.frequencies[k], responses[k]
+                if survivors is None:  # the whole (ki, kp) mesh goes through the floor
+                    b = kd * omega - ki_block[:, None] / omega
+                    re = response.real * kp_vals - response.imag * b
+                    survivors = _may_pass(floors[k], re, response.real * b + response.imag * kp_vals)
+                if survivors.size:
                     kp_cells, ki_cells = kp_vals[survivors % n_kp], ki_block[survivors // n_kp]
                     ctrl = pid_frequency_response(kp_cells, ki_cells, kd, omega)
-                phase, gain_db = to_nichols_array(responses[k] * ctrl)
-                bound = interpolate_bound_array(problem.bounds[k], phase)
-                # A zero controller response has no phase, so no bound can be
-                # looked up for it; treat it as failing this frequency outright
-                # (otherwise the all-zero triple passes vacuously).
-                passed = np.flatnonzero((gain_db >= bound) & (ctrl != 0))
-                survivors = passed if survivors is None else survivors[passed]
+                    phase, gain_db = to_nichols_array(response * ctrl)
+                    bound = interpolate_bound_array(problem.bounds[k], phase)
+                    # A zero controller response has no phase, so no bound can
+                    # be looked up for it; treat it as failing this frequency
+                    # outright (otherwise the all-zero triple passes vacuously).
+                    survivors = survivors[(gain_db >= bound) & (ctrl != 0)]
                 if not survivors.size:
                     order.remove(k)
                     order.insert(0, k)

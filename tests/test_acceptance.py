@@ -19,7 +19,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from qft_forge.bounds import horowitz_bound
+import qft_forge.verify as verify
+from qft_forge.bounds import horowitz_bound, interpolate_bound_array
 from qft_forge.cli import EXIT_VERIFY_FAILED, main
 from qft_forge.config import load_config
 from qft_forge.expr import parse_coefficient_expr
@@ -176,16 +177,25 @@ class TestC3OracleEquivalence:
         assert elapsed < 600.0
         assert lo <= kd_design <= hi
 
-    def test_c3_oracle_pinned(self, reduced_stack):
+    def test_c3_oracle_pinned(self, reduced_stack, monkeypatch):
         box = OracleBox(
             kp=GainAxis(0.0, 50.0, 0.05),
             ki=GainAxis(0.0, 50.0, 0.05),
             kd=GainAxis(0.0, 50.0, 0.05),
         )
+        looked_up = []
+
+        def counting(curve, phases):
+            looked_up.append(len(phases))
+            return interpolate_bound_array(curve, phases)
+
+        monkeypatch.setattr(verify, "interpolate_bound_array", counting)
         oracle = brute_force_design(reduced_stack.problem, box)
         assert oracle.best_gains.kp == pytest.approx(10.9, abs=1e-9)
         assert oracle.best_gains.ki == pytest.approx(0.0, abs=1e-9)
         assert oracle.best_gains.kd == pytest.approx(3.05, abs=1e-9)
+        # the gain floor rules out all but a few cells before the bound lookup
+        assert sum(looked_up) <= 0.05 * oracle.evaluations
 
 
 class TestC4CircleAnalytics:

@@ -121,9 +121,12 @@ class TestUsageErrors:
     def test_parser_prog_name(self):
         assert build_parser().prog == "qft-forge"
 
-    @pytest.mark.parametrize("axis", ["[NaN, 1, 0.5]", "[0, Infinity, 0.5]", "[0, 1, Infinity]"])
+    @pytest.mark.parametrize(
+        "axis", ["[NaN, 1, 0.5]", "[0, Infinity, 0.5]", "[0, 1, Infinity]", "[0, 1e300, 1e-300]"]
+    )
     def test_non_finite_oracle_axis(self, capsys, reduced_json, tmp_path, axis):
-        # JSON as Python writes and reads it accepts NaN and Infinity
+        # JSON as Python writes and reads it accepts NaN and Infinity; the
+        # last axis is finite, but its sample count is not
         raw = json.loads(Path(reduced_json).read_text())
         raw["oracle"] = {"kp": "AXIS", "ki": [0, 5, 0.5], "kd": [0, 5, 0.5]}
         cfg = tmp_path / "bad_box.json"

@@ -502,6 +502,8 @@ class TestGainAxis:
             GainAxis(1.0, 0.5, 0.1)
         with pytest.raises(ValueError):
             GainAxis(0.0, 1.0, 0.0)
+        with pytest.raises(ValueError, match="bad gain axis"):
+            GainAxis(0.0, 1e300, 1e-300)  # finite ends, but no finite sample count
 
     def test_inclusive_values(self):
         assert list(GainAxis(0.0, 1.0, 0.25).values()) == pytest.approx(
