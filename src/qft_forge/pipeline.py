@@ -11,7 +11,6 @@ configuration reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
-import csv
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -224,13 +223,14 @@ def compute_oracle(config: DesignConfig, problem: DesignProblem) -> OracleResult
 
 
 # --- artifact formatting ----------------------------------------------------
+#
+# Every CSV field is a number, a sentinel word or a parameter name (an
+# identifier), so none needs quoting and a row is its fields joined by commas.
 
 def _num(value: float) -> str:
-    """Shortest round-trip decimal for a float (negative zero normalised)."""
-    value = float(value)
-    if value == 0.0:
-        value = 0.0
-    return repr(value)
+    """Shortest round-trip decimal for a float; ``-0.0 + 0.0`` is ``+0.0``, so
+    negative zero is written ``0.0``."""
+    return repr(float(value) + 0.0)
 
 
 def _bound_str(value: float) -> str:
@@ -250,64 +250,101 @@ def _write_text(path: str, text: str):
         handle.write(text)
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence[str]]):
+def _write_blocks(path: str, header: Sequence[str], blocks: Iterable[Tuple[str, List[str]]]):
+    """Write a CSV file: the header, then each ``(prefix, lines)`` block as
+    ``prefix + prefix.join(lines)`` in one ``write``, so every line, which
+    ends in ``\n``, starts with ``prefix``; a block without lines writes
+    nothing.
+
+    Blocks are produced and written one at a time, never a whole file: a
+    block is one row group (a kd-grid row, a frequency's template, a bound
+    curve, the envelope), well under the 64 KiB that ``bounds._BLOCK_CELLS`` budgets for a
+    working block.
+    """
     with _open_text(path) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        handle.write(",".join(header) + "\n")
+        for prefix, lines in blocks:
+            if lines:
+                handle.write(prefix + prefix.join(lines))
 
 
 def write_templates_csv(path: str, config: DesignConfig, templates: Dict[float, Template]):
+    """One block per design frequency, numbers as :func:`_num` writes them
+    (negative zero as ``0.0``)."""
     names = tuple(spec.name for spec in config.plant.params)
     header = ["omega", *names, "phase_deg", "gain_db", "on_hull"]
 
-    def rows():  # streamed: collecting every row raised the run's peak memory
+    def blocks():
         for omega in config.frequencies:
             t = templates[omega]
-            hull = set(t.hull_indices.tolist())
-            columns = (t.points.tolist(), t.phase_deg.tolist(), t.gain_db.tolist())
-            for i, (point, phase, gain) in enumerate(zip(*columns)):
-                on_hull = "1" if i in hull else "0"
-                yield [_num(omega), *map(_num, point), _num(phase), _num(gain), on_hull]
+            on_hull = np.zeros(len(t.gain_db), dtype=bool)
+            on_hull[t.hull_indices] = True
+            columns = (t.points, t.phase_deg, t.gain_db, on_hull)
+            yield _num(omega) + ",", [
+                "".join([repr(v + 0.0) + "," for v in point])
+                + f"{phase + 0.0!r},{gain + 0.0!r},{'1' if hull else '0'}\n"
+                for point, phase, gain, hull in zip(*(column.tolist() for column in columns))
+            ]
 
-    _write_csv(path, header, rows())
+    _write_blocks(path, header, blocks())
 
 
 def write_bounds_csv(path: str, curves: Sequence[BoundCurve]):
-    rows = (
-        [_num(curve.omega), _num(phase), _bound_str(value)]
+    """One block per curve; sentinel entries as their names, numbers as
+    :func:`_num` writes them (negative zero as ``0.0``)."""
+    blocks = (
+        (
+            _num(curve.omega) + ",",
+            [
+                f"{phase + 0.0!r},{_bound_str(value)}\n"
+                for phase, value in zip(curve.phase_grid, curve.min_gain_db)
+            ],
+        )
         for curve in curves
-        for phase, value in zip(curve.phase_grid, curve.min_gain_db)
     )
-    _write_csv(path, ["omega", "phase_deg", "min_gain_db"], rows)
+    _write_blocks(path, ["omega", "phase_deg", "min_gain_db"], blocks)
 
 
 def write_kd_grid_csv(path: str, result: DesignResult):
-    # rows are streamed, not collected, and the grid becomes Python floats one
-    # row at a time: holding the servo grid's 32 400 rows as lists of strings
-    # set the run's peak memory, and a whole-grid tolist() raised it too
-    # the grid holds finite values and INFEASIBLE, never NO_CONSTRAINT
+    """One block per ``phase_i`` row (a single block for PI and PD, whose
+    file is ``phase_deg,objective``).
+
+    The grid holds finite values and INFEASIBLE, never NO_CONSTRAINT: each
+    row starts from the ``phase_j,INFEASIBLE`` lines, built once, and formats
+    only its other cells, as :func:`_num` writes them (negative zero as
+    ``0.0``).  Rows are converted to Python floats one at a time; a
+    whole-grid ``tolist()`` raised the run's peak memory.
+    """
     phases_j = [_num(phase) for phase in result.window_phases_j]
+    infeasible = [f"{phase},INFEASIBLE\n" for phase in phases_j]
+
+    def lines(values: np.ndarray) -> List[str]:
+        row = infeasible.copy()
+        cells = np.flatnonzero(values != INFEASIBLE)
+        for j, value in zip(cells.tolist(), values[cells].tolist()):
+            row[j] = f"{phases_j[j]},{value + 0.0!r}\n"
+        return row
+
     if result.window_phases_i:
         header = ["phase_i_deg", "phase_j_deg", "kd"]
-        rows = (
-            [phase_i, phase_j, _bound_str(value)]
-            for phase_i, values in zip(map(_num, result.window_phases_i), result.kd_grid)
-            for phase_j, value in zip(phases_j, values.tolist())
+        blocks = (
+            (_num(phase_i) + ",", lines(values))
+            for phase_i, values in zip(result.window_phases_i, result.kd_grid)
         )
     else:
         header = ["phase_deg", "objective"]
-        values = result.kd_grid[0].tolist()
-        rows = ([phase, _bound_str(value)] for phase, value in zip(phases_j, values))
-    _write_csv(path, header, rows)
+        blocks = [("", lines(result.kd_grid[0]))]
+    _write_blocks(path, header, blocks)
 
 
 def write_envelope_csv(path: str, report: VerificationReport):
-    rows = (
-        [_num(r.omega), _num(r.min_db), _num(r.max_db), _num(r.lower_db), _num(r.upper_db)]
+    """One block for the whole file, numbers as :func:`_num` writes them
+    (negative zero as ``0.0``, an unbounded member's ``max_db`` as ``inf``)."""
+    lines = [
+        ",".join(map(_num, (r.omega, r.min_db, r.max_db, r.lower_db, r.upper_db))) + "\n"
         for r in report.envelope
-    )
-    _write_csv(path, ["omega", "min_db", "max_db", "lower_db", "upper_db"], rows)
+    ]
+    _write_blocks(path, ["omega", "min_db", "max_db", "lower_db", "upper_db"], [("", lines)])
 
 
 def _gains_line(gains: PidGains) -> str:

@@ -48,6 +48,15 @@ def _fmt(value: float) -> str:
     return "0.00" if text == "-0.00" else text
 
 
+def _path(xs: np.ndarray, ys: np.ndarray) -> str:
+    """Path data ``Mx,y Lx,y ...`` for pixel coordinates, formatted in one
+    pass with :func:`_fmt`'s rule: a coordinate is an optional ``-`` and
+    digits with two decimals, so ``-0.00`` only ever matches a whole one."""
+    coords = np.column_stack((xs, ys)).ravel().tolist()
+    text = ("M" + " L".join(("{:.2f},{:.2f}",) * len(xs))).format(*coords)
+    return text.replace("-0.00", "0.00")
+
+
 def _el(tag: str, text: str = "", **attrs: str) -> str:
     """One element on one line; attribute ``a_b`` is written ``a-b``, in call order."""
     head = "".join(f' {name.replace("_", "-")}="{value}"' for name, value in attrs.items())
@@ -124,7 +133,7 @@ def emit_nichols_svg(
         return zip(x(rows[:, 0]).tolist(), y(rows[:, 1]).tolist())
 
     def path(rows: np.ndarray) -> str:
-        return "M" + " L".join(f"{_fmt(px)},{_fmt(py)}" for px, py in pixels(rows))
+        return _path(x(rows[:, 0]), y(rows[:, 1]))
 
     def put(tag: str, text: str = "", **attrs: str):
         out.write(_el(tag, text, **attrs))

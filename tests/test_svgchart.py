@@ -8,8 +8,10 @@ import math
 import xml.etree.ElementTree as ET
 
 import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
 
-from qft_forge.svgchart import emit_nichols_svg
+from qft_forge.svgchart import _fmt, _path, emit_nichols_svg
 
 LEGEND_LABELS = (
     "uncertainty templates",
@@ -142,6 +144,18 @@ class TestDocumentShape:
 
     def test_deterministic(self):
         assert full_chart() == full_chart()
+
+
+NEAR_ZERO = (-0.0, 0.0, -0.004, -0.005, -0.0051, 0.004, -10.001, -100.0, -0.01, 1e300)
+coordinates = st.one_of(st.sampled_from(NEAR_ZERO), st.floats(allow_nan=False))
+
+
+class TestPathData:
+    @given(points=st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=12))
+    def test_one_pass_matches_per_coordinate_fmt(self, points):
+        xs, ys = (np.array(column) for column in zip(*points))
+        expected = "M" + " L".join(f"{_fmt(px)},{_fmt(py)}" for px, py in points)
+        assert _path(xs, ys) == expected
 
 
 class TestLayers:
