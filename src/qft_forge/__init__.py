@@ -10,15 +10,15 @@ against them:
 - :mod:`qft_forge.plant` — uncertain plant families and their frequency
   templates (with Nichols-plane convex hulls).
 - :mod:`qft_forge.bounds` — tracking-spread and sensitivity bounds by
-  bisection, the high-frequency stability contour, bound combination.
+  bisection, the high-frequency stability contour, bound lookup.
 - :mod:`qft_forge.optimizer` — the controller search: the phase-pair kernel
   minimising the derivative gain, or for PI/PD the same search pinned at one
   anchor; plus the derivative-filter gain map.
 - :mod:`qft_forge.verify` — margins, dense stability sweep, closed-loop
   tracking envelope, and the brute-force gain-box oracle.
 - :mod:`qft_forge.config` / :mod:`qft_forge.pipeline` /
-  :mod:`qft_forge.cli` — JSON run configs, stage orchestration with CSV/SVG
-  artifacts, and the ``qft-forge`` command.
+  :mod:`qft_forge.cli` — JSON run configs, stage orchestration (bound
+  combination included) with CSV/SVG artifacts, and the ``qft-forge`` command.
 
 The top level re-exports only the entry points README.md documents; the
 rest of the API is imported from its module.
@@ -28,7 +28,6 @@ from .bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
     UContour,
-    combine_with_ucontour,
     disturbance_bound,
     horowitz_bound,
     interpolate_bound_array,
@@ -57,7 +56,6 @@ __all__ = [
     "horowitz_bound",
     "disturbance_bound",
     "UContour",
-    "combine_with_ucontour",
     "interpolate_bound_array",
     "design_controller",
     "SweepScreen",

@@ -12,7 +12,7 @@ Two sentinels extend the real line:
 * ``INFEASIBLE``    (+inf): still infeasible at the +100 dB ceiling.
 
 Encoding them as infinities makes ``max`` implement the combination rules for
-stacking bound families directly.
+stacking bound families directly, as ``pipeline.compute_bounds`` does.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import BoundBelowUContour, DegenerateSpread, ZeroMagnitude
+from .errors import DegenerateSpread, ZeroMagnitude
 from .lti import (
     RationalTransferFunction,
     db,
@@ -50,7 +50,6 @@ __all__ = [
     "delta_spread",
     "horowitz_bound",
     "disturbance_bound",
-    "combine_with_ucontour",
     "interpolate_bound_array",
     "gain_floor",
 ]
@@ -383,27 +382,6 @@ class UContour:
             & (lower + INTERPOLATION_TOLERANCE_DB < gain_db)
             & (gain_db < upper - INTERPOLATION_TOLERANCE_DB)
         )
-
-
-def combine_with_ucontour(curve: BoundCurve, u: UContour) -> BoundCurve:
-    """Fold the stability contour's top into a performance bound.
-
-    Aborts (BoundBelowUContour) when a finite performance entry sits below the
-    contour's bottom edge: taking the max there would quietly forbid a region
-    the performance spec allows, and the conflict deserves eyes on it.
-    """
-    merged: List[float] = []
-    for phi, entry, edge in zip(curve.phase_grid, curve.min_gain_db, u.edges(curve.phase_grid)):
-        if edge is not None:
-            top, bottom = edge
-            if math.isfinite(entry) and entry < bottom - 1e-9:
-                raise BoundBelowUContour(
-                    f"performance bound {entry:.3f} dB at phase {phi:.1f} deg sits below "
-                    f"the stability contour bottom {bottom:.3f} dB (omega={curve.omega})"
-                )
-            entry = max(entry, top)
-        merged.append(entry)
-    return BoundCurve(omega=curve.omega, phase_grid=curve.phase_grid, min_gain_db=tuple(merged))
 
 
 # --- interpolation ---------------------------------------------------------

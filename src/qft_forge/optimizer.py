@@ -200,18 +200,11 @@ def _lift(v: np.ndarray, problem: DesignProblem):
 
 
 def _scale(v: np.ndarray, beta) -> np.ndarray:
-    """Directions ``v`` lifted by ``beta`` dB into (kd, ki, kp) gains.
-
-    The multiplier's sign follows the direction's nonzero components; a
-    direction with strictly positive and strictly negative components can
-    never be scaled into the non-negative octant, so it gets inf gains, as
-    does an INFEASIBLE lift.  Zero components are neutral, which keeps
-    pure-P/PI/PD rays admissible.
-    """
-    positive = np.any(v > 0.0, axis=0)
-    ok = ~(positive & np.any(v < 0.0, axis=0)) & (beta != INFEASIBLE)
-    lam = np.where(positive, 1.0, -1.0) * 10.0 ** (np.where(ok, beta, 0.0) / 20.0)
-    return np.where(ok, lam * v, np.inf)
+    """Directions ``v`` lifted by ``beta`` dB into (kd, ki, kp) gains; inf
+    gains where the lift is INFEASIBLE, as the search leaves sign-mixed
+    directions.  Every direction it builds has a positive component."""
+    ok = beta != INFEASIBLE
+    return np.where(ok, 10.0 ** (np.where(ok, beta, 0.0) / 20.0) * v, np.inf)
 
 
 @dataclass(frozen=True)
@@ -418,7 +411,7 @@ def design_controller(problem: DesignProblem, kind: str, screen: SweepScreen) ->
 
     beta = np.full(v.shape[1:], INFEASIBLE)
     active = np.zeros(v.shape[1:], dtype=int)
-    scalable = ~(np.any(v > 0.0, axis=0) & np.any(v < 0.0, axis=0))
+    scalable = ~np.any(v < 0.0, axis=0)
     beta[scalable], active[scalable] = _lift(v[:, scalable], problem)
     gains = _scale(v, beta)
     grid = gains[objective]

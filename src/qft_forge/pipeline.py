@@ -11,6 +11,7 @@ configuration reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -22,13 +23,13 @@ from .bounds import (
     NO_CONSTRAINT,
     BoundCurve,
     UContour,
-    combine_with_ucontour,
     delta_spread,
     disturbance_bound,
     horowitz_bound,
     make_phase_grid,
 )
 from .config import DesignConfig
+from .errors import BoundBelowUContour
 from .lti import to_nichols, to_nichols_array, wrap_phase_array
 from .optimizer import (
     DesignProblem,
@@ -126,22 +127,6 @@ def compute_templates(config: DesignConfig) -> Dict[float, Template]:
     return generate_templates(effective_plant(config), config.frequencies)
 
 
-def _performance_curve(
-    config: DesignConfig, templates: Dict[float, Template], omega: float, grid: Sequence[float]
-) -> BoundCurve:
-    """Tracking-spread bound at one frequency, merged entrywise with its
-    sensitivity-cap bound when the configuration caps this frequency; the
-    sentinel encoding makes ``max`` the combination rule."""
-    template = templates[omega]
-    use_hull = config.design.use_hull
-    curve = horowitz_bound(template, delta_spread(config.tracking, omega), grid, use_hull=use_hull)
-    if omega in config.disturbance:
-        cap = disturbance_bound(template, config.disturbance[omega], grid, use_hull=use_hull)
-        merged = tuple(map(max, curve.min_gain_db, cap.min_gain_db))
-        curve = BoundCurve(omega=curve.omega, phase_grid=curve.phase_grid, min_gain_db=merged)
-    return curve
-
-
 def compute_bounds(
     config: DesignConfig,
     templates: Dict[float, Template],
@@ -149,9 +134,10 @@ def compute_bounds(
     """Combined per-frequency design bounds plus the stability contour, which
     carries the high-frequency span it drops its bottom edge by.
 
-    Per frequency: the tracking-spread bound, optionally merged with a
-    sensitivity-cap bound, then folded with the contour top over its phase
-    range.
+    Per frequency and phase, the ``max`` of the tracking bound, the cap bound
+    where one is configured and the contour top where the contour reaches
+    (edges evaluated once).  A finite performance entry below the contour
+    bottom raises BoundBelowUContour: the max would forbid what the spec allows.
     """
     grid = make_phase_grid(config.phase_grid_count)
     if config.delta_hf_override is not None:
@@ -159,11 +145,29 @@ def compute_bounds(
     else:
         delta_hf = templates[config.frequencies[-1]].gain_span_db()
     contour = UContour(config.m_value, delta_hf)
-    curves = tuple(
-        combine_with_ucontour(_performance_curve(config, templates, omega, grid), contour)
-        for omega in config.frequencies
-    )
-    return curves, contour
+    edges = contour.edges(grid)
+    use_hull = config.design.use_hull
+    curves = []
+    for omega in config.frequencies:
+        template = templates[omega]
+        delta = delta_spread(config.tracking, omega)
+        entries = horowitz_bound(template, delta, grid, use_hull=use_hull).min_gain_db
+        if omega in config.disturbance:
+            cap = disturbance_bound(template, config.disturbance[omega], grid, use_hull=use_hull)
+            entries = tuple(map(max, entries, cap.min_gain_db))
+        merged: List[float] = []
+        for phi, entry, edge in zip(grid, entries, edges):
+            if edge is not None:
+                top, bottom = edge
+                if math.isfinite(entry) and entry < bottom - 1e-9:
+                    raise BoundBelowUContour(
+                        f"performance bound {entry:.3f} dB at phase {phi:.1f} deg sits below "
+                        f"the stability contour bottom {bottom:.3f} dB (omega={template.omega})"
+                    )
+                entry = max(entry, top)
+            merged.append(entry)
+        curves.append(BoundCurve(omega=template.omega, phase_grid=grid, min_gain_db=merged))
+    return tuple(curves), contour
 
 
 def build_problem(

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -46,11 +46,10 @@ class ParameterSpec:
         if self.grid_points < 1:
             raise ValueError(f"parameter '{self.name}': grid_points must be >= 1")
 
-    def grid(self, override: Optional[int] = None) -> np.ndarray:
-        count = override if override is not None else self.grid_points
-        if count == 1 or self.minimum == self.maximum:
+    def grid(self) -> np.ndarray:
+        if self.grid_points == 1 or self.minimum == self.maximum:
             return np.array([self.minimum])
-        return np.linspace(self.minimum, self.maximum, count)
+        return np.linspace(self.minimum, self.maximum, self.grid_points)
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,6 @@ from qft_forge.bounds import (
     BoundCurve,
     TrackingSpec,
     UContour,
-    combine_with_ucontour,
     delta_spread,
     disturbance_bound,
     horowitz_bound,
@@ -35,7 +34,8 @@ from qft_forge.lti import (
     m_circle_gains,
     undb,
 )
-from qft_forge.pipeline import _performance_curve, compute_bounds
+from qft_forge import pipeline
+from qft_forge.pipeline import compute_bounds
 from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 
 import scalar_reference as ref
@@ -259,27 +259,39 @@ class TestDisturbanceGain:
 
 
 class TestPerformanceCurve:
-    """The tracking bound at one frequency, merged with its cap bound."""
+    """``compute_bounds``' tracking bound at one frequency, merged with its
+    cap bound, before the contour top is folded in."""
 
-    GRID = make_phase_grid(24)
+    def combined(self, config, templates, omega):
+        """The combined curve at ``omega`` and the contour's edges on its grid."""
+        curves, contour = compute_bounds(config, templates)
+        curve = curves[config.frequencies.index(omega)]
+        return curve, contour.edges(curve.phase_grid)
 
     def test_capped_curve_is_entrywise_max(self, reduced_config, reduced_stack):
         config = dataclasses.replace(reduced_config, disturbance={3.0: 1.0})
         template = reduced_stack.templates[3.0]
-        tracking = horowitz_bound(template, delta_spread(config.tracking, 3.0), self.GRID)
-        cap = disturbance_bound(template, 1.0, self.GRID)
-        curve = _performance_curve(config, reduced_stack.templates, 3.0, self.GRID)
-        assert curve.min_gain_db == tuple(map(max, tracking.min_gain_db, cap.min_gain_db))
-        # each side wins somewhere, and the sentinels meet finite entries
+        grid = make_phase_grid(config.phase_grid_count)
+        tracking = horowitz_bound(template, delta_spread(config.tracking, 3.0), grid)
+        cap = disturbance_bound(template, 1.0, grid)
+        curve, edges = self.combined(config, reduced_stack.templates, 3.0)
         pairs = list(zip(tracking.min_gain_db, cap.min_gain_db))
-        assert any(t > c for t, c in pairs) and any(c > t for t, c in pairs)
+        for value, (t, c), edge in zip(curve.min_gain_db, pairs, edges):
+            assert value == (max(t, c) if edge is None else max(t, c, edge[0]))
+        # each side wins somewhere outside the contour, and the sentinels meet finite entries
+        outside = [pair for pair, edge in zip(pairs, edges) if edge is None]
+        assert any(t > c for t, c in outside) and any(c > t for t, c in outside)
         assert any(NO_CONSTRAINT in pair for pair in pairs)
 
     def test_uncapped_curve_is_tracking_bound(self, reduced_config, reduced_stack):
         template = reduced_stack.templates[1.0]
-        tracking = horowitz_bound(template, delta_spread(reduced_config.tracking, 1.0), self.GRID)
-        curve = _performance_curve(reduced_config, reduced_stack.templates, 1.0, self.GRID)
-        assert curve == tracking
+        grid = make_phase_grid(reduced_config.phase_grid_count)
+        tracking = horowitz_bound(template, delta_spread(reduced_config.tracking, 1.0), grid)
+        curve, edges = self.combined(reduced_config, reduced_stack.templates, 1.0)
+        assert (curve.omega, curve.phase_grid) == (tracking.omega, tracking.phase_grid)
+        for value, t, edge in zip(curve.min_gain_db, tracking.min_gain_db, edges):
+            assert value == (t if edge is None else max(t, edge[0]))
+        assert any(edge is None for edge in edges)
 
 
 class TestBoundCurveValidation:
@@ -411,48 +423,57 @@ class TestUContour:
 
 
 class TestCombineWithUContour:
-    def test_fold_examples(self):
-        contour = UContour(1.2, 5.0)
-        top = m_circle_gains(1.2, -180.0)[0]
-        curve = BoundCurve(
-            omega=1.0,
-            phase_grid=(-300.0, -180.0, -40.0),
-            min_gain_db=(5.0, 5.0, 5.0),
-        )
-        merged = combine_with_ucontour(curve, contour)
-        assert merged.min_gain_db[0] == 5.0  # outside the contour span
-        assert merged.min_gain_db[1] == pytest.approx(top, abs=1e-12)
-        assert merged.min_gain_db[2] == 5.0
+    """``compute_bounds`` folds the contour top into each performance bound.
 
-    def test_entry_above_top_survives(self):
-        contour = UContour(1.2, 5.0)
-        curve = BoundCurve(
-            omega=1.0, phase_grid=(-180.0,), min_gain_db=(20.0,)
-        )
-        assert combine_with_ucontour(curve, contour).min_gain_db == (20.0,)
+    The tracking bound is replaced by fixed entries on a 6-phase grid,
+    -330, -270, ..., -30 deg, which the M = 1.2 contour reaches at -210 and
+    -150 deg only; the reduced config caps no frequency.
+    """
 
-    def test_sentinels_pass_through(self):
-        contour = UContour(1.2, 5.0)
-        top = m_circle_gains(1.2, -180.0)[0]
-        curve = BoundCurve(
-            omega=1.0,
-            phase_grid=(-181.0, -180.0),
-            min_gain_db=(NO_CONSTRAINT, INFEASIBLE),
-        )
-        merged = combine_with_ucontour(curve, contour)
-        assert merged.min_gain_db[0] == pytest.approx(
-            m_circle_gains(1.2, -181.0)[0], abs=1e-12
-        )
-        assert merged.min_gain_db[1] == INFEASIBLE
+    GRID = make_phase_grid(6)
+    TOP = m_circle_gains(1.2, -150.0)[0]  # 14.007 dB, also at -210 deg
 
-    def test_finite_entry_below_bottom_aborts(self):
-        contour = UContour(1.2, 5.0)
-        bottom = m_circle_gains(1.2, -180.0)[1] - 5.0
-        curve = BoundCurve(
-            omega=1.0, phase_grid=(-180.0,), min_gain_db=(bottom - 1.0,)
+    def fold(self, monkeypatch, config, templates, entries):
+        def tracking(template, delta_db, phase_grid, use_hull=True):
+            return BoundCurve(omega=template.omega, phase_grid=phase_grid, min_gain_db=entries)
+
+        monkeypatch.setattr(pipeline, "horowitz_bound", tracking)
+        config = dataclasses.replace(config, phase_grid_count=6, delta_hf_override=5.0)
+        curves, contour = compute_bounds(config, templates)
+        reached = [p for p, edge in zip(self.GRID, contour.edges(self.GRID)) if edge]
+        assert reached == [-210.0, -150.0]
+        return curves
+
+    def test_fold_examples(self, monkeypatch, reduced_config, reduced_stack):
+        curves = self.fold(monkeypatch, reduced_config, reduced_stack.templates, (5.0,) * 6)
+        for curve in curves:
+            # outside the contour span the entries are untouched
+            assert curve.min_gain_db == (5.0, 5.0, self.TOP, self.TOP, 5.0, 5.0)
+            assert curve.phase_grid == self.GRID
+
+    def test_entry_above_top_survives(self, monkeypatch, reduced_config, reduced_stack):
+        curves = self.fold(monkeypatch, reduced_config, reduced_stack.templates, (20.0,) * 6)
+        assert curves[0].min_gain_db == (20.0,) * 6
+
+    def test_sentinels_pass_through(self, monkeypatch, reduced_config, reduced_stack):
+        entries = (NO_CONSTRAINT, NO_CONSTRAINT, NO_CONSTRAINT, INFEASIBLE, INFEASIBLE, 5.0)
+        curves = self.fold(monkeypatch, reduced_config, reduced_stack.templates, entries)
+        # NO_CONSTRAINT takes the top inside the span; INFEASIBLE stays
+        assert curves[0].min_gain_db == (
+            NO_CONSTRAINT, NO_CONSTRAINT, self.TOP, INFEASIBLE, INFEASIBLE, 5.0
         )
-        with pytest.raises(BoundBelowUContour):
-            combine_with_ucontour(curve, contour)
+
+    def test_finite_entry_below_bottom_aborts(self, monkeypatch, reduced_config, reduced_stack):
+        # the first offender in frequency then grid order is named
+        entries = (5.0, 5.0, -40.0, -40.0, 5.0, 5.0)
+        bottom = m_circle_gains(1.2, -210.0)[1] - 5.0
+        message = (
+            f"performance bound -40.000 dB at phase -210.0 deg sits below the stability "
+            f"contour bottom {bottom:.3f} dB (omega=1.0)"
+        )
+        with pytest.raises(BoundBelowUContour) as caught:
+            self.fold(monkeypatch, reduced_config, reduced_stack.templates, entries)
+        assert str(caught.value) == message
 
     def test_servo_combined_curves_dominate_contour(self, servo_stack):
         for curve in servo_stack.curves:
@@ -508,7 +529,7 @@ class TestPerMemberStability:
     def test_bound_is_not_below_any_members_stability_top(self, servo_config, servo_stack):
         """The combined bound must keep every member's |T_i| within M.
 
-        ``combine_with_ucontour`` folds in the stability contour, which is
+        ``compute_bounds`` folds in the stability contour, which is
         the nominal member's M-circle top widened by the high-frequency
         span, so it constrains only the phases inside the contour's span,
         -236.443 to -123.557 deg on servo.  The classic per-frequency
@@ -523,9 +544,9 @@ class TestPerMemberStability:
         member's |T| above M.
         Across servo's 2 880 combined entries, 217 fall short of the
         per-member top by more than 0.05 dB: six inside the span (at omega=2
-        and 3) and 211 up to 53 deg past its lagging end.  The fix merges a
-        per-member stability curve into the bounds before
-        ``combine_with_ucontour``.
+        and 3) and 211 up to 53 deg past its lagging end.  The fix adds a
+        per-member stability curve to the entries ``compute_bounds`` folds
+        together.
         """
         k = servo_config.frequencies.index(60.0)
         curve = servo_stack.curves[k]

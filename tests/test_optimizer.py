@@ -326,7 +326,7 @@ class TestLift:
 
 
 class TestCandidateFromKernel:
-    """``_scale``: a kernel direction lifted into (kd, ki, kp) gains."""
+    """A kernel direction lifted into (kd, ki, kp) gains, or not lifted."""
 
     def test_scaling_by_20_db(self):
         kd, ki, kp = _scale(PID_RAY, 20.0)
@@ -337,17 +337,19 @@ class TestCandidateFromKernel:
         assert gains.kp == pytest.approx(10.0 / math.sqrt(6.0), abs=1e-9)
 
     def test_sign_mixed_rejected(self):
-        assert np.isinf(_scale(MIXED_RAY, 0.0)).all()
+        # phases (45, 45) give MIXED_RAY: the search does not lift it, although
+        # the flat bounds would, so its kd_grid cell reads inf
+        grid = (-135.0, -90.0, -45.0)
+        problem = two_freq_problem(flat_curve(1.0, grid, 0.0), flat_curve(2.0, grid, 0.0))
+        result = design_controller(problem, "pid", ADMIT_ALL)
+        i, j = result.window_phases_i.index(-45.0), result.window_phases_j.index(-45.0)
+        assert np.isinf(result.kd_grid[i, j])
+        assert np.isfinite(_lift(MIXED_RAY[:, None], problem)[0]).all()
+        assert np.isfinite(result.kd_grid).any()
 
     def test_zero_beta_pure_proportional(self):
         assert _scale(P_RAY, 0.0).tolist() == [0.0, 0.0, 1.0]
 
-    def test_all_negative_direction_flips_sign(self):
-        r = 1.0 / math.sqrt(2.0)
-        kd, ki, kp = _scale(np.array([-r, -r, 0.0]), 0.0)
-        assert kp == 0.0
-        assert ki == pytest.approx(r)
-        assert kd == pytest.approx(r)
 
 
 class TestLoopMargins:

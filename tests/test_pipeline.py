@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from qft_forge.bounds import make_phase_grid
+from qft_forge.bounds import UContour, make_phase_grid
 from qft_forge.lti import db
 from qft_forge.optimizer import PidGains
 from qft_forge import pipeline, plant, verify
@@ -75,6 +75,19 @@ class TestComputeBounds:
         expected = db(100.0 * math.sqrt(3601.0 / 3700.0))
         assert servo_stack.contour.delta_hf_db == pytest.approx(expected, rel=1e-12)
         assert servo_stack.contour.delta_hf_db == pytest.approx(39.8822139730429, rel=1e-12)
+
+    def test_contour_edges_are_evaluated_once(self, servo_config, servo_stack, monkeypatch):
+        calls = []
+        edges = UContour.edges
+
+        def spy(contour, phases):
+            calls.append(len(phases))
+            return edges(contour, phases)
+
+        monkeypatch.setattr(UContour, "edges", spy)
+        curves, _ = compute_bounds(servo_config, servo_stack.templates)
+        assert calls == [servo_config.phase_grid_count]
+        assert curves == servo_stack.curves
 
 
 class TestChartLayers:

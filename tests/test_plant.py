@@ -116,11 +116,6 @@ class TestParameterSpec:
         assert grid[0] == 1.0
         assert grid[-1] == 10.0
 
-    def test_grid_override(self):
-        grid = ParameterSpec("a", 0.0, 1.0, 10).grid(5)
-        assert len(grid) == 5
-        assert grid[2] == pytest.approx(0.5)
-
     def test_degenerate_interval(self):
         grid = ParameterSpec("a", 2.0, 2.0, 7).grid()
         assert list(grid) == [2.0]

@@ -214,6 +214,26 @@ class TestVerifyMargins:
         assert margin.phase_deg == phase
         assert margin.source == "performance"
 
+    def test_margin_on_the_contour_top_is_tagged_ucontour(self, servo_config):
+        # a negative real response with kp=1 puts the loop at exactly -180 deg,
+        # the node where the curve holds the contour top
+        contour = UContour(1.2, 0.0)
+        ((top, _),) = contour.edges([-180.0])
+        curve = BoundCurve(
+            omega=1.0, phase_grid=(-300.0, -180.0, -60.0), min_gain_db=(0.0, top, 0.0)
+        )
+        report = verify_design(
+            {},
+            PidGains(kp=1.0, ki=0.0, kd=0.0),
+            (curve,),
+            contour,
+            (np.array([1.0]), np.array([-0.5 + 0j])),
+            servo_config.tracking,
+        )
+        (margin,) = report.per_frequency_margins
+        assert (margin.phase_deg, margin.bound_db) == (-180.0, top)
+        assert margin.source == "ucontour"
+
     def test_precomputed_responses_need_the_design_frequencies(self, servo_config, servo_stack):
         plant = servo_config.plant
         for grid in (
