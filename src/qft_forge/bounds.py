@@ -1,15 +1,16 @@
 """Nichols-plane bound computation.
 
 For each design frequency the plant template is swept along a vertical line of
-candidate nominal gains at every grid phase.  The least gain that keeps the
-closed-loop magnitude spread within the tracking allowance (or the sensitivity
-under its cap) is located by an upward 5 dB scan from a -100 dB floor followed
-by bisection of the first feasible bracket.  When the probed members are
-more than the template's hull, a probe first tries the hull members alone.
-Two sentinels extend the real line:
+candidate nominal gains at every grid phase.  The tracking bound, the least
+gain keeping the closed-loop magnitude spread within its allowance, is found
+by an upward 5 dB scan from a -100 dB floor and bisection of the first
+feasible bracket; a probe of more members than the template's hull first
+tries the hull members alone.  A sensitivity cap needs no search: it is one
+quadratic in the gain per member, and every member is solved exactly.  Two
+sentinels extend the real line:
 
-* ``NO_CONSTRAINT`` (-inf): already feasible at the scan floor;
-* ``INFEASIBLE``    (+inf): still infeasible at the +100 dB ceiling.
+* ``NO_CONSTRAINT`` (-inf): feasible at the -100 dB floor (a cap: and above);
+* ``INFEASIBLE``    (+inf): infeasible at the +100 dB ceiling (a cap: or above).
 
 Encoding them as infinities makes ``max`` implement the combination rules for
 stacking bound families directly, as ``pipeline.compute_bounds`` does.
@@ -20,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -178,66 +179,47 @@ def delta_spread(spec: TrackingSpec, omega: float) -> float:
     return spread
 
 
-# --- scan + bisection machinery -------------------------------------------
+# --- bound search ----------------------------------------------------------
 
-# The block budget: 4096 complex cells, 64 KiB.  The bound search's chunks
-# probed on every member, the stability screen's blocks and the oracle's ki
-# blocks keep their complex temporaries within it.  Freeing a chunk of 64 KiB
-# or more makes glibc's free() consolidate the heap and trim its top, and the
-# next block faults those pages back in: 40 000 minor faults and +0.13 s on
-# dense-template at some checkout paths, 124 000 faults on the oracle workload
-# with double blocks.  The scan's phase blocks hold two budgets of cells; with
-# witnesses they are sized by them.
+# The block budget: 4096 complex cells, 64 KiB.  The tracking search's chunks
+# probed on every member, the cap bound's phase blocks, the stability screen's
+# blocks and the oracle's ki blocks keep their temporaries within it.  Freeing
+# a chunk of 64 KiB or more makes glibc's free() consolidate the heap and trim
+# its top, and the next block faults those pages back in: 40 000 minor faults
+# and +0.13 s on dense-template at some checkout paths, 124 000 faults on the
+# oracle workload with double blocks.  The scan's phase blocks hold two
+# budgets of cells; with witnesses they are sized by them.
 _BLOCK_CELLS = 4096
 
-def _spread_db(loop: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    vals = 20.0 * np.log10(np.abs(loop / denom))
-    return vals.max(axis=1) - vals.min(axis=1)
 
-
-def _worst_sensitivity(loop: np.ndarray, denom: np.ndarray) -> np.ndarray:
-    return np.max(np.abs(1.0 / denom), axis=1)
-
-
-def _least_feasible_gains(
-    ratios: np.ndarray,
-    phases_deg: Sequence[float],
-    measure: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    limit: float,
-    witnesses: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Least gain with ``measure(loop, 1 + loop) <= limit`` at every phase.
-
-    ``measure`` reduces a (phases, members) array of loop values row by row.
-    Each block of phases runs the upward scan from the floor and then the
-    bisection of its first feasible bracket in lockstep.  A member whose
-    loop is exactly -1 makes the row's measure inf or NaN, so that probe
-    fails like any other over the limit.
+def _least_feasible_gains(ratios, phases_deg, delta_db, witnesses=None) -> np.ndarray:
+    """Least gain keeping the closed-loop spread within ``delta_db`` at each
+    phase: an upward scan from the floor, then the bisection of the first
+    feasible bracket, in lockstep for a block of phases.  A member whose loop
+    is exactly -1 makes the row's spread inf or NaN, failing that probe.
 
     ``witnesses``, some of the members (the template's hull), rule out the
-    rows whose witness measure is not within ``limit``; only the rest are
-    probed on every member.  That is exact: a measure is a max (or max - min)
-    of elementwise values, a subset's max and min select among the row's,
-    rounded subtraction is monotone, and a witness on -1 is on -1 in the
-    full set too.
+    rows whose spread on them is over ``delta_db``; only the rest are probed
+    on every member.  That is exact: a subset's max and min select among the
+    row's, rounded subtraction is monotone, and a witness on -1 is on -1 in
+    the full set too.
     """
-    rotors = np.array(
-        [complex(math.cos(r), math.sin(r)) for r in map(math.radians, phases_deg)],
-        dtype=complex,
-    )
+    radians = map(math.radians, phases_deg)
+    rotors = np.array([complex(math.cos(r), math.sin(r)) for r in radians], dtype=complex)
     out = np.empty(len(rotors))
     rows = max(1, 2 * _BLOCK_CELLS // len(ratios if witnesses is None else witnesses))
     with np.errstate(divide="ignore", invalid="ignore"):  # a loop on -1 divides by zero
         for start in range(0, len(rotors), rows):
             block = slice(start, start + rows)
-            out[block] = _search_block(ratios, rotors[block], measure, limit, witnesses)
+            out[block] = _search_block(ratios, rotors[block], delta_db, witnesses)
     return out
 
 
-def _search_block(ratios, rotors, measure, limit, witnesses) -> np.ndarray:
+def _search_block(ratios, rotors, delta_db, witnesses) -> np.ndarray:
     def probe_on(members, rows: np.ndarray, gains: np.ndarray) -> np.ndarray:
         loop = (gains * rotors[rows])[:, None] * members
-        return measure(loop, 1.0 + loop) <= limit
+        vals = 20.0 * np.log10(np.abs(loop / (1.0 + loop)))
+        return vals.max(axis=1) - vals.min(axis=1) <= delta_db
 
     def probe(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
         gains = np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(gains_db))
@@ -281,14 +263,6 @@ def _check_search(name: str, limit: float) -> None:
         raise ValueError(f"need {name} > 0, got {limit!r}")
 
 
-def _probe_sets(template: Template, use_hull: bool):
-    """The members a bound probes, and the hull as witnesses if it has fewer."""
-    indices = template.hull_indices
-    hull = template.ratios[indices] if len(indices) else template.ratios
-    ratios = hull if use_hull else template.ratios
-    return ratios, (hull if len(hull) < len(ratios) else None)
-
-
 def horowitz_bound(
     template: Template,
     delta_db: float,
@@ -296,24 +270,45 @@ def horowitz_bound(
     use_hull: bool = True,
 ) -> BoundCurve:
     """Least nominal gain keeping the family's closed-loop spread <= delta_db,
-    at each phase of ``phase_grid``."""
+    at each phase of ``phase_grid``; screened on the hull members when they
+    are fewer than the members probed (every one without ``use_hull``)."""
     _check_search("delta_db", delta_db)
-    ratios, witnesses = _probe_sets(template, use_hull)
-    entries = _least_feasible_gains(ratios, phase_grid, _spread_db, delta_db, witnesses)
+    indices = template.hull_indices
+    hull = template.ratios[indices] if len(indices) else template.ratios
+    ratios = hull if use_hull else template.ratios
+    witnesses = hull if len(hull) < len(ratios) else None
+    entries = _least_feasible_gains(ratios, phase_grid, delta_db, witnesses)
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
-def disturbance_bound(
-    template: Template,
-    cap: float,
-    phase_grid: Sequence[float],
-    use_hull: bool = True,
-) -> BoundCurve:
-    """Least nominal gain holding |1/(1+L)| <= cap over the whole template,
-    at each phase of ``phase_grid``."""
+def disturbance_bound(template: Template, cap: float, phase_grid: Sequence[float]) -> BoundCurve:
+    """Least nominal gain above which |1/(1+L)| <= cap holds on every member,
+    at each phase of ``phase_grid``, in closed form.
+
+    With z = e^{j phase} r_i, member i breaks the cap exactly at the gains
+    strictly between the roots of |z|^2 g^2 + 2 Re(z) g + 1 - 1/cap^2.  An
+    entry is the largest positive root over the members in dB: NO_CONSTRAINT
+    at or below the scan floor or where no member breaks the cap, INFEASIBLE
+    above the ceiling.  A phase block holds at most ``_BLOCK_CELLS`` cells.
+    """
     _check_search("cap", cap)
-    ratios, witnesses = _probe_sets(template, use_hull)
-    entries = _least_feasible_gains(ratios, phase_grid, _worst_sensitivity, cap, witnesses)
+    ratios = template.ratios
+    a = np.abs(ratios) ** 2
+    c = 1.0 - 1.0 / (cap * cap)
+    radians = np.radians(phase_grid)
+    top = np.empty(len(radians))
+    rows = max(1, _BLOCK_CELLS // len(ratios))
+    with np.errstate(divide="ignore", invalid="ignore"):  # no root; log10(0)
+        for start in range(0, len(radians), rows):
+            block = radians[start : start + rows, None]
+            b = np.cos(block) * ratios.real - np.sin(block) * ratios.imag  # Re z
+            root = np.sqrt(b * b - a * c)  # NaN where |1 + g z| stays >= 1/cap
+            # the larger root; for b > 0 in the form free of cancellation
+            upper = np.where(b > 0.0, -c / (b + root), (root - b) / a)
+            top[start : start + rows] = np.max(upper, axis=1, initial=0.0, where=root > 0.0)
+        entries = 20.0 * np.log10(top)
+    entries[entries <= SCAN_FLOOR_DB] = NO_CONSTRAINT
+    entries[entries > SCAN_CEILING_DB] = INFEASIBLE
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 

@@ -146,14 +146,13 @@ def compute_bounds(
         delta_hf = templates[config.frequencies[-1]].gain_span_db()
     contour = UContour(config.m_value, delta_hf)
     edges = contour.edges(grid)
-    use_hull = config.design.use_hull
     curves = []
     for omega in config.frequencies:
         template = templates[omega]
         delta = delta_spread(config.tracking, omega)
-        entries = horowitz_bound(template, delta, grid, use_hull=use_hull).min_gain_db
+        entries = horowitz_bound(template, delta, grid, use_hull=config.design.use_hull).min_gain_db
         if omega in config.disturbance:
-            cap = disturbance_bound(template, config.disturbance[omega], grid, use_hull=use_hull)
+            cap = disturbance_bound(template, config.disturbance[omega], grid)
             entries = tuple(map(max, entries, cap.min_gain_db))
         merged: List[float] = []
         for phi, entry, edge in zip(grid, entries, edges):

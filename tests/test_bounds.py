@@ -242,8 +242,15 @@ class TestDisturbanceGain:
         assert bound == pytest.approx(0.0, abs=0.02)
 
     def test_loose_cap_is_unconstrained(self):
+        # |1 + r e^{-j90 deg}| >= 1 > 1/2 at every gain r
         template = single_member_template()
-        assert disturbance_bound(template, 2.0, (-180.0,)).min_gain_db == (NO_CONSTRAINT,)
+        assert disturbance_bound(template, 2.0, (-90.0,)).min_gain_db == (NO_CONSTRAINT,)
+
+    def test_cap_above_one_binds_near_minus_180(self):
+        # |1/(1 - r)| > 2 for r in (0.5, 1.5): bound at 20*log10(1.5)
+        template = single_member_template()
+        (bound,) = disturbance_bound(template, 2.0, (-180.0,)).min_gain_db
+        assert bound == pytest.approx(db(1.5), abs=1e-12)
 
     def test_impossible_cap_is_infeasible(self):
         template = single_member_template()
