@@ -4,13 +4,13 @@ The package turns parametric plant uncertainty into explicit Nichols-chart
 constraints and shapes a PID (or PI/PD) controller of least derivative gain
 against them:
 
-- :mod:`qft_forge.lti` — transfer-function evaluation, dB/phase helpers,
-  constant-closed-loop-magnitude circle analytics.
+- :mod:`qft_forge.lti` — transfer-function evaluation, dB/phase helpers.
 - :mod:`qft_forge.expr` — arithmetic expressions for plant coefficients.
 - :mod:`qft_forge.plant` — uncertain plant families and their frequency
   templates (with Nichols-plane convex hulls).
-- :mod:`qft_forge.bounds` — tracking-spread and sensitivity bounds by
-  bisection, the high-frequency stability contour, bound lookup.
+- :mod:`qft_forge.bounds` — the tracking-spread bound by bisection; the
+  sensitivity-cap bound, the per-member stability bound and the
+  high-frequency stability contour in one closed form; bound lookup.
 - :mod:`qft_forge.optimizer` — the controller search: the phase-pair kernel
   minimising the derivative gain, or for PI/PD the same search pinned at one
   anchor; plus the derivative-filter gain map.
@@ -31,6 +31,7 @@ from .bounds import (
     disturbance_bound,
     horowitz_bound,
     interpolate_bound_array,
+    stability_bound,
 )
 from .config import load_config
 from .errors import QftError
@@ -55,6 +56,7 @@ __all__ = [
     "to_nichols",
     "horowitz_bound",
     "disturbance_bound",
+    "stability_bound",
     "UContour",
     "interpolate_bound_array",
     "design_controller",

@@ -5,12 +5,14 @@ candidate nominal gains at every grid phase.  The tracking bound, the least
 gain keeping the closed-loop magnitude spread within its allowance, is found
 by an upward 5 dB scan from a -100 dB floor and bisection of the first
 feasible bracket; a probe of more members than the template's hull first
-tries the hull members alone.  A sensitivity cap needs no search: it is one
-quadratic in the gain per member, and every member is solved exactly.  Two
-sentinels extend the real line:
+tries the hull members alone.  A sensitivity cap and the stability bound
+|T| <= M need no search: each is one quadratic in the gain per member, and
+one closed form (:func:`_circle_roots`) solves every member exactly.  The
+high-frequency stability contour is the same closed form on the nominal
+member.  Two sentinels extend the real line:
 
-* ``NO_CONSTRAINT`` (-inf): feasible at the -100 dB floor (a cap: and above);
-* ``INFEASIBLE``    (+inf): infeasible at the +100 dB ceiling (a cap: or above).
+* ``NO_CONSTRAINT`` (-inf): feasible at the -100 dB floor (a cap or M: and above);
+* ``INFEASIBLE``    (+inf): infeasible at the +100 dB ceiling (a cap or M: or above).
 
 Encoding them as infinities makes ``max`` implement the combination rules for
 stacking bound families directly, as ``pipeline.compute_bounds`` does.
@@ -20,20 +22,14 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from itertools import repeat
+from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateSpread, ZeroMagnitude
-from .lti import (
-    RationalTransferFunction,
-    db,
-    eval_tf,
-    m_circle_gains,
-    m_circle_phase_range,
-    undb,
-)
+from .errors import DegenerateSpread, InvalidM, ZeroMagnitude
+from .lti import RationalTransferFunction, db, eval_tf
 from .plant import Template
 
 __all__ = [
@@ -51,6 +47,7 @@ __all__ = [
     "delta_spread",
     "horowitz_bound",
     "disturbance_bound",
+    "stability_bound",
     "interpolate_bound_array",
     "gain_floor",
 ]
@@ -222,7 +219,8 @@ def _search_block(ratios, rotors, delta_db, witnesses) -> np.ndarray:
         return vals.max(axis=1) - vals.min(axis=1) <= delta_db
 
     def probe(rows: np.ndarray, gains_db: np.ndarray) -> np.ndarray:
-        gains = np.fromiter(map(undb, gains_db.tolist()), dtype=float, count=len(gains_db))
+        magnitudes = map(pow, repeat(10.0), (gains_db / 20.0).tolist())
+        gains = np.fromiter(magnitudes, dtype=float, count=len(gains_db))
         if witnesses is None:
             return probe_on(ratios, rows, gains)
         ok = probe_on(witnesses, rows, gains)  # False if ruled out, until probed in full
@@ -281,75 +279,98 @@ def horowitz_bound(
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
-def disturbance_bound(template: Template, cap: float, phase_grid: Sequence[float]) -> BoundCurve:
-    """Least nominal gain above which |1/(1+L)| <= cap holds on every member,
-    at each phase of ``phase_grid``, in closed form.
+def _check_m(m_value: float) -> float:
+    """1 - 1/M^2, the g^2 factor of the stability quadratic; InvalidM unless 1 < M < inf."""
+    if not 1.0 < m_value < math.inf:
+        raise InvalidM(f"m_value must exceed 1, got {m_value}")
+    return 1.0 - 1.0 / (m_value * m_value)
 
-    With z = e^{j phase} r_i, member i breaks the cap exactly at the gains
-    strictly between the roots of |z|^2 g^2 + 2 Re(z) g + 1 - 1/cap^2.  An
-    entry is the largest positive root over the members in dB: NO_CONSTRAINT
-    at or below the scan floor or where no member breaks the cap, INFEASIBLE
-    above the ceiling.  A phase block holds at most ``_BLOCK_CELLS`` cells.
+
+def _circle_roots(a, b, s, c) -> Tuple[np.ndarray, np.ndarray]:
+    """Both roots of s a g^2 + 2 b g + c, the larger first; NaN where they
+    are not real.  With far = -b - sign(b) sqrt(D) they are far / (s a) and
+    c / far, neither of which cancels (s a > 0).
+
+    Every circle-shaped bound is one such quadratic per loop z = e^{j phase}
+    r with a = |z|^2 and b = Re z: a loop gain g strictly between the roots
+    puts g z inside a circle.  |1/(1 + g z)| > cap is s = 1, c = 1 - 1/cap^2,
+    and |g z / (1 + g z)| > M is s = 1 - 1/M^2, c = 1.  Callers silence the
+    floating-point warnings of NaN and zero operands.
     """
-    _check_search("cap", cap)
+    root = np.sqrt(b * b - s * a * c)
+    far = -(b + np.copysign(root, b))
+    near = c / far
+    far /= s * a
+    return np.maximum(far, near), np.minimum(far, near)
+
+
+def _least_gains_past_circles(template: Template, s: float, c: float, phase_grid) -> BoundCurve:
+    """Least nominal gain above every member's forbidden gains at each phase:
+    20 log10 of the largest top over the members whose roots differ,
+    NO_CONSTRAINT at or below the scan floor or where no top is positive,
+    INFEASIBLE above the ceiling.  A phase block holds at most
+    ``_BLOCK_CELLS`` cells."""
     ratios = template.ratios
-    a = np.abs(ratios) ** 2
-    c = 1.0 - 1.0 / (cap * cap)
-    radians = np.radians(phase_grid)
+    # contiguous parts: products with the strided views cost twice as much
+    a, re, im = np.abs(ratios) ** 2, ratios.real.copy(), ratios.imag.copy()
+    radians = np.radians(phase_grid)[:, None]
+    cosines, sines = np.cos(radians), np.sin(radians)
     top = np.empty(len(radians))
     rows = max(1, _BLOCK_CELLS // len(ratios))
     with np.errstate(divide="ignore", invalid="ignore"):  # no root; log10(0)
         for start in range(0, len(radians), rows):
-            block = radians[start : start + rows, None]
-            b = np.cos(block) * ratios.real - np.sin(block) * ratios.imag  # Re z
-            root = np.sqrt(b * b - a * c)  # NaN where |1 + g z| stays >= 1/cap
-            # the larger root; for b > 0 in the form free of cancellation
-            upper = np.where(b > 0.0, -c / (b + root), (root - b) / a)
-            top[start : start + rows] = np.max(upper, axis=1, initial=0.0, where=root > 0.0)
+            block = slice(start, start + rows)
+            b = cosines[block] * re - sines[block] * im  # Re z
+            upper, lower = _circle_roots(a, b, s, c)
+            top[block] = np.max(upper, axis=1, initial=0.0, where=upper > lower)
         entries = 20.0 * np.log10(top)
     entries[entries <= SCAN_FLOOR_DB] = NO_CONSTRAINT
     entries[entries > SCAN_CEILING_DB] = INFEASIBLE
     return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
 
 
+def disturbance_bound(template: Template, cap: float, phase_grid: Sequence[float]) -> BoundCurve:
+    """Least nominal gain above which |1/(1+L)| <= cap holds on every member,
+    at each phase of ``phase_grid``, in closed form (see
+    :func:`_circle_roots`)."""
+    _check_search("cap", cap)
+    return _least_gains_past_circles(template, 1.0, 1.0 - 1.0 / (cap * cap), phase_grid)
+
+
+def stability_bound(template: Template, m_value: float, phase_grid: Sequence[float]) -> BoundCurve:
+    """Least nominal gain above which |L/(1+L)| <= M holds on every member,
+    at each phase of ``phase_grid``, in closed form (see
+    :func:`_circle_roots`); InvalidM unless 1 < M < inf."""
+    return _least_gains_past_circles(template, _check_m(m_value), 1.0, phase_grid)
+
+
 # --- high-frequency stability contour -------------------------------------
 
 @dataclass(frozen=True)
 class UContour:
-    """Closed stability region: constant-M locus on top, the same locus
-    dropped by the high-frequency template span underneath, over the phase
-    range :func:`m_circle_phase_range` gives."""
+    """Closed stability region: the nominal member's M-circle on top, the
+    same circle dropped by the high-frequency template span underneath, at
+    the phases the circle reaches.  InvalidM unless 1 < M < inf."""
 
     m_value: float
     delta_hf_db: float
-    phase_min_deg: float = field(init=False)
-    phase_max_deg: float = field(init=False)
 
     def __post_init__(self):
-        phase_min, phase_max = m_circle_phase_range(self.m_value)
+        _check_m(self.m_value)
         if not self.delta_hf_db >= 0.0:
             raise ValueError("delta_hf_db must be non-negative")
         object.__setattr__(self, "m_value", float(self.m_value))
         object.__setattr__(self, "delta_hf_db", float(self.delta_hf_db))
-        object.__setattr__(self, "phase_min_deg", phase_min)
-        object.__setattr__(self, "phase_max_deg", phase_max)
 
-    def edges(self, phases: Sequence[float]) -> List[Optional[Tuple[float, float]]]:
-        """(top, bottom) at each phase, the bottom dropped by ``delta_hf_db``;
-        None where the contour does not reach the phase (outside the phase
-        range, or where :func:`m_circle_gains` finds no crossing, as it may
-        at a span end).  Scalar libm arithmetic, whose bits ``bounds.csv``
-        records.
-        """
-        edges: List[Optional[Tuple[float, float]]] = []
-        for phi in phases:
-            pair = (
-                m_circle_gains(self.m_value, phi)
-                if self.phase_min_deg <= phi <= self.phase_max_deg
-                else None
-            )
-            edges.append(None if pair is None else (pair[0], pair[1] - self.delta_hf_db))
-        return edges
+    def edges(self, phases) -> Tuple[np.ndarray, np.ndarray]:
+        """(top, bottom) in dB at each phase, the bottom dropped by
+        ``delta_hf_db``: :func:`stability_bound`'s roots for the one member
+        r = 1.  NaN where the circle does not reach the phase, that is where
+        the roots are not real or not positive."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            b = np.cos(np.radians(phases))
+            top, bottom = _circle_roots(1.0, b, _check_m(self.m_value), 1.0)
+            return 20.0 * np.log10(top), 20.0 * np.log10(bottom) - self.delta_hf_db
 
     def inside(self, phase_deg, gain_db):
         """Strict interior test, used by the dense stability sweep;
@@ -358,25 +379,11 @@ class UContour:
         The region is shrunk by ``INTERPOLATION_TOLERANCE_DB``: points within
         it of either edge count as outside.  This keeps points that ride a
         boundary (where the combined design bounds equal the contour top)
-        from being flagged over sub-0.01 dB arithmetic noise.  The edges are
-        :meth:`edges` recomputed with NumPy; the scalar method stays on
-        libm, whose last bits the bound files record.
+        from being flagged over sub-0.01 dB arithmetic noise.
         """
-        m2 = self.m_value * self.m_value
-        c = np.cos(np.radians(phase_deg))
-        disc = m2 * c * c - (m2 - 1.0)
-        crosses = (disc >= 0.0) & (c < 0.0)
-        root = self.m_value * np.sqrt(np.where(crosses, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            upper = 20.0 * np.log10((-m2 * c + root) / (m2 - 1.0))
-            lower = 20.0 * np.log10((-m2 * c - root) / (m2 - 1.0)) - self.delta_hf_db
-        return (
-            (self.phase_min_deg <= phase_deg)
-            & (phase_deg <= self.phase_max_deg)
-            & crosses
-            & (lower + INTERPOLATION_TOLERANCE_DB < gain_db)
-            & (gain_db < upper - INTERPOLATION_TOLERANCE_DB)
-        )
+        top, bottom = self.edges(phase_deg)
+        tol = INTERPOLATION_TOLERANCE_DB
+        return (bottom + tol < gain_db) & (gain_db < top - tol)
 
 
 # --- interpolation ---------------------------------------------------------

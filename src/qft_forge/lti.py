@@ -1,4 +1,5 @@
-"""Rational transfer functions and Nichols-plane helpers.
+"""Rational transfer functions and Nichols-plane helpers (the M-circles are
+solved in :mod:`qft_forge.bounds`, in the closed form of every circle bound).
 
 Conventions used throughout the package:
 
@@ -16,31 +17,23 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .errors import InvalidM, PoleOnAxis, ZeroMagnitude
+from .errors import PoleOnAxis, ZeroMagnitude
 
 __all__ = [
     "RationalTransferFunction",
     "db",
-    "undb",
     "eval_tf",
     "principal_phase",
     "wrap_phase",
     "wrap_phase_array",
     "to_nichols",
     "to_nichols_array",
-    "m_circle_gains",
-    "m_circle_phase_range",
 ]
 
 
 def db(magnitude: float) -> float:
     """Magnitude to decibels."""
     return 20.0 * math.log10(magnitude)
-
-
-def undb(gain_db: float) -> float:
-    """Decibels back to magnitude."""
-    return 10.0 ** (gain_db / 20.0)
 
 
 @dataclass(frozen=True)
@@ -129,41 +122,3 @@ def to_nichols_array(response) -> Tuple[np.ndarray, np.ndarray]:
     phase = _fold_onto_branch(np.degrees(np.arctan2(response.imag, response.real)))
     with np.errstate(divide="ignore"):
         return phase, 20.0 * np.log10(np.abs(response))
-
-
-def _m_circle_cos_limit(m_value: float) -> float:
-    # |L/(1+L)| = M has real solutions at phase phi only where
-    # cos^2(phi) >= (M^2 - 1)/M^2, and positive-radius ones need cos(phi) < 0.
-    return math.sqrt((m_value * m_value - 1.0) / (m_value * m_value))
-
-
-def m_circle_gains(m_value: float, phase_deg: float):
-    """Both crossings of the constant-|closed loop| locus at a fixed phase.
-
-    Writing L = r e^{j phi}, |L/(1+L)| = M becomes a quadratic in the radius:
-
-        r^2 (M^2 - 1) + 2 M^2 cos(phi) r + M^2 = 0
-
-    which has two positive roots exactly when cos(phi) <= -sqrt(M^2-1)/M.
-    Returns (upper_db, lower_db), or None when the locus does not reach this
-    phase.  InvalidM for m_value <= 1.
-    """
-    if not (m_value > 1.0) or not math.isfinite(m_value):
-        raise InvalidM(f"m_value must exceed 1, got {m_value}")
-    m2 = m_value * m_value
-    c = math.cos(math.radians(phase_deg))
-    disc = m2 * c * c - (m2 - 1.0)
-    if disc < 0.0 or c >= 0.0:
-        return None
-    root = m_value * math.sqrt(disc)
-    r_hi = (-m2 * c + root) / (m2 - 1.0)
-    r_lo = (-m2 * c - root) / (m2 - 1.0)
-    return db(r_hi), db(r_lo)
-
-
-def m_circle_phase_range(m_value: float) -> tuple:
-    """Phase interval of the M-locus on the (-360, 0] sheet, centred on -180."""
-    if not (m_value > 1.0) or not math.isfinite(m_value):
-        raise InvalidM(f"m_value must exceed 1, got {m_value}")
-    half_width = math.degrees(math.acos(_m_circle_cos_limit(m_value)))
-    return -180.0 - half_width, -180.0 + half_width

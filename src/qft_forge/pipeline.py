@@ -11,7 +11,6 @@ configuration reproduces every artifact byte for byte.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -27,6 +26,7 @@ from .bounds import (
     disturbance_bound,
     horowitz_bound,
     make_phase_grid,
+    stability_bound,
 )
 from .config import DesignConfig
 from .errors import BoundBelowUContour
@@ -135,9 +135,10 @@ def compute_bounds(
     carries the high-frequency span it drops its bottom edge by.
 
     Per frequency and phase, the ``max`` of the tracking bound, the cap bound
-    where one is configured and the contour top where the contour reaches
-    (edges evaluated once).  A finite performance entry below the contour
-    bottom raises BoundBelowUContour: the max would forbid what the spec allows.
+    where one is configured and the stability bound over every member; the
+    nominal member's top is the contour top.  A finite performance entry
+    below the contour bottom (edges evaluated once) raises
+    BoundBelowUContour: the max would forbid what the spec allows.
     """
     grid = make_phase_grid(config.phase_grid_count)
     if config.delta_hf_override is not None:
@@ -145,27 +146,26 @@ def compute_bounds(
     else:
         delta_hf = templates[config.frequencies[-1]].gain_span_db()
     contour = UContour(config.m_value, delta_hf)
-    edges = contour.edges(grid)
+    _, bottom = contour.edges(grid)
     curves = []
     for omega in config.frequencies:
         template = templates[omega]
         delta = delta_spread(config.tracking, omega)
-        entries = horowitz_bound(template, delta, grid, use_hull=config.design.use_hull).min_gain_db
+        tracking = horowitz_bound(template, delta, grid, use_hull=config.design.use_hull)
+        entries = np.array(tracking.min_gain_db)
         if omega in config.disturbance:
             cap = disturbance_bound(template, config.disturbance[omega], grid)
-            entries = tuple(map(max, entries, cap.min_gain_db))
-        merged: List[float] = []
-        for phi, entry, edge in zip(grid, entries, edges):
-            if edge is not None:
-                top, bottom = edge
-                if math.isfinite(entry) and entry < bottom - 1e-9:
-                    raise BoundBelowUContour(
-                        f"performance bound {entry:.3f} dB at phase {phi:.1f} deg sits below "
-                        f"the stability contour bottom {bottom:.3f} dB (omega={template.omega})"
-                    )
-                entry = max(entry, top)
-            merged.append(entry)
-        curves.append(BoundCurve(omega=template.omega, phase_grid=grid, min_gain_db=merged))
+            np.maximum(entries, cap.min_gain_db, out=entries)
+        low = np.flatnonzero(np.isfinite(entries) & (entries < bottom - 1e-9))
+        if low.size:
+            k = low[0]
+            raise BoundBelowUContour(
+                f"performance bound {entries[k]:.3f} dB at phase {grid[k]:.1f} deg sits below "
+                f"the stability contour bottom {bottom[k]:.3f} dB (omega={template.omega})"
+            )
+        stability = stability_bound(template, config.m_value, grid)
+        np.maximum(entries, stability.min_gain_db, out=entries)
+        curves.append(BoundCurve(omega=template.omega, phase_grid=grid, min_gain_db=entries))
     return tuple(curves), contour
 
 
@@ -489,13 +489,12 @@ def _nichols_layers(
         bound_layers.append((f"w={curve.omega:g}", [run for run in runs if np.isfinite(run[0, 1])]))
     layers["bound_curves"] = bound_layers
 
-    reached = []
     if artifacts.contour is not None:
-        grid = make_phase_grid(config.phase_grid_count)
-        reached = [(p, e) for p, e in zip(grid, artifacts.contour.edges(grid)) if e is not None]
-    layers["u_contour"] = [(p, top) for p, (top, _) in reached] + [
-        (p, bottom) for p, (_, bottom) in reversed(reached)
-    ]
+        # the tops in grid order, then the bottoms reversed; the chart drops
+        # the NaN rows where the contour does not reach
+        grid = np.array(make_phase_grid(config.phase_grid_count))
+        top, bottom = artifacts.contour.edges(grid)
+        layers["u_contour"] = np.column_stack((np.r_[grid, grid[::-1]], np.r_[top, bottom[::-1]]))
 
     # zero responses come out at -inf dB, which the chart drops
     layers["plant_curve"] = np.column_stack(to_nichols_array(sweep[1]))

@@ -189,9 +189,9 @@ def verify_design(
         if m.bound_db == NO_CONSTRAINT or m.gain_db == -math.inf:
             source = "none"
         else:
-            edge = u.edges([m.phase_deg])[0]
-            on_top = edge is not None and abs(m.bound_db - edge[0]) <= 1e-9
-            source = "ucontour" if on_top else "performance"
+            # NaN where the contour does not reach, which fails the test
+            top = u.edges(m.phase_deg)[0]
+            source = "ucontour" if abs(m.bound_db - top) <= 1e-9 else "performance"
         margins.append(VerifyMargin(**vars(m), source=source))
 
     screen = SweepScreen(u, omegas, dense_responses)

@@ -13,9 +13,11 @@ gain-box oracle's earlier full-mesh search is kept here too: every kd slice
 tests the whole (ki, kp) mesh at each design frequency in a fixed order, and
 the blocked search must return the same result.  The earlier scalar
 controller response and phase wrap are kept too, as the references for the
-array kernel and for the wrap that now runs on it, and so are the earlier
-free-function contour edges and the contour's sampled top and bottom, as the
-references for ``UContour.edges`` and the chart's contour polygon.
+array kernel and for the wrap that now runs on it.  The earlier libm M-circle
+(``m_circle_gains``, ``m_circle_phase_range``), the contour edges and the
+contour's sampled top and bottom built on it are the references, to within
+rounding, for ``UContour.edges`` and the chart's contour polygon; ``undb``
+is the dB-to-magnitude step the earlier search and these tests use.
 
 The design search has a one-cell reference in plain Python floats: a gain
 direction per phase pair (PID) or per phase (PI, PD), and its lift onto the
@@ -56,16 +58,42 @@ from qft_forge.errors import (
 from qft_forge.lti import (
     db,
     eval_tf,
-    m_circle_gains,
-    m_circle_phase_range,
     principal_phase,
     to_nichols,
-    undb,
     wrap_phase_array,
 )
 from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, PidGains
 from qft_forge.plant import Template, convex_hull_nichols, evaluate_plant_array
 from qft_forge.verify import EnvelopeRow, OracleResult
+
+
+def undb(gain_db: float) -> float:
+    """Decibels back to magnitude, in CPython float arithmetic."""
+    return 10.0 ** (gain_db / 20.0)
+
+
+def m_circle_gains(m_value: float, phase_deg: float):
+    """The earlier libm crossings (upper_db, lower_db) of |L/(1+L)| = M at
+    one phase, or None where the locus does not reach it.  With
+    L = r e^{j phi} the locus is the quadratic
+
+        r^2 (M^2 - 1) + 2 M^2 cos(phi) r + M^2 = 0.
+    """
+    m2 = m_value * m_value
+    c = math.cos(math.radians(phase_deg))
+    disc = m2 * c * c - (m2 - 1.0)
+    if disc < 0.0 or c >= 0.0:
+        return None
+    root = m_value * math.sqrt(disc)
+    return db((-m2 * c + root) / (m2 - 1.0)), db((-m2 * c - root) / (m2 - 1.0))
+
+
+def m_circle_phase_range(m_value: float) -> tuple:
+    """The earlier phase span of the M-locus on (-360, 0], centred on -180:
+    where cos(phi) <= -sqrt(M^2 - 1)/M."""
+    limit = math.sqrt((m_value * m_value - 1.0) / (m_value * m_value))
+    half_width = math.degrees(math.acos(limit))
+    return -180.0 - half_width, -180.0 + half_width
 
 
 def pid_frequency_response(gains, omega: float) -> complex:
@@ -270,7 +298,8 @@ def contour_samples(m_value: float, delta_hf_db: float, phase_grid: Sequence[flo
 
 def _inside(contour, phase_deg: float, gain_db: float, tol_db: float) -> bool:
     """The contour's interior test on libm scalars."""
-    if not contour.phase_min_deg <= phase_deg <= contour.phase_max_deg:
+    phase_min, phase_max = m_circle_phase_range(contour.m_value)
+    if not phase_min <= phase_deg <= phase_max:
         return False
     pair = m_circle_gains(contour.m_value, phase_deg)
     if pair is None:

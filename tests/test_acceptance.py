@@ -20,11 +20,11 @@ import numpy as np
 import pytest
 
 import qft_forge.verify as verify
-from qft_forge.bounds import horowitz_bound, interpolate_bound_array
+from qft_forge.bounds import UContour, horowitz_bound, interpolate_bound_array
 from qft_forge.cli import EXIT_VERIFY_FAILED, main
 from qft_forge.config import load_config
 from qft_forge.expr import parse_coefficient_expr
-from qft_forge.lti import db, m_circle_gains, undb
+from qft_forge.lti import db
 from qft_forge.optimizer import _kernel_grid
 from qft_forge.pipeline import (
     build_problem,
@@ -48,6 +48,7 @@ from qft_forge.verify import (
 )
 
 from conftest import PREFILTER, SERVO_CONFIG_PATH
+from scalar_reference import undb
 
 SEED = 20260825
 
@@ -200,7 +201,8 @@ class TestC3OracleEquivalence:
 
 class TestC4CircleAnalytics:
     def test_c4_analytic_values_and_existence_threshold(self, capsys):
-        got = m_circle_gains(1.2, -180.0)
+        circle = UContour(1.2, 0.0)
+        got = [float(edge) for edge in circle.edges(-180.0)]
         want_hi = db(1.2 / 0.2)
         want_lo = db(1.2 / 2.2)
         hi_err = abs(got[0] - want_hi)
@@ -215,7 +217,7 @@ class TestC4CircleAnalytics:
             if abs(c * c - threshold) < 1e-9:
                 continue  # skip the tangency boundary itself
             checked += 1
-            exists = m_circle_gains(1.2, float(phase)) is not None
+            exists = not math.isnan(circle.edges(phase)[0])
             should_exist = c < 0.0 and c * c > threshold
             if exists != should_exist:
                 mismatches += 1

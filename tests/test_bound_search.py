@@ -1,5 +1,6 @@
 """The array bound search against the scalar reference scan + bisection,
-and the closed-form sensitivity-cap bound against its definition.
+and the closed-form sensitivity-cap and stability bounds against their
+definitions.
 
 ``horowitz_bound`` runs the upward scan and the bisection for a block of
 phases at once, and on large templates rules rows out on a few witness
@@ -8,7 +9,9 @@ one-phase-at-a-time reference in ``scalar_reference`` returns, sentinels
 included.  ``disturbance_bound`` solves each member's quadratic instead:
 no member breaks the cap above an entry, one breaks it just below, and
 for caps below 1 the reference scan lands on the same top, rounded up to
-its 5/512 dB bisection lattice.
+its 5/512 dB bisection lattice.  ``stability_bound`` solves the M-circle
+quadratic of each member the same way, and on the one member r = 1 it is
+the stability contour's top.
 """
 
 from __future__ import annotations
@@ -27,18 +30,22 @@ import qft_forge.bounds as bounds
 from qft_forge.bounds import (
     INFEASIBLE,
     NO_CONSTRAINT,
+    UContour,
     delta_spread,
     disturbance_bound,
     horowitz_bound,
     make_phase_grid,
+    stability_bound,
 )
 from qft_forge.config import parse_config_dict
-from qft_forge.lti import db, undb
+from qft_forge.errors import InvalidM
+from qft_forge.lti import db
 from qft_forge.pipeline import compute_templates
 from qft_forge.plant import Template, convex_hull_nichols
 
 import scalar_reference as ref
 from conftest import SERVO_CONFIG_PATH
+from scalar_reference import undb
 
 
 def template_of(ratios, hull_indices=()) -> Template:
@@ -148,6 +155,52 @@ def assert_cap_bound(ratios, cap, curve):
             assert breaks_cap(z, undb(entry - 1e-6), cap), (phase, entry)
 
 
+def breaks_m(z, gains, m) -> bool:
+    """Whether some member's |g z / (1 + g z)| exceeds ``m``, member i at
+    ``gains[i]`` (or all at one gain); in floats, and where rounding hides
+    it, in exact rational arithmetic on the same floats."""
+    gains = np.broadcast_to(np.asarray(gains, dtype=float), z.shape)
+    loops = gains * z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if np.any(np.abs(loops) / np.abs(1.0 + loops) > m):
+            return True
+    m2 = Fraction(m) ** 2
+    return any(
+        (Fraction(g) * Fraction(w.real)) ** 2 + (Fraction(g) * Fraction(w.imag)) ** 2
+        > m2 * ((1 + Fraction(g) * Fraction(w.real)) ** 2 + (Fraction(g) * Fraction(w.imag)) ** 2)
+        for g, w in zip(gains.tolist(), z.tolist())
+    )
+
+
+def assert_stability_bound(ratios, m, curve):
+    """Each entry of ``curve`` is the top of the gains at which some member
+    breaks |T| <= m: no member's |T| exceeds m * (1 + 1e-9) from a finite
+    entry (NO_CONSTRAINT: from the -100 dB floor) up to the +100 dB ceiling,
+    and some member's exceeds m 1e-6 dB below a finite entry (INFEASIBLE:
+    above the ceiling).  A member with Re z < 0 peaks at its vertex gain
+    -1 / Re z, so the gains checked upward are the start, every vertex above
+    it and a sweep to the ceiling."""
+    ratios = np.asarray(ratios, dtype=complex)
+    ceiling = undb(bounds.SCAN_CEILING_DB)
+    for phase, entry in zip(curve.phase_grid, curve.min_gain_db):
+        z = polar(0.0, phase) * ratios
+        with np.errstate(divide="ignore"):
+            vertices = np.where(z.real < 0.0, -1.0 / z.real, 0.0)
+        if entry == INFEASIBLE:
+            assert breaks_m(z, np.maximum(vertices, ceiling), m)
+            continue
+        start = bounds.SCAN_FLOOR_DB if entry == NO_CONSTRAINT else entry
+        sweep = [undb(v) for v in np.linspace(start, bounds.SCAN_CEILING_DB, 33).tolist()]
+        peaks = vertices[(vertices > undb(start)) & (vertices <= ceiling)]
+        loops = np.multiply.outer(np.concatenate((sweep, peaks)), z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            worst = np.nan_to_num(np.abs(loops) / np.abs(1.0 + loops), nan=math.inf).max()
+        assert worst <= m * (1.0 + 1e-9), (phase, entry)
+        if entry != NO_CONSTRAINT:
+            assert bounds.SCAN_FLOOR_DB < entry <= bounds.SCAN_CEILING_DB
+            assert breaks_m(z, undb(entry - 1e-6), m), (phase, entry)
+
+
 def assert_scan_brackets(ratios, cap, curve):
     """For a cap below 1 each member breaks it on (0, top), so the reference
     scan returns the same sentinels and, at a finite entry, the top rounded
@@ -192,6 +245,50 @@ class TestMatchesScalarReference:
         assert_cap_bound(ratios, cap, curve)
         if cap < 1.0:
             assert_scan_brackets(ratios, cap, curve)
+
+    @PROPERTY
+    @given(
+        ratios=templates,
+        grid=phase_grids,
+        m=st.floats(1.0, 3.0, exclude_min=True),
+        block=st.sampled_from([1, 7, 64, bounds._BLOCK_CELLS]),
+    )
+    def test_stability_bound(self, ratios, grid, m, block):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bounds, "_BLOCK_CELLS", block)
+            curve = stability_bound(template_of(ratios), m, grid)
+        assert_stability_bound(ratios, m, curve)
+
+    @PROPERTY
+    @given(grid=phase_grids, m=st.floats(1.0, 5.0, exclude_min=True))
+    def test_contour_top_is_the_nominal_members_stability_bound(self, grid, m):
+        # the top where the contour reaches, past the ceiling (M near 1) INFEASIBLE
+        top, _ = UContour(m, 0.0).edges(grid)
+        top[np.isnan(top)] = NO_CONSTRAINT
+        top[top > bounds.SCAN_CEILING_DB] = INFEASIBLE
+        assert_same(stability_bound(template_of([1.0]), m, grid), top)
+
+    @pytest.mark.parametrize("m", [1.0, 0.5, math.inf, math.nan])
+    def test_stability_bound_needs_m_above_one(self, m):
+        with pytest.raises(InvalidM, match="m_value must exceed 1"):
+            stability_bound(template_of([1.0]), m, [-180.0])
+
+    @pytest.mark.parametrize(
+        "ratios, m, kind, grid",
+        [
+            # M = 1.2's circle reaches 56.4 deg either side of -180 deg
+            ([1.0, 2.0, 0.5j], 1.2, NO_CONSTRAINT, [-330.0, -30.0]),
+            ([1.0, 2.0, 0.5j], 1.2, "finite", [-200.0, -180.5, -160.0]),
+            ([1.0, 1e-6], 1.2, INFEASIBLE, [-200.0, -180.5, -160.0]),
+        ],
+    )
+    def test_stability_reaches_every_kind_of_entry(self, ratios, m, kind, grid):
+        curve = stability_bound(template_of(ratios), m, grid)
+        assert_stability_bound(ratios, m, curve)
+        if kind == "finite":
+            assert all(math.isfinite(v) for v in curve.min_gain_db)
+        else:
+            assert set(curve.min_gain_db) == {kind}
 
     @pytest.mark.parametrize(
         "ratios, spec, limit, kind, grid",

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import importlib.util
+import json
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,21 +27,20 @@ from qft_forge.bounds import (
     horowitz_bound,
     interpolate_bound_array,
     make_phase_grid,
+    stability_bound,
 )
+from qft_forge import bounds
+from qft_forge.config import parse_config_dict
 from qft_forge.errors import BoundBelowUContour, DegenerateSpread, InvalidM
 from qft_forge.expr import parse_coefficient_expr
-from qft_forge.lti import (
-    RationalTransferFunction,
-    db,
-    eval_tf,
-    m_circle_gains,
-    undb,
-)
+from qft_forge.lti import RationalTransferFunction, db, eval_tf
 from qft_forge import pipeline
-from qft_forge.pipeline import compute_bounds
+from qft_forge.pipeline import compute_bounds, compute_templates
 from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 
 import scalar_reference as ref
+from conftest import REPO_ROOT
+from scalar_reference import m_circle_gains, undb
 
 LOWER_MODEL = RationalTransferFunction([0.6585, 19.755], [1.0, 4.0, 19.753961])
 UPPER_MODEL = RationalTransferFunction([8400.0], [1.0, 87.0, 1272.0, 5860.0, 8400.0])
@@ -267,13 +269,14 @@ class TestDisturbanceGain:
 
 class TestPerformanceCurve:
     """``compute_bounds``' tracking bound at one frequency, merged with its
-    cap bound, before the contour top is folded in."""
+    cap bound and the stability bound over every member."""
 
     def combined(self, config, templates, omega):
-        """The combined curve at ``omega`` and the contour's edges on its grid."""
-        curves, contour = compute_bounds(config, templates)
+        """The combined curve at ``omega`` and the stability bound on its grid."""
+        curves, _ = compute_bounds(config, templates)
         curve = curves[config.frequencies.index(omega)]
-        return curve, contour.edges(curve.phase_grid)
+        stability = stability_bound(templates[omega], config.m_value, curve.phase_grid)
+        return curve, stability.min_gain_db
 
     def test_capped_curve_is_entrywise_max(self, reduced_config, reduced_stack):
         config = dataclasses.replace(reduced_config, disturbance={3.0: 1.0})
@@ -281,12 +284,13 @@ class TestPerformanceCurve:
         grid = make_phase_grid(config.phase_grid_count)
         tracking = horowitz_bound(template, delta_spread(config.tracking, 3.0), grid)
         cap = disturbance_bound(template, 1.0, grid)
-        curve, edges = self.combined(config, reduced_stack.templates, 3.0)
+        curve, stability = self.combined(config, reduced_stack.templates, 3.0)
         pairs = list(zip(tracking.min_gain_db, cap.min_gain_db))
-        for value, (t, c), edge in zip(curve.min_gain_db, pairs, edges):
-            assert value == (max(t, c) if edge is None else max(t, c, edge[0]))
-        # each side wins somewhere outside the contour, and the sentinels meet finite entries
-        outside = [pair for pair, edge in zip(pairs, edges) if edge is None]
+        for value, (t, c), top in zip(curve.min_gain_db, pairs, stability):
+            assert value == max(t, c, top)
+        # each side wins somewhere no member's M-circle reaches, and the
+        # sentinels meet finite entries
+        outside = [pair for pair, top in zip(pairs, stability) if top == NO_CONSTRAINT]
         assert any(t > c for t, c in outside) and any(c > t for t, c in outside)
         assert any(NO_CONSTRAINT in pair for pair in pairs)
 
@@ -294,11 +298,11 @@ class TestPerformanceCurve:
         template = reduced_stack.templates[1.0]
         grid = make_phase_grid(reduced_config.phase_grid_count)
         tracking = horowitz_bound(template, delta_spread(reduced_config.tracking, 1.0), grid)
-        curve, edges = self.combined(reduced_config, reduced_stack.templates, 1.0)
+        curve, stability = self.combined(reduced_config, reduced_stack.templates, 1.0)
         assert (curve.omega, curve.phase_grid) == (tracking.omega, tracking.phase_grid)
-        for value, t, edge in zip(curve.min_gain_db, tracking.min_gain_db, edges):
-            assert value == (t if edge is None else max(t, edge[0]))
-        assert any(edge is None for edge in edges)
+        for value, t, top in zip(curve.min_gain_db, tracking.min_gain_db, stability):
+            assert value == max(t, top)
+        assert NO_CONSTRAINT in stability
 
 
 class TestBoundCurveValidation:
@@ -359,31 +363,70 @@ class TestPhaseGrid:
             make_phase_grid(1)
 
 
+def decimal_roots(a, b, s, c):
+    """The roots of s a g^2 + 2 b g + c at 50 digits, larger first, and the
+    discriminant D = b^2 - s a c, all from the given floats exactly; no
+    roots where D < 0."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        a, b, s, c = map(Decimal, (a, b, s, c))
+        disc = b * b - s * a * c
+        if disc < 0:
+            return None, disc
+        far = -b - disc.sqrt().copy_sign(b)  # no cancellation at 50 digits either
+        roots = (far / (s * a), c / far) if far else (0, 0)
+        return sorted(roots, reverse=True), disc
+
+
+# ``_circle_roots`` is within this many ulps of the exact roots of its float
+# inputs, times 1 + b^2/D: the float discriminant loses b^2/D of its relative
+# precision when the circle barely reaches (D -> 0), and every formula that
+# rounds b^2 loses it too
+ROOT_ULPS = Decimal(4)
+
+
+def assert_roots_within_ulps(a, b, s, c, got):
+    """``got``, ``_circle_roots``' (larger, smaller) at one cell, against the
+    50-digit roots: within ROOT_ULPS (1 + b^2/D) ulps, or NaN where D < 0 or
+    where |D| is within rounding of b^2 and s a c (0/0 at a double root 0)."""
+    want, disc = decimal_roots(a, b, s, c)
+    b2, sac = Decimal(b) ** 2, Decimal(s) * Decimal(a) * Decimal(c)
+    if want is None or math.isnan(sum(got)):
+        near_zero = abs(disc) <= 4 * Decimal(2) ** -52 * (b2 + abs(sac))
+        assert (want is None and all(map(math.isnan, got))) or near_zero, (a, b, s, c, got)
+        return
+    spread = ROOT_ULPS * (1 + b2 / disc) if disc else Decimal("Infinity")
+    for value, exact in zip(got, want):
+        ulp = Decimal(float(np.spacing(abs(float(exact)))))
+        assert abs(Decimal(value) - exact) <= spread * ulp, (a, b, s, c, value, exact)
+
+
 class TestUContour:
     GRID = make_phase_grid(360)
 
     def test_span_matches_m_circle(self):
-        contour = UContour(1.2, 20.0)
-        assert contour.phase_min_deg == pytest.approx(-236.44269023807928, abs=1e-9)
-        assert contour.phase_max_deg == pytest.approx(-123.55730976192072, abs=1e-9)
-        expected = [p for p in self.GRID if contour.phase_min_deg <= p <= contour.phase_max_deg]
-        reached = [p for p, edge in zip(self.GRID, contour.edges(self.GRID)) if edge is not None]
-        assert reached == expected
+        lo, hi = ref.m_circle_phase_range(1.2)
+        assert (lo, hi) == pytest.approx((-236.44269023807928, -123.55730976192072), abs=1e-9)
+        top, bottom = UContour(1.2, 20.0).edges(self.GRID)
+        reached = [p for p, t in zip(self.GRID, top.tolist()) if not math.isnan(t)]
+        assert reached == [p for p in self.GRID if lo <= p <= hi]
+        assert np.array_equal(np.isnan(top), np.isnan(bottom))
 
     def test_sampled_edges_match_m_circle(self):
-        contour = UContour(1.2, 20.0)
-        for phase, edge in zip(self.GRID, contour.edges(self.GRID)):
-            if edge is not None:
+        top, bottom = UContour(1.2, 20.0).edges(self.GRID)
+        for phase, t, b in zip(self.GRID, top.tolist(), bottom.tolist()):
+            if not math.isnan(t):
                 hi, lo = m_circle_gains(1.2, phase)
-                assert edge[0] == pytest.approx(hi, abs=1e-12)
-                assert edge[1] == pytest.approx(lo - 20.0, abs=1e-12)
+                assert t == pytest.approx(hi, abs=1e-12)
+                assert b == pytest.approx(lo - 20.0, abs=1e-12)
 
     def test_edges_at(self):
         hi, lo = m_circle_gains(1.2, -180.0)
-        at_axis, outside = UContour(1.2, 20.0).edges([-180.0, -100.0])
+        top, bottom = UContour(1.2, 20.0).edges([-180.0, -100.0])
         # the lower edge is the locus dropped by the span
-        assert at_axis == (pytest.approx(hi, abs=1e-12), pytest.approx(lo - 20.0, abs=1e-12))
-        assert outside is None
+        assert top[0] == pytest.approx(hi, abs=1e-12)
+        assert bottom[0] == pytest.approx(lo - 20.0, abs=1e-12)
+        assert math.isnan(top[1]) and math.isnan(bottom[1])
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -391,32 +434,55 @@ class TestUContour:
         delta=st.floats(min_value=0.0, max_value=40.0),
         phases=st.lists(st.floats(min_value=-360.0, max_value=0.0), max_size=20),
     )
-    # m_circle_gains finds no crossing at M=1.1's upper span end (-114.62 deg)
-    # nor at M=2's lower one (exactly -210 deg)
-    @example(m_value=1.1, delta=20.0, phases=[])
-    @example(m_value=2.0, delta=0.0, phases=[])
-    def test_edges_bit_for_bit_with_scalar_reference(self, m_value, delta, phases):
+    # the libm M-circle found no crossing at M=1.1's upper span end
+    # (-114.62 deg) nor at M=2's lower one (exactly -210 deg)
+    @example(m_value=1.1, delta=20.0, phases=[-114.6199773286571, -245.38002267134289])
+    @example(m_value=2.0, delta=0.0, phases=[-210.0, -150.0, -180.0])
+    def test_edges_match_decimal_roots(self, m_value, delta, phases):
         contour = UContour(m_value, delta)
-        phases = phases + [contour.phase_min_deg, contour.phase_max_deg]
-        assert repr(contour.edges(phases)) == repr(ref.contour_edges(m_value, delta, phases))
+        cosines = np.cos(np.radians(phases))
+        s = 1.0 - 1.0 / (m_value * m_value)
+        top, bottom = contour.edges(phases)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper, lower = bounds._circle_roots(1.0, cosines, s, 1.0)
+            # the edges are the roots in dB, NaN where a root is not positive
+            assert top.tobytes() == (20.0 * np.log10(upper)).tobytes()
+            assert bottom.tobytes() == (20.0 * np.log10(lower) - delta).tobytes()
+        for b, got in zip(cosines.tolist(), zip(upper.tolist(), lower.tolist())):
+            assert_roots_within_ulps(1.0, b, s, 1.0, got)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        a=st.floats(1e-8, 1e8),
+        # no product of these underflows, which no closed form survives
+        b=st.floats(-1e4, 1e4).filter(lambda x: x == 0.0 or abs(x) >= 1e-100),
+        s=st.one_of(st.just(1.0), st.floats(1e-6, 1.0)),
+        c=st.floats(-1e6, 1.0).filter(lambda x: x == 0.0 or abs(x) >= 1e-100),
+    )
+    @example(a=1.0, b=0.0, s=1.0, c=0.0)  # a double root at 0
+    @example(a=1.0, b=-1.0, s=1.0, c=1.0)  # tangent: D = 0
+    def test_circle_roots_match_decimal_roots(self, a, b, s, c):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            upper, lower = bounds._circle_roots(a, np.array([b]), s, c)
+        assert_roots_within_ulps(a, b, s, c, (float(upper[0]), float(lower[0])))
 
     def test_inside(self):
         contour = UContour(1.2, 20.0)
         assert contour.inside(-180.0, 0.0)
         assert contour.inside(-180.0, 15.5)
         # points within the fixed tolerance of either edge count as outside
-        hi, lo = m_circle_gains(1.2, -180.0)
+        top, bottom = map(float, contour.edges(-180.0))
         tol = INTERPOLATION_TOLERANCE_DB
-        assert contour.inside(-180.0, hi - 1.5 * tol)
-        assert not contour.inside(-180.0, hi - 0.5 * tol)
-        assert contour.inside(-180.0, lo - 20.0 + 1.5 * tol)
-        assert not contour.inside(-180.0, lo - 20.0 + 0.5 * tol)
+        assert contour.inside(-180.0, top - 1.5 * tol)
+        assert not contour.inside(-180.0, top - 0.5 * tol)
+        assert contour.inside(-180.0, bottom + 1.5 * tol)
+        assert not contour.inside(-180.0, bottom + 0.5 * tol)
         assert not contour.inside(-180.0, 16.0)
         assert not contour.inside(-180.0, -26.0)
         assert not contour.inside(-100.0, 0.0)
 
     def test_zero_delta(self):
-        ((_, bottom),) = UContour(1.2, 0.0).edges((-180.0,))
+        _, (bottom,) = UContour(1.2, 0.0).edges((-180.0,))
         assert bottom == pytest.approx(db(6.0 / 11.0), abs=1e-12)
 
     def test_negative_delta_rejected(self):
@@ -429,51 +495,67 @@ class TestUContour:
             UContour(m_value, 0.0)
 
 
+def workload_config(name):
+    """The benchmark workload ``name``'s seed-1 configuration."""
+    path = REPO_ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return parse_config_dict(json.loads(workloads.config_bytes(name, 1)))
+
+
 class TestCombineWithUContour:
-    """``compute_bounds`` folds the contour top into each performance bound.
+    """``compute_bounds`` folds every member's stability bound, the nominal
+    member's contour top among them, into each performance bound.
 
     The tracking bound is replaced by fixed entries on a 6-phase grid,
     -330, -270, ..., -30 deg, which the M = 1.2 contour reaches at -210 and
-    -150 deg only; the reduced config caps no frequency.
+    -150 deg only; at -270 deg other members' M-circles still reach, and
+    the reduced config caps no frequency.
     """
 
     GRID = make_phase_grid(6)
     TOP = m_circle_gains(1.2, -150.0)[0]  # 14.007 dB, also at -210 deg
 
     def fold(self, monkeypatch, config, templates, entries):
+        """The folded curves and each frequency's stability bound entries."""
+
         def tracking(template, delta_db, phase_grid, use_hull=True):
             return BoundCurve(omega=template.omega, phase_grid=phase_grid, min_gain_db=entries)
 
         monkeypatch.setattr(pipeline, "horowitz_bound", tracking)
         config = dataclasses.replace(config, phase_grid_count=6, delta_hf_override=5.0)
         curves, contour = compute_bounds(config, templates)
-        reached = [p for p, edge in zip(self.GRID, contour.edges(self.GRID)) if edge]
-        assert reached == [-210.0, -150.0]
-        return curves
+        top, _ = contour.edges(self.GRID)
+        assert [p for p, t in zip(self.GRID, top.tolist()) if not math.isnan(t)] == [-210.0, -150.0]
+        tops = [stability_bound(templates[w], 1.2, self.GRID) for w in config.frequencies]
+        return curves, [curve.min_gain_db for curve in tops]
 
     def test_fold_examples(self, monkeypatch, reduced_config, reduced_stack):
-        curves = self.fold(monkeypatch, reduced_config, reduced_stack.templates, (5.0,) * 6)
-        for curve in curves:
-            # outside the contour span the entries are untouched
-            assert curve.min_gain_db == (5.0, 5.0, self.TOP, self.TOP, 5.0, 5.0)
+        curves, tops = self.fold(monkeypatch, reduced_config, reduced_stack.templates, (5.0,) * 6)
+        for curve, top in zip(curves, tops):
+            assert curve.min_gain_db == tuple(max(5.0, t) for t in top)
             assert curve.phase_grid == self.GRID
+            # where the contour reaches, its top is the nominal member's
+            assert curve.min_gain_db[2:4] == pytest.approx((self.TOP, self.TOP), abs=1e-9)
+        # outside the contour's span members of omega=1 still bind at -270 deg
+        assert curves[0].min_gain_db == (5.0, tops[0][1], *curves[0].min_gain_db[2:4], 5.0, 5.0)
+        assert tops[0][1] == pytest.approx(6.8136, abs=1e-4)
 
     def test_entry_above_top_survives(self, monkeypatch, reduced_config, reduced_stack):
-        curves = self.fold(monkeypatch, reduced_config, reduced_stack.templates, (20.0,) * 6)
+        curves, _ = self.fold(monkeypatch, reduced_config, reduced_stack.templates, (20.0,) * 6)
         assert curves[0].min_gain_db == (20.0,) * 6
 
     def test_sentinels_pass_through(self, monkeypatch, reduced_config, reduced_stack):
         entries = (NO_CONSTRAINT, NO_CONSTRAINT, NO_CONSTRAINT, INFEASIBLE, INFEASIBLE, 5.0)
-        curves = self.fold(monkeypatch, reduced_config, reduced_stack.templates, entries)
-        # NO_CONSTRAINT takes the top inside the span; INFEASIBLE stays
-        assert curves[0].min_gain_db == (
-            NO_CONSTRAINT, NO_CONSTRAINT, self.TOP, INFEASIBLE, INFEASIBLE, 5.0
-        )
+        curves, (top, *_) = self.fold(monkeypatch, reduced_config, reduced_stack.templates, entries)
+        # NO_CONSTRAINT takes a member's top where one reaches; INFEASIBLE stays
+        assert curves[0].min_gain_db == (NO_CONSTRAINT, top[1], top[2], INFEASIBLE, INFEASIBLE, 5.0)
 
     def test_finite_entry_below_bottom_aborts(self, monkeypatch, reduced_config, reduced_stack):
         # the first offender in frequency then grid order is named
         entries = (5.0, 5.0, -40.0, -40.0, 5.0, 5.0)
-        bottom = m_circle_gains(1.2, -210.0)[1] - 5.0
+        _, bottom = UContour(1.2, 5.0).edges(-210.0)
         message = (
             f"performance bound -40.000 dB at phase -210.0 deg sits below the stability "
             f"contour bottom {bottom:.3f} dB (omega=1.0)"
@@ -482,15 +564,17 @@ class TestCombineWithUContour:
             self.fold(monkeypatch, reduced_config, reduced_stack.templates, entries)
         assert str(caught.value) == message
 
-    def test_servo_combined_curves_dominate_contour(self, servo_stack):
-        for curve in servo_stack.curves:
-            if curve.omega not in (0.5, 10.0):
-                continue
-            for phase, value in zip(curve.phase_grid, curve.min_gain_db):
-                if servo_stack.contour.phase_min_deg <= phase <= servo_stack.contour.phase_max_deg:
-                    pair = m_circle_gains(1.2, phase)
-                    if pair is not None:
-                        assert value >= pair[0] - 1e-9
+    def test_servo_combined_curves_dominate_contour(self):
+        # on every benchmark workload, servo's config among them
+        for name in ("servo", "dense-template", "screen-walk", "oracle"):
+            config = workload_config(name)
+            curves, contour = compute_bounds(config, compute_templates(config))
+            top, _ = contour.edges(make_phase_grid(config.phase_grid_count))
+            reached = ~np.isnan(top)
+            assert reached.any()
+            for curve in curves:
+                entries = np.array(curve.min_gain_db)
+                assert np.all(entries[reached] >= top[reached] - 1e-9), (name, curve.omega)
 
 
 def member_stability_top_db(ratios, phase_deg, m):
@@ -520,46 +604,32 @@ class TestPerMemberStability:
     PHASE = -236.5
 
     def test_member_top_just_past_the_contour_span(self, servo_config, servo_stack):
-        # the analysis the xfail below rests on
-        assert self.PHASE < servo_stack.contour.phase_min_deg  # -236.443 deg
+        # the contour, the nominal member's M-circle, ends at -236.443 deg
+        assert math.isnan(servo_stack.contour.edges(self.PHASE)[0])
         top = member_stability_top_db(servo_stack.templates[60.0].ratios, self.PHASE, 1.2)
         assert top == pytest.approx(1.0106, abs=1e-4)
-        # the nominal member alone stays clear of M there: only its circle is folded in
+        # the nominal member alone stays clear of M there
         assert member_stability_top_db([1.0 + 0j], self.PHASE, 1.2) == -math.inf
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="the combined bound folds in only the nominal member's M-circle: at "
-        "omega=60, -236.5 deg it reads -27.744 dB, 28.75 dB below the 1.011 dB "
-        "every member's |T| <= 1.2 needs",
-    )
     def test_bound_is_not_below_any_members_stability_top(self, servo_config, servo_stack):
-        """The combined bound must keep every member's |T_i| within M.
+        """The combined bound keeps every member's |T_i| within M.
 
-        ``compute_bounds`` folds in the stability contour, which is
-        the nominal member's M-circle top widened by the high-frequency
-        span, so it constrains only the phases inside the contour's span,
-        -236.443 to -123.557 deg on servo.  The classic per-frequency
-        stability bound asks |T_i| <= M of every member: with
-        a = |r_i|^2 and b = Re(e^(j phase) r_i), the gains between the roots
-        of a (1 - M^2) g^2 - 2 M^2 b g - M^2 = 0 break it.
-
-        At omega=60 and -236.5 deg, just past the span's lagging end, the
-        combined bound is -27.744140625 dB, the tracking bound alone.  The
-        largest per-member root is 1.0106 dB, so the bound is 28.75 dB low:
-        a loop just below 1.0106 dB meets the bound, yet drives that
-        member's |T| above M.
-        Across servo's 2 880 combined entries, 217 fall short of the
-        per-member top by more than 0.05 dB: six inside the span (at omega=2
-        and 3) and 211 up to 53 deg past its lagging end.  The fix adds a
-        per-member stability curve to the entries ``compute_bounds`` folds
-        together.
+        The classic per-frequency stability bound asks |T_i| <= M of every
+        member: with a = |r_i|^2 and b = Re(e^(j phase) r_i), the gains
+        between the roots of a (1 - M^2) g^2 - 2 M^2 b g - M^2 = 0 break it.
+        The stability contour is the nominal member's circle only, and ends
+        at -236.443 deg on servo.  At omega=60 and -236.5 deg, just past it,
+        the tracking bound alone reads -27.744 dB, yet a loop just below
+        1.0106 dB would drive a member's |T| above M.  ``compute_bounds``
+        folds in :func:`stability_bound` over every member, so the bound is
+        that member's top.
         """
         k = servo_config.frequencies.index(60.0)
         curve = servo_stack.curves[k]
         bound = curve.min_gain_db[curve.phase_grid.index(self.PHASE)]
         top = member_stability_top_db(servo_stack.templates[60.0].ratios, self.PHASE, 1.2)
         assert bound >= top - 0.05
+        assert bound == pytest.approx(top, abs=1e-9)
 
 
 def at(curve, phase):
@@ -708,8 +778,7 @@ class TestInterpolateBound:
     def test_lookup_near_a_contour_edge_is_not_below_the_top(self, servo_stack):
         curve = next(c for c in servo_stack.curves if c.omega == 2.0)
         phase = -123.6  # inside the span, whose edge is at -123.557 deg
-        assert servo_stack.contour.phase_min_deg <= phase <= servo_stack.contour.phase_max_deg
-        top = m_circle_gains(1.2, phase)[0]  # 5.56 dB
+        top = float(servo_stack.contour.edges(phase)[0])  # 5.56 dB
         got = interpolate_bound_array(curve, np.array([phase]))[0]  # -2.98 dB
         assert got >= top - INTERPOLATION_TOLERANCE_DB
 

@@ -178,6 +178,18 @@ class TestUsageErrors:
             message = "error: lower tracking model has zero gain at omega=2\n"
             assert capsys.readouterr().err == message
 
+    def test_bound_below_the_contour_bottom(self, capsys, tmp_path):
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["stability"] = {"m": 1.1, "delta_hf_db": 20}
+        cfg = tmp_path / "guard.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        message = (
+            "error: performance bound -16.221 dB at phase -244.5 deg sits below the "
+            "stability contour bottom -14.633 dB (omega=30.0)\n"
+        )
+        assert capsys.readouterr().err == message
+
     def test_pole_on_axis_names_one_point(self, capsys, tmp_path):
         raw = json.loads(SERVO_CONFIG_PATH.read_text())
         raw["plant"]["numerator"] = ["k"]

@@ -1,4 +1,5 @@
-"""Frequency-response primitives: dB scale, Nichols mapping, M-circles."""
+"""Frequency-response primitives: dB scale, Nichols mapping, and the
+M-circles ``bounds`` solves in closed form."""
 
 from __future__ import annotations
 
@@ -16,17 +17,15 @@ from qft_forge.lti import (
     RationalTransferFunction,
     db,
     eval_tf,
-    m_circle_gains,
-    m_circle_phase_range,
     principal_phase,
     to_nichols,
     to_nichols_array,
-    undb,
     wrap_phase,
     wrap_phase_array,
 )
 
 import scalar_reference as ref
+from scalar_reference import undb
 
 # Strict tracking model bound and servo plant reused across cases.
 UPPER_MODEL = RationalTransferFunction(
@@ -283,10 +282,17 @@ class TestNicholsWithoutFmod:
 
 
 class TestMCircle:
+    """The M-circle as ``UContour.edges`` gives it without a high-frequency
+    drop: (top, bottom) in dB, NaN where the circle misses the phase."""
+
     M = 1.2
 
+    def m_circle_gains(self, phase):
+        top, bottom = UContour(self.M, 0.0).edges(phase)
+        return float(top), float(bottom)
+
     def test_gains_at_minus_180(self):
-        hi, lo = m_circle_gains(self.M, -180.0)
+        hi, lo = self.m_circle_gains(-180.0)
         assert hi == pytest.approx(db(6.0), abs=1e-12)
         assert lo == pytest.approx(db(6.0 / 11.0), abs=1e-12)
         assert hi == pytest.approx(15.563025007672873, abs=1e-9)
@@ -294,59 +300,63 @@ class TestMCircle:
 
     @pytest.mark.parametrize("phase", [-0.5, -60.0, -90.0, -123.0, -270.0, -359.5])
     def test_no_crossing_phases(self, phase):
-        assert m_circle_gains(self.M, phase) is None
+        assert all(map(math.isnan, self.m_circle_gains(phase)))
 
     def test_closure_with_closed_loop_gain(self):
         for phase in (-130.0, -160.0, -180.0, -200.0, -230.0):
-            hi, lo = m_circle_gains(self.M, phase)
+            hi, lo = self.m_circle_gains(phase)
             for gain_db in (hi, lo):
                 loop = undb(gain_db) * cmath.exp(1j * math.radians(phase))
                 assert abs(loop / (1.0 + loop)) == pytest.approx(self.M, abs=1e-9)
 
     def test_symmetry_about_minus_180(self):
         for delta in (5.0, 20.0, 45.0):
-            left = m_circle_gains(self.M, -180.0 - delta)
-            right = m_circle_gains(self.M, -180.0 + delta)
+            left = self.m_circle_gains(-180.0 - delta)
+            right = self.m_circle_gains(-180.0 + delta)
             assert left[0] == pytest.approx(right[0], abs=1e-9)
             assert left[1] == pytest.approx(right[1], abs=1e-9)
 
     def test_branches_order(self):
         for phase in (-125.0, -150.0, -180.0, -210.0, -235.0):
-            hi, lo = m_circle_gains(self.M, phase)
+            hi, lo = self.m_circle_gains(phase)
             assert hi > lo
 
     def test_phase_range(self):
-        lo, hi = m_circle_phase_range(self.M)
-        assert lo == pytest.approx(-236.44269023807928, abs=1e-9)
-        assert hi == pytest.approx(-123.55730976192072, abs=1e-9)
-        # Edge condition: cos(phase) = -sqrt(M^2-1)/M at both ends.
+        # the circle reaches a phase where cos(phase) <= -sqrt(M^2 - 1)/M
+        lo, hi = -236.44269023807928, -123.55730976192072
         limit = math.sqrt(self.M**2 - 1.0) / self.M
         assert math.cos(math.radians(hi)) == pytest.approx(-limit, abs=1e-12)
+        assert math.cos(math.radians(lo)) == pytest.approx(-limit, abs=1e-12)
+        grid = np.linspace(-360.0, 0.0, 36001)
+        top, _ = UContour(self.M, 0.0).edges(grid)
+        reached = grid[~np.isnan(top)]
+        assert (reached.min(), reached.max()) == pytest.approx((-236.44, -123.56), abs=1e-9)
 
     def test_gains_exist_only_inside_range(self):
-        lo, hi = m_circle_phase_range(self.M)
-        assert m_circle_gains(self.M, hi - 0.5) is not None
-        assert m_circle_gains(self.M, hi + 0.5) is None
-        assert m_circle_gains(self.M, lo + 0.5) is not None
-        assert m_circle_gains(self.M, lo - 0.5) is None
+        lo, hi = ref.m_circle_phase_range(self.M)
+        assert not math.isnan(self.m_circle_gains(hi - 0.5)[0])
+        assert math.isnan(self.m_circle_gains(hi + 0.5)[0])
+        assert not math.isnan(self.m_circle_gains(lo + 0.5)[0])
+        assert math.isnan(self.m_circle_gains(lo - 0.5)[0])
 
     @pytest.mark.parametrize("bad", [1.0, 0.8, 0.0, -2.0, math.inf, math.nan])
     def test_invalid_m(self, bad):
         with pytest.raises(InvalidM):
-            m_circle_gains(bad, -180.0)
-        with pytest.raises(InvalidM):
-            m_circle_phase_range(bad)
+            UContour(bad, 0.0)
 
 
 class TestMCircleSection:
-    """The locus's phase span is the stability contour's span, end points included."""
+    """The contour reaches the locus's phase span, end points included,
+    and no phase outside it."""
 
     def test_for_m_span(self):
-        contour = UContour(1.2, 20.0)
-        assert (contour.phase_min_deg, contour.phase_max_deg) == m_circle_phase_range(1.2)
+        lo, hi = ref.m_circle_phase_range(1.2)
+        grid = np.arange(-359.75, 0.0, 0.25)
+        top, bottom = UContour(1.2, 20.0).edges(grid)
+        assert np.array_equal(np.isnan(top), np.isnan(bottom))
+        assert np.array_equal(~np.isnan(top), (lo <= grid) & (grid <= hi))
 
     def test_contains(self):
-        contour = UContour(1.2, 20.0)
-        lo, hi = contour.phase_min_deg, contour.phase_max_deg
-        inside = contour.edges([-180.0, hi, lo, hi + 1e-6, -237.0])
-        assert [edge is not None for edge in inside] == [True, True, True, False, False]
+        lo, hi = ref.m_circle_phase_range(1.2)
+        top, _ = UContour(1.2, 20.0).edges(np.array([-180.0, hi, lo, hi + 1e-6, -237.0]))
+        assert (~np.isnan(top)).tolist() == [True, True, True, False, False]

@@ -22,7 +22,7 @@ from qft_forge.bounds import (
 )
 from qft_forge.errors import EmptyWindow, NegativeMappedGain, ZeroMagnitude
 from qft_forge.expr import parse_coefficient_expr
-from qft_forge.lti import RationalTransferFunction, db, eval_tf, to_nichols, undb, wrap_phase
+from qft_forge.lti import RationalTransferFunction, db, eval_tf, to_nichols, wrap_phase
 from qft_forge.optimizer import (
     INTERPOLATION_TOLERANCE_DB,
     DesignProblem,
@@ -43,6 +43,7 @@ from qft_forge.plant import ParameterSpec, UncertainPlant, evaluate_plant_array
 from conftest import ADMIT_ALL, REFERENCE_GAINS
 
 import scalar_reference as ref
+from scalar_reference import undb
 
 
 def flat_curve(omega, grid, value):
@@ -440,7 +441,7 @@ class TestSweepScreen:
     def test_boundary_tolerance(self):
         # a point riding the contour top must not be vetoed
         contour = UContour(1.2, 20.0)
-        top = contour.edges([-180.0])[0][0]
+        top = float(contour.edges(-180.0)[0])
         screen = self.make_screen([-undb(top) + 0j])
         assert self.admits(screen, PidGains(kp=1.0, ki=0.0, kd=0.0))
 

@@ -29,11 +29,12 @@ from qft_forge.bounds import (
     interpolate_bound_array,
 )
 from qft_forge.errors import NoFeasiblePoint
-from qft_forge.lti import db, to_nichols_array, undb
+from qft_forge.lti import db, to_nichols_array
 from qft_forge.optimizer import PidGains
 from qft_forge.verify import GainAxis, OracleBox, brute_force_design
 
 import scalar_reference as ref
+from scalar_reference import undb
 
 # small blocks, the default budget and a budget twice as large
 BLOCKS = [1, 7, 64, bounds._BLOCK_CELLS, 2 * bounds._BLOCK_CELLS]

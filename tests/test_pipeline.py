@@ -5,11 +5,13 @@ from __future__ import annotations
 import csv
 import dataclasses
 import math
+import os
 
 import numpy as np
 import pytest
 
 from qft_forge.bounds import UContour, make_phase_grid
+from qft_forge.errors import BoundBelowUContour
 from qft_forge.lti import db
 from qft_forge.optimizer import PidGains
 from qft_forge import pipeline, plant, verify
@@ -89,18 +91,33 @@ class TestComputeBounds:
         assert calls == [servo_config.phase_grid_count]
         assert curves == servo_stack.curves
 
+    def test_tracking_entry_below_the_contour_bottom_aborts(self, servo_config, tmp_path):
+        # M = 1.1 with a 20 dB span: servo's tracking bound at omega=30 dips
+        # below the contour bottom, which the max would hide
+        config = dataclasses.replace(servo_config, m_value=1.1, delta_hf_override=20.0)
+        with pytest.raises(BoundBelowUContour) as caught:
+            run_command(config, "all", str(tmp_path))
+        assert str(caught.value) == (
+            "performance bound -16.221 dB at phase -244.5 deg sits below the stability "
+            "contour bottom -14.633 dB (omega=30.0)"
+        )
+        assert sorted(os.listdir(tmp_path)) == ["templates.csv"]
+
 
 class TestChartLayers:
     def test_contour_polygon_is_the_sampled_contour(self, servo_config, servo_stack):
-        # the sampled tops in grid order, then the sampled bottoms reversed
+        # the sampled tops in grid order, then the sampled bottoms reversed;
+        # the chart drops the NaN rows where the contour does not reach
         contour = servo_stack.contour
         artifacts = RunArtifacts(out_dir="", templates=servo_stack.templates, contour=contour)
         polygon = _nichols_layers(servo_config, artifacts, servo_stack.sweep)["u_contour"]
+        reached = polygon[~np.isnan(polygon[:, 1])]
         grid = make_phase_grid(servo_config.phase_grid_count)
         phases, upper, lower = ref.contour_samples(contour.m_value, contour.delta_hf_db, grid)
-        expected = list(zip(phases, upper)) + list(zip(phases[::-1], lower[::-1]))
+        expected = np.array(list(zip(phases, upper)) + list(zip(phases[::-1], lower[::-1])))
         assert len(expected) > 200
-        assert repr(polygon) == repr(expected)
+        assert reached[:, 0].tolist() == expected[:, 0].tolist()
+        assert reached[:, 1] == pytest.approx(expected[:, 1], abs=1e-12)
 
 
 class TestServoDesign:

@@ -27,8 +27,6 @@ from qft_forge.lti import (
     RationalTransferFunction,
     db,
     eval_tf,
-    m_circle_gains,
-    m_circle_phase_range,
     to_nichols,
 )
 from qft_forge.optimizer import INTERPOLATION_TOLERANCE_DB, DesignProblem, PidGains, loop_margins
@@ -161,7 +159,7 @@ class TestVerifyMargins:
         c = servo_stack.contour
         deepest = max(
             violations,
-            key=lambda p: c.edges([p.phase_deg])[0][0] - p.gain_db,
+            key=lambda p: c.edges(p.phase_deg)[0] - p.gain_db,
         )
         assert 2.0 < deepest.omega < 3.0
         assert any("stability contour" in r for r in report.reasons)
@@ -196,11 +194,11 @@ class TestVerifyMargins:
         ],
     )
     def test_margin_at_a_span_end_without_crossing(self, servo_config, m_value, response):
-        # m_circle_gains finds no crossing at these span ends, so the bound
-        # there cannot be the contour top
+        # the contour does not reach these span ends, so the bound there
+        # cannot be the contour top
         phase = to_nichols(response)[0]
-        assert phase in m_circle_phase_range(m_value)
-        assert m_circle_gains(m_value, phase) is None
+        assert phase in ref.m_circle_phase_range(m_value)
+        assert math.isnan(UContour(m_value, 0.0).edges(phase)[0])
         curve = BoundCurve(omega=1.0, phase_grid=(-300.0, -60.0), min_gain_db=(0.0, 0.0))
         report = verify_design(
             {},
@@ -218,7 +216,7 @@ class TestVerifyMargins:
         # a negative real response with kp=1 puts the loop at exactly -180 deg,
         # the node where the curve holds the contour top
         contour = UContour(1.2, 0.0)
-        ((top, _),) = contour.edges([-180.0])
+        top = float(contour.edges(-180.0)[0])
         curve = BoundCurve(
             omega=1.0, phase_grid=(-300.0, -180.0, -60.0), min_gain_db=(0.0, top, 0.0)
         )
