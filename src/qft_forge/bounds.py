@@ -9,7 +9,9 @@ tries the hull members alone.  A sensitivity cap and the stability bound
 |T| <= M need no search: each is one quadratic in the gain per member, and
 one closed form (:func:`_circle_roots`) solves every member exactly.  The
 high-frequency stability contour is the same closed form on the nominal
-member.  Two sentinels extend the real line:
+member.  Each bound function returns a fresh float64 array, an entry per
+grid phase; ``pipeline.compute_bounds`` folds a frequency's arrays into one
+:class:`BoundCurve`.  Two sentinels extend the real line:
 
 * ``NO_CONSTRAINT`` (-inf): feasible at the -100 dB floor (a cap or M: and above);
 * ``INFEASIBLE``    (+inf): infeasible at the +100 dB ceiling (a cap or M: or above).
@@ -21,7 +23,6 @@ stacking bound families directly, as ``pipeline.compute_bounds`` does.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence, Tuple
@@ -102,9 +103,10 @@ class TrackingSpec:
         return min(gains), max(gains)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BoundCurve:
-    """Least admissible nominal gain versus phase, for one frequency.
+    """Least admissible nominal gain versus phase, for one frequency, in
+    read-only float array copies of the values given.
 
     Also builds the table :func:`interpolate_bound_array` reads: per slot
     ``searchsorted(grid, p, side="right")``, 0 to n, its start, width, base,
@@ -116,34 +118,30 @@ class BoundCurve:
     """
 
     omega: float
-    phase_grid: Tuple[float, ...]
-    min_gain_db: Tuple[float, ...]
+    phase_grid: np.ndarray
+    min_gain_db: np.ndarray
 
     def __post_init__(self):
-        grid = tuple(float(p) for p in self.phase_grid)
-        object.__setattr__(self, "phase_grid", grid)
-        object.__setattr__(self, "min_gain_db", tuple(float(v) for v in self.min_gain_db))
-        if not all(map(math.isfinite, grid + (self.omega,))):
+        g = np.array(self.phase_grid, dtype=float)
+        v = np.array(self.min_gain_db, dtype=float)
+        if not (math.isfinite(self.omega) and np.isfinite(g).all()):
             raise ValueError("omega and the phase grid must be finite")
-        if len(grid) != len(self.min_gain_db):
-            raise ValueError("phase grid and entries differ in length")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if g.ndim != 1 or g.shape != v.shape:
+            raise ValueError("phase grid and entries must be 1-D and equal in length")
+        width = np.diff(g)
+        if (width <= 0.0).any():
             raise ValueError("phase grid must be strictly increasing")
-        if any(map(math.isnan, self.min_gain_db)):
+        if np.isnan(v).any():
             raise ValueError("bound entries must be real or a sentinel infinity")
-        g, v = np.array(grid), np.array(self.min_gain_db)
+        g.flags.writeable = v.flags.writeable = False
+        object.__setattr__(self, "phase_grid", g)
+        object.__setattr__(self, "min_gain_db", v)
         a, b = v[:-1], v[1:]
         base = np.where((a == NO_CONSTRAINT) | (b == INFEASIBLE), b, a)
         linear = np.isfinite(a) & np.isfinite(b)
         step = np.subtract(b, a, out=np.full(len(a), -0.0), where=linear)
-        table = np.column_stack(
-            (
-                [g[0], math.nan, math.nan, math.nan, math.nan],
-                np.stack((g[:-1], np.diff(g), base, step, a)),
-                [g[-1], math.nan, math.nan, math.nan, v[-1]],
-            )
-        )
-        object.__setattr__(self, "_grid", g)
+        first, last = [g[0]] + [math.nan] * 4, [g[-1]] + [math.nan] * 3 + [v[-1]]
+        table = np.column_stack((first, np.stack((g[:-1], width, base, step, a)), last))
         object.__setattr__(self, "_table", table)
 
 
@@ -266,7 +264,7 @@ def horowitz_bound(
     delta_db: float,
     phase_grid: Sequence[float],
     use_hull: bool = True,
-) -> BoundCurve:
+) -> np.ndarray:
     """Least nominal gain keeping the family's closed-loop spread <= delta_db,
     at each phase of ``phase_grid``; screened on the hull members when they
     are fewer than the members probed (every one without ``use_hull``)."""
@@ -275,8 +273,7 @@ def horowitz_bound(
     hull = template.ratios[indices] if len(indices) else template.ratios
     ratios = hull if use_hull else template.ratios
     witnesses = hull if len(hull) < len(ratios) else None
-    entries = _least_feasible_gains(ratios, phase_grid, delta_db, witnesses)
-    return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
+    return _least_feasible_gains(ratios, phase_grid, delta_db, witnesses)
 
 
 def _check_m(m_value: float) -> float:
@@ -304,7 +301,7 @@ def _circle_roots(a, b, s, c) -> Tuple[np.ndarray, np.ndarray]:
     return np.maximum(far, near), np.minimum(far, near)
 
 
-def _least_gains_past_circles(template: Template, s: float, c: float, phase_grid) -> BoundCurve:
+def _least_gains_past_circles(template: Template, s: float, c: float, phase_grid) -> np.ndarray:
     """Least nominal gain above every member's forbidden gains at each phase:
     20 log10 of the largest top over the members whose roots differ,
     NO_CONSTRAINT at or below the scan floor or where no top is positive,
@@ -326,10 +323,10 @@ def _least_gains_past_circles(template: Template, s: float, c: float, phase_grid
         entries = 20.0 * np.log10(top)
     entries[entries <= SCAN_FLOOR_DB] = NO_CONSTRAINT
     entries[entries > SCAN_CEILING_DB] = INFEASIBLE
-    return BoundCurve(omega=template.omega, phase_grid=tuple(phase_grid), min_gain_db=entries)
+    return entries
 
 
-def disturbance_bound(template: Template, cap: float, phase_grid: Sequence[float]) -> BoundCurve:
+def disturbance_bound(template: Template, cap: float, phase_grid: Sequence[float]) -> np.ndarray:
     """Least nominal gain above which |1/(1+L)| <= cap holds on every member,
     at each phase of ``phase_grid``, in closed form (see
     :func:`_circle_roots`)."""
@@ -337,7 +334,7 @@ def disturbance_bound(template: Template, cap: float, phase_grid: Sequence[float
     return _least_gains_past_circles(template, 1.0, 1.0 - 1.0 / (cap * cap), phase_grid)
 
 
-def stability_bound(template: Template, m_value: float, phase_grid: Sequence[float]) -> BoundCurve:
+def stability_bound(template: Template, m_value: float, phase_grid: Sequence[float]) -> np.ndarray:
     """Least nominal gain above which |L/(1+L)| <= M holds on every member,
     at each phase of ``phase_grid``, in closed form (see
     :func:`_circle_roots`); InvalidM unless 1 < M < inf."""
@@ -399,7 +396,7 @@ def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray
     takes the node's value, and ``fmax`` maps the NaN computed beyond the
     grid to NO_CONSTRAINT.
     """
-    slot = np.searchsorted(curve._grid, phases, side="right")
+    slot = np.searchsorted(curve.phase_grid, phases, side="right")
     start, width, base, step, node = curve._table
     offset = phases - start.take(slot)
     out = offset / width.take(slot)
@@ -425,12 +422,14 @@ def gain_floor(curve: BoundCurve) -> np.ndarray:
     _, _, base, step, node = curve._table
     least = np.minimum(node, np.minimum(base, base + step))
     least[[0, -1]] = NO_CONSTRAINT
-    least, grid, floor_db = least.tolist(), curve.phase_grid, []
+    # cut[d + 360]: the slot of whole degree d, -360 to 0, every span end
+    cut = np.searchsorted(curve.phase_grid, np.arange(-360.0, 1.0), side="right").tolist()
+    least, floor_db = least.tolist(), []
     for lo in range(-181, 180):
         hi = lo + 3
         spans = [(lo, min(hi, 0))] if lo <= 0 else []
         spans += [(max(lo, 0) - 360, hi - 360)] if hi > 0 else []
-        reach = (least[bisect_right(grid, a) : bisect_right(grid, b) + 1] for a, b in spans)
+        reach = (least[cut[a + 360] : cut[b + 360] + 1] for a, b in spans)
         floor_db.append(min(map(min, reach)))
     with np.errstate(over="ignore"):
         floor = 10.0 ** ((np.array(floor_db) - 1e-9) / 10.0) * (1.0 - 1e-12)

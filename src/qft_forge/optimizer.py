@@ -141,7 +141,7 @@ def _kernel_grid(b_i, b_j, omega_i: float, omega_j: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DesignProblem:
-    """Everything the search needs: frequencies, nominal responses, bounds."""
+    """Everything the search needs: frequencies, and a nominal response and bound at each."""
 
     frequencies: Tuple[float, ...]
     nominal_responses: Tuple[complex, ...]
@@ -157,6 +157,9 @@ class DesignProblem:
             raise ValueError("frequencies must be strictly increasing")
         if self.frequencies and not self.frequencies[0] > 0.0:
             raise ValueError("frequencies must be positive")
+        for k, (omega, curve) in enumerate(zip(self.frequencies, self.bounds)):
+            if curve.omega != omega:
+                raise ValueError(f"bound {k} is at omega={curve.omega!r}, not at {omega!r}")
         k, l = self.pair_indices
         if not (0 <= k < n and 0 <= l < n):
             raise ValueError(f"pair indices {self.pair_indices} out of range")
@@ -235,8 +238,7 @@ def loop_margins(
         loop = response * k  # CPython's product: NumPy's differs in the last bits
         if loop == 0:
             phase, gain = 0.0, -math.inf
-            vacuous = all(v == NO_CONSTRAINT for v in curve.min_gain_db)
-            bound = NO_CONSTRAINT if vacuous else INFEASIBLE
+            bound = NO_CONSTRAINT if (curve.min_gain_db == NO_CONSTRAINT).all() else INFEASIBLE
         else:
             phase, gain = to_nichols(loop)
             bound = float(interpolate_bound_array(curve, np.array([phase]))[0])
@@ -389,7 +391,7 @@ def design_controller(problem: DesignProblem, kind: str, screen: SweepScreen) ->
         if not window:
             raise EmptyWindow(f"no grid phase in the {kind.upper()} half-window")
         windows = ((), window)
-    if all(entry == NO_CONSTRAINT for curve in problem.bounds for entry in curve.min_gain_db):
+    if all((curve.min_gain_db == NO_CONSTRAINT).all() for curve in problem.bounds):
         grid = np.full((len(windows[0]) or 1, len(windows[1])), np.inf)
         return _no_design(grid, windows, "no binding constraint")
 

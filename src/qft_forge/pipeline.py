@@ -135,10 +135,11 @@ def compute_bounds(
     carries the high-frequency span it drops its bottom edge by.
 
     Per frequency and phase, the ``max`` of the tracking bound, the cap bound
-    where one is configured and the stability bound over every member; the
-    nominal member's top is the contour top.  A finite performance entry
-    below the contour bottom (edges evaluated once) raises
-    BoundBelowUContour: the max would forbid what the spec allows.
+    where one is configured and the stability bound over every member, folded
+    into the tracking entry array, which builds the frequency's one
+    :class:`BoundCurve`; the nominal member's top is the contour top.  A
+    finite performance entry below the contour bottom (edges evaluated once)
+    raises BoundBelowUContour: the max would forbid what the spec allows.
     """
     grid = make_phase_grid(config.phase_grid_count)
     if config.delta_hf_override is not None:
@@ -151,11 +152,10 @@ def compute_bounds(
     for omega in config.frequencies:
         template = templates[omega]
         delta = delta_spread(config.tracking, omega)
-        tracking = horowitz_bound(template, delta, grid, use_hull=config.design.use_hull)
-        entries = np.array(tracking.min_gain_db)
+        entries = horowitz_bound(template, delta, grid, use_hull=config.design.use_hull)
         if omega in config.disturbance:
             cap = disturbance_bound(template, config.disturbance[omega], grid)
-            np.maximum(entries, cap.min_gain_db, out=entries)
+            np.maximum(entries, cap, out=entries)
         low = np.flatnonzero(np.isfinite(entries) & (entries < bottom - 1e-9))
         if low.size:
             k = low[0]
@@ -163,8 +163,7 @@ def compute_bounds(
                 f"performance bound {entries[k]:.3f} dB at phase {grid[k]:.1f} deg sits below "
                 f"the stability contour bottom {bottom[k]:.3f} dB (omega={template.omega})"
             )
-        stability = stability_bound(template, config.m_value, grid)
-        np.maximum(entries, stability.min_gain_db, out=entries)
+        np.maximum(entries, stability_bound(template, config.m_value, grid), out=entries)
         curves.append(BoundCurve(omega=template.omega, phase_grid=grid, min_gain_db=entries))
     return tuple(curves), contour
 
@@ -300,7 +299,7 @@ def write_bounds_csv(path: str, curves: Sequence[BoundCurve]):
             _num(curve.omega) + ",",
             [
                 f"{phase + 0.0!r},{_bound_str(value)}\n"
-                for phase, value in zip(curve.phase_grid, curve.min_gain_db)
+                for phase, value in zip(curve.phase_grid.tolist(), curve.min_gain_db.tolist())
             ],
         )
         for curve in curves

@@ -364,8 +364,8 @@ def generate_template(plant, omega: float) -> Template:
 
 def interpolate_bound(curve, phase_deg: float) -> float:
     """Bisect-and-interpolate lookup of one phase on a bound curve."""
-    grid = curve.phase_grid
-    vals = curve.min_gain_db
+    grid = curve.phase_grid.tolist()
+    vals = curve.min_gain_db.tolist()
     if phase_deg < grid[0] or phase_deg > grid[-1]:
         return NO_CONSTRAINT
     idx = bisect.bisect_left(grid, phase_deg)

@@ -93,6 +93,7 @@ class TestC1ReferenceDesign:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the minimal-derivative-gain search drives ki to ~0.17, far below "
         "the reference band [3.8, 5.1]; kp and kd do land in their bands",
     )
@@ -310,7 +311,7 @@ class TestC6BisectionSoundness:
             template = generate_templates(plant, [omega])[omega]
             delta = float(rng.uniform(0.5, 6.0))
             phase = float(rng.uniform(-340.0, -20.0))
-            bound = horowitz_bound(template, delta, (phase,), use_hull=False).min_gain_db[0]
+            bound = horowitz_bound(template, delta, (phase,), use_hull=False)[0]
             if not math.isfinite(bound):
                 continue
             finite_cases += 1
@@ -344,6 +345,7 @@ class TestC7ClosedLoopEnvelope:
 
     @pytest.mark.xfail(
         strict=True,
+        raises=AssertionError,
         reason="the 10x10 family envelope dips ~1.15 dB below the corridor floor "
         "at omega=30 rad/s; the other seven frequencies are inside",
     )

@@ -138,11 +138,11 @@ class TestKernelGrid:
         # equal nominal phases put equal controller phases on the diagonal,
         # where the two constraint rows differ only by 1e-15 in omega
         grid = (-135.0, -90.0, -45.0)
-        curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=(0.0, 0.0, 0.0))
+        frequencies = (1.0, 1.0 + 1e-15)
         problem = DesignProblem(
-            frequencies=(1.0, 1.0 + 1e-15),
+            frequencies=frequencies,
             nominal_responses=(-1j, -1j),
-            bounds=(curve, curve),
+            bounds=tuple(BoundCurve(omega, grid, (0.0, 0.0, 0.0)) for omega in frequencies),
             phase_grid=grid,
             pair_indices=(0, 1),
         )

@@ -587,6 +587,16 @@ class TestDesignPidEdgeCases:
             )
 
 
+    def test_bound_must_sit_at_its_frequency(self, servo_stack):
+        # servo's curves in reverse order used to be accepted, and the search
+        # returned kp=100857, ki=4944, kd=540.8
+        problem = servo_stack.problem
+        with pytest.raises(ValueError, match=r"^bound 0 is at omega=60\.0, not at 0\.5$"):
+            dataclasses.replace(problem, bounds=problem.bounds[::-1])
+        with pytest.raises(ValueError, match=r"^bound 1 is at omega=3\.0, not at 2\.0$"):
+            two_freq_problem(flat_curve(1.0, self.GRID, 0.0), flat_curve(3.0, self.GRID, 0.0))
+
+
 class TestDesignPiPd:
     def test_unknown_kind(self):
         problem = two_freq_problem(

@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from qft_forge.bounds import UContour, make_phase_grid
+from qft_forge.bounds import BoundCurve, UContour, make_phase_grid
 from qft_forge.errors import BoundBelowUContour
 from qft_forge.lti import db
 from qft_forge.optimizer import PidGains
@@ -79,17 +79,28 @@ class TestComputeBounds:
         assert servo_stack.contour.delta_hf_db == pytest.approx(39.8822139730429, rel=1e-12)
 
     def test_contour_edges_are_evaluated_once(self, servo_config, servo_stack, monkeypatch):
-        calls = []
-        edges = UContour.edges
+        # and one BoundCurve is built per design frequency
+        calls, built = [], []
+        edges, post_init = UContour.edges, BoundCurve.__post_init__
 
         def spy(contour, phases):
             calls.append(len(phases))
             return edges(contour, phases)
 
+        def spy_curve(curve):
+            built.append(curve.omega)
+            post_init(curve)
+
         monkeypatch.setattr(UContour, "edges", spy)
+        monkeypatch.setattr(BoundCurve, "__post_init__", spy_curve)
         curves, _ = compute_bounds(servo_config, servo_stack.templates)
         assert calls == [servo_config.phase_grid_count]
-        assert curves == servo_stack.curves
+        assert built == list(servo_config.frequencies) and len(built) == 8
+        assert len(curves) == len(servo_stack.curves)
+        for curve, expected in zip(curves, servo_stack.curves):
+            assert curve.omega == expected.omega
+            assert curve.phase_grid.tobytes() == expected.phase_grid.tobytes()
+            assert curve.min_gain_db.tobytes() == expected.min_gain_db.tobytes()
 
     def test_tracking_entry_below_the_contour_bottom_aborts(self, servo_config, tmp_path):
         # M = 1.1 with a 20 dB span: servo's tracking bound at omega=30 dips
