@@ -268,11 +268,15 @@ class SweepScreen:
     contour interior by more than the shared tolerance; the search then
     settles on the smallest-kd candidate that survives
     (:meth:`first_admitted`, which sweeps the ranked candidates a block of
-    rows at a time).  Verification's dense sweep is the same computation.
+    rows at a time, first on the grid columns where earlier candidates
+    entered the contour).  Verification's dense sweep is the same
+    computation.
 
     ``omegas`` and ``nominal_responses`` are the dense grid and the plant's
     nominal response on it — precomputed by the caller, which is the party
-    holding the plant; both are kept as arrays.
+    holding the plant; both are kept as arrays.  Every step of :meth:`sweep`
+    is elementwise per grid column, so a screen over a subset of the columns
+    gives those columns' values bit for bit.
     """
 
     contour: UContour
@@ -294,29 +298,49 @@ class SweepScreen:
 
         Scalar gains give one row over the grid, equal-length 1-D gain
         columns one row per candidate, with the same elementwise arithmetic
-        in every row.
+        in every row and every column.  The responses are laid out in full
+        before the product: with a broadcast factor, NumPy (2.4 on AVX-512)
+        rounds a one-row block on a one-column grid differently.
         """
         kp, ki, kd = (np.asarray(g, dtype=float)[..., None] for g in (kp, ki, kd))
         controller = pid_frequency_response(kp, ki, kd, self.omegas)
-        phase, gain = to_nichols_array(self.nominal_responses * controller)
+        responses = np.broadcast_to(self.nominal_responses, controller.shape).copy()
+        phase, gain = to_nichols_array(responses * controller)
         return phase, gain, self.contour.inside(phase, gain)
 
     def first_admitted(self, kd: np.ndarray, ki: np.ndarray, kp: np.ndarray) -> Optional[int]:
         """Index of the first candidate (gain columns in visiting order) whose
         nominal loop stays out of the contour, or None when every one enters.
 
-        Candidates are swept in blocks of 1, 2, 4, ... rows, capped at
-        ``bounds._BLOCK_CELLS`` cells, so a winner near the front costs no
-        more rows than visiting candidates one at a time.
+        A grid column is marked where a candidate swept on the whole grid
+        first enters the contour.  Candidates go in blocks of 1, 2, 4, ...
+        rows, each first swept on the marked columns only and capped at
+        ``bounds._BLOCK_CELLS`` cells there; the rows no marked column vetoes
+        are then swept on the whole grid in chunks of at most that many
+        cells.  A veto is an OR over the columns, so testing some of them
+        first changes which rows reach the whole grid, never the answer.
         """
-        cap = max(1, bounds._BLOCK_CELLS // max(1, len(self.omegas)))
+        marked = np.zeros(len(self.omegas), dtype=bool)
+        hot = None  # the screen over the marked columns, once there are any
+        chunk = max(1, bounds._BLOCK_CELLS // max(1, len(self.omegas)))
         start, rows = 0, 1
         while start < len(kd):
             block = slice(start, start + rows)
-            entered = np.any(self.sweep(kp[block], ki[block], kd[block])[2], axis=1)
-            if not entered.all():
-                return start + int(np.argmin(entered))
-            start, rows = block.stop, min(2 * rows, cap)
+            pending = np.arange(start, min(block.stop, len(kd)))
+            if hot is not None:
+                vetoed = np.any(hot.sweep(kp[block], ki[block], kd[block])[2], axis=1)
+                pending = pending[~vetoed]
+            for first in range(0, pending.size, chunk):
+                part = pending[first : first + chunk]
+                inside = self.sweep(kp[part], ki[part], kd[part])[2]
+                entered = np.any(inside, axis=1)
+                if not entered.all():
+                    return int(part[np.argmin(entered)])
+                marked[np.argmax(inside, axis=1)] = True
+            if pending.size:
+                columns = np.flatnonzero(marked)
+                hot = SweepScreen(self.contour, self.omegas[columns], self.nominal_responses[columns])
+            start, rows = block.stop, min(2 * rows, max(1, bounds._BLOCK_CELLS // hot.omegas.size))
         return None
 
 

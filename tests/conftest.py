@@ -9,6 +9,8 @@ frequencies and a 24-point grid so structural tests stay fast.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -27,6 +29,16 @@ from qft_forge.pipeline import (
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SERVO_CONFIG_PATH = REPO_ROOT / "configs" / "servo.json"
+
+
+def workload_raw(name: str) -> dict:
+    """The benchmark workload ``name``'s seed-1 configuration as parsed JSON."""
+    path = REPO_ROOT / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return json.loads(workloads.config_bytes(name, 1))
+
 
 # Fixed external reference controller for the servo plant; several tests
 # check margins and acceptance bands against this point design.

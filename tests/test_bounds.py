@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import importlib.util
-import json
 import math
 from decimal import Decimal, localcontext
 
@@ -39,7 +37,7 @@ from qft_forge.pipeline import compute_bounds, compute_templates
 from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 
 import scalar_reference as ref
-from conftest import REPO_ROOT
+from conftest import workload_raw
 from scalar_reference import m_circle_gains, undb
 
 LOWER_MODEL = RationalTransferFunction([0.6585, 19.755], [1.0, 4.0, 19.753961])
@@ -526,11 +524,7 @@ class TestUContour:
 
 def workload_config(name):
     """The benchmark workload ``name``'s seed-1 configuration."""
-    path = REPO_ROOT / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return parse_config_dict(json.loads(workloads.config_bytes(name, 1)))
+    return parse_config_dict(workload_raw(name))
 
 
 class TestCombineWithUContour:

@@ -20,7 +20,7 @@ from qft_forge.cli import (
 )
 from qft_forge.config import parse_config_dict
 
-from conftest import REPO_ROOT, SERVO_CONFIG_PATH
+from conftest import REPO_ROOT, SERVO_CONFIG_PATH, workload_raw
 
 
 def reduced_raw():
@@ -395,4 +395,13 @@ def test_servo_run_loads_no_numpy_ma_beyond_numpy_itself(tmp_path):
     # NumPy 1.x imports numpy.ma with numpy; 2.x only on first use, e.g. by np.unique
     argv = ["all", "--config", str(SERVO_CONFIG_PATH), "--out", str(tmp_path)]
     run = f"from qft_forge import cli\ncli.main({argv!r})"
+    assert loaded_numpy_ma(run) == loaded_numpy_ma("import numpy")
+
+
+def test_screen_walk_run_loads_no_numpy_ma_beyond_numpy_itself(tmp_path):
+    # the infeasible path: the stability screen vetoes every candidate and the run exits 2
+    config = tmp_path / "screen-walk.json"
+    config.write_text(json.dumps(workload_raw("screen-walk")))
+    argv = ["all", "--config", str(config), "--out", str(tmp_path / "out")]
+    run = f"from qft_forge import cli\nassert cli.main({argv!r}) == {EXIT_INFEASIBLE}"
     assert loaded_numpy_ma(run) == loaded_numpy_ma("import numpy")

@@ -32,7 +32,7 @@ from qft_forge.pipeline import (
 )
 from qft_forge.verify import verify_design
 
-from conftest import ADMIT_ALL, SERVO_CONFIG_PATH
+from conftest import ADMIT_ALL, SERVO_CONFIG_PATH, workload_raw
 
 import scalar_reference as ref
 
@@ -196,18 +196,18 @@ def ranked_columns(problem):
     return seen[0]
 
 
-def count_sweep_rows(patch):
-    """Patch ``SweepScreen.sweep`` to count the candidate rows it evaluates."""
-    rows = []
+def count_sweeps(patch):
+    """Patch ``SweepScreen.sweep`` to record the (rows, grid columns) of each call."""
+    shapes = []
     sweep = SweepScreen.sweep
 
     def counted(self, kp, ki, kd):
         result = sweep(self, kp, ki, kd)
-        rows.append(result[2].shape[0] if result[2].ndim == 2 else 1)
+        shapes.append(result[2].shape if result[2].ndim == 2 else (1, result[2].size))
         return result
 
     patch.setattr(SweepScreen, "sweep", counted)
-    return rows
+    return shapes
 
 
 def bits(a):
@@ -222,6 +222,17 @@ def servo_pool(servo_stack):
     return screen, [(float(a), float(b), float(c)) for a, b, c in zip(kd, ki, kp)]
 
 
+@pytest.fixture(scope="module")
+def screen_walk_pool():
+    """The screen-walk screen and every ranked candidate, all vetoed."""
+    config = screen_walk_config()
+    curves, contour = compute_bounds(config, compute_templates(config))
+    sweep = nominal_sweep(config)
+    screen = SweepScreen(contour, *sweep)
+    kd, ki, kp = ranked_columns(build_problem(config, curves, sweep))
+    return screen, [(float(a), float(b), float(c)) for a, b, c in zip(kd, ki, kp)]
+
+
 gain = st.floats(0.0, 30.0) | st.just(0.0)
 
 
@@ -231,13 +242,19 @@ class TestBatchedScreen:
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(
         data=st.data(),
+        workload=st.sampled_from(["servo", "screen-walk"]),
         stride=st.sampled_from([1, 7, 60]),
         block=st.sampled_from([1, 7, 64, bounds._BLOCK_CELLS]),
     )
-    def test_first_admitted_matches_reference_walk(self, servo_pool, data, stride, block):
-        full, pool = servo_pool
+    def test_first_admitted_matches_reference_walk(
+        self, servo_pool, screen_walk_pool, data, workload, stride, block
+    ):
+        full, pool = servo_pool if workload == "servo" else screen_walk_pool
         screen = SweepScreen(full.contour, full.omegas[::stride], full.nominal_responses[::stride])
-        candidates = data.draw(
+        # a run of consecutive ranked candidates, where the marked columns grow, then a mix
+        first = data.draw(st.integers(0, len(pool)))
+        run = pool[first : first + data.draw(st.integers(0, 60))]
+        candidates = run + data.draw(
             st.lists(
                 st.sampled_from(pool) | st.tuples(gain, gain, gain) | st.just((0.0, 0.0, 0.0)),
                 max_size=40,
@@ -254,13 +271,41 @@ class TestBatchedScreen:
             for got_part, one_part, want_part in zip(batched, one, want):
                 assert bits(got_part[row]) == bits(one_part) == bits(want_part)
 
+    @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data(), workload=st.sampled_from(["servo", "screen-walk"]))
+    def test_column_subset_sweeps_those_columns(self, servo_pool, screen_walk_pool, data, workload):
+        # first_admitted vetoes a block on the marked columns alone; that is exact only if a
+        # screen over any columns, in any order and with repeats, gives the full sweep's values
+        full, pool = servo_pool if workload == "servo" else screen_walk_pool
+        n = len(full.omegas)
+        columns = data.draw(
+            st.integers(0, n - 1).map(lambda c: np.array([c]))
+            | st.lists(st.integers(0, n - 1), min_size=1, max_size=n).map(np.array)
+            | st.slices(n).map(lambda cut: np.arange(n)[cut])
+        )
+        first = data.draw(st.integers(0, len(pool)))
+        rows = pool[first : first + 100] + data.draw(st.lists(st.tuples(gain, gain, gain), max_size=20))
+        kd, ki, kp = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
+        part = SweepScreen(full.contour, full.omegas[columns], full.nominal_responses[columns])
+        for got, whole in zip(part.sweep(kp, ki, kd), full.sweep(kp, ki, kd)):
+            assert bits(got) == bits(whole[:, columns])
+        # one candidate as a one-row block, the shape NumPy rounds a broadcast product
+        # differently for on one column, and as scalar gains
+        for row in range(min(3, len(rows))):
+            one = slice(row, row + 1)
+            for gains in ((kp[one], ki[one], kd[one]), (kp[row], ki[row], kd[row])):
+                for got, whole in zip(part.sweep(*gains), full.sweep(*gains)):
+                    assert bits(got) == bits(whole[..., columns])
+
     def test_servo_sweeps_exactly_fifteen_candidates(self, servo_stack, servo_design):
         screen = SweepScreen(servo_stack.contour, *servo_stack.sweep)
         with pytest.MonkeyPatch.context() as patch:
-            rows = count_sweep_rows(patch)
+            sweeps = count_sweeps(patch)
             result = design_controller(servo_stack.problem, "pid", screen)
-        # blocks of 1, 2, 4 and 8 rows; the winner is the 15th candidate
-        assert rows == [1, 2, 4, 8]
+        # the first candidate enters at one column and marks it; blocks of 2, 4 and 8 rows
+        # are swept there, and the 3 rows of the last block it does not veto reach the whole
+        # grid, where the third is the 15th candidate and wins
+        assert sweeps == [(1, 508), (2, 1), (4, 1), (8, 1), (3, 508)]
         assert result.screen_rejections == 14
         assert result.gains == servo_design.gains
 
@@ -270,14 +315,16 @@ class TestBatchedScreen:
         sweep = nominal_sweep(config)
         problem = build_problem(config, curves, sweep)
         screen = SweepScreen(contour, *sweep)
-        assert len(screen.omegas) == 512  # 8-row blocks at the default cap
+        assert len(screen.omegas) == 512  # whole-grid chunks of 8 rows at the default cap
         with pytest.MonkeyPatch.context() as patch:
-            rows = count_sweep_rows(patch)
+            sweeps = count_sweeps(patch)
             result = design_controller(problem, "pid", screen)
         assert not result.feasible
         assert "stability contour" in result.reason
-        assert result.screen_rejections == sum(rows) == 2483
-        assert max(rows) == bounds._BLOCK_CELLS // 512
+        assert result.screen_rejections == 2483
+        # 313 sweeps when every block went to the whole grid
+        assert len(sweeps) == 49
+        assert max(rows * columns for rows, columns in sweeps) <= bounds._BLOCK_CELLS
 
     def test_winner_inside_a_block(self, servo_pool):
         screen, pool = servo_pool
@@ -287,10 +334,24 @@ class TestBatchedScreen:
         order = vetoed[:4] + passed[:3] + vetoed[4:6]
         kd, ki, kp = (np.array(c) for c in zip(*order))
         with pytest.MonkeyPatch.context() as patch:
-            rows = count_sweep_rows(patch)
+            sweeps = count_sweeps(patch)
             assert screen.first_admitted(kd, ki, kp) == 4
-        assert rows == [1, 2, 4]
+        # the column the first row marked vetoes rows 1-3; rows 4-6 reach the whole grid
+        assert sweeps == [(1, 508), (2, 1), (4, 1), (3, 508)]
         assert ref.first_admitted(screen, kd, ki, kp) == 4
+
+    def test_admitted_after_a_long_veto_run(self):
+        # screen-walk's plant with anchors (3, 10) admits a candidate after 91 vetoes; the
+        # reference walk, not pinned gains, says which (a stability check may move it)
+        raw = workload_raw("screen-walk")
+        raw["design"]["pair"] = [3, 10]
+        config = parse_config_dict(raw)
+        curves, contour = compute_bounds(config, compute_templates(config))
+        sweep = nominal_sweep(config)
+        screen = SweepScreen(contour, *sweep)
+        kd, ki, kp = ranked_columns(build_problem(config, curves, sweep))
+        winner = screen.first_admitted(kd, ki, kp)
+        assert winner == ref.first_admitted(screen, kd, ki, kp) == 91
 
     def test_no_candidates(self, servo_pool):
         screen, _ = servo_pool
