@@ -325,8 +325,8 @@ class SweepScreen:
         chunk = max(1, bounds._BLOCK_CELLS // max(1, len(self.omegas)))
         start, rows = 0, 1
         while start < len(kd):
-            block = slice(start, start + rows)
-            pending = np.arange(start, min(block.stop, len(kd)))
+            block = slice(start, min(start + rows, len(kd)))
+            pending = np.arange(start, block.stop)
             if hot is not None:
                 vetoed = np.any(hot.sweep(kp[block], ki[block], kd[block])[2], axis=1)
                 pending = pending[~vetoed]
@@ -339,7 +339,9 @@ class SweepScreen:
                 marked[np.argmax(inside, axis=1)] = True
             if pending.size:
                 columns = np.flatnonzero(marked)
-                hot = SweepScreen(self.contour, self.omegas[columns], self.nominal_responses[columns])
+                hot = SweepScreen(
+                    self.contour, self.omegas[columns], self.nominal_responses[columns]
+                )
             start, rows = block.stop, min(2 * rows, max(1, bounds._BLOCK_CELLS // hot.omegas.size))
         return None
 

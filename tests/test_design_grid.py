@@ -284,13 +284,14 @@ class TestBatchedScreen:
             | st.slices(n).map(lambda cut: np.arange(n)[cut])
         )
         first = data.draw(st.integers(0, len(pool)))
-        rows = pool[first : first + 100] + data.draw(st.lists(st.tuples(gain, gain, gain), max_size=20))
+        drawn = data.draw(st.lists(st.tuples(gain, gain, gain), max_size=20))
+        rows = pool[first : first + 100] + drawn
         kd, ki, kp = np.array(rows, dtype=float).reshape(-1, 3).T.copy()
         part = SweepScreen(full.contour, full.omegas[columns], full.nominal_responses[columns])
         for got, whole in zip(part.sweep(kp, ki, kd), full.sweep(kp, ki, kd)):
             assert bits(got) == bits(whole[:, columns])
-        # one candidate as a one-row block, the shape NumPy rounds a broadcast product
-        # differently for on one column, and as scalar gains
+        # one candidate as a one-row block, a shape for which NumPy can round a broadcast
+        # complex product differently on one column, and as scalar gains
         for row in range(min(3, len(rows))):
             one = slice(row, row + 1)
             for gains in ((kp[one], ki[one], kd[one]), (kp[row], ki[row], kd[row])):
