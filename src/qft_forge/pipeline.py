@@ -119,7 +119,7 @@ def nominal_sweep(config: DesignConfig) -> Sweep:
     """
     plant = effective_plant(config)
     omegas = default_dense_grid(config.frequencies)
-    return omegas, evaluate_plant_array(plant, plant.nominal, 1j * omegas)
+    return omegas, evaluate_plant_array(plant, [plant.nominal], 1j * omegas)[0]
 
 
 def compute_templates(config: DesignConfig) -> Dict[float, Template]:

@@ -79,6 +79,8 @@ class UncertainPlant:
 
     def _check_in_box(self, point: Dict[str, float]):
         for spec in self.params:
+            if spec.name not in point:
+                raise OutOfBox(f"parameter '{spec.name}' missing from evaluation point")
             value = point[spec.name]
             if not (spec.minimum <= value <= spec.maximum):
                 raise OutOfBox(
@@ -86,6 +88,7 @@ class UncertainPlant:
                 )
 
     def coefficients_at(self, point: Dict[str, float]) -> Tuple[List[float], List[float]]:
+        self._check_in_box(point)
         num = [c.evaluate(point) for c in self.num]
         den = [c.evaluate(point) for c in self.den]
         return num, den
@@ -105,27 +108,25 @@ class UncertainPlant:
         return combos
 
 
-def evaluate_plant_array(plant: UncertainPlant, point: Dict[str, float], s) -> np.ndarray:
-    """Frequency response of one family member at every point of ``s``.
+def evaluate_plant_array(plant: UncertainPlant, points: Sequence[Dict[str, float]], s) -> np.ndarray:
+    """Responses of family members, one row per point and one column per ``s``.
 
-    The coefficients are evaluated once and both polynomials run over the
-    whole array; the quotient is CPython's complex division, one element at a
-    time, whose last bits NumPy's vectorised division does not reproduce.
-    OutOfBox for stray points, PoleOnAxis where the denominator vanishes.
-    """
-    for spec in plant.params:
-        if spec.name not in point:
-            raise OutOfBox(f"parameter '{spec.name}' missing from evaluation point")
-    plant._check_in_box(point)
-    num, den = plant.coefficients_at(point)
+    All coefficients come first, then both polynomials run over every member;
+    each row is divided by CPython's complex division, whose last bits NumPy's
+    does not reproduce.  PoleOnAxis names the first pole, by member then ``s``."""
+    num, den = (np.empty((len(points), len(side))) for side in (plant.num, plant.den))
+    for row, point in enumerate(points):
+        num[row], den[row] = plant.coefficients_at(point)
     s = np.asarray(s, dtype=complex)
-    den_val = np.polyval(den, s)
-    poles = np.flatnonzero(den_val == 0)
+    num_val, den_val = (np.polyval(side.T[:, :, None], s) for side in (num, den))
+    poles = np.argwhere(den_val == 0)
     if poles.size:
-        first = complex(s.flat[poles[0]])
-        raise PoleOnAxis(f"plant denominator vanishes at s = {first} for {point}")
-    num_val = np.polyval(num, s)
-    return np.array([n / d for n, d in zip(num_val.tolist(), den_val.tolist())], dtype=complex)
+        row, col = poles[0]
+        raise PoleOnAxis(f"plant denominator vanishes at s = {complex(s[col])} for {points[row]}")
+    responses = np.empty(den_val.shape, dtype=complex)
+    for row, (num_row, den_row) in enumerate(zip(num_val, den_val)):
+        responses[row] = [n / d for n, d in zip(num_row.tolist(), den_row.tolist())]
+    return responses
 
 
 @dataclass(frozen=True, eq=False)
@@ -182,19 +183,18 @@ def convex_hull_nichols(points: Sequence[Tuple[float, float]]) -> List[Tuple[flo
 def generate_templates(plant: UncertainPlant, omegas: Sequence[float]) -> Dict[float, Template]:
     """Sample the family over its parameter grid at every design frequency.
 
-    Each member is evaluated once over all of ``omegas``; every template
-    shares ``points`` and holds one column of the response matrix.  The
-    nominal member is always included (appended when the grid misses it),
-    ratios are formed against its response, and the convex hull is taken in
-    relative Nichols coordinates.  Templates are keyed by frequency, in order.
+    One :func:`evaluate_plant_array` call takes every member over all of
+    ``omegas``; each template shares ``points`` and holds one column of the
+    responses.  The nominal member is always included (appended when the
+    grid misses it), ratios are formed against its response, and the convex
+    hull is taken in relative Nichols coordinates.  Keyed by frequency, in order.
     """
     omegas = [float(omega) for omega in omegas]
     names = tuple(spec.name for spec in plant.params)
     members = plant.members()
     points = np.array(members, dtype=float)
     s = 1j * np.array(omegas)
-    rows = [evaluate_plant_array(plant, dict(zip(names, combo)), s) for combo in members]
-    responses = np.array(rows, dtype=complex)
+    responses = evaluate_plant_array(plant, [dict(zip(names, combo)) for combo in members], s)
     nominal_responses = responses[members.index(plant.nominal_member())].tolist()
     templates: Dict[float, Template] = {}
     for k, omega in enumerate(omegas):

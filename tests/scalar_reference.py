@@ -447,7 +447,7 @@ def closed_loop_envelope(plant, gains, prefilter, tracking, omegas):
     mags = np.empty((len(omegas), len(members)))
     for m, combo in enumerate(members):
         env = dict(zip(names, combo))
-        for k, response in enumerate(evaluate_plant_array(plant, env, s).tolist()):
+        for k, response in enumerate(evaluate_plant_array(plant, [env], s)[0].tolist()):
             loop = response * controller[k]
             denom = 1.0 + loop
             mags[k, m] = f_mags[k] * abs(loop / denom) if denom else math.inf

@@ -136,7 +136,7 @@ class TestC2MarginTightness:
             timed_servo.result.gains,
             timed_servo.curves,
             timed_servo.contour,
-            (grid, evaluate_plant_array(plant, plant.nominal, 1j * grid)),
+            (grid, evaluate_plant_array(plant, [plant.nominal], 1j * grid)[0]),
             timed_servo.config.tracking,
         )
         slacks = [m.slack_db for m in report.per_frequency_margins]

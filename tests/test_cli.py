@@ -200,6 +200,19 @@ class TestUsageErrors:
         message = "error: plant denominator vanishes at s = 2j for {'a': 1.0, 'k': 1.0}\n"
         assert capsys.readouterr().err == message
 
+    def test_every_coefficient_is_checked_before_any_pole(self, capsys, tmp_path):
+        # the member a = 1 has a pole at s = 1j, a design frequency; a later
+        # member, a = 5, has an undefined numerator, and that error wins
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["plant"]["numerator"] = ["k/(a-5)"]
+        raw["plant"]["denominator"] = ["1", "0", "a^2"]
+        raw["plant"]["nominal"] = {"a": 2.0, "k": 1.0}
+        cfg = tmp_path / "undefined_after_pole.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["all", "--config", str(cfg), "--out", str(tmp_path / "out")]) == EXIT_USAGE
+        message = "error: coefficient 'k/(a-5)' is undefined at {'a': 5.0, 'k': 1.0}\n"
+        assert capsys.readouterr().err == message
+
     def test_zero_nominal_response(self, capsys, tmp_path):
         raw = json.loads(SERVO_CONFIG_PATH.read_text())
         raw["plant"]["numerator"] = ["k*a - 1"]  # zero at the nominal a = k = 1

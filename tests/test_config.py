@@ -50,7 +50,7 @@ class TestServoConfig:
         assert tuple(p.name for p in plant.params) == ("a", "k")
         assert all(p.grid_points == 10 for p in plant.params)
         assert plant.nominal == {"a": 1.0, "k": 1.0}
-        assert evaluate_plant_array(plant, {"a": 2.0, "k": 5.0}, [1j])[0] == pytest.approx(
+        assert evaluate_plant_array(plant, [{"a": 2.0, "k": 5.0}], [1j])[0, 0] == pytest.approx(
             10.0 / (-1.0 + 2.0j), abs=1e-12
         )
 

@@ -767,9 +767,9 @@ class TestFilteredDerivativeTransform:
         for point in ({"a": 1.0, "k": 1.0}, {"a": 10.0, "k": 4.0}):
             for omega in (0.5, 10.0, 60.0):
                 s = 1j * omega
-                original = evaluate_plant_array(plant, point, [s])[0]
+                original = evaluate_plant_array(plant, [point], [s])[0, 0]
                 expected = original / (1.0 + 0.001 * s)
-                got = evaluate_plant_array(modified, point, [s])[0]
+                got = evaluate_plant_array(modified, [point], [s])[0, 0]
                 assert got == pytest.approx(expected, rel=1e-12)
 
     def test_denominator_degree_raised(self):
@@ -781,8 +781,8 @@ class TestFilteredDerivativeTransform:
         plant = self.servo()
         modified = filtered_derivative_transform(plant, 0.001)
         for omega in (0.5, 60.0):
-            original = evaluate_plant_array(plant, plant.nominal, [1j * omega])[0]
-            got = evaluate_plant_array(modified, plant.nominal, [1j * omega])[0]
+            original = evaluate_plant_array(plant, [plant.nominal], [1j * omega])[0, 0]
+            got = evaluate_plant_array(modified, [plant.nominal], [1j * omega])[0, 0]
             assert abs(db(abs(got)) - db(abs(original))) < 0.1
 
     def test_non_positive_tau_rejected(self):

@@ -453,30 +453,39 @@ class TestSingleAnchorRuns:
 
 class TestNominalSweep:
     def test_servo_all_evaluates_the_dense_grid_once(self, servo_config, tmp_path, monkeypatch):
-        """A whole ``all`` run evaluates the plant once per template member and
-        once over the dense grid; verification reads both results."""
+        """A whole ``all`` run evaluates the plant twice: every template member
+        over the design frequencies, then the nominal over the dense grid;
+        verification reads both results."""
         dense = len(nominal_sweep(servo_config)[0])
         real = plant.evaluate_plant_array
-        calls = []
+        real_coefficients = plant.UncertainPlant.coefficients_at
+        calls, coefficient_calls = [], []
 
-        def counting(plant_, point, s):
-            calls.append((dict(point), np.size(s)))
-            return real(plant_, point, s)
+        def counting(plant_, points, s):
+            calls.append(([dict(point) for point in points], np.size(s)))
+            return real(plant_, points, s)
+
+        def counting_coefficients(plant_, point):
+            coefficient_calls.append(dict(point))
+            return real_coefficients(plant_, point)
 
         for module in (plant, pipeline, verify):
             monkeypatch.setattr(module, "evaluate_plant_array", counting, raising=False)
+        monkeypatch.setattr(plant.UncertainPlant, "coefficients_at", counting_coefficients)
         artifacts = run_command(servo_config, "all", str(tmp_path))
         assert artifacts.verification is not None and artifacts.verification.envelope
-        assert calls.count((servo_config.plant.nominal, dense)) == 1
-        # every other call is one template member over the design frequencies
-        assert {size for _, size in calls} == {len(servo_config.frequencies), dense}
-        assert len(calls) == 1 + len(servo_config.plant.members()) == 101
+        names = [spec.name for spec in servo_config.plant.params]
+        members = [dict(zip(names, combo)) for combo in servo_config.plant.members()]
+        nominal = servo_config.plant.nominal
+        assert calls == [(members, len(servo_config.frequencies)), ([nominal], dense)]
+        assert coefficient_calls == members + [nominal]
+        assert len(coefficient_calls) == 101
 
     def test_design_frequencies_read_from_the_sweep(self, servo_config, servo_stack):
         nominal = servo_config.plant.nominal
         expected = plant.evaluate_plant_array(
-            servo_config.plant, nominal, 1j * np.array(servo_config.frequencies)
-        )
+            servo_config.plant, [nominal], 1j * np.array(servo_config.frequencies)
+        )[0]
         assert servo_stack.problem.nominal_responses == tuple(expected.tolist())
 
 
@@ -485,14 +494,14 @@ class TestComputeTemplates:
         real = plant.evaluate_plant_array
         calls = []
 
-        def counting(plant_, point, s):
-            calls.append((tuple(point.values()), np.size(s)))
-            return real(plant_, point, s)
+        def counting(plant_, points, s):
+            calls.append(([tuple(point.values()) for point in points], np.size(s)))
+            return real(plant_, points, s)
 
         monkeypatch.setattr(plant, "evaluate_plant_array", counting)
         templates = compute_templates(servo_config)
         members = servo_config.plant.members()
         assert len(members) == 100
-        assert sorted(point for point, _ in calls) == sorted(members)
-        assert {size for _, size in calls} == {len(servo_config.frequencies)} == {8}
+        assert calls == [(members, len(servo_config.frequencies))]
+        assert len(servo_config.frequencies) == 8
         assert [len(t.points) for t in templates.values()] == [100] * 8

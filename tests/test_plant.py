@@ -5,6 +5,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+import re
 from typing import List
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from qft_forge.errors import OutOfBox, PoleOnAxis, TemplateTooWide, ZeroMagnitude
 from qft_forge.expr import parse_coefficient_expr
 from qft_forge.lti import db, to_nichols
+from qft_forge.optimizer import filtered_derivative_transform
 from qft_forge.plant import (
     ParameterSpec,
     Template,
@@ -49,7 +51,7 @@ def servo_plant(grid=10):
 
 def response_at(plant, point, s):
     """One member's response at one point of the s-plane."""
-    return complex(evaluate_plant_array(plant, point, [s])[0])
+    return complex(evaluate_plant_array(plant, [point], [s])[0, 0])
 
 
 def template_at(plant, omega):
@@ -174,49 +176,87 @@ class TestEvaluatePlant:
 
 
 COEFFICIENT = st.floats(min_value=-1e3, max_value=1e3, allow_subnormal=False)
+OMEGA = st.floats(min_value=1e-3, max_value=1e4, allow_subnormal=False)
+
+# ``^`` and ``/`` in the coefficients, every one finite over the whole box
+POWER_FAMILY = make_plant(
+    ["k*a^1.5", "a/b - 1"],
+    ["1", "a + b/k", "(a - b)^2/k", "k*b^0.5"],
+    [ParameterSpec("a", 0.5, 20.0), ParameterSpec("b", 0.1, 5.0), ParameterSpec("k", 1.0, 10.0)],
+    {"a": 1.0, "b": 1.0, "k": 1.0},
+)
 
 
 def bits(z: complex):
     return (z.real.hex(), z.imag.hex())
 
 
+@st.composite
+def families(draw):
+    """A plant and 1, 2, 5 or 35 member points in its box.  The plant is one
+    whose every coefficient is its own parameter, spanning the drawn members'
+    values, or the power family, bare or behind a derivative filter."""
+    count = draw(st.sampled_from([1, 2, 5, 35]))
+    kind = draw(st.sampled_from(["coefficients", "power", "filtered"]))
+    if kind == "coefficients":
+        n_num, n_den = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        row = st.lists(COEFFICIENT, min_size=n_num + n_den, max_size=n_num + n_den)
+        rows = draw(st.lists(row.filter(lambda c: c[n_num] != 0.0), min_size=count, max_size=count))
+        names = [f"n{i}" for i in range(n_num)] + [f"d{i}" for i in range(n_den)]
+        params = [ParameterSpec(n, min(c), max(c)) for n, c in zip(names, zip(*rows))]
+        plant = make_plant(names[:n_num], names[n_num:], params, dict(zip(names, rows[0])))
+        return plant, [dict(zip(names, values)) for values in rows]
+    plant = POWER_FAMILY
+    if kind == "filtered":
+        plant = filtered_derivative_transform(plant, draw(st.floats(1e-4, 1.0)))
+    point = st.fixed_dictionaries(
+        {spec.name: st.floats(spec.minimum, spec.maximum) for spec in plant.params}
+    )
+    return plant, draw(st.lists(point, min_size=count, max_size=count))
+
+
 class TestEvaluatePlantArray:
     @given(
-        num=st.lists(COEFFICIENT, min_size=1, max_size=4),
-        den=st.lists(COEFFICIENT, min_size=1, max_size=5).filter(lambda c: c[0] != 0.0),
-        omegas=st.lists(
-            st.floats(min_value=1e-3, max_value=1e4, allow_subnormal=False), min_size=1, max_size=12
+        family=families(),
+        omegas=st.sampled_from([1, 2, 3, 17]).flatmap(
+            lambda n: st.lists(OMEGA, min_size=n, max_size=n)
         ),
     )
+    @example(family=(POWER_FAMILY, [POWER_FAMILY.nominal]), omegas=[3.0])
+    @example(family=(POWER_FAMILY, [POWER_FAMILY.nominal] * 2), omegas=[3.0])
     @settings(max_examples=300)
-    def test_bit_equal_to_scalar_path(self, num, den, omegas):
-        # every coefficient is its own degenerate parameter, so the point carries them
-        names = [f"n{i}" for i in range(len(num))] + [f"d{i}" for i in range(len(den))]
-        values = dict(zip(names, num + den))
-        plant = make_plant(
-            names[: len(num)],
-            names[len(num) :],
-            [ParameterSpec(n, v, v) for n, v in values.items()],
-            values,
-        )
+    def test_bit_equal_to_scalar_path(self, family, omegas):
+        """Each row is the scalar path's member, bit for bit, at every shape:
+        NumPy may round a product with a broadcast factor differently."""
+        plant, points = family
         s = 1j * np.array(omegas)
         try:
-            want = [ref.plant_response(num, den, 1j * w) for w in omegas]
-        except ZeroDivisionError:
-            with pytest.raises(PoleOnAxis):
-                evaluate_plant_array(plant, values, s)
+            want = [[ref.member_response(plant, point, z) for z in s.tolist()] for point in points]
+        except PoleOnAxis as pole:
+            with pytest.raises(PoleOnAxis, match=f"^{re.escape(str(pole))}$"):
+                evaluate_plant_array(plant, points, s)
             return
-        got = evaluate_plant_array(plant, values, s).tolist()
-        assert [bits(z) for z in got] == [bits(z) for z in want]
+        got = evaluate_plant_array(plant, points, s)
+        assert got.shape == (len(points), len(omegas))
+        assert [list(map(bits, row)) for row in got.tolist()] == [
+            list(map(bits, row)) for row in want
+        ]
 
     def test_pole_on_axis_anywhere_in_the_array(self):
         with pytest.raises(PoleOnAxis):
-            evaluate_plant_array(servo_plant(), {"a": 1.0, "k": 1.0}, [1j, 0j])
+            evaluate_plant_array(servo_plant(), [{"a": 1.0, "k": 1.0}], [1j, 0j])
 
     def test_pole_message_names_the_first_point(self):
         plant = make_plant(["1"], ["1", "0", "4"], [], {})
         with pytest.raises(PoleOnAxis, match=r"^plant denominator vanishes at s = 2j for \{\}$"):
-            evaluate_plant_array(plant, {}, [1j, 2j, -2j, 3j])
+            evaluate_plant_array(plant, [{}], [1j, 2j, -2j, 3j])
+
+    def test_pole_message_names_the_first_member(self):
+        # the first member's pole comes first, though the second's lies at an earlier s
+        plant = make_plant(["1"], ["1", "0", "a"], [ParameterSpec("a", 1.0, 4.0, 2)], {"a": 1.0})
+        message = r"^plant denominator vanishes at s = 2j for \{'a': 4.0\}$"
+        with pytest.raises(PoleOnAxis, match=message):
+            evaluate_plant_array(plant, [{"a": 4.0}, {"a": 1.0}], [1j, 2j])
 
 
 class TestMembers:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from qft_forge.bounds import (
     BoundCurve,
     UContour,
 )
+from qft_forge.config import parse_config_dict
 from qft_forge.errors import (
     NoFeasiblePoint,
     PoleOnAxis,
@@ -34,6 +36,7 @@ from qft_forge.pipeline import (
     compute_templates,
     effective_plant,
     render_verify_report,
+    run_command,
     write_envelope_csv,
 )
 from qft_forge.plant import (
@@ -53,7 +56,7 @@ from qft_forge.verify import (
     verify_design,
 )
 
-from conftest import PREFILTER, REFERENCE_GAINS
+from conftest import PREFILTER, REFERENCE_GAINS, SERVO_CONFIG_PATH, workload_raw
 
 import scalar_reference as ref
 
@@ -240,7 +243,7 @@ class TestVerifyMargins:
             [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 60.0, 30.0],  # unsorted
         ):
             grid = np.array(grid)
-            sweep = (grid, evaluate_plant_array(plant, plant.nominal, 1j * grid))
+            sweep = (grid, evaluate_plant_array(plant, [plant.nominal], 1j * grid)[0])
             with pytest.raises(ValueError):
                 self.verify(servo_config, servo_stack, REFERENCE_GAINS, sweep=sweep)
 
@@ -290,9 +293,8 @@ class TestClosedLoopEnvelope:
         )
         for row in rows:
             s = 1j * row.omega
-            loop = evaluate_plant_array(plant, plant.nominal, [s])[0] * ref.pid_frequency_response(
-                gains, row.omega
-            )
+            response = evaluate_plant_array(plant, [plant.nominal], [s])[0, 0]
+            loop = response * ref.pid_frequency_response(gains, row.omega)
             nominal_db = db(abs(eval_tf(PREFILTER, s))) + db(
                 abs(loop / (1.0 + loop))
             )
@@ -510,6 +512,51 @@ class TestVerifyEnvelopeIntegration:
             servo_config.tracking,
         )
         assert report.envelope == ()
+
+
+def unstable_pass_config(case):
+    """The two designs ROADMAP item 2 names: servo with anchor pair (7, 8)
+    and no prefilter, and screen-walk at seed 1 with pair (3, 10)."""
+    if case == "servo":
+        raw = json.loads(SERVO_CONFIG_PATH.read_text())
+        raw["design"]["pair"] = [7, 8]
+        del raw["prefilter"]
+    else:
+        raw = workload_raw("screen-walk")
+        raw["design"]["pair"] = [3, 10]
+    return parse_config_dict(raw)
+
+
+class TestClosedLoopStability:
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 2: nothing checks the closed-loop poles, so verification "
+        "passes these designs although every member's closed loop is unstable",
+    )
+    def test_a_passing_design_has_stable_members(self, tmp_path):
+        broken = []
+        for case in ("servo", "screen-walk"):
+            config = unstable_pass_config(case)
+            artifacts = run_command(config, "verify", str(tmp_path / case))
+            if artifacts.verification is None or not artifacts.verification.passed:
+                continue  # a failing verdict promises nothing
+            g = artifacts.design.gains
+            # s D + N (kd s^2 + kp s + ki), the common factor s dropped when ki = 0
+            lead, pid = ([1.0, 0.0], [g.kd, g.kp, g.ki]) if g.ki else ([1.0], [g.kd, g.kp])
+            names = [spec.name for spec in config.plant.params]
+            worst = []
+            for combo in config.plant.members():
+                num, den = config.plant.coefficients_at(dict(zip(names, combo)))
+                poly = np.polyadd(np.polymul(lead, den), np.polymul(num, pid))
+                worst.append(float(np.roots(poly).real.max()))
+            unstable = sum(re >= 0.0 for re in worst)
+            if unstable:
+                broken.append(
+                    f"{case}: {g}, {unstable}/{len(worst)} members unstable, "
+                    f"worst Re {max(worst):.4g}"
+                )
+        assert not broken, broken
 
 
 class TestGainAxis:
