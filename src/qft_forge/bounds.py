@@ -106,15 +106,14 @@ class TrackingSpec:
 @dataclass(frozen=True, eq=False)
 class BoundCurve:
     """Least admissible nominal gain versus phase, for one frequency, in
-    read-only float array copies of the values given.
+    read-only float array copies of the values given.  A bound repeats every
+    turn, so the grid must fit in one: last node < first + 360.
 
-    Also builds the table :func:`interpolate_bound_array` reads: per slot
-    ``searchsorted(grid, p, side="right")``, 0 to n, its start, width, base,
-    step and the node value at its start.  Slot i in 1..n-1, [g[i-1], g[i]),
-    has base v[i-1] and step v[i] - v[i-1], or with a sentinel end: base
-    INFEASIBLE if either end is, else the other end if one is NO_CONSTRAINT,
-    and step -0.0, which keeps any base (-0.0 too).  Slots 0 and n lie
-    beyond the grid and hold NaN, bar their start and the last node.
+    Also builds the table :func:`interpolate_bound_array` reads: per slot i,
+    from node i to node i + 1 (the last node to the first a turn on), its
+    start, width, base a = v[i], step b - a to the next value b, and a.  With
+    a sentinel end the base is INFEASIBLE if either end is, else the other
+    end if one is NO_CONSTRAINT, and the step -0.0, which keeps any base.
     """
 
     omega: float
@@ -126,23 +125,21 @@ class BoundCurve:
         v = np.array(self.min_gain_db, dtype=float)
         if not (math.isfinite(self.omega) and np.isfinite(g).all()):
             raise ValueError("omega and the phase grid must be finite")
-        if g.ndim != 1 or g.shape != v.shape:
-            raise ValueError("phase grid and entries must be 1-D and equal in length")
-        width = np.diff(g)
-        if (width <= 0.0).any():
-            raise ValueError("phase grid must be strictly increasing")
+        if g.ndim != 1 or g.shape != v.shape or not g.size:
+            raise ValueError("phase grid and entries must be 1-D, non-empty and equal in length")
+        width = np.diff(g, append=g[0] + 360.0)
+        if (width <= 0.0).any() or g[-1] - g[0] >= 360.0:
+            raise ValueError("phase grid must be strictly increasing and fit in one turn")
         if np.isnan(v).any():
             raise ValueError("bound entries must be real or a sentinel infinity")
         g.flags.writeable = v.flags.writeable = False
         object.__setattr__(self, "phase_grid", g)
         object.__setattr__(self, "min_gain_db", v)
-        a, b = v[:-1], v[1:]
+        a, b = v, np.roll(v, -1)
         base = np.where((a == NO_CONSTRAINT) | (b == INFEASIBLE), b, a)
         linear = np.isfinite(a) & np.isfinite(b)
         step = np.subtract(b, a, out=np.full(len(a), -0.0), where=linear)
-        first, last = [g[0]] + [math.nan] * 4, [g[-1]] + [math.nan] * 3 + [v[-1]]
-        table = np.column_stack((first, np.stack((g[:-1], width, base, step, a)), last))
-        object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_table", np.stack((g, width, base, step, a)))
 
 
 def make_phase_grid(count: int) -> Tuple[float, ...]:
@@ -386,19 +383,23 @@ class UContour:
 # --- interpolation ---------------------------------------------------------
 
 def interpolate_bound_array(curve: BoundCurve, phases: np.ndarray) -> np.ndarray:
-    """Bound values at an array of phases.
+    """Bound values at an array of phases, 360-degree periodic.
 
     Linear between finite nodes; INFEASIBLE wins over any neighbour; a
-    NO_CONSTRAINT neighbour defers to the finite one (conservative); queries
-    beyond the grid ends, and NaN, are unconstrained.  Computes
-    ``(p - start) / width * step + base`` from the query's slot of the
-    curve's table, the IEEE arithmetic of ``a + t * (b - a)``; a node query
-    takes the node's value, and ``fmax`` maps the NaN computed beyond the
-    grid to NO_CONSTRAINT.
+    NO_CONSTRAINT neighbour defers to the finite one (conservative); NaN and
+    infinite queries are unconstrained.  A query first moves by whole turns
+    into [g0, g0 + 360), which keeps one already there; then its slot of the
+    curve's table gives ``(p - start) / width * step + base``, the IEEE
+    arithmetic of ``a + t * (b - a)``, a node query the node's value, and
+    ``fmax`` maps the NaN of a NaN query to NO_CONSTRAINT.
     """
-    slot = np.searchsorted(curve.phase_grid, phases, side="right")
+    g = curve.phase_grid
+    with np.errstate(invalid="ignore"):  # an infinite query moves to NaN
+        p = phases - 360.0 * np.floor((phases - g[0]) / 360.0)
+    np.maximum(p, g[0], out=p)  # the move may round one to just below g0
+    slot = np.searchsorted(g[1:], p, side="right")
     start, width, base, step, node = curve._table
-    offset = phases - start.take(slot)
+    offset = np.subtract(p, start.take(slot), out=p)
     out = offset / width.take(slot)
     out *= step.take(slot)
     out += base.take(slot)
@@ -411,26 +412,24 @@ def gain_floor(curve: BoundCurve) -> np.ndarray:
     one per degree of the loop's raw ``arctan2`` angle, ``int(angle + 180)``.
 
     Entry j covers the angles [j - 181, j - 178], its degree widened by one on
-    each side, and the Nichols phases they fold onto: an angle <= 0 as it is,
-    one > 0 less 360 (0 at the seam).  In a slot of the table the lookup is
+    each side; the lookup repeats every turn, so the Nichols phase an angle
+    folds onto reads the same slots.  In a slot of the table the lookup is
     the node at its start, else ``fl(t * step) + base`` with t in [0, 1],
-    which monotone rounding keeps at or above min(base, base + step); beyond
-    the grid it is NO_CONSTRAINT.  The least over the slots those phases
-    reach, less 1e-9 dB, becomes a squared gain shrunk by 1e-12.  A floor
-    that would be subnormal, too coarse to be exact, is 0.
+    which monotone rounding keeps at or above min(base, base + step).  The
+    least over the slots a span reaches, less 1e-9 dB, becomes a squared gain
+    shrunk by 1e-12.  A floor that would be subnormal, too coarse to be
+    exact, is 0.
     """
-    _, _, base, step, node = curve._table
+    g, (_, _, base, step, node) = curve.phase_grid, curve._table
     least = np.minimum(node, np.minimum(base, base + step))
-    least[[0, -1]] = NO_CONSTRAINT
-    # cut[d + 360]: the slot of whole degree d, -360 to 0, every span end
-    cut = np.searchsorted(curve.phase_grid, np.arange(-360.0, 1.0), side="right").tolist()
-    least, floor_db = least.tolist(), []
-    for lo in range(-181, 180):
-        hi = lo + 3
-        spans = [(lo, min(hi, 0))] if lo <= 0 else []
-        spans += [(max(lo, 0) - 360, hi - 360)] if hi > 0 else []
-        reach = (least[cut[a + 360] : cut[b + 360] + 1] for a, b in spans)
-        floor_db.append(min(map(min, reach)))
+    # slot[d + 181]: the slot of whole degree d, -181 to 182, counted on over
+    # the turns from the first; those 363 degrees reach into at most three
+    degrees = np.arange(-181.0, 183.0)
+    turns = np.floor((degrees - g[0]) / 360.0)
+    slot = np.searchsorted(g[1:], degrees - 360.0 * turns, side="right")
+    slot += ((turns - turns[0]) * len(g)).astype(int)
+    least, slot = least.tolist() * 3, slot.tolist()
+    floor_db = [min(least[a : b + 1]) for a, b in zip(slot, slot[3:])]
     with np.errstate(over="ignore"):
         floor = 10.0 ** ((np.array(floor_db) - 1e-9) / 10.0) * (1.0 - 1e-12)
     floor[floor < np.finfo(float).tiny] = 0.0

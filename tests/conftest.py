@@ -40,6 +40,14 @@ def workload_raw(name: str) -> dict:
     return json.loads(workloads.config_bytes(name, 1))
 
 
+def within_one_turn(nodes) -> list:
+    """The sorted ``nodes`` that lie less than 360 deg past the least: a
+    phase grid a ``BoundCurve`` accepts, for hypothesis strategies to map
+    their drawn node lists through."""
+    nodes = sorted(nodes)
+    return [p for p in nodes if p - nodes[0] < 360.0]
+
+
 # Fixed external reference controller for the servo plant; several tests
 # check margins and acceptance bands against this point design.
 REFERENCE_GAINS = PidGains(kp=12.6, ki=4.46, kd=3.95)

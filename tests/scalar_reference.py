@@ -363,47 +363,57 @@ def generate_template(plant, omega: float) -> Template:
 
 
 def interpolate_bound(curve, phase_deg: float) -> float:
-    """Bisect-and-interpolate lookup of one phase on a bound curve."""
+    """Bisect-and-interpolate lookup of one phase on a bound curve, which
+    repeats every turn: the phase first moves by whole turns into
+    [g0, g0 + 360), or to g0 where the move rounds it below, and past the
+    last node the curve runs to the first node plus 360.  NaN and infinite
+    phases are unconstrained."""
     grid = curve.phase_grid.tolist()
     vals = curve.min_gain_db.tolist()
-    if phase_deg < grid[0] or phase_deg > grid[-1]:
+    if not math.isfinite(phase_deg):
         return NO_CONSTRAINT
-    idx = bisect.bisect_left(grid, phase_deg)
-    if idx < len(grid) and grid[idx] == phase_deg:
-        return vals[idx]
-    a, b = vals[idx - 1], vals[idx]
+    phase_deg = max(phase_deg - 360.0 * math.floor((phase_deg - grid[0]) / 360.0), grid[0])
+    idx = bisect.bisect_right(grid, phase_deg)  # node idx - 1 starts the interval
+    if grid[idx - 1] == phase_deg:
+        return vals[idx - 1]
+    if idx < len(grid):
+        a, b, width = vals[idx - 1], vals[idx], grid[idx] - grid[idx - 1]
+    else:
+        a, b, width = vals[-1], vals[0], (grid[0] + 360.0) - grid[-1]
     if a == INFEASIBLE or b == INFEASIBLE:
         return INFEASIBLE
     if a == NO_CONSTRAINT:
         return b
     if b == NO_CONSTRAINT:
         return a
-    t = (phase_deg - grid[idx - 1]) / (grid[idx] - grid[idx - 1])
+    t = (phase_deg - grid[idx - 1]) / width
     return a + t * (b - a)
 
 
 def interpolate_bound_array(curve, phases: np.ndarray) -> np.ndarray:
-    """The earlier array interpolation: the sentinel rules applied per query
-    by masks over the whole block."""
+    """The earlier array interpolation, made periodic: each phase moves by
+    whole turns into [g0, g0 + 360), then the sentinel rules apply per query
+    by masks over the whole block, the last node's successor being the
+    first."""
     grid = np.array(curve.phase_grid)
     vals = np.array(curve.min_gain_db)
     phases = np.asarray(phases, dtype=float)
+    with np.errstate(invalid="ignore"):  # an infinite phase moves to NaN
+        p = phases - 360.0 * np.floor((phases - grid[0]) / 360.0)
     out = np.full(phases.shape, NO_CONSTRAINT)
-    inside = (phases >= grid[0]) & (phases <= grid[-1])
-    if not np.any(inside):
-        return out
-    p = phases[inside]
-    idx = np.searchsorted(grid, p, side="left")  # a node index, as p <= grid[-1]
-    hi = np.minimum(np.maximum(idx, 1), len(grid) - 1)
-    a = vals[hi - 1]
-    b = vals[hi]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        t = (p - grid[hi - 1]) / (grid[hi] - grid[hi - 1])
+    real = ~np.isnan(p)
+    p = np.maximum(p[real], grid[0])
+    lo = np.searchsorted(grid, p, side="right") - 1
+    widths = np.append(np.diff(grid), (grid[0] + 360.0) - grid[-1])
+    a = vals[lo]
+    b = np.roll(vals, -1)[lo]
+    with np.errstate(invalid="ignore"):
+        t = (p - grid[lo]) / widths[lo]
         res = np.where(a == NO_CONSTRAINT, b, np.where(b == NO_CONSTRAINT, a, a + t * (b - a)))
     res[(a == INFEASIBLE) | (b == INFEASIBLE)] = INFEASIBLE
-    exact = grid[idx] == p
-    res[exact] = vals[idx[exact]]
-    out[inside] = res
+    exact = grid[lo] == p
+    res[exact] = vals[lo[exact]]
+    out[real] = res
     return out
 
 

@@ -37,7 +37,7 @@ from qft_forge.pipeline import compute_bounds, compute_templates
 from qft_forge.plant import ParameterSpec, UncertainPlant, generate_templates
 
 import scalar_reference as ref
-from conftest import workload_raw
+from conftest import within_one_turn, workload_raw
 from scalar_reference import m_circle_gains, undb
 
 LOWER_MODEL = RationalTransferFunction([0.6585, 19.755], [1.0, 4.0, 19.753961])
@@ -311,6 +311,28 @@ class TestBoundCurveValidation:
     def test_non_increasing_grid(self):
         with pytest.raises(ValueError):
             BoundCurve(omega=1.0, phase_grid=(-100.0, -200.0), min_gain_db=(1.0, 2.0))
+
+    def test_empty_grid(self):
+        # once an IndexError from the first node
+        with pytest.raises(ValueError, match="non-empty"):
+            BoundCurve(omega=1.0, phase_grid=(), min_gain_db=())
+
+    @pytest.mark.parametrize(
+        "grid",
+        [(-360.0, 0.0), (-400.0, -200.0, 50.0), (0.0, 360.0), (-360.0, math.nextafter(0.0, 1.0))],
+    )
+    def test_grid_wider_than_a_turn(self, grid):
+        # the lookup repeats every 360 deg, so the last node must come
+        # before the first one a turn on
+        with pytest.raises(ValueError, match="fit in one turn"):
+            BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=np.ones(len(grid)))
+
+    def test_grid_just_within_a_turn(self):
+        # the last node one ulp of the span short of a turn
+        grid = (-360.0, -360.0 + math.nextafter(360.0, 0.0))
+        curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=(1.0, 3.0))
+        assert at(curve, -360.0) == at(curve, 0.0) == 1.0
+        assert at(curve, grid[1]) == 3.0
 
     def test_nan_entry(self):
         with pytest.raises(ValueError):
@@ -656,6 +678,11 @@ class TestPerMemberStability:
         assert bound == pytest.approx(top, abs=1e-9)
 
 
+def lattice(lo, hi):
+    """Floats in [lo, hi] on whole 1/1024ths of a degree."""
+    return st.integers(int(lo * 1024), int(hi * 1024)).map(lambda k: k / 1024.0)
+
+
 def at(curve, phase):
     """The interpolated bound at one phase, as a Python float."""
     return float(interpolate_bound_array(curve, np.array([phase]))[0])
@@ -680,9 +707,14 @@ class TestInterpolateBound:
     def test_no_constraint_neighbour_defers_to_finite(self):
         assert at(self.CURVE, -75.0) == 20.0
 
-    def test_outside_grid_unconstrained(self):
-        assert at(self.CURVE, -300.0) == NO_CONSTRAINT
-        assert at(self.CURVE, -10.0) == NO_CONSTRAINT
+    def test_outside_grid_wraps_around(self):
+        # past -50 the curve runs on to the first node a turn on, -200 + 360:
+        # a NO_CONSTRAINT node and 10 dB, so 10 dB throughout
+        assert at(self.CURVE, -300.0) == at(self.CURVE, 60.0) == 10.0
+        assert at(self.CURVE, -10.0) == 10.0
+        # whole turns away from a node is that node
+        assert at(self.CURVE, -560.0) == at(self.CURVE, 160.0) == 10.0
+        assert at(self.CURVE, 260.0) == at(self.CURVE, -460.0) == 20.0
 
     def test_infeasible_dominates_segment(self):
         curve = BoundCurve(
@@ -757,7 +789,7 @@ class TestInterpolateBound:
             min_size=1,
             max_size=8,
             unique=True,
-        ).map(sorted),
+        ).map(within_one_turn),
         values=st.lists(
             st.one_of(
                 st.sampled_from([NO_CONSTRAINT, INFEASIBLE, 0.0, -0.0]),
@@ -777,7 +809,8 @@ class TestInterpolateBound:
     @settings(max_examples=300)
     def test_table_matches_frozen_mask_chain(self, grid, values, queries):
         # every sentinel pairing and single-node curves, queried on and next
-        # to each node, inside each interval and beyond both ends
+        # to each node, inside each interval and beyond both ends, which
+        # wrap around
         curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=values[: len(grid)])
         nodes = np.array(grid)
         phases = np.concatenate(
@@ -807,24 +840,37 @@ class TestInterpolateBound:
         got = interpolate_bound_array(curve, np.array([phase]))[0]  # -2.98 dB
         assert got >= top - INTERPOLATION_TOLERANCE_DB
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="queries within half a grid step of the 0/-360 deg seam come back "
-        "NO_CONSTRAINT instead of interpolating between the two end nodes",
+    # nodes and phases on a 1/1024-degree lattice: a turn's shift, and the
+    # lookup's own move by whole turns, are then exact
+    @given(
+        grid=st.lists(lattice(-400.0, 50.0), min_size=1, max_size=8, unique=True).map(
+            within_one_turn
+        ),
+        values=st.lists(
+            st.one_of(st.sampled_from([NO_CONSTRAINT, INFEASIBLE]), st.floats(-200.0, 200.0)),
+            min_size=8,
+            max_size=8,
+        ),
+        phases=st.lists(lattice(-800.0, 400.0), min_size=1, max_size=12),
     )
+    @settings(max_examples=300)
+    def test_a_turn_either_way_reads_the_same(self, grid, values, phases):
+        curve = BoundCurve(omega=1.0, phase_grid=grid, min_gain_db=values[: len(grid)])
+        phases = np.array(phases)
+        here = interpolate_bound_array(curve, phases)
+        for turned in (phases - 360.0, phases + 360.0):
+            there = interpolate_bound_array(curve, turned)
+            assert np.array_equal(np.isinf(there), np.isinf(here))
+            assert np.array_equal(there[np.isinf(there)], here[np.isinf(here)])
+            assert there[np.isfinite(there)] == pytest.approx(here[np.isfinite(here)], abs=1e-9)
+
     def test_seam_interpolates_between_end_nodes(self):
-        """A bound is 360-degree periodic, but the table stops at the grid ends.
+        """A bound is 360-degree periodic, and so is the lookup.
 
         ``make_phase_grid(10)`` has nodes -342, -306, ..., -18: the seam at
         0/-360 deg lies 18 deg beyond each end.  -5 deg and -355 deg (that
-        is, 5 deg) both fall in the periodic gap between -18 and -342 + 360 =
-        18 deg, 13/36 and 23/36 of the way from -18.
-        ``interpolate_bound_array`` treats both as beyond the grid
-        and returns NO_CONSTRAINT, so a loop phase there meets no bound at all
-        although every node constrains.  The gap is 0.5 deg on the default
-        360-point grid and 18 deg here.  A fix adds one periodic node at each
-        end of the curve's table.
+        is, 5 deg) both fall in the table's last slot, between -18 and
+        -342 + 360 = 18 deg, 13/36 and 23/36 of the way from -18.
         """
         grid = make_phase_grid(10)
         values = tuple(float(k) for k in range(1, 11))
@@ -834,6 +880,8 @@ class TestInterpolateBound:
         got = interpolate_bound_array(curve, np.array([-5.0, -355.0]))
         assert got.tolist() == pytest.approx(want, abs=1e-12)
 
-    def test_array_all_outside(self):
-        out = interpolate_bound_array(self.CURVE, np.array([-350.0, -250.0, -10.0]))
-        assert np.all(out == NO_CONSTRAINT)
+    def test_array_all_outside_wraps_around(self):
+        out = interpolate_bound_array(self.CURVE, np.array([-350.0, -250.0, -10.0, -485.0]))
+        assert out.tolist() == [10.0, 10.0, 10.0, 17.5]
+        turn_on = interpolate_bound_array(self.CURVE, np.array([10.0, 110.0, 350.0, -125.0]))
+        assert turn_on.tolist() == out.tolist()

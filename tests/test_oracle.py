@@ -27,6 +27,7 @@ from qft_forge.bounds import (
     BoundCurve,
     gain_floor,
     interpolate_bound_array,
+    make_phase_grid,
 )
 from qft_forge.errors import NoFeasiblePoint
 from qft_forge.lti import db, to_nichols_array
@@ -34,6 +35,7 @@ from qft_forge.optimizer import PidGains
 from qft_forge.verify import GainAxis, OracleBox, brute_force_design
 
 import scalar_reference as ref
+from conftest import within_one_turn
 from scalar_reference import undb
 
 # small blocks, the default budget and a budget twice as large
@@ -51,8 +53,8 @@ def problem_of(frequencies, responses, curves):
 
 
 def flat_curve(omega, gain_db):
-    """The same least gain at every phase."""
-    return BoundCurve(omega=omega, phase_grid=(-360.0, 0.0), min_gain_db=(gain_db, gain_db))
+    """The same least gain at every phase: one node, whose slot is the whole turn."""
+    return BoundCurve(omega=omega, phase_grid=(-180.0,), min_gain_db=(gain_db,))
 
 
 def outcome(search, problem, box, block):
@@ -84,8 +86,10 @@ def curves_at(omega):
         lambda grid, values: BoundCurve(
             omega=omega, phase_grid=grid, min_gain_db=tuple(values[: len(grid)])
         ),
-        # beyond (-360, 0) too, where no loop phase lies
-        st.lists(st.floats(-400.0, 50.0), min_size=2, max_size=12, unique=True).map(sorted),
+        # beyond (-360, 0) too, where a loop phase lies a turn on or back
+        st.lists(st.floats(-400.0, 50.0), min_size=2, max_size=12, unique=True).map(
+            within_one_turn
+        ),
         st.lists(st.floats(-15.0, 35.0).map(entry), min_size=12, max_size=12),
     )
 
@@ -227,7 +231,7 @@ def curves_with_loops(draw):
             min_size=1,
             max_size=8,
             unique=True,
-        ).map(sorted)
+        ).map(within_one_turn)
     )
     values = draw(
         st.lists(
@@ -239,11 +243,9 @@ def curves_with_loops(draw):
             max_size=len(grid),
         )
     )
-    # the arctan2 angle of a loop at each node's Nichols phase
-    node_angles = [p + 360.0 if p < -180.0 else p for p in grid if -360.0 < p <= 0.0]
-    degrees = st.integers(-180, 180).map(float)
-    if node_angles:
-        degrees = st.one_of(degrees, st.sampled_from(node_angles))
+    # the arctan2 angle of a loop at each node's phase, moved by whole turns
+    node_angles = [(p + 180.0) % 360.0 - 180.0 for p in grid]
+    degrees = st.one_of(st.integers(-180, 180).map(float), st.sampled_from(node_angles))
     magnitude = st.one_of(st.floats(-6.0, 6.0), st.floats(-170.0, 170.0)).map(
         lambda exponent: 10.0**exponent
     )
@@ -280,12 +282,20 @@ class TestGainFloor:
             [complex(2.2364410622722436e-160, 2.2364410622722436e-160)],
         )
     )
-    # an angle one ulp below -10 degrees lies before the first node, where
-    # nothing is constrained, but int(angle + 180) rounds it into degree 170
+    # an angle one ulp below -10 degrees lies in the slot before the node
+    # at -10, where nothing is constrained, but int(angle + 180) rounds it
+    # into degree 170
     @example(
         case=(
-            BoundCurve(omega=1.0, phase_grid=(-10.0, 40.0), min_gain_db=(10.0, 10.0)),
+            BoundCurve(1.0, (-20.0, -10.0, 40.0), (NO_CONSTRAINT, NO_CONSTRAINT, 10.0)),
             [cmath.rect(1.0, math.nextafter(math.radians(-10.0), -math.inf))],
+        )
+    )
+    # the last slot, from -0.5 deg to -359.5 + 360, crosses the 0/-360 seam
+    @example(
+        case=(
+            BoundCurve(1.0, (-359.5, -180.0, -0.5), (30.0, 0.0, 10.0)),
+            [cmath.rect(undb(19.9), math.radians(a)) for a in (-0.25, 0.0, 0.25, 180.0, -179.75)],
         )
     )
     def test_rejects_only_failing_loops(self, case):
@@ -298,10 +308,22 @@ class TestGainFloor:
 
     def test_floors_of_flat_bounds(self):
         # 20 dB over every phase: 100 less its margins at every degree
-        floor = gain_floor(BoundCurve(1.0, (-400.0, 50.0), (20.0, 20.0)))
+        floor = gain_floor(flat_curve(1.0, 20.0))
         assert floor == pytest.approx(np.full(361, 100.0), rel=1e-9)
         assert np.all(floor < 100.0)
-        # 5 dB on [-100, -90): only the degrees whose angles, one degree
-        # wider on each side, stay inside it
-        floor = gain_floor(BoundCurve(1.0, (-100.0, -90.0), (5.0, 5.0)))
-        assert np.flatnonzero(floor).tolist() == list(range(81, 88))
+        # 5 dB on (-101, -89): only the degrees whose angles, one degree
+        # wider on each side, stay inside it; the node at -101 and the
+        # slot from -89 on around the turn constrain nothing
+        free = NO_CONSTRAINT
+        floor = gain_floor(BoundCurve(1.0, (-101.0, -100.0, -90.0, -89.0), (free, 5.0, 5.0, free)))
+        assert np.flatnonzero(floor).tolist() == list(range(81, 89))
+
+    def test_floor_reads_the_slot_across_the_seam(self):
+        # make_phase_grid(4): -315, -225, -135, -45, whose last slot runs from
+        # -45 deg across the seam to 45 deg.  A slot's floor counts its start
+        # node, so only the slots from -45 and from -315 = 45 deg floor the
+        # angles [-45, 135) at 40 dB: degrees 136 to 312
+        free = NO_CONSTRAINT
+        floor = gain_floor(BoundCurve(1.0, make_phase_grid(4), (40.0, free, free, 40.0)))
+        assert np.flatnonzero(floor).tolist() == list(range(136, 313))
+        assert floor[180] == pytest.approx(1e4, rel=1e-9)

@@ -1,9 +1,10 @@
 """The README's library example runs as written, the names it documents are
-what ``qft_forge`` exports, and its command-line section lists the parser's
-flags."""
+what ``qft_forge`` exports, its command-line section lists the parser's
+flags, and its testing section counts the strict expected-failures."""
 
 from __future__ import annotations
 
+import ast
 import re
 import shutil
 
@@ -59,3 +60,22 @@ def test_command_line_section_lists_the_parser_flags():
         if flag.startswith("--")
     }
     assert documented == flags - {"--help"}
+
+
+NUMBER_WORDS = "zero one two three four five six seven eight nine ten eleven twelve".split()
+
+
+def strict_xfail_markers() -> int:
+    """``xfail(..., strict=True)`` calls in the test modules, found by parsing them."""
+    count = 0
+    for path in sorted((REPO_ROOT / "tests").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "xfail":
+                strict = [k.value for k in node.keywords if k.arg == "strict"]
+                count += any(isinstance(v, ast.Constant) and v.value is True for v in strict)
+    return count
+
+
+def test_testing_section_counts_the_strict_xfails():
+    word = re.search(r"(\w+) entries are strict expected-failures", README).group(1)
+    assert NUMBER_WORDS.index(word.lower()) == strict_xfail_markers()

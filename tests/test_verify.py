@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import json
 import math
@@ -16,6 +17,7 @@ from qft_forge.bounds import (
     NO_CONSTRAINT,
     BoundCurve,
     UContour,
+    make_phase_grid,
 )
 from qft_forge.config import parse_config_dict
 from qft_forge.errors import (
@@ -214,6 +216,32 @@ class TestVerifyMargins:
         (margin,) = report.per_frequency_margins
         assert margin.phase_deg == phase
         assert margin.source == "performance"
+
+    def test_loop_at_the_seam_meets_the_interpolated_bound(self, servo_config):
+        # on the 1-degree grid the 0/-360 deg seam lies between the end nodes
+        # -0.5 and -359.5 + 360; a loop at -0.2 deg, 0.3 of the way from -0.5
+        # to 0.5, once met no bound there and read a slack of +inf
+        values = np.full(360, 5.0)
+        values[0], values[-1] = 10.0, 0.0  # at -359.5 and -0.5 deg
+        curve = BoundCurve(omega=1.0, phase_grid=make_phase_grid(360), min_gain_db=values)
+        response = cmath.rect(ref.undb(-20.0), math.radians(-0.2))
+        gains = PidGains(kp=1.0, ki=0.0, kd=0.0)
+        (margin,) = loop_margins((curve,), (response,), gains)
+        assert margin.phase_deg == pytest.approx(-0.2, abs=1e-12)
+        assert margin.bound_db == pytest.approx(3.0, abs=1e-9)
+        assert margin.slack_db == pytest.approx(-23.0, abs=1e-9)
+        report = verify_design(
+            {},
+            gains,
+            (curve,),
+            UContour(1.2, 0.0),
+            (np.array([1.0]), np.array([response])),
+            servo_config.tracking,
+        )
+        (verified,) = report.per_frequency_margins
+        assert (verified.bound_db, verified.slack_db) == (margin.bound_db, margin.slack_db)
+        assert verified.source == "performance"
+        assert not report.passed
 
     def test_margin_on_the_contour_top_is_tagged_ucontour(self, servo_config):
         # a negative real response with kp=1 puts the loop at exactly -180 deg,

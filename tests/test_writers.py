@@ -24,6 +24,7 @@ from qft_forge.bounds import INFEASIBLE, NO_CONSTRAINT, BoundCurve
 from qft_forge.verify import EnvelopeRow
 
 import writer_reference as ref
+from conftest import within_one_turn
 
 SPECIAL = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308 / 3, 1e300, -1e300, 0.1, -2.5)
 finite = st.one_of(st.sampled_from(SPECIAL), st.floats(-1e300, 1e300))
@@ -61,7 +62,7 @@ def bound_curves(draw):
     entry = st.one_of(finite, st.sampled_from((NO_CONSTRAINT, INFEASIBLE)))
     curves = []
     for _ in range(draw(st.integers(0, 4))):
-        grid = sorted(draw(st.sets(phases, min_size=1, max_size=8)))
+        grid = within_one_turn(draw(st.sets(phases, min_size=1, max_size=8)))
         values = draw(st.lists(entry, min_size=len(grid), max_size=len(grid)))
         omega = draw(st.floats(1e-3, 1e3))
         curves.append(BoundCurve(omega=omega, phase_grid=tuple(grid), min_gain_db=tuple(values)))
